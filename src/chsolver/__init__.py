@@ -3,17 +3,14 @@
 from .spectral import Grid, ImaginaryResidueError, SpectralField, fft_workers
 from .timestep import (
     A1ViolationError,
-    BdfCoeffs,
     KernelResiduals,
     QuadraticFormCheck,
     SingularKernelError,
     TimeMesh,
     bdf2_apply,
-    bdf_coeffs,
     bdf_weights,
     dcc_kernels,
     doc_kernels,
-    extrapolate,
     kernel_residuals,
     quadratic_form_check,
     r_max_root,
@@ -43,7 +40,6 @@ from .scenarios import (
     ic_random,
     initial_field,
     order_of,
-    positive_component_count,
     run_convergence,
     run_scenario,
 )

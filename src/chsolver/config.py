@@ -259,6 +259,10 @@ def _validate(cfg: SimConfig) -> None:
     def bad(msg):
         raise ConfigValidationError(msg)
 
+    for key in ("length", "eps", "horizon", "tau", "tau_min", "tau_max", "alpha", "delta"):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            bad(f"{key} must be finite, got {value}")
     if cfg.dim not in (2, 3):
         bad(f"dim must be 2 or 3, got {cfg.dim}")
     if cfg.modes < 4 or cfg.modes % 2:
@@ -271,7 +275,7 @@ def _validate(cfg: SimConfig) -> None:
         bad(f"horizon must be positive, got {cfg.horizon}")
     if cfg.record_every < 1:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
-    if any(t < 0 or t > cfg.horizon * (1 + 1e-12) for t in cfg.snapshots):
+    if not all(0 <= t <= cfg.horizon * (1 + 1e-12) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
     if cfg.policy_kind == "fixed":
         if cfg.tau is None or cfg.tau <= 0:

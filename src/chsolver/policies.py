@@ -29,8 +29,8 @@ class FixedStep(StepPolicy):
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     def next_step(self, n, prev_tau, prev_gamma, curr_gamma):
         return self.tau
@@ -62,10 +62,10 @@ class AdaptiveStep(StepPolicy):
     ratio_cap: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ValueError(f"need 0 < tau_min <= tau_max, got {self.tau_min}, {self.tau_max}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0 < self.tau_min <= self.tau_max < math.inf:
+            raise ValueError(f"need 0 < tau_min <= tau_max < inf, got {self.tau_min}, {self.tau_max}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         cap = self.ratio_cap
         if cap is None:
             cap = r_max_root() - 0.01
@@ -90,8 +90,8 @@ def run_with_policy(
 ) -> tuple[GsavState, list[StepRecord]]:
     """Advance until time reaches the horizon, landing exactly on each
     checkpoint time and on the horizon.  Returns (final state, records)."""
-    if horizon <= state.time:
-        raise ValueError(f"horizon {horizon} not beyond current time {state.time}")
+    if not state.time < horizon < math.inf:
+        raise ValueError(f"horizon {horizon} must be finite and beyond current time {state.time}")
     tol = 1e-12 * horizon
     targets = sorted({float(c) for c in checkpoints if state.time + tol < c < horizon - tol})
     targets.append(float(horizon))

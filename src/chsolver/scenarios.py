@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +30,12 @@ def ic_bubble(grid: Grid, eps: float) -> SpectralField:
     return SpectralField(grid, physical=-np.tanh((r - 1.5) / (4.0 * eps)))
 
 
-def ic_kissing(grid: Grid, eps2: float, verbatim_grouping: bool = False) -> SpectralField:
+def ic_kissing(grid: Grid, eps2: float) -> SpectralField:
     """Two tangent bubbles of radius 1 centered at (L/2 -+ 1, L/2).
 
     Each bubble contributes tanh((1 - d_i)/(4 eps2)); the profiles are
     summed and shifted by +1 so the background sits at -1 and the bubble
-    interiors at +1.  verbatim_grouping=True instead uses
-    tanh(1 - d_i/(4 eps2)), keeping the division inside the tanh argument.
+    interiors at +1.
     """
     if grid.dim != 2:
         raise DimMismatchError(f"kissing-bubble initial data is 2d, grid has dim {grid.dim}")
@@ -48,50 +46,19 @@ def ic_kissing(grid: Grid, eps2: float, verbatim_grouping: bool = False) -> Spec
     out = np.ones(grid.shape)
     for off in (-1.0, 1.0):
         d = np.sqrt((x - (cx + off)) ** 2 + (y - cy) ** 2)
-        if verbatim_grouping:
-            out += np.tanh(1.0 - d / (4.0 * eps2))
-        else:
-            out += np.tanh((1.0 - d) / (4.0 * eps2))
+        out += np.tanh((1.0 - d) / (4.0 * eps2))
     return SpectralField(grid, physical=out)
 
 
-def ic_random(grid: Grid, seed: int, unit_interval: bool = False) -> SpectralField:
-    """0.35 + 0.3 * Rand(x) with Rand uniform on (-1, 1), or (0, 1) when
-    unit_interval=True."""
+def ic_random(grid: Grid, seed: int) -> SpectralField:
+    """0.35 + 0.3 * Rand(x) with Rand uniform on (-1, 1)."""
     rng = np.random.default_rng(seed)
-    lo = 0.0 if unit_interval else -1.0
-    return SpectralField(grid, physical=0.35 + 0.3 * rng.uniform(lo, 1.0, grid.shape))
+    return SpectralField(grid, physical=0.35 + 0.3 * rng.uniform(-1.0, 1.0, grid.shape))
 
 
 def ic_equilibrium(grid: Grid) -> SpectralField:
     """Pure phase, a stationary point of the flow."""
     return SpectralField.constant(grid, 1.0)
-
-
-def positive_component_count(values: np.ndarray) -> int:
-    """Connected components of {v > 0} under 4-neighbor (6 in 3d) adjacency
-    with periodic wrap."""
-    mask = values > 0.0
-    seen = np.zeros(mask.shape, dtype=bool)
-    shape = mask.shape
-    count = 0
-    for start in zip(*np.nonzero(mask)):
-        if seen[start]:
-            continue
-        count += 1
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            cell = queue.popleft()
-            for axis in range(len(shape)):
-                for step in (-1, 1):
-                    nb = list(cell)
-                    nb[axis] = (nb[axis] + step) % shape[axis]
-                    nb = tuple(nb)
-                    if mask[nb] and not seen[nb]:
-                        seen[nb] = True
-                        queue.append(nb)
-    return count
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ quadrature h^dim * sum_j u_j^2 agrees with the coefficient sum exactly.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,14 +139,6 @@ class SpectralField:
         self._coefficients = coefficients
 
     @classmethod
-    def from_physical(cls, grid: Grid, values) -> "SpectralField":
-        return cls(grid, physical=np.array(values, dtype=np.float64))
-
-    @classmethod
-    def from_coefficients(cls, grid: Grid, values) -> "SpectralField":
-        return cls(grid, coefficients=np.array(values, dtype=np.complex128))
-
-    @classmethod
     def constant(cls, grid: Grid, value: float) -> "SpectralField":
         return cls(grid, physical=np.full(grid.shape, float(value)))
 
@@ -189,31 +180,6 @@ class SpectralField:
     @property
     def physical(self) -> np.ndarray:
         return self.to_physical()._physical
-
-    def apply_symbol(self, power: int) -> "SpectralField":
-        """Apply (-|k|^2)^power: power 1 is the Laplacian, 2 the biharmonic."""
-        if power not in (1, 2):
-            raise ValueError(f"symbol power must be 1 or 2, got {power}")
-        symbol = (-self.grid.k_squared) ** power
-        return SpectralField(self.grid, coefficients=symbol * self.coefficients)
-
-    def project(self, cutoff: int) -> "SpectralField":
-        """Zero every coefficient with a mode index outside [-cutoff/2, cutoff/2 - 1].
-
-        The retained band is asymmetric at its edge (-cutoff/2 is kept,
-        +cutoff/2 is not), so projecting a real field that carries energy at
-        the band edge yields a field that is no longer conjugate-symmetric.
-        cutoff == modes is the identity.
-        """
-        if cutoff % 2 != 0 or not 2 <= cutoff <= self.grid.modes:
-            raise ValueError(f"cutoff must be even with 2 <= cutoff <= {self.grid.modes}, got {cutoff}")
-        keep = (self.grid.mode_numbers >= -(cutoff // 2)) & (self.grid.mode_numbers <= cutoff // 2 - 1)
-        coef = self.coefficients.copy()
-        for axis in range(self.grid.dim):
-            shape = [1] * self.grid.dim
-            shape[axis] = self.grid.modes
-            coef = coef * keep.reshape(shape)
-        return SpectralField(self.grid, coefficients=coef)
 
     def nonlinearity(self, eps: float, dealias: bool = False) -> "SpectralField":
         """Pointwise (u^3 - u)/eps^2.
@@ -269,34 +235,8 @@ class SpectralField:
     def mean(self) -> float:
         return float(self.coefficients[(0,) * self.grid.dim].real)
 
-    def _combine(self, other: "SpectralField", sign: float) -> "SpectralField":
-        if not isinstance(other, SpectralField):
-            return NotImplemented
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        """Difference of two fields on the same grid, in coefficient space."""
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
-        if self._physical is not None and other._physical is not None:
-            phys = self._physical + sign * other._physical
-            coef = None
-            if self._coefficients is not None and other._coefficients is not None:
-                coef = self._coefficients + sign * other._coefficients
-            return SpectralField(self.grid, physical=phys, coefficients=coef)
-        return SpectralField(self.grid, coefficients=self.coefficients + sign * other.coefficients)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Real):
-            return NotImplemented
-        s = float(scalar)
-        phys = None if self._physical is None else s * self._physical
-        coef = None if self._coefficients is None else s * self._coefficients
-        return SpectralField(self.grid, physical=phys, coefficients=coef)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        return SpectralField(self.grid, coefficients=self.coefficients - other.coefficients)

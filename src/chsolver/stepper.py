@@ -104,8 +104,8 @@ def init_state(phi0: SpectralField, eps: float, dealias: bool = False) -> GsavSt
 
 
 def _step_ratio(state: GsavState, tau_n: float) -> float:
-    if tau_n <= 0:
-        raise ValueError(f"tau must be positive, got {tau_n}")
+    if not 0 < tau_n < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau_n}")
     return 0.0 if state.step_index == 0 else tau_n / state.prev_tau
 
 
@@ -135,33 +135,32 @@ def _solve(state: GsavState, tau_n: float, f_term: SpectralField) -> SpectralFie
     return SpectralField(state.grid, coefficients=coef)
 
 
-def _grad_mu_sq(phi_bar: SpectralField, f_term: SpectralField) -> float:
-    """||grad mu||^2 for mu = -lap(phi_bar) + f, summed in coefficient space."""
-    g = phi_bar.grid
-    mu_hat = g.k_squared * phi_bar.coefficients + f_term.coefficients
-    return g.volume * float(np.sum(g.k_squared * np.abs(mu_hat) ** 2))
-
-
 def linear_solve(state: GsavState, tau_n: float) -> SpectralField:
     """Auxiliary field after the implicit solve (substep 1)."""
     return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))
 
 
-def gamma_update(state: GsavState, phi_bar_n: SpectralField, tau_n: float) -> tuple[float, float]:
-    """(gamma_n, ||grad mu||^2) from the closed-form contraction (substep 2)."""
-    f_term = _extrapolated_nonlinearity(state, tau_n)
-    gm = _grad_mu_sq(phi_bar_n, f_term)
-    e_bar = energy(phi_bar_n, state.eps)
-    return state.gamma / (1.0 + tau_n * gm / (e_bar + 1.0)), gm
+def gamma_update(
+    gamma_prev: float, tau_n: float, phi_bar_n: SpectralField, f_term: SpectralField, e_bar: float
+) -> tuple[float, float]:
+    """(gamma_n, ||grad mu||^2) from the closed-form contraction (substep 2).
+
+    f_term is the extrapolated nonlinearity the solve used, e_bar the
+    energy of phi_bar_n; ||grad mu||^2 for mu = -lap(phi_bar_n) + f is
+    summed in coefficient space.
+    """
+    g = phi_bar_n.grid
+    mu_hat = g.k_squared * phi_bar_n.coefficients + f_term.coefficients
+    gm = g.volume * float(np.sum(g.k_squared * np.abs(mu_hat) ** 2))
+    return gamma_prev / (1.0 + tau_n * gm / (e_bar + 1.0)), gm
 
 
-def relax(state: GsavState, phi_bar_n: SpectralField, gamma_n: float) -> tuple[float, float, SpectralField]:
-    """(xi, eta, phi_n): rescale the auxiliary field by eta = xi (2 - xi)."""
-    e_bar = energy(phi_bar_n, state.eps)
+def relax(phi_bar_n: SpectralField, gamma_n: float, e_bar: float) -> tuple[float, float, SpectralField]:
+    """(xi, eta, phi_n): rescale the auxiliary field by eta = xi (2 - xi) (substep 3)."""
     xi = gamma_n / (e_bar + 1.0)
     eta = xi * (2.0 - xi)
     phi_n = SpectralField(
-        state.grid,
+        phi_bar_n.grid,
         physical=eta * phi_bar_n.physical,
         coefficients=eta * phi_bar_n.coefficients,
     )
@@ -173,15 +172,8 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     f_term = _extrapolated_nonlinearity(state, tau_n)
     phi_bar = _solve(state, tau_n, f_term)
     e_bar = energy(phi_bar, state.eps)
-    gm = _grad_mu_sq(phi_bar, f_term)
-    gamma_n = state.gamma / (1.0 + tau_n * gm / (e_bar + 1.0))
-    xi = gamma_n / (e_bar + 1.0)
-    eta = xi * (2.0 - xi)
-    phi_n = SpectralField(
-        state.grid,
-        physical=eta * phi_bar.physical,
-        coefficients=eta * phi_bar.coefficients,
-    )
+    gamma_n, gm = gamma_update(state.gamma, tau_n, phi_bar, f_term, e_bar)
+    xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
     record = StepRecord(
         n=state.step_index + 1,
         t=state.time + tau_n,

@@ -133,38 +133,6 @@ def bdf_weights(tau_n: float, r_n: float) -> tuple[float, float]:
     return (1.0 + 2.0 * r_n) / denom, -(r_n**2) / denom
 
 
-@dataclass(frozen=True)
-class BdfCoeffs:
-    """Per-step weights: D2 u^n uses b0, b1; the extrapolation uses
-    B u^{n-1} = extrap_plus * u^{n-1} - extrap_minus * u^{n-2}."""
-
-    b0: float
-    b1: float
-    extrap_plus: float
-    extrap_minus: float
-
-
-def bdf_coeffs(mesh: TimeMesh, n: int) -> BdfCoeffs:
-    mesh._check_index(n)
-    r = mesh.ratio(n)
-    b0, b1 = bdf_weights(mesh.tau(n), r)
-    if n == 1:
-        return BdfCoeffs(b0=b0, b1=0.0, extrap_plus=1.0, extrap_minus=0.0)
-    return BdfCoeffs(b0=b0, b1=b1, extrap_plus=1.0 + r, extrap_minus=r)
-
-
-def extrapolate(prev1, prev2, n: int, mesh: TimeMesh):
-    """Second-order history extrapolation; the first step just copies prev1.
-
-    Generic over anything supporting scalar multiplication and subtraction
-    (floats, arrays, fields).
-    """
-    c = bdf_coeffs(mesh, n)
-    if n == 1:
-        return prev1
-    return c.extrap_plus * prev1 - c.extrap_minus * prev2
-
-
 def bdf2_apply(mesh: TimeMesh, values) -> list:
     """D2 u^j for j = 1..len(values)-1, where values = [u^0, u^1, ...]."""
     m = len(values) - 1

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chsolver
 from chsolver import read_records, read_snapshot, write_records
 from chsolver.cli import main
 
@@ -143,6 +146,11 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_nonfinite_horizon_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\nhorizon = nan\n")
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+
     def test_runtime_failure_is_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
         blocker = tmp_path / "blocked"
@@ -168,10 +176,14 @@ class TestThreadControl:
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
     out = tmp_path / "out"
+    # the child imports the same package as this suite, however it was put on sys.path
+    src = str(Path(chsolver.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "chsolver.cli", "simulate", cfg, "--outdir", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert (out / "records.csv").exists()

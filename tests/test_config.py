@@ -178,6 +178,27 @@ class TestValidation:
         with pytest.raises(ConfigValidationError, match="needs tau"):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("run", "horizon"),
+            ("run", "eps"),
+            ("run", "eps2"),
+            ("run", "length"),
+            ("policy", "tau"),
+            ("policy", "tau_min"),
+            ("policy", "tau_max"),
+            ("policy", "alpha"),
+            ("policy", "delta"),
+            ("output", "snapshots"),
+        ],
+    )
+    def test_nonfinite_value_rejected(self, tmp_path, section, key, value):
+        text = f"scenario = kissing_bubbles\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigValidationError):
+            parse_config(write(tmp_path, text))
+
 
 class TestAssembly:
     def test_fixed_policy(self, tmp_path):

@@ -34,6 +34,11 @@ class TestFixedStep:
         with pytest.raises(ValueError, match="tau must be positive"):
             FixedStep(0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            FixedStep(tau)
+
 
 class TestPrescribedMesh:
     def test_replays_mesh(self):
@@ -89,6 +94,13 @@ class TestAdaptiveStep:
             AdaptiveStep(tau_min=1e-3, tau_max=1e-2, alpha=-1.0)
         with pytest.raises(ValueError, match="ratio_cap"):
             AdaptiveStep(tau_min=1e-3, tau_max=1e-2, alpha=0.1, ratio_cap=9.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("key", ["tau_min", "tau_max", "alpha"])
+    def test_nonfinite_parameters_rejected(self, key, bad):
+        kwargs = {"tau_min": 1e-3, "tau_max": 1e-2, "alpha": 0.1, key: bad}
+        with pytest.raises(ValueError, match="inf|finite"):
+            AdaptiveStep(**kwargs)
 
 
 class TestDriver:
@@ -149,3 +161,9 @@ class TestDriver:
         state = small_state()
         with pytest.raises(ValueError, match="horizon"):
             run_with_policy(state, FixedStep(0.01), 0.0)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_nonfinite_horizon_rejected(self, horizon):
+        state = small_state()
+        with pytest.raises(ValueError, match="horizon"):
+            run_with_policy(state, FixedStep(0.01), horizon)

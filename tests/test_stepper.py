@@ -22,6 +22,7 @@ from chsolver import (
     relax,
     validate_records,
 )
+from chsolver.stepper import _extrapolated_nonlinearity
 from dense_reference import dense_advance, random_state
 
 
@@ -88,28 +89,37 @@ class TestSingleStep:
         grid = Grid(2, 2.0 * np.pi, 16)
         state = init_state(rough_field(grid, 2), 0.8)
         tau = 0.05
-        phi_bar = linear_solve(state, tau)
-        f_hat = state.phi_prev1.nonlinearity(0.8).coefficients
+        f_term = _extrapolated_nonlinearity(state, tau)
+        assert np.array_equal(f_term.physical, state.phi_prev1.nonlinearity(0.8).physical)
+        f_hat = f_term.coefficients
         c0 = state.phi_bar_prev1.coefficients
         k2 = grid.k_squared
         expected = (c0 / tau - k2 * f_hat) / (1.0 / tau + k2**2)
-        assert np.allclose(phi_bar.coefficients, expected, atol=1e-13)
+        assert np.allclose(linear_solve(state, tau).coefficients, expected, atol=1e-13)
+        new_state, _ = advance(state, tau)
+        assert np.allclose(new_state.phi_bar_prev1.coefficients, expected, atol=1e-13)
 
     def test_substeps_compose_to_advance(self):
         grid = Grid(2, 2.0 * np.pi, 16)
         state = init_state(rough_field(grid, 3), 0.6)
         state, _ = advance(state, 0.02)
         tau = 0.03
+        # advance runs exactly these substeps, so the match is bitwise
         phi_bar = linear_solve(state, tau)
-        gamma_n, grad_mu_sq = gamma_update(state, phi_bar, tau)
-        xi, eta, phi_n = relax(state, phi_bar, gamma_n)
+        e_bar = energy(phi_bar, state.eps)
+        f_term = _extrapolated_nonlinearity(state, tau)
+        gamma_n, grad_mu_sq = gamma_update(state.gamma, tau, phi_bar, f_term, e_bar)
+        xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
         new_state, rec = advance(state, tau)
-        assert np.allclose(new_state.phi_bar_prev1.coefficients, phi_bar.coefficients)
-        assert np.isclose(rec.gamma, gamma_n, rtol=1e-15)
-        assert np.isclose(rec.xi, xi, rtol=1e-15)
-        assert np.isclose(rec.eta, eta, rtol=1e-15)
-        assert np.isclose(rec.dissipation, tau * xi * grad_mu_sq, rtol=1e-14)
-        assert np.allclose(new_state.phi_prev1.physical, phi_n.physical)
+        assert np.array_equal(new_state.phi_bar_prev1.coefficients, phi_bar.coefficients)
+        assert rec.energy == e_bar
+        assert rec.gamma == gamma_n
+        assert rec.xi == xi
+        assert rec.eta == eta
+        assert rec.dissipation == tau * xi * grad_mu_sq
+        assert new_state.gamma == gamma_n
+        assert np.array_equal(new_state.phi_prev1.physical, phi_n.physical)
+        assert np.array_equal(new_state.phi_prev1.coefficients, phi_n.coefficients)
 
     def test_relaxation_algebra(self):
         # eta = xi (2 - xi), i.e. 1 - eta = (1 - xi)^2
@@ -125,6 +135,13 @@ class TestSingleStep:
         state = init_state(rough_field(grid, 5), 0.5)
         with pytest.raises(ValueError, match="tau must be positive"):
             advance(state, 0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_tau_rejected_before_the_solve(self, tau):
+        grid = Grid(2, 2.0 * np.pi, 16)
+        state = init_state(rough_field(grid, 5), 0.5)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            advance(state, tau)
 
     def test_nonfinite_history_detected(self):
         grid = Grid(2, 2.0 * np.pi, 8)
@@ -207,6 +224,16 @@ class TestDenseOracle:
         ref = dense_advance(state, tau)
         phi_bar = linear_solve(state, tau)
         assert np.abs(phi_bar.coefficients.ravel() - ref["phi_bar_hat"]).max() < 1e-12
+        e_bar = energy(phi_bar, state.eps)
+        assert np.isclose(e_bar, ref["energy"], rtol=1e-12)
+        f_term = _extrapolated_nonlinearity(state, tau)
+        gamma_n, grad_mu_sq = gamma_update(state.gamma, tau, phi_bar, f_term, e_bar)
+        assert np.isclose(gamma_n, ref["gamma"], rtol=1e-12)
+        assert np.isclose(grad_mu_sq, ref["grad_mu_sq"], rtol=1e-12)
+        xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
+        assert np.isclose(xi, ref["xi"], rtol=1e-12)
+        assert np.isclose(eta, ref["eta"], rtol=1e-12)
+        assert np.abs(phi_n.coefficients.ravel() - ref["phi_hat"]).max() < 1e-12
         new_state, rec = advance(state, tau)
         assert np.isclose(rec.gamma, ref["gamma"], rtol=1e-12)
         assert np.isclose(rec.xi, ref["xi"], rtol=1e-12)

@@ -14,11 +14,9 @@ from chsolver import (
     SingularKernelError,
     TimeMesh,
     bdf2_apply,
-    bdf_coeffs,
     bdf_weights,
     dcc_kernels,
     doc_kernels,
-    extrapolate,
     kernel_residuals,
     quadratic_form_check,
     r_max_root,
@@ -79,27 +77,6 @@ class TestRootAndWeights:
             tau = r * tau_prev
             b0, b1 = bdf_weights(tau, r)
             assert np.isclose(b0 * tau + b1 * tau_prev, 1.0, atol=1e-13)
-
-    def test_coeffs_first_step(self):
-        mesh = TimeMesh([0.5, 1.0])
-        c = bdf_coeffs(mesh, 1)
-        assert c == ts.BdfCoeffs(b0=2.0, b1=0.0, extrap_plus=1.0, extrap_minus=0.0)
-
-    def test_coeffs_second_step(self):
-        mesh = TimeMesh([1.0, 2.0])
-        c = bdf_coeffs(mesh, 2)
-        assert np.isclose(c.b0, 5.0 / 6.0)
-        assert np.isclose(c.b1, -2.0 / 3.0)
-        assert c.extrap_plus == 3.0
-        assert c.extrap_minus == 2.0
-
-    def test_extrapolation_is_linear_exact(self):
-        # B reproduces t_n exactly from the two previous nodes
-        mesh = random_mesh(1.0, 20, seed=4)
-        for n in range(2, 21):
-            pred = extrapolate(mesh.time(n - 1), mesh.time(n - 2), n, mesh)
-            assert np.isclose(pred, mesh.time(n), atol=1e-13)
-        assert extrapolate(3.0, 99.0, 1, mesh) == 3.0
 
     def test_difference_operator_exactness(self):
         # D2 differentiates linears exactly everywhere and quadratics from
