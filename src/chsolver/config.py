@@ -277,21 +277,28 @@ def _validate(cfg: SimConfig) -> None:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
     if not all(0 <= t <= cfg.horizon * (1 + 1e-12) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
+    # range-check every policy key that is set, whether or not the kind uses it
+    for key in ("tau", "tau_min", "tau_max"):
+        value = getattr(cfg, key)
+        if value is not None and value <= 0:
+            bad(f"{key} must be positive, got {value}")
+    if cfg.count is not None and cfg.count < 2:
+        bad(f"count must be >= 2, got {cfg.count}")
+    if cfg.alpha is not None and cfg.alpha < 0:
+        bad(f"alpha must be nonnegative, got {cfg.alpha}")
+    if cfg.delta is not None and not 0 < cfg.delta < r_max_root() - 1.0:
+        bad(f"delta must lie in (0, r_max - 1), got {cfg.delta}")
     if cfg.policy_kind == "fixed":
-        if cfg.tau is None or cfg.tau <= 0:
+        if cfg.tau is None:
             bad("fixed policy needs tau > 0")
     elif cfg.policy_kind == "random":
-        if cfg.count is None or cfg.count < 2:
+        if cfg.count is None:
             bad("random-mesh policy needs count >= 2")
     else:
         if cfg.tau_min is None or cfg.tau_max is None or cfg.alpha is None:
             bad("adaptive policy needs tau_min, tau_max, alpha")
-        if not 0 < cfg.tau_min <= cfg.tau_max:
+        if not cfg.tau_min <= cfg.tau_max:
             bad(f"need 0 < tau_min <= tau_max, got {cfg.tau_min}, {cfg.tau_max}")
-        if cfg.alpha < 0:
-            bad(f"alpha must be nonnegative, got {cfg.alpha}")
-        if cfg.delta is not None and not 0 < cfg.delta < r_max_root() - 1.0:
-            bad(f"delta must lie in (0, r_max - 1), got {cfg.delta}")
     if cfg.base_k < 2 or cfg.levels < 1 or cfg.ref_steps < 1:
         bad("converge needs base_k >= 2, levels >= 1, ref_steps >= 1")
     if cfg.max_n < 1:

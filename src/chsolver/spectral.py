@@ -7,13 +7,23 @@ convention
 
     u_hat_k = (1/|Omega|) * int_Omega u(x) exp(-i k.x) dx,
 
-so a constant field c has u_hat_0 = c, and Parseval reads
+so a constant field c has u_hat_0 = c.  Wavenumbers are 2*pi*m/L with
+integer mode index m.
 
-    ||u||_L2^2 = |Omega| * sum_k |u_hat_k|^2.
+Fields are real, so u_hat_{-k} = conj(u_hat_k) and only the half spectrum
+is stored: the layout of scipy's rfftn, of shape (N,)*(dim-1) + (N/2+1,).
+On the last axis m runs over 0..N/2; on the others over 0..N/2-1,
+-N/2..-1 (FFT ordering).  The transforms are rfftn/irfftn, so the inverse
+of any half spectrum is a real field by construction.
 
-Wavenumbers are 2*pi*m/L with integer mode index m running over
-0..N/2-1, -N/2..-1 per direction (FFT ordering).  The physical-space
-quadrature h^dim * sum_j u_j^2 agrees with the coefficient sum exactly.
+An entry on the last-axis planes m = 0 and m = N/2 is its own mirror; every
+other entry also stands for its conjugate at -k.  Sums over the full
+spectrum therefore weight the half spectrum by 1 on those two planes and by
+2 elsewhere, and Parseval reads
+
+    ||u||_L2^2 = |Omega| * sum_k w_k |u_hat_k|^2,   w_k in {1, 2},
+
+which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
 """
 
 from __future__ import annotations
@@ -25,10 +35,6 @@ from itertools import product
 
 import numpy as np
 from scipy import fft as _fft
-
-
-class ImaginaryResidueError(ValueError):
-    """An inverse transform produced a significant imaginary part."""
 
 
 def fft_workers() -> int | None:
@@ -70,6 +76,11 @@ class Grid:
         return (self.modes,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of the half spectrum."""
+        return (self.modes,) * (self.dim - 1) + (self.modes // 2 + 1,)
+
+    @property
     def spacing(self) -> float:
         return self.length / self.modes
 
@@ -89,20 +100,15 @@ class Grid:
         return k
 
     @cached_property
-    def mode_numbers(self) -> np.ndarray:
-        """1d array of integer mode indices m in FFT ordering."""
-        m = np.rint(np.fft.fftfreq(self.modes) * self.modes).astype(int)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
     def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full mode grid."""
-        k2 = np.zeros(self.shape)
+        """|k|^2 on the half-spectrum mode grid."""
+        last = 2.0 * np.pi * np.fft.rfftfreq(self.modes, d=self.spacing)
+        k2 = np.zeros(self.spectral_shape)
         for axis in range(self.dim):
+            k = last if axis == self.dim - 1 else self.wavenumbers
             shape = [1] * self.dim
-            shape[axis] = self.modes
-            k2 = k2 + (self.wavenumbers**2).reshape(shape)
+            shape[axis] = k.size
+            k2 += (k**2).reshape(shape)
         k2.setflags(write=False)
         return k2
 
@@ -112,11 +118,83 @@ class Grid:
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
 
+def forward(u: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of the real grid array u."""
+    return _fft.rfftn(u, norm="forward", workers=fft_workers())
+
+
+def inverse(coef: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real grid array of the given shape from its half-spectrum coefficients."""
+    return _fft.irfftn(coef, s=shape, norm="forward", workers=fft_workers())
+
+
+def parseval_sum(grid: Grid, coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
+    """|Omega| * sum over the full spectrum of symbol_k |u_hat_k|^2, from the
+    half spectrum coef (symbol defaults to 1 and must be even in k)."""
+    sq = np.abs(coef)
+    sq *= sq
+    if symbol is not None:
+        sq *= symbol
+    # planes 0 and N/2 of the last axis are their own mirrors; the rest count twice
+    total = 2.0 * sq.sum() - sq[..., 0].sum() - sq[..., -1].sum()
+    return grid.volume * float(total)
+
+
+def _cubic(u: np.ndarray, eps: float) -> np.ndarray:
+    """(u^3 - u)/eps^2 as a new array, by in-place ufuncs."""
+    w = u * u
+    w -= 1.0
+    w *= u
+    w /= eps**2
+    return w
+
+
+def cubic_coefficients(grid: Grid, u: np.ndarray, eps: float, dealias: bool = False) -> np.ndarray:
+    """Half-spectrum coefficients of f(u) = (u^3 - u)/eps^2 for the real grid array u.
+
+    By default the product is formed by straight collocation on the native
+    grid.  With dealias=True the cubic is evaluated on a 3N/2 zero-padded
+    grid and truncated back; the truncation scrubs the Nyquist planes of the
+    result.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if dealias:
+        return _dealiased_cubic(grid, forward(u), eps)
+    return forward(_cubic(u, eps))
+
+
+def _dealiased_cubic(grid: Grid, coef: np.ndarray, eps: float) -> np.ndarray:
+    n, half, dim = grid.modes, grid.modes // 2, grid.dim
+    fine = 3 * n // 2
+    pad = np.zeros((fine,) * (dim - 1) + (fine // 2 + 1,), dtype=np.complex128)
+    # A coarse Nyquist coefficient (index N/2) is mode +N/2 and -N/2 at once;
+    # the real field it stands for puts half of it at each on the padded grid.
+    # So place the spectrum twice, with the Nyquist index counted as -N/2
+    # (split point m = half) and as +N/2 (m = half + 1), and halve: the other
+    # modes come out whole.
+    for m in (half, half + 1):
+        blocks = ((slice(0, m), slice(0, m)), (slice(m, n), slice(fine - n + m, fine)))
+        for combo in product(blocks, repeat=dim - 1):
+            src = tuple(b[0] for b in combo) + (slice(0, m),)
+            dst = tuple(b[1] for b in combo) + (slice(0, m),)
+            pad[dst] += coef[src]
+    pad *= 0.5
+    w_hat = forward(_cubic(inverse(pad, (fine,) * dim), eps))
+    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    blocks = ((slice(0, half), slice(0, half)), (slice(half + 1, n), slice(fine - half + 1, fine)))
+    for combo in product(blocks, repeat=dim - 1):
+        dst = tuple(b[0] for b in combo) + (slice(0, half),)
+        src = tuple(b[1] for b in combo) + (slice(0, half),)
+        out[dst] = w_hat[src]
+    return out
+
+
 class SpectralField:
-    """Immutable scalar field on a :class:`Grid`.
+    """Immutable real scalar field on a :class:`Grid`.
 
     Either representation may be supplied at construction; the other is
-    computed on demand and cached.  All operations return new fields.
+    computed on demand and cached.  Coefficients are the half spectrum.
     """
 
     __slots__ = ("grid", "_physical", "_coefficients")
@@ -132,8 +210,10 @@ class SpectralField:
             physical.setflags(write=False)
         if coefficients is not None:
             coefficients = np.asarray(coefficients, dtype=np.complex128)
-            if coefficients.shape != grid.shape:
-                raise ValueError(f"coefficient shape {coefficients.shape} does not match grid {grid.shape}")
+            if coefficients.shape != grid.spectral_shape:
+                raise ValueError(
+                    f"coefficient shape {coefficients.shape} does not match grid {grid.spectral_shape}"
+                )
             coefficients.setflags(write=False)
         self._physical = physical
         self._coefficients = coefficients
@@ -145,30 +225,15 @@ class SpectralField:
     def to_coefficients(self) -> "SpectralField":
         """Materialize the coefficient representation; returns self."""
         if self._coefficients is None:
-            coef = _fft.fftn(self._physical, workers=fft_workers())
-            coef /= self.grid.modes**self.grid.dim
+            coef = forward(self._physical)
             coef.setflags(write=False)
             self._coefficients = coef
         return self
 
     def to_physical(self) -> "SpectralField":
-        """Materialize the physical representation; returns self.
-
-        Raises ImaginaryResidueError when the coefficients are not
-        conjugate-symmetric, i.e. the inverse transform has an imaginary
-        part above 1e-8 of the field magnitude.  A residue below that is
-        discarded.
-        """
+        """Materialize the physical representation; returns self."""
         if self._physical is None:
-            values = _fft.ifftn(self._coefficients, workers=fft_workers())
-            values *= self.grid.modes**self.grid.dim
-            scale = float(np.abs(values).max())
-            residue = float(np.abs(values.imag).max())
-            if residue > 1e-8 * scale:
-                raise ImaginaryResidueError(
-                    f"imaginary residue {residue:.3e} exceeds 1e-8 of field magnitude {scale:.3e}"
-                )
-            phys = np.ascontiguousarray(values.real)
+            phys = inverse(self._coefficients, self.grid.shape)
             phys.setflags(write=False)
             self._physical = phys
         return self
@@ -181,49 +246,13 @@ class SpectralField:
     def physical(self) -> np.ndarray:
         return self.to_physical()._physical
 
-    def nonlinearity(self, eps: float, dealias: bool = False) -> "SpectralField":
-        """Pointwise (u^3 - u)/eps^2.
-
-        By default the product is formed by straight collocation on the
-        native grid.  With dealias=True the cubic is evaluated on a 3N/2
-        zero-padded grid and truncated back; the truncation scrubs the
-        unpaired Nyquist planes of the result.
-        """
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if not dealias:
-            u = self.physical
-            return SpectralField(self.grid, physical=(u**3 - u) / eps**2)
-        return self._dealiased_cubic(eps)
-
-    def _dealiased_cubic(self, eps: float) -> "SpectralField":
-        g = self.grid
-        fine = 3 * g.modes // 2
-        src = (slice(0, g.modes // 2), slice(g.modes // 2, g.modes))
-        dst = (slice(0, g.modes // 2), slice(fine - g.modes // 2, fine))
-        pad = np.zeros((fine,) * g.dim, dtype=np.complex128)
-        for combo in product(range(2), repeat=g.dim):
-            pad[tuple(dst[c] for c in combo)] = self.coefficients[tuple(src[c] for c in combo)]
-        # .real symmetrizes the unpaired Nyquist content carried into the pad
-        u = (_fft.ifftn(pad, workers=fft_workers()) * fine**g.dim).real
-        w_hat = _fft.fftn((u**3 - u) / eps**2, workers=fft_workers()) / fine**g.dim
-        coef = np.zeros(g.shape, dtype=np.complex128)
-        for combo in product(range(2), repeat=g.dim):
-            coef[tuple(src[c] for c in combo)] = w_hat[tuple(dst[c] for c in combo)]
-        nyq = g.mode_numbers == -(g.modes // 2)
-        for axis in range(g.dim):
-            shape = [1] * g.dim
-            shape[axis] = g.modes
-            coef = coef * (~nyq).reshape(shape)
-        return SpectralField(g, coefficients=coef)
-
     def l2_norm_sq(self) -> float:
-        """||u||_L2^2 = |Omega| * sum |u_hat|^2."""
-        return self.grid.volume * float(np.sum(np.abs(self.coefficients) ** 2))
+        """||u||_L2^2 = |Omega| * sum w |u_hat|^2."""
+        return parseval_sum(self.grid, self.coefficients)
 
     def grad_norm_sq(self) -> float:
-        """||grad u||_L2^2 = |Omega| * sum |k|^2 |u_hat|^2."""
-        return self.grid.volume * float(np.sum(self.grid.k_squared * np.abs(self.coefficients) ** 2))
+        """||grad u||_L2^2 = |Omega| * sum w |k|^2 |u_hat|^2."""
+        return parseval_sum(self.grid, self.coefficients, self.grid.k_squared)
 
     def h1_norm(self) -> float:
         return float(np.sqrt(self.l2_norm_sq() + self.grad_norm_sq()))

@@ -21,6 +21,11 @@ Substeps, in order:
 
 gamma is positive and non-increasing for every step size, and the mode-0
 equation reduces to pb_hat_0 = ph1_hat_0, so (phi_bar, 1) is conserved.
+
+A step works on plain half-spectrum and grid arrays and makes two real
+transforms: one rfftn of f, one irfftn of pb_hat (for the double-well
+energy).  The relaxed field phi_n is kept in physical space, where the next
+extrapolation needs it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, cubic_coefficients, parseval_sum
 from .timestep import bdf_weights
 
 
@@ -84,7 +89,10 @@ def energy(field: SpectralField, eps: float) -> float:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     u = field.physical
-    well = float(np.sum((u**2 - 1.0) ** 2)) * field.grid.cell_volume / (4.0 * eps**2)
+    w = u * u
+    w -= 1.0
+    w *= w
+    well = float(w.sum()) * field.grid.cell_volume / (4.0 * eps**2)
     return 0.5 * field.grad_norm_sq() + well
 
 
@@ -109,28 +117,32 @@ def _step_ratio(state: GsavState, tau_n: float) -> float:
     return 0.0 if state.step_index == 0 else tau_n / state.prev_tau
 
 
-def _extrapolated_nonlinearity(state: GsavState, tau_n: float) -> SpectralField:
-    """f(B phi^{n-1}) with B u = (1+r) u^{n-1} - r u^{n-2} (B u^0 = u^0)."""
+def _extrapolated_nonlinearity(state: GsavState, tau_n: float) -> np.ndarray:
+    """Half-spectrum coefficients of f(B phi^{n-1}), where
+    B u = (1+r) u^{n-1} - r u^{n-2} = u^{n-1} + r (u^{n-1} - u^{n-2})
+    and B u^0 = u^0."""
     r = _step_ratio(state, tau_n)
-    if state.step_index == 0:
-        ext = state.phi_prev1
-    else:
-        ext = SpectralField(
-            state.grid,
-            physical=(1.0 + r) * state.phi_prev1.physical - r * state.phi_prev2.physical,
-        )
-    return ext.nonlinearity(state.eps, dealias=state.dealias)
+    u = state.phi_prev1.physical
+    if state.step_index > 0:
+        u = u - state.phi_prev2.physical
+        u *= r
+        u += state.phi_prev1.physical
+    return cubic_coefficients(state.grid, u, state.eps, dealias=state.dealias)
 
 
-def _solve(state: GsavState, tau_n: float, f_term: SpectralField) -> SpectralField:
+def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> SpectralField:
     r = _step_ratio(state, tau_n)
     b0, b1 = bdf_weights(tau_n, r)
     k2 = state.grid.k_squared
     c1 = state.phi_bar_prev1.coefficients
-    c2 = state.phi_bar_prev2.coefficients
-    rhs = b0 * c1 - b1 * (c1 - c2) - k2 * f_term.coefficients
-    coef = rhs / (b0 + k2 * k2)
-    if not np.all(np.isfinite(coef)):
+    # (b0 c1 - b1 (c1 - c2) - |k|^2 f_hat) / (b0 + |k|^4)
+    coef = c1 - state.phi_bar_prev2.coefficients
+    coef *= -b1
+    coef += b0 * c1
+    coef -= k2 * f_hat
+    inv = b0 + k2 * k2
+    coef *= np.reciprocal(inv, out=inv)
+    if not np.isfinite(coef).all():
         raise NonfiniteFieldError(f"nonfinite coefficients after step {state.step_index + 1}")
     return SpectralField(state.grid, coefficients=coef)
 
@@ -141,38 +153,39 @@ def linear_solve(state: GsavState, tau_n: float) -> SpectralField:
 
 
 def gamma_update(
-    gamma_prev: float, tau_n: float, phi_bar_n: SpectralField, f_term: SpectralField, e_bar: float
+    gamma_prev: float, tau_n: float, phi_bar_n: SpectralField, f_hat: np.ndarray, e_bar: float
 ) -> tuple[float, float]:
     """(gamma_n, ||grad mu||^2) from the closed-form contraction (substep 2).
 
-    f_term is the extrapolated nonlinearity the solve used, e_bar the
-    energy of phi_bar_n; ||grad mu||^2 for mu = -lap(phi_bar_n) + f is
-    summed in coefficient space.
+    f_hat holds the half-spectrum coefficients of the extrapolated
+    nonlinearity the solve used, e_bar the energy of phi_bar_n;
+    ||grad mu||^2 for mu = -lap(phi_bar_n) + f is summed in coefficient space.
     """
     g = phi_bar_n.grid
-    mu_hat = g.k_squared * phi_bar_n.coefficients + f_term.coefficients
-    gm = g.volume * float(np.sum(g.k_squared * np.abs(mu_hat) ** 2))
+    mu_hat = g.k_squared * phi_bar_n.coefficients
+    mu_hat += f_hat
+    gm = parseval_sum(g, mu_hat, g.k_squared)
     return gamma_prev / (1.0 + tau_n * gm / (e_bar + 1.0)), gm
 
 
 def relax(phi_bar_n: SpectralField, gamma_n: float, e_bar: float) -> tuple[float, float, SpectralField]:
-    """(xi, eta, phi_n): rescale the auxiliary field by eta = xi (2 - xi) (substep 3)."""
+    """(xi, eta, phi_n): rescale the auxiliary field by eta = xi (2 - xi) (substep 3).
+
+    phi_n is built in physical space, where the next step extrapolates; its
+    coefficients are transformed only when asked for.
+    """
     xi = gamma_n / (e_bar + 1.0)
     eta = xi * (2.0 - xi)
-    phi_n = SpectralField(
-        phi_bar_n.grid,
-        physical=eta * phi_bar_n.physical,
-        coefficients=eta * phi_bar_n.coefficients,
-    )
+    phi_n = SpectralField(phi_bar_n.grid, physical=eta * phi_bar_n.physical)
     return xi, eta, phi_n
 
 
 def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     """Execute one full step; returns the new state and its record."""
-    f_term = _extrapolated_nonlinearity(state, tau_n)
-    phi_bar = _solve(state, tau_n, f_term)
+    f_hat = _extrapolated_nonlinearity(state, tau_n)
+    phi_bar = _solve(state, tau_n, f_hat)
     e_bar = energy(phi_bar, state.eps)
-    gamma_n, gm = gamma_update(state.gamma, tau_n, phi_bar, f_term, e_bar)
+    gamma_n, gm = gamma_update(state.gamma, tau_n, phi_bar, f_hat, e_bar)
     xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
     record = StepRecord(
         n=state.step_index + 1,

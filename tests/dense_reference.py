@@ -37,7 +37,7 @@ def dense_advance(state, tau):
     """
     g = state.grid
     fwd, inv = dft_matrices(g)
-    k2 = g.k_squared.ravel()
+    k2 = full_k_squared(g).ravel()
 
     r = 0.0 if state.step_index == 0 else tau / state.prev_tau
     b0, b1 = bdf_weights(tau, r)
@@ -74,6 +74,18 @@ def dense_advance(state, tau):
         "energy": e_bar,
         "grad_mu_sq": grad_mu_sq,
     }
+
+
+def full_k_squared(grid):
+    """|k|^2 on the full mode grid (fftn layout)."""
+    k = np.meshgrid(*([grid.wavenumbers] * grid.dim), indexing="ij")
+    return sum(ka**2 for ka in k)
+
+
+def half_spectrum(grid, full):
+    """The solver's half spectrum (last-axis modes 0..N/2) of a full-spectrum
+    array, given flattened or in grid shape."""
+    return full.reshape(grid.shape)[..., : grid.modes // 2 + 1]
 
 
 def random_state(grid, eps, seed, scale=0.5):

@@ -200,6 +200,41 @@ class TestValidation:
             parse_config(write(tmp_path, text))
 
 
+    @pytest.mark.parametrize("kind", ["fixed", "random", "adaptive"])
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("tau", "-1", "tau must be positive"),
+            ("tau", "0", "tau must be positive"),
+            ("count", "0", "count must be >= 2"),
+            ("count", "1", "count must be >= 2"),
+            ("tau_min", "-1e-4", "tau_min must be positive"),
+            ("tau_max", "0", "tau_max must be positive"),
+            ("alpha", "-0.5", "alpha must be nonnegative"),
+            ("delta", "0", "delta must lie in"),
+            ("delta", "4", "delta must lie in"),
+        ],
+    )
+    def test_policy_keys_range_checked_under_every_kind(self, tmp_path, kind, key, value, match):
+        # the keys a kind needs come from the preset or the file; the bad key
+        # is rejected even where that kind ignores it
+        keys = {"kind": kind, "tau": "0.01", "count": "10", key: value}
+        text = "scenario = kissing_bubbles\n[policy]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigValidationError, match=match):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("kind", ["fixed", "random", "adaptive"])
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_every_preset_parses_under_every_kind(self, tmp_path, scenario, kind):
+        text = (
+            f"scenario = {scenario}\n[policy]\nkind = {kind}\n"
+            "tau = 0.01\ncount = 10\ntau_min = 1e-5\ntau_max = 1e-3\nalpha = 0.01\n"
+        )
+        cfg = parse_config(write(tmp_path, text))
+        assert cfg.policy_kind == kind
+        build_scenario(cfg)
+
+
 class TestAssembly:
     def test_fixed_policy(self, tmp_path):
         cfg = parse_config(write(tmp_path, ""), scenario="equilibrium")

@@ -1,13 +1,20 @@
 """Tests for grids, transforms, Fourier-space operators and norms.
 
 The transform convention is pinned against a direct DFT double sum at
-N = 8, and all norms against closed-form values for trigonometric fields.
+N = 8, all norms against closed-form values for trigonometric fields, and
+the half-spectrum weights against physical quadrature and full-spectrum
+sums on random fields.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chsolver import Grid, ImaginaryResidueError, SpectralField, fft_workers
+from chsolver import Grid, SpectralField, energy, fft_workers
+from chsolver.spectral import cubic_coefficients
+from dealias_reference import dealiased_cubic_full
+from dense_reference import full_k_squared, half_spectrum
 
 
 def trig_field(grid, fn):
@@ -19,10 +26,21 @@ def apply_symbol(field, power):
     return SpectralField(field.grid, coefficients=(-field.grid.k_squared) ** power * field.coefficients)
 
 
+def nonlinearity(field, eps, dealias=False):
+    """f(u) = (u^3 - u)/eps^2 of a field, through the solver's cubic."""
+    coef = cubic_coefficients(field.grid, field.physical, eps, dealias=dealias)
+    return SpectralField(field.grid, coefficients=coef)
+
+
+def full_coefficients(u):
+    """Full-spectrum coefficients in the solver's normalisation."""
+    return np.fft.fftn(u) / u.size
+
+
 def direct_dft(values, grid):
     """O(N^(2*dim)) coefficient sum straight from the definition."""
     n = grid.modes
-    m = grid.mode_numbers
+    m = np.rint(np.fft.fftfreq(n) * n).astype(int)
     out = np.zeros(grid.shape, dtype=complex)
     for q in np.ndindex(grid.shape):
         acc = 0.0 + 0.0j
@@ -44,7 +62,6 @@ class TestGrid:
     def test_wavenumbers_fft_ordering(self):
         grid = Grid(2, 2.0 * np.pi, 8)
         assert np.allclose(grid.wavenumbers, [0, 1, 2, 3, -4, -3, -2, -1])
-        assert np.array_equal(grid.mode_numbers, [0, 1, 2, 3, -4, -3, -2, -1])
 
     def test_wavenumbers_scale_with_length(self):
         grid = Grid(2, 4.0 * np.pi, 8)
@@ -54,13 +71,14 @@ class TestGrid:
     def test_k_squared_broadcast(self):
         grid = Grid(2, 2.0 * np.pi, 8)
         k = grid.wavenumbers
-        assert np.allclose(grid.k_squared, k[:, None] ** 2 + k[None, :] ** 2)
+        assert grid.k_squared.shape == grid.spectral_shape == (8, 5)
+        assert np.allclose(grid.k_squared, half_spectrum(grid, k[:, None] ** 2 + k[None, :] ** 2))
 
     def test_k_squared_3d(self):
         grid = Grid(3, 2.0 * np.pi, 4)
         k = grid.wavenumbers
         expected = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
-        assert np.allclose(grid.k_squared, expected)
+        assert np.allclose(grid.k_squared, half_spectrum(grid, expected))
 
     def test_coordinates_cover_half_open_box(self):
         grid = Grid(2, 1.0, 8)
@@ -90,7 +108,7 @@ class TestTransforms:
         rng = np.random.default_rng(7)
         u = rng.normal(size=grid.shape)
         field = SpectralField(grid, physical=u)
-        assert np.allclose(field.coefficients, direct_dft(u, grid), atol=1e-13)
+        assert np.allclose(field.coefficients, half_spectrum(grid, direct_dft(u, grid)), atol=1e-13)
 
     def test_constant_has_unit_zero_mode(self):
         grid = Grid(2, 2.0 * np.pi, 16)
@@ -124,13 +142,6 @@ class TestTransforms:
         coef = SpectralField(grid, physical=u).coefficients
         again = SpectralField(grid, coefficients=coef).to_physical().coefficients
         assert np.allclose(again, coef, atol=1e-13)
-
-    def test_imaginary_residue_raises(self):
-        grid = Grid(2, 2.0 * np.pi, 8)
-        coef = np.zeros(grid.shape, dtype=complex)
-        coef[1, 0] = 1.0  # lone e^{ix} mode, no conjugate partner
-        with pytest.raises(ImaginaryResidueError, match="imaginary residue"):
-            SpectralField(grid, coefficients=coef).to_physical()
 
     def test_shape_validation(self):
         grid = Grid(2, 2.0 * np.pi, 8)
@@ -187,28 +198,28 @@ class TestOperators:
 class TestNonlinearity:
     def test_constant_value(self):
         grid = Grid(2, 2.0 * np.pi, 8)
-        out = SpectralField.constant(grid, 2.0).nonlinearity(0.5).physical
+        out = nonlinearity(SpectralField.constant(grid, 2.0), 0.5).physical
         # (8 - 2) / 0.25
         assert np.allclose(out, 24.0)
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
     def test_pure_phases_are_roots(self, value):
         grid = Grid(2, 2.0 * np.pi, 8)
-        out = SpectralField.constant(grid, value).nonlinearity(0.3).physical
+        out = nonlinearity(SpectralField.constant(grid, value), 0.3).physical
         assert np.abs(out).max() < 1e-13
 
     def test_eps_validation(self):
         grid = Grid(2, 2.0 * np.pi, 8)
         with pytest.raises(ValueError, match="eps must be positive"):
-            SpectralField.constant(grid, 1.0).nonlinearity(0.0)
+            nonlinearity(SpectralField.constant(grid, 1.0), 0.0)
 
     def test_dealias_matches_plain_on_narrow_band(self):
         # modes up to 5 on N = 32: the cube stays below the native Nyquist,
         # so straight collocation is already alias-free
         grid = Grid(2, 2.0 * np.pi, 32)
         field = trig_field(grid, lambda x, y: 0.3 * np.cos(2.0 * x) + 0.2 * np.sin(5.0 * y))
-        plain = field.nonlinearity(0.7).coefficients
-        clean = field.nonlinearity(0.7, dealias=True).coefficients
+        plain = nonlinearity(field, 0.7).coefficients
+        clean = nonlinearity(field, 0.7, dealias=True).coefficients
         assert np.allclose(plain, clean, atol=1e-13)
 
     def test_dealias_removes_aliased_cubic_mode(self):
@@ -218,8 +229,8 @@ class TestNonlinearity:
         grid = Grid(2, 2.0 * np.pi, 32)
         field = trig_field(grid, lambda x, y: np.cos(6.0 * x))
         eps = 1.0
-        plain = field.nonlinearity(eps).coefficients
-        clean = field.nonlinearity(eps, dealias=True).coefficients
+        plain = nonlinearity(field, eps).coefficients
+        clean = nonlinearity(field, eps, dealias=True).coefficients
         assert np.isclose(plain[-14, 0], 0.125, atol=1e-13)
         assert np.abs(clean[-14, 0]) < 1e-14
         # both agree on the true content of mode 6: 3/8 - 1/2
@@ -233,10 +244,21 @@ class TestNonlinearity:
         grid = Grid(2, 2.0 * np.pi, 16)
         rng = np.random.default_rng(3)
         field = SpectralField(grid, physical=rng.normal(size=grid.shape))
-        out = field.nonlinearity(0.5, dealias=True)
+        out = nonlinearity(field, 0.5, dealias=True)
         assert np.all(np.isfinite(out.physical))
         assert np.abs(out.coefficients[8, :]).max() == 0.0
         assert np.abs(out.coefficients[:, 8]).max() == 0.0
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 6), (3, 8), (3, 6)])
+    def test_dealias_matches_full_spectrum_reference(self, dim, n):
+        # rough input carries Nyquist content on every axis, including the
+        # mixed-sign corners that the padding must split like the reference
+        grid = Grid(dim, 2.0 * np.pi, n)
+        u = np.random.default_rng(10 * dim + n).normal(size=grid.shape)
+        ref = dealiased_cubic_full(grid, full_coefficients(u), 0.5)
+        out = cubic_coefficients(grid, u, 0.5, dealias=True)
+        assert np.abs(half_spectrum(grid, full_coefficients(u))[..., -1]).max() > 0.1
+        assert np.abs(out - half_spectrum(grid, ref)).max() < 1e-13
 
 
 class TestNormsAndQuadrature:
@@ -260,7 +282,7 @@ class TestNormsAndQuadrature:
         grid = Grid(2, 2.0 * np.pi, 16)
         rng = np.random.default_rng(22)
         field = SpectralField(grid, physical=rng.normal(size=grid.shape))
-        coef = field.coefficients
+        coef = full_coefficients(field.physical)
         k = grid.wavenumbers
         dx = 1j * k[:, None] * coef
         dy = 1j * k[None, :] * coef
@@ -279,6 +301,44 @@ class TestNormsAndQuadrature:
         u = rng.normal(size=grid.shape)
         field = SpectralField(grid, physical=u)
         assert np.isclose(field.l2_norm_sq(), grid.cell_volume * np.sum(u**2), rtol=1e-12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        n=st.sampled_from(range(4, 33, 2)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 10.0),
+        eps=st.floats(0.1, 2.0),
+    )
+    def test_half_spectrum_weights(self, dim, n, seed, scale, eps):
+        # each half-spectrum sum against the physical quadrature and the
+        # plain sum over the full fftn spectrum
+        grid = Grid(dim, 2.0 * np.pi, n)
+        u = scale * np.random.default_rng(seed).normal(size=grid.shape)
+        field = SpectralField(grid, physical=u)
+        h = grid.cell_volume
+        full = full_coefficients(u)
+        k = np.meshgrid(*([grid.wavenumbers] * dim), indexing="ij")
+        k2 = full_k_squared(grid)
+
+        l2_full = grid.volume * np.sum(np.abs(full) ** 2)
+        assert np.isclose(field.l2_norm_sq(), h * np.sum(u**2), rtol=1e-12, atol=0)
+        assert np.isclose(field.l2_norm_sq(), l2_full, rtol=1e-12, atol=0)
+
+        grad_full = grid.volume * np.sum(k2 * np.abs(full) ** 2)
+        grad_quad = h * sum(np.sum(np.abs(np.fft.ifftn(1j * ka * full) * u.size) ** 2) for ka in k)
+        assert np.isclose(field.grad_norm_sq(), grad_quad, rtol=1e-12, atol=0)
+        assert np.isclose(field.grad_norm_sq(), grad_full, rtol=1e-12, atol=0)
+
+        # the mean of a random field may sit near zero: scale by the mass of |u|
+        tol = 1e-12 * h * np.sum(np.abs(u))
+        assert abs(field.integral() - h * np.sum(u)) <= tol
+        assert abs(field.integral() - grid.volume * full[(0,) * dim].real) <= tol
+
+        well = h * np.sum((u**2 - 1.0) ** 2) / (4.0 * eps**2)
+        assert np.isclose(energy(field, eps), 0.5 * grad_full + well, rtol=1e-12, atol=0)
+        assert np.isclose(energy(field, eps), 0.5 * grad_quad + well, rtol=1e-12, atol=0)
 
 
 class TestArithmetic:

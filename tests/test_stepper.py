@@ -22,8 +22,9 @@ from chsolver import (
     relax,
     validate_records,
 )
+from chsolver.spectral import cubic_coefficients
 from chsolver.stepper import _extrapolated_nonlinearity
-from dense_reference import dense_advance, random_state
+from dense_reference import dense_advance, half_spectrum, random_state
 
 
 def rough_field(grid, seed, lo=-1.0, hi=1.0):
@@ -89,9 +90,8 @@ class TestSingleStep:
         grid = Grid(2, 2.0 * np.pi, 16)
         state = init_state(rough_field(grid, 2), 0.8)
         tau = 0.05
-        f_term = _extrapolated_nonlinearity(state, tau)
-        assert np.array_equal(f_term.physical, state.phi_prev1.nonlinearity(0.8).physical)
-        f_hat = f_term.coefficients
+        f_hat = _extrapolated_nonlinearity(state, tau)
+        assert np.array_equal(f_hat, cubic_coefficients(grid, state.phi_prev1.physical, 0.8))
         c0 = state.phi_bar_prev1.coefficients
         k2 = grid.k_squared
         expected = (c0 / tau - k2 * f_hat) / (1.0 / tau + k2**2)
@@ -215,6 +215,34 @@ class TestInvariants:
             gamma_prev = rec.gamma
 
 
+class TestTransformCount:
+    FFT_NAMES = (
+        "fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+        "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft",
+    )
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_one_rfftn_and_one_irfftn_per_step(self, monkeypatch, dim, n):
+        import scipy.fft
+
+        calls = []
+        for mod in (scipy.fft, np.fft):
+            for name in self.FFT_NAMES:
+                orig = getattr(mod, name)
+
+                def counted(*args, _orig=orig, _name=f"{mod.__name__}.{name}", **kwargs):
+                    calls.append(_name)
+                    return _orig(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+        grid = Grid(dim, 2.0 * np.pi, n)
+        state, _ = advance(init_state(rough_field(grid, 12), 0.7), 0.01)
+        for tau in (0.01, 0.02, 0.015):
+            calls.clear()
+            state, _ = advance(state, tau)
+            assert sorted(calls) == ["scipy.fft.irfftn", "scipy.fft.rfftn"]
+
+
 class TestDenseOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_one_step_matches_dense_reference(self, seed):
@@ -223,7 +251,7 @@ class TestDenseOracle:
         tau = 0.012 + 0.003 * seed
         ref = dense_advance(state, tau)
         phi_bar = linear_solve(state, tau)
-        assert np.abs(phi_bar.coefficients.ravel() - ref["phi_bar_hat"]).max() < 1e-12
+        assert np.abs(phi_bar.coefficients - half_spectrum(grid, ref["phi_bar_hat"])).max() < 1e-12
         e_bar = energy(phi_bar, state.eps)
         assert np.isclose(e_bar, ref["energy"], rtol=1e-12)
         f_term = _extrapolated_nonlinearity(state, tau)
@@ -233,12 +261,13 @@ class TestDenseOracle:
         xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
         assert np.isclose(xi, ref["xi"], rtol=1e-12)
         assert np.isclose(eta, ref["eta"], rtol=1e-12)
-        assert np.abs(phi_n.coefficients.ravel() - ref["phi_hat"]).max() < 1e-12
+        assert np.abs(phi_n.coefficients - half_spectrum(grid, ref["phi_hat"])).max() < 1e-12
         new_state, rec = advance(state, tau)
         assert np.isclose(rec.gamma, ref["gamma"], rtol=1e-12)
         assert np.isclose(rec.xi, ref["xi"], rtol=1e-12)
         assert np.isclose(rec.eta, ref["eta"], rtol=1e-12)
-        assert np.abs(new_state.phi_prev1.coefficients.ravel() - ref["phi_hat"]).max() < 1e-12
+        phi_hat = half_spectrum(grid, ref["phi_hat"])
+        assert np.abs(new_state.phi_prev1.coefficients - phi_hat).max() < 1e-12
 
 
 class TestRecordValidation:
