@@ -11,6 +11,7 @@ from .timestep import (
     bdf_weights,
     dcc_kernels,
     doc_kernels,
+    kernel_matrices,
     kernel_residuals,
     quadratic_form_check,
     r_max_root,

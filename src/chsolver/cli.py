@@ -25,7 +25,7 @@ from .scenarios import initial_field, run_scenario
 from .spectral import Grid
 from .stepper import init_state, validate_records
 from .policies import AdaptiveStep, run_with_policy
-from .timestep import kernel_residuals, random_mesh
+from .timestep import kernel_matrices, kernel_residuals, random_mesh
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,25 +103,20 @@ def _cmd_kernels(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario or "convergence")
     out = _outdir(cfg, args.outdir)
     mesh = random_mesh(cfg.horizon, cfg.max_n, cfg.seed)
-    from .timestep import dcc_kernels, doc_kernels
-
+    theta, p = kernel_matrices(mesh, cfg.max_n)
     with open(out / "kernels.csv", "w", encoding="utf-8") as fh:
         fh.write("n,offset,theta,p\n")
         for n in range(1, cfg.max_n + 1):
-            theta = doc_kernels(mesh, n)
-            p = dcc_kernels(mesh, n)
-            for m in range(n):
-                fh.write(f"{n},{m},{theta[m]:.17g},{p[m]:.17g}\n")
-    worst = 0.0
+            row = zip(theta[n - 1, n - 1 :: -1].tolist(), p[n - 1, n - 1 :: -1].tolist())
+            fh.write("".join(f"{n},{m},{a:.17g},{b:.17g}\n" for m, (a, b) in enumerate(row)))
+    res = kernel_residuals(mesh, cfg.max_n)
+    columns = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.dcc_bound_margin, res.telescoping)
     with open(out / "kernel_residuals.csv", "w", encoding="utf-8") as fh:
         fh.write("n,doc_orthogonality,dcc_identity,dcc_sum,dcc_bound_margin,telescoping\n")
-        for n in range(1, cfg.max_n + 1):
-            res = kernel_residuals(mesh, n)
-            fh.write(
-                f"{n},{res.doc_orthogonality:.17g},{res.dcc_identity:.17g},"
-                f"{res.dcc_sum:.17g},{res.dcc_bound_margin:.17g},{res.telescoping:.17g}\n"
-            )
-            worst = max(worst, res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping)
+        for n, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
+            fh.write(f"{n}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    identities = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping)
+    worst = max(float(c.max()) for c in identities)
     print(f"wrote {out / 'kernels.csv'} and {out / 'kernel_residuals.csv'}")
     print(f"worst identity residual over n <= {cfg.max_n}: {worst:.3e}")
     return 0

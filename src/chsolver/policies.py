@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .stepper import GsavState, StepRecord, advance
 from .timestep import TimeMesh, r_max_root
 
@@ -89,11 +91,19 @@ def run_with_policy(
     on_step=None,
 ) -> tuple[GsavState, list[StepRecord]]:
     """Advance until time reaches the horizon, landing exactly on each
-    checkpoint time and on the horizon.  Returns (final state, records)."""
+    checkpoint time and on the horizon.  Returns (final state, records).
+
+    Under a PrescribedMesh every checkpoint must be a mesh node (within
+    1e-12 * horizon); otherwise ValueError is raised before any step."""
     if not state.time < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {state.time}")
     tol = 1e-12 * horizon
     targets = sorted({float(c) for c in checkpoints if state.time + tol < c < horizon - tol})
+    if isinstance(policy, PrescribedMesh):
+        # landing off a node would shift every later node and exhaust the mesh
+        for c in targets:
+            if np.abs(policy.mesh.times - c).min() > tol:
+                raise ValueError(f"checkpoint {c!r} is not a node of the prescribed mesh")
     targets.append(float(horizon))
     records: list[StepRecord] = []
     prev_gamma = state.gamma

@@ -62,9 +62,10 @@ class GsavState:
     """Two-level history of the stepper.
 
     phi_bar_* are the auxiliary (pre-relaxation) fields entering the
-    backward-difference stencil; phi_* are the relaxed fields entering the
-    extrapolated nonlinearity.  prev_tau is the last executed step size
-    (0 before the first step, which runs backward Euler).
+    backward-difference stencil, which reads only their coefficients;
+    phi_* are the relaxed fields entering the extrapolated nonlinearity,
+    which reads them in physical space.  prev_tau is the last executed step
+    size (0 before the first step, which runs backward Euler).
     """
 
     phi_bar_prev1: SpectralField
@@ -200,7 +201,8 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     )
     new_state = replace(
         state,
-        phi_bar_prev1=phi_bar,
+        # drop the physical array energy() cached: the stencil never reads it
+        phi_bar_prev1=SpectralField(phi_bar.grid, coefficients=phi_bar.coefficients),
         phi_bar_prev2=state.phi_bar_prev1,
         phi_prev1=phi_n,
         phi_prev2=state.phi_prev1,

@@ -11,11 +11,14 @@ so the first step degenerates to backward Euler.  The ratio condition
 r_k <= r_max - delta, with r_max the real root of x^3 = (2x+1)^2
 (about 4.8645), is what the energy estimates require.
 
-The theta kernels below invert the lower-triangular convolution operator
-built from the b weights (discrete orthogonal convolution), and the p
-kernels are their cumulative sums (discrete complementary convolution).
-Both are reconstructed by O(n) back-substitution per row and serve only
-for a-posteriori verification; the stepper never uses them.
+With B the lower-bidiagonal matrix of the weights, B[j, k] = b^{(j)}_{j-k},
+the discrete orthogonal convolution (DOC) kernels are the rows of
+Theta = B^{-1}, Theta[n, j] = theta^{(n)}_{n-j}, and the discrete
+complementary convolution (DCC) kernels are the rows of P = cumsum of Theta
+down each column, so that P B = 1 on the lower triangle.  Both matrices are
+built by one sweep over their columns with the two-term recurrences that B's
+bandwidth allows; they serve only for a-posteriori verification, and the
+stepper never uses them.
 """
 
 from __future__ import annotations
@@ -123,58 +126,78 @@ class TimeMesh:
             )
 
 
+def _weights(tau, r):
+    # the one expression for (b0, b1), on scalars or elementwise on arrays
+    denom = tau * (1.0 + r)
+    return (1.0 + 2.0 * r) / denom, -(r**2) / denom
+
+
 def bdf_weights(tau_n: float, r_n: float) -> tuple[float, float]:
     """Leading weights (b0, b1) for one step; r_n = 0 gives backward Euler."""
     if tau_n <= 0:
         raise ValueError(f"tau must be positive, got {tau_n}")
     if r_n < 0:
         raise ValueError(f"step ratio must be nonnegative, got {r_n}")
-    denom = tau_n * (1.0 + r_n)
-    return (1.0 + 2.0 * r_n) / denom, -(r_n**2) / denom
-
-
-def bdf2_apply(mesh: TimeMesh, values) -> list:
-    """D2 u^j for j = 1..len(values)-1, where values = [u^0, u^1, ...]."""
-    m = len(values) - 1
-    if m < 1:
-        raise ValueError("need at least u^0 and u^1")
-    mesh._check_index(m)
-    out = []
-    for j in range(1, m + 1):
-        b0, b1 = bdf_weights(mesh.tau(j), mesh.ratio(j))
-        d = b0 * (values[j] - values[j - 1])
-        if j >= 2:
-            d = d + b1 * (values[j - 1] - values[j - 2])
-        out.append(d)
-    return out
+    return _weights(tau_n, r_n)
 
 
 def _weight_table(mesh: TimeMesh, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # b0[j], b1[j] for j = 1..n at 1-based positions; index 0 unused
-    b0 = np.empty(n + 1)
-    b1 = np.empty(n + 1)
-    for j in range(1, n + 1):
-        b0[j], b1[j] = bdf_weights(mesh.tau(j), mesh.ratio(j))
-    if np.any(b0[1:] <= 0):
-        raise SingularKernelError("nonpositive leading weight b0")
+    """b0, b1 of steps 1..n at positions 0..n-1."""
+    b0, b1 = _weights(mesh.steps[:n], mesh.ratios[:n])
+    if not np.all(b0 > 0):
+        raise SingularKernelError("nonpositive or nan leading weight b0")
     return b0, b1
+
+
+def bdf2_apply(mesh: TimeMesh, values) -> np.ndarray:
+    """D2 u^j for j = 1..len(values)-1 at positions j-1, where
+    values = [u^0, u^1, ...] holds scalars or equally shaped arrays."""
+    u = np.asarray(values, dtype=np.float64)
+    m = len(u) - 1
+    if m < 1:
+        raise ValueError("need at least u^0 and u^1")
+    mesh._check_index(m)
+    b0, b1 = _weight_table(mesh, m)
+    per_step = (m,) + (1,) * (u.ndim - 1)
+    b0, b1 = b0.reshape(per_step), b1.reshape(per_step)
+    du = np.diff(u, axis=0)
+    d = b0 * du
+    d[1:] += b1[1:] * du[:-1]
+    return d
+
+
+def kernel_matrices(mesh: TimeMesh, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Theta, P): the kernels of rows 1..n as n x n lower-triangular arrays,
+    Theta[i-1, j-1] = theta^{(i)}_{i-j} and P[i-1, j-1] = p^{(i)}_{i-j}.
+
+    The diagonals are 1/b0; for i > j, column j follows from column j+1 by
+
+        theta^{(i)}_{i-j} = -b1(j+1) theta^{(i)}_{i-j-1} / b0(j),
+        p^{(i)}_{i-j} = (1 - b1(j+1) p^{(i)}_{i-j-1}) / b0(j),
+
+    the two-term back-substitutions of the defining systems below.
+    """
+    mesh._check_index(n)
+    b0, b1 = _weight_table(mesh, n)
+    # column-major, so that each column the sweep writes is contiguous
+    theta = np.zeros((n, n), order="F")
+    p = np.zeros((n, n), order="F")
+    np.fill_diagonal(theta, 1.0 / b0)
+    np.fill_diagonal(p, 1.0 / b0)
+    b0, b1 = b0.tolist(), b1.tolist()  # Python floats are cheaper scalar operands
+    for k in range(n - 1, 0, -1):
+        theta[k:, k - 1] = -b1[k] * theta[k:, k] / b0[k - 1]
+        p[k:, k - 1] = (1.0 - b1[k] * p[k:, k]) / b0[k - 1]
+    return theta, p
 
 
 def doc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
     """Orthogonal kernels theta[m] = theta^{(n)}_m for m = 0..n-1.
 
     Defined by sum_{j=k}^{n} theta^{(n)}_{n-j} b^{(j)}_{j-k} = delta_{nk}
-    for every k = 1..n; since b has bandwidth 2 the system is solved by a
-    two-term back-substitution.
+    for every k = 1..n: row n of Theta = B^{-1}, reversed.
     """
-    mesh._check_index(n)
-    b0, b1 = _weight_table(mesh, n)
-    theta = np.empty(n)
-    theta[0] = 1.0 / b0[n]
-    for m in range(1, n):
-        k = n - m
-        theta[m] = -b1[k + 1] * theta[m - 1] / b0[k]
-    return theta
+    return kernel_matrices(mesh, n)[0][n - 1, ::-1].copy()
 
 
 def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
@@ -182,15 +205,9 @@ def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
 
     Defined by sum_{j=k}^{n} p^{(n)}_{n-j} b^{(j)}_{j-k} = 1 for every
     k = 1..n; equivalently p^{(n)}_{n-j} = sum_{l=j}^{n} theta^{(l)}_{l-j}.
+    Row n of P, reversed.
     """
-    mesh._check_index(n)
-    b0, b1 = _weight_table(mesh, n)
-    p = np.empty(n)
-    p[0] = 1.0 / b0[n]
-    for m in range(1, n):
-        k = n - m
-        p[m] = (1.0 - b1[k + 1] * p[m - 1]) / b0[k]
-    return p
+    return kernel_matrices(mesh, n)[1][n - 1, ::-1].copy()
 
 
 class QuadraticFormCheck(NamedTuple):
@@ -206,8 +223,9 @@ def quadratic_form_check(mesh: TimeMesh, w, slack: float = 1e-10) -> QuadraticFo
 
         2 sum_k w_k sum_{j<=k} theta^{(k)}_{k-j} w_j
             >= (delta/20) sum_k (sum_{s>=k} theta^{(s)}_{s-k} w_s)^2 / tau_k
-            >= 0.
+            >= 0,
 
+    that is 2 w^T Theta w >= (delta/20) sum_k (Theta^T w)_k^2 / tau_k >= 0.
     Returns both sides and whether the chain holds up to the given
     absolute slack.
     """
@@ -217,19 +235,10 @@ def quadratic_form_check(mesh: TimeMesh, w, slack: float = 1e-10) -> QuadraticFo
         raise ValueError("w must be a nonempty 1d sequence")
     mesh._check_index(n)
     mesh.require_a1()
-    thetas = [doc_kernels(mesh, k) for k in range(1, n + 1)]
-    lhs = 0.0
-    for k in range(1, n + 1):
-        inner = float(np.dot(thetas[k - 1], w[k - 1 :: -1][:k]))
-        lhs += 2.0 * w[k - 1] * inner
-    rhs = 0.0
-    for k in range(1, n + 1):
-        acc = 0.0
-        for s in range(k, n + 1):
-            acc += thetas[s - 1][s - k] * w[s - 1]
-        rhs += acc**2 / mesh.tau(k)
-    rhs *= mesh.delta / 20.0
-    passed = (lhs >= rhs - slack) and (rhs >= -slack)
+    theta, _ = kernel_matrices(mesh, n)
+    lhs = 2.0 * float(w @ (theta @ w))
+    rhs = float(np.sum((w @ theta) ** 2 / mesh.steps[:n])) * (mesh.delta / 20.0)
+    passed = lhs >= rhs - slack and rhs >= -slack
     return QuadraticFormCheck(lhs=lhs, rhs=rhs, passed=passed)
 
 
@@ -251,51 +260,46 @@ def random_mesh(horizon: float, count: int, seed: int) -> TimeMesh:
 
 @dataclass(frozen=True)
 class KernelResiduals:
-    """Identity residuals at row n (all should be tiny; bound_margin <= 0)."""
+    """Identity residuals of rows 1..n, row n at position n-1 (all should
+    be tiny; every bound margin <= 0)."""
 
-    doc_orthogonality: float
-    dcc_identity: float
-    dcc_sum: float
-    dcc_bound_margin: float
-    telescoping: float
+    doc_orthogonality: np.ndarray
+    dcc_identity: np.ndarray
+    dcc_sum: np.ndarray
+    dcc_bound_margin: np.ndarray
+    telescoping: np.ndarray
 
 
 def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
-    """Evaluate the defining identities of the theta and p kernels at row n.
+    """Evaluate the defining identities of the theta and p kernels on every
+    row 1..n.
 
-    values is the scalar sequence u^0..u^n used for the telescoping check
-    sum_j theta^{(n)}_{n-j} D2 u^j = u^n - u^{n-1}; by default the
-    quadratic sequence u^j = t_j^2 is used.
+    Per row: the largest deviation of Theta B from I and of P B from 1, the
+    deviation of the row sum of P from t_n, the row maximum of P less
+    2 max tau (the bound p <= 2 max tau), and the telescoping residual of
+    sum_j theta^{(n)}_{n-j} D2 u^j = u^n - u^{n-1}.  values is the scalar
+    sequence u^0..u^n; by default the quadratic sequence u^j = t_j^2.
     """
     mesh._check_index(n)
+    u = mesh.times[: n + 1] ** 2 if values is None else np.asarray(values, dtype=np.float64)
+    if u.shape != (n + 1,):
+        raise ValueError(f"need n+1 = {n + 1} sequence values, got {u.size}")
+    theta, p = kernel_matrices(mesh, n)
     b0, b1 = _weight_table(mesh, n)
-    theta = doc_kernels(mesh, n)
-    p = dcc_kernels(mesh, n)
 
-    def row_sum(kern, k):
-        # sum over j = k..n of kern[n-j] * b^{(j)}_{j-k}; bandwidth 2
-        s = kern[n - k] * b0[k]
-        if k + 1 <= n:
-            s += kern[n - k - 1] * b1[k + 1]
-        return s
+    def times_b(kern):
+        # (kern B)[:, k] = kern[:, k] b0(k) + kern[:, k+1] b1(k+1): B is bidiagonal
+        out = kern * b0
+        out[:, :-1] += kern[:, 1:] * b1[1:]
+        return out
 
-    doc_res = max(abs(row_sum(theta, k) - (1.0 if k == n else 0.0)) for k in range(1, n + 1))
-    dcc_res = max(abs(row_sum(p, k) - 1.0) for k in range(1, n + 1))
-    dcc_sum = abs(float(p.sum()) - mesh.time(n))
-    bound_margin = float(p.max()) - 2.0 * float(mesh.steps.max())
-
-    if values is None:
-        values = [mesh.time(j) ** 2 for j in range(0, n + 1)]
-    if len(values) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} sequence values, got {len(values)}")
-    d2 = bdf2_apply(mesh, list(values))
-    tel = sum(theta[n - j] * d2[j - 1] for j in range(1, n + 1))
-    tel_res = abs(tel - (values[n] - values[n - 1]))
-
+    doc = times_b(theta)
+    doc[np.diag_indices(n)] -= 1.0
+    dcc = np.tril(times_b(p) - 1.0)
     return KernelResiduals(
-        doc_orthogonality=float(doc_res),
-        dcc_identity=float(dcc_res),
-        dcc_sum=float(dcc_sum),
-        dcc_bound_margin=float(bound_margin),
-        telescoping=float(tel_res),
+        doc_orthogonality=np.abs(doc).max(axis=1),
+        dcc_identity=np.abs(dcc).max(axis=1),
+        dcc_sum=np.abs(p.sum(axis=1) - mesh.times[1 : n + 1]),
+        dcc_bound_margin=p.max(axis=1) - 2.0 * mesh.steps.max(),
+        telescoping=np.abs(theta @ bdf2_apply(mesh, u) - np.diff(u)),
     )

@@ -100,6 +100,31 @@ class TestKernels:
         assert worst < 1e-11
         assert "worst identity residual" in capsys.readouterr().out
 
+    def test_kernel_rows_parse_back_exactly(self, tmp_path):
+        cfg = write_cfg(tmp_path, "scenario = convergence\nseed = 3\n[kernels]\nmax_n = 30\n")
+        out = tmp_path / "out"
+        assert main(["kernels", cfg, "--outdir", str(out)]) == 0
+        parsed = chsolver.parse_config(cfg)
+        mesh = chsolver.random_mesh(parsed.horizon, 30, parsed.seed)
+        rows = [line.split(",") for line in (out / "kernels.csv").read_text().splitlines()[1:]]
+        for n in range(1, 31):
+            block = rows[n * (n - 1) // 2 : n * (n + 1) // 2]
+            assert [(int(r[0]), int(r[1])) for r in block] == [(n, m) for m in range(n)]
+            assert [float(r[2]) for r in block] == chsolver.doc_kernels(mesh, n).tolist()
+            assert [float(r[3]) for r in block] == chsolver.dcc_kernels(mesh, n).tolist()
+
+
+class TestPrescribedMeshCheckpoints:
+    def test_off_node_snapshot_fails_before_writing(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = convergence\nn = 16\nhorizon = 0.02\n[output]\nsnapshots = 0.0, 0.0101\n",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) != 0
+        assert "checkpoint 0.0101 is not a node" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
 
 class TestCheck:
     def test_fresh_run_passes(self, tmp_path, capsys):

@@ -121,6 +121,26 @@ class TestDriver:
         assert np.allclose([rec.tau for rec in records], mesh.steps)
         assert state.time == mesh.horizon
 
+    def test_prescribed_mesh_rejects_off_node_checkpoint_before_stepping(self, monkeypatch):
+        import chsolver.policies as policies
+
+        calls = []
+        monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
+        mesh = random_mesh(0.05, 12, seed=3)
+        off_node = float(0.5 * (mesh.times[4] + mesh.times[5]))
+        with pytest.raises(ValueError, match=f"checkpoint {off_node!r} is not a node"):
+            run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=(off_node,))
+        assert calls == []
+
+    def test_prescribed_mesh_accepts_node_checkpoints(self):
+        mesh = random_mesh(0.05, 12, seed=3)
+        # a node off by rounding, the start and the horizon are all accepted
+        marks = (0.0, mesh.times[4] * (1.0 + 1e-15), mesh.times[9], mesh.horizon)
+        state, records = run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=marks)
+        assert len(records) == 12
+        assert np.allclose([rec.tau for rec in records], mesh.steps, rtol=1e-12)
+        assert records[8].t == mesh.times[9]
+
     def test_checkpoints_are_hit_exactly(self):
         state = small_state()
         marks = (0.033, 0.07)

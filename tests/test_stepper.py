@@ -99,6 +99,17 @@ class TestSingleStep:
         new_state, _ = advance(state, tau)
         assert np.allclose(new_state.phi_bar_prev1.coefficients, expected, atol=1e-13)
 
+    def test_history_keeps_no_physical_auxiliary_field(self):
+        # the stencil reads phi_bar's coefficients only; the physical array
+        # energy() computed must not stay alive in the history
+        grid = Grid(2, 2.0 * np.pi, 16)
+        state = init_state(rough_field(grid, 3), 0.6)
+        for _ in range(2):
+            state, _ = advance(state, 0.02)
+        for field in (state.phi_bar_prev1, state.phi_bar_prev2):
+            assert field._physical is None
+            assert field._coefficients is not None
+
     def test_substeps_compose_to_advance(self):
         grid = Grid(2, 2.0 * np.pi, 16)
         state = init_state(rough_field(grid, 3), 0.6)

@@ -1,14 +1,19 @@
 """Tests for the variable-step weights, meshes, and verification kernels.
 
-The back-substituted theta and p kernels are checked against a dense
-triangular solve of their defining linear systems, and the positivity
-chain is exercised by Monte Carlo over random admissible meshes.
+The column-swept theta and p kernels are checked against a dense
+triangular solve of their defining linear systems and against the per-row
+loops of kernel_reference, their matrix identities are property-tested
+over random meshes, and the positivity chain is exercised by Monte Carlo
+over random admissible meshes.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chsolver.timestep as ts
+import kernel_reference
 from chsolver import (
     A1ViolationError,
     SingularKernelError,
@@ -17,6 +22,7 @@ from chsolver import (
     bdf_weights,
     dcc_kernels,
     doc_kernels,
+    kernel_matrices,
     kernel_residuals,
     quadratic_form_check,
     r_max_root,
@@ -215,28 +221,51 @@ class TestKernels:
         mesh = random_mesh(1.0, 80, seed=16)
         rng = np.random.default_rng(16)
         res = kernel_residuals(mesh, 80, values=list(rng.normal(size=81)))
-        assert res.doc_orthogonality < 1e-13
-        assert res.dcc_identity < 1e-13
-        assert res.dcc_sum < 1e-13
-        assert res.dcc_bound_margin <= 0.0
-        assert res.telescoping < 1e-12
+        for column in (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping):
+            assert column.shape == (80,)
+        assert res.doc_orthogonality.max() < 1e-13
+        assert res.dcc_identity.max() < 1e-13
+        assert res.dcc_sum.max() < 1e-13
+        assert res.dcc_bound_margin.max() <= 0.0
+        assert res.telescoping.max() < 1e-12
 
     def test_residuals_default_sequence(self):
         mesh = random_mesh(1.0, 25, seed=17)
         res = kernel_residuals(mesh, 25)
-        assert res.telescoping < 1e-13
+        assert res.telescoping.max() < 1e-13
 
     def test_residuals_length_check(self):
         mesh = random_mesh(1.0, 10, seed=18)
         with pytest.raises(ValueError, match="sequence values"):
             kernel_residuals(mesh, 10, values=[0.0] * 5)
 
-    def test_singular_weight_detected(self, monkeypatch):
-        # b0 > 0 for every valid mesh, so force a corrupted weight
-        mesh = TimeMesh([1.0, 1.0])
-        monkeypatch.setattr(ts, "bdf_weights", lambda tau, r: (-1.0, 0.0))
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mesh: doc_kernels(mesh, 2),
+            lambda mesh: dcc_kernels(mesh, 2),
+            lambda mesh: kernel_residuals(mesh, 2),
+            lambda mesh: quadratic_form_check(mesh, [1.0, 1.0]),
+        ],
+        ids=["doc_kernels", "dcc_kernels", "kernel_residuals", "quadratic_form_check"],
+    )
+    def test_singular_weight_detected(self, monkeypatch, call):
+        # b0 > 0 for every admissible mesh, so corrupt the weight table
+        weights = ts._weights
+
+        def corrupted(tau, r):
+            b0, b1 = weights(tau, r)
+            return -b0, b1
+
+        monkeypatch.setattr(ts, "_weights", corrupted)
         with pytest.raises(SingularKernelError):
-            doc_kernels(mesh, 2)
+            call(TimeMesh([1.0, 1.0]))
+
+    @pytest.mark.parametrize("func", [doc_kernels, dcc_kernels, kernel_residuals])
+    def test_overflowing_weight_detected(self, func):
+        # ratio 1e305: tau (1 + r) overflows to inf and b0 rounds to 0
+        with np.errstate(all="ignore"), pytest.raises(SingularKernelError):
+            func(TimeMesh([1e-5, 1e300]), 2)
 
 
 class TestQuadraticForm:
@@ -253,10 +282,20 @@ class TestQuadraticForm:
         for trial in range(200):
             n = int(rng.integers(1, 60))
             mesh = random_mesh(1.0, max(n, 2), seed=3000 + trial)
-            chk = quadratic_form_check(mesh, rng.normal(size=n))
+            w = rng.normal(size=n)
+            chk = quadratic_form_check(mesh, w)
             assert chk.passed
             assert chk.lhs >= chk.rhs - 1e-10
             assert chk.rhs >= 0.0
+            lhs, rhs = kernel_reference.quadratic_form(mesh, w)
+            assert chk.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert chk.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+    def test_returns_plain_python_types(self):
+        chk = quadratic_form_check(random_mesh(1.0, 5, seed=2), [1.0, -2.0, 0.5, 3.0, -1.0])
+        assert type(chk.lhs) is float
+        assert type(chk.rhs) is float
+        assert type(chk.passed) is bool
 
     def test_requires_admissible_mesh(self):
         mesh = TimeMesh([1.0, 5.0])
@@ -267,3 +306,68 @@ class TestQuadraticForm:
         mesh = TimeMesh([1.0, 1.0])
         with pytest.raises(ValueError, match="nonempty"):
             quadratic_form_check(mesh, [])
+
+
+class TestLoopReference:
+    """The whole-matrix toolbox against the per-row loops it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200, 400])
+    def test_every_row_matches_loops(self, n):
+        mesh = random_mesh(1.0, max(n, 2), seed=200 + n)
+        theta, p = kernel_matrices(mesh, n)
+        assert theta.shape == p.shape == (n, n)
+        assert not np.triu(theta, 1).any() and not np.triu(p, 1).any()
+        for i in range(1, n + 1):
+            theta_ref = kernel_reference.doc_row(mesh, i)
+            p_ref = kernel_reference.dcc_row(mesh, i)
+            np.testing.assert_allclose(theta[i - 1, i - 1 :: -1], theta_ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(p[i - 1, i - 1 :: -1], p_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(doc_kernels(mesh, n), theta_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dcc_kernels(mesh, n), p_ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("values", [None, "random"])
+    def test_residual_rows_match_loops(self, values):
+        n = 60
+        mesh = random_mesh(1.0, n, seed=21)
+        if values == "random":
+            values = np.random.default_rng(21).normal(size=n + 1)
+        res = kernel_residuals(mesh, n, values=values)
+        for i in range(1, n + 1):
+            row_values = None if values is None else values[: i + 1]
+            doc, dcc, dsum, margin, tel = kernel_reference.residual_row(mesh, i, row_values)
+            # both at rounding level, so compared absolutely
+            assert abs(res.doc_orthogonality[i - 1] - doc) <= 1e-13
+            assert abs(res.dcc_identity[i - 1] - dcc) <= 1e-13
+            assert abs(res.dcc_sum[i - 1] - dsum) <= 1e-13
+            assert abs(res.telescoping[i - 1] - tel) <= 1e-13
+            assert res.dcc_bound_margin[i - 1] == pytest.approx(margin, rel=1e-13, abs=0)
+
+    def test_bdf2_apply_matches_loop_on_fields(self):
+        mesh = random_mesh(1.0, 6, seed=22)
+        fields = np.random.default_rng(22).normal(size=(7, 3, 4))
+        b0, b1 = kernel_reference.weight_table(mesh, 6)
+        d = bdf2_apply(mesh, fields)
+        assert d.shape == (6, 3, 4)
+        for j in range(1, 7):
+            want = b0[j] * (fields[j] - fields[j - 1])
+            if j >= 2:
+                want = want + b1[j] * (fields[j - 1] - fields[j - 2])
+            np.testing.assert_allclose(d[j - 1], want, rtol=1e-14, atol=1e-14)
+
+
+class TestKernelMatrixProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(2, 150), seed=st.integers(0, 2**32 - 1))
+    def test_matrix_identities(self, count, seed):
+        mesh = random_mesh(1.0, count, seed)
+        theta, p = kernel_matrices(mesh, count)
+        lower = np.tril(np.ones((count, count), dtype=bool))
+        b = convolution_matrix(mesh, count)
+        # Theta B = I and P B = 1 on the lower triangle
+        assert np.abs((theta @ b - np.eye(count))[lower]).max() <= 1e-13
+        assert np.abs((p @ b - 1.0)[lower]).max() <= 1e-13
+        # P is the cumulative sum of Theta down each column
+        np.testing.assert_allclose(p[lower], np.cumsum(theta, axis=0)[lower], rtol=1e-12, atol=0)
+        assert np.all(theta[lower] > 0.0)
+        assert np.all(p[lower] > 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), mesh.times[1:], rtol=1e-13, atol=0)
