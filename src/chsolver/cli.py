@@ -25,7 +25,7 @@ from .scenarios import initial_field, run_scenario
 from .spectral import Grid
 from .stepper import init_state, validate_records
 from .policies import AdaptiveStep, run_with_policy
-from .timestep import kernel_matrices, kernel_residuals, random_mesh
+from .timestep import _residuals, kernel_matrices, random_mesh
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +109,7 @@ def _cmd_kernels(args) -> int:
         for n in range(1, cfg.max_n + 1):
             row = zip(theta[n - 1, n - 1 :: -1].tolist(), p[n - 1, n - 1 :: -1].tolist())
             fh.write("".join(f"{n},{m},{a:.17g},{b:.17g}\n" for m, (a, b) in enumerate(row)))
-    res = kernel_residuals(mesh, cfg.max_n)
+    res = _residuals(mesh, theta, p)
     columns = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.dcc_bound_margin, res.telescoping)
     with open(out / "kernel_residuals.csv", "w", encoding="utf-8") as fh:
         fh.write("n,doc_orthogonality,dcc_identity,dcc_sum,dcc_bound_margin,telescoping\n")

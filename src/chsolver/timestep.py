@@ -157,8 +157,12 @@ def bdf2_apply(mesh: TimeMesh, values) -> np.ndarray:
     if m < 1:
         raise ValueError("need at least u^0 and u^1")
     mesh._check_index(m)
-    b0, b1 = _weight_table(mesh, m)
-    per_step = (m,) + (1,) * (u.ndim - 1)
+    return _bdf2_apply_table(*_weight_table(mesh, m), u)
+
+
+def _bdf2_apply_table(b0: np.ndarray, b1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # bdf2_apply with the weights of steps 1..len(u)-1 given
+    per_step = (b0.size,) + (1,) * (u.ndim - 1)
     b0, b1 = b0.reshape(per_step), b1.reshape(per_step)
     du = np.diff(u, axis=0)
     d = b0 * du
@@ -281,10 +285,15 @@ def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
     sequence u^0..u^n; by default the quadratic sequence u^j = t_j^2.
     """
     mesh._check_index(n)
+    return _residuals(mesh, *kernel_matrices(mesh, n), values)
+
+
+def _residuals(mesh: TimeMesh, theta: np.ndarray, p: np.ndarray, values=None) -> KernelResiduals:
+    # kernel_residuals on the matrices kernel_matrices(mesh, n) already built
+    n = theta.shape[0]
     u = mesh.times[: n + 1] ** 2 if values is None else np.asarray(values, dtype=np.float64)
     if u.shape != (n + 1,):
         raise ValueError(f"need n+1 = {n + 1} sequence values, got {u.size}")
-    theta, p = kernel_matrices(mesh, n)
     b0, b1 = _weight_table(mesh, n)
 
     def times_b(kern):
@@ -301,5 +310,5 @@ def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
         dcc_identity=np.abs(dcc).max(axis=1),
         dcc_sum=np.abs(p.sum(axis=1) - mesh.times[1 : n + 1]),
         dcc_bound_margin=p.max(axis=1) - 2.0 * mesh.steps.max(),
-        telescoping=np.abs(theta @ bdf2_apply(mesh, u) - np.diff(u)),
+        telescoping=np.abs(theta @ _bdf2_apply_table(b0, b1, u) - np.diff(u)),
     )

@@ -2,15 +2,15 @@
 
 Usage:
 
-    python tools/kernels_ms.py [--src PATH] [--repeats K]
+    python tools/kernels_ms.py [--src PATH]
 
 PATH is the ``src`` directory of the checkout to time (default: the one next
 to this script), so the same script times any commit.  One kernels pass is
 the ``kernels`` subcommand at max_n = 400 (convergence scenario, seed 5),
 writing kernels.csv and kernel_residuals.csv into a temporary directory; the
 quadratic form is checked on random_mesh(1, 400, seed 5) with standard
-normal weights.  Each is run once untimed, then K times; the medians are
-printed.
+normal weights.  Each is run once untimed, then REPEATS times; the medians
+are printed.
 """
 
 import argparse
@@ -24,11 +24,12 @@ from pathlib import Path
 
 MAX_N = 400
 SEED = 5
+REPEATS = 7
 
 
-def median_ms(fn, repeats):
+def median_ms(fn):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(1e3 * (time.perf_counter() - start))
@@ -38,7 +39,6 @@ def median_ms(fn, repeats):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
-    ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     import numpy as np
@@ -64,8 +64,8 @@ def main(argv=None):
 
         kernels_pass()
         form()
-        print(f"kernels pass (max_n = {MAX_N}):     {median_ms(kernels_pass, args.repeats):9.1f} ms")
-        print(f"quadratic_form_check (n = {MAX_N}): {median_ms(form, args.repeats):9.1f} ms")
+        print(f"kernels pass (max_n = {MAX_N}):     {median_ms(kernels_pass):9.1f} ms")
+        print(f"quadratic_form_check (n = {MAX_N}): {median_ms(form):9.1f} ms")
 
 
 if __name__ == "__main__":
