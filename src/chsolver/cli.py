@@ -4,8 +4,8 @@ Subcommands (each takes a config file path):
 
   simulate   run the configured scenario; stream records to CSV, write
              snapshots at the configured times
-  converge   random-mesh refinement study; write a CSV shaped like a
-             convergence table
+  converge   random-mesh refinement study of the scenario (default:
+             convergence); write a CSV shaped like a convergence table
   kernels    dump the verification kernels and their identity residuals
   check      run the configured scenario (or read an existing records CSV
              with --records) and verify the scheme's guarantees
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigParseError, ConfigValidationError, build_policy, build_scenario, parse_config
+from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
 from .recordio import RecordWriter, read_records, write_snapshot
-from .scenarios import initial_field, run_scenario
-from .spectral import Grid
-from .stepper import init_state, validate_records
-from .policies import AdaptiveStep, run_with_policy
+from .scenarios import run_convergence, run_scenario
+from .stepper import energy, validate_records
 from .timestep import _residuals, kernel_matrices, random_mesh
 
 
@@ -66,22 +65,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    from .scenarios import run_convergence
-
     cfg = parse_config(args.config, scenario=args.scenario or "convergence")
     out = _outdir(cfg, args.outdir)
-    rows = run_convergence(
-        base_steps=cfg.base_k,
-        levels=cfg.levels,
-        horizon=cfg.horizon,
-        eps=cfg.eps,
-        seed=cfg.seed,
-        modes=cfg.modes,
-        dim=cfg.dim,
-        length=cfg.length,
-        ref_steps=cfg.ref_steps,
-        dealias=cfg.dealias,
-    )
+    rows = run_convergence(build_scenario(cfg), cfg.base_k, cfg.levels, cfg.ref_steps)
     path = out / "convergence.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("K,tau,h1_error,h1_order,gamma_error,gamma_order,max_ratio\n")
@@ -124,24 +110,16 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario)
+    scenario = build_scenario(cfg)
+    cap = scenario.policy.ratio_cap
     if args.records is not None:
         records = read_records(args.records)
-        cap = None
-        if cfg.policy_kind == "adaptive":
-            cap = build_policy(cfg).ratio_cap
         problems = validate_records(records, ratio_cap=cap)
     else:
-        scenario = build_scenario(cfg)
-        grid = Grid(scenario.dim, scenario.length, scenario.modes)
-        phi0 = initial_field(scenario, grid)
-        state = init_state(phi0, scenario.eps, dealias=scenario.dealias)
-        gamma0 = state.gamma
-        mass0 = phi0.integral()
-        policy = scenario.policy
-        state, records = run_with_policy(state, policy, scenario.horizon)
-        cap = policy.ratio_cap if isinstance(policy, AdaptiveStep) else None
+        records, [(_, phi0)] = run_scenario(replace(scenario, snapshot_times=(0.0,)))
+        gamma0 = energy(phi0, scenario.eps) + 1.0
         problems = validate_records(
-            records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=cap
+            records, gamma0=gamma0, mass0=phi0.integral(), volume=phi0.grid.volume, ratio_cap=cap
         )
     if problems:
         for p in problems:

@@ -51,19 +51,23 @@ _BASE = {
     "levels": 4,
     "ref_steps": 12800,
     "max_n": 50,
+    **dict.fromkeys(("tau", "count", "tau_min", "tau_max", "alpha", "delta")),
 }
+
+# Config keys whose SimConfig field has another name
+_FIELD_NAMES = {"n": "modes", "kind": "policy_kind"}
 
 _SCENARIO_DEFAULTS = {
     "convergence": {
         "eps": 0.2,
         "horizon": 0.1,
-        "policy_kind": "random",
+        "kind": "random",
         "count": 400,
     },
     "kissing_bubbles": {
         "eps": math.sqrt(0.1),
         "horizon": 1.0,
-        "policy_kind": "adaptive",
+        "kind": "adaptive",
         "tau_min": 1e-4,
         "tau_max": 7e-3,
         "alpha": 0.01,
@@ -72,7 +76,7 @@ _SCENARIO_DEFAULTS = {
     "coarsening2d": {
         "eps": 0.3,
         "horizon": 3.0,
-        "policy_kind": "adaptive",
+        "kind": "adaptive",
         "tau_min": 1e-5,
         "tau_max": 1e-4,
         "alpha": 0.01,
@@ -83,7 +87,7 @@ _SCENARIO_DEFAULTS = {
         "n": 48,
         "eps": TWO_PI / 48.0,
         "horizon": 1.8,
-        "policy_kind": "adaptive",
+        "kind": "adaptive",
         "tau_min": 4e-5,
         "tau_max": 1e-4,
         "alpha": 1.0,
@@ -92,7 +96,7 @@ _SCENARIO_DEFAULTS = {
     "equilibrium": {
         "eps": 1.0,
         "horizon": 0.1,
-        "policy_kind": "fixed",
+        "kind": "fixed",
         "tau": 0.01,
     },
 }
@@ -206,51 +210,20 @@ def parse_config(path: str, scenario: str | None = None) -> SimConfig:
     if name not in SCENARIO_NAMES:
         raise ConfigValidationError(f"unknown scenario {name!r}, pick one of {SCENARIO_NAMES}")
 
-    merged = dict(_BASE)
-    merged.update(_SCENARIO_DEFAULTS[name])
-
+    merged = {**_BASE, **_SCENARIO_DEFAULTS[name]}
     if ("run", "eps") in pairs and ("run", "eps2") in pairs:
         raise ConfigValidationError("give eps or eps2, not both")
-    for (section, key), value in pairs.items():
-        if key == "scenario":
-            continue
+    for (_, key), value in pairs.items():
         if key == "eps2":
             if value <= 0:
                 raise ConfigValidationError(f"eps2 must be positive, got {value}")
-            merged["eps"] = math.sqrt(value)
-        elif key == "kind":
-            merged["policy_kind"] = value
-        else:
-            merged[key] = value
+            key, value = "eps", math.sqrt(value)
+        merged[key] = value
+    merged.pop("scenario", None)
+    if merged["kind"] not in ("fixed", "random", "adaptive"):
+        raise ConfigValidationError(f"unknown policy kind {merged['kind']!r}")
 
-    kind = merged["policy_kind"]
-    if kind not in ("fixed", "random", "adaptive"):
-        raise ConfigValidationError(f"unknown policy kind {kind!r}")
-
-    cfg = SimConfig(
-        scenario=name,
-        dim=merged["dim"],
-        modes=merged["n"],
-        length=merged["length"],
-        eps=merged["eps"],
-        horizon=merged["horizon"],
-        seed=merged["seed"],
-        dealias=merged["dealias"],
-        policy_kind=kind,
-        tau=merged.get("tau"),
-        count=merged.get("count"),
-        tau_min=merged.get("tau_min"),
-        tau_max=merged.get("tau_max"),
-        alpha=merged.get("alpha"),
-        delta=merged.get("delta"),
-        outdir=merged["outdir"],
-        snapshots=tuple(merged["snapshots"]),
-        record_every=merged["record_every"],
-        base_k=merged["base_k"],
-        levels=merged["levels"],
-        ref_steps=merged["ref_steps"],
-        max_n=merged["max_n"],
-    )
+    cfg = SimConfig(scenario=name, **{_FIELD_NAMES.get(k, k): v for k, v in merged.items()})
     _validate(cfg)
     return cfg
 

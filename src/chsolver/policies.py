@@ -22,6 +22,11 @@ class MeshExhaustedError(IndexError):
 
 
 class StepPolicy:
+    """Proposes step sizes; ratio_cap is the largest step ratio the policy
+    ever proposes (None when it promises no cap)."""
+
+    ratio_cap: float | None = None
+
     def next_step(self, n: int, prev_tau: float, prev_gamma: float, curr_gamma: float) -> float:
         raise NotImplementedError
 
@@ -93,8 +98,9 @@ def run_with_policy(
     """Advance until time reaches the horizon, landing exactly on each
     checkpoint time and on the horizon.  Returns (final state, records).
 
-    Under a PrescribedMesh every checkpoint must be a mesh node (within
-    1e-12 * horizon); otherwise ValueError is raised before any step."""
+    Under a PrescribedMesh every checkpoint must be a mesh node and the
+    horizon must not lie beyond the last node (both within 1e-12 * horizon);
+    otherwise ValueError is raised before any step."""
     if not state.time < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {state.time}")
     tol = 1e-12 * horizon
@@ -104,6 +110,8 @@ def run_with_policy(
         for c in targets:
             if np.abs(policy.mesh.times - c).min() > tol:
                 raise ValueError(f"checkpoint {c!r} is not a node of the prescribed mesh")
+        if horizon - policy.mesh.horizon > tol:
+            raise ValueError(f"horizon {horizon!r} lies beyond the last mesh node {policy.mesh.horizon!r}")
     targets.append(float(horizon))
     records: list[StepRecord] = []
     prev_gamma = state.gamma

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .policies import FixedStep, PrescribedMesh, StepPolicy, run_with_policy
 from .spectral import Grid, SpectralField
-from .stepper import StepRecord, energy, init_state
+from .stepper import energy, init_state
 from .timestep import random_mesh
 
 
@@ -141,44 +141,33 @@ class ConvergenceRow:
     xi_dev: float = field(default=float("nan"))
 
 
-def run_convergence(
-    base_steps: int,
-    levels: int,
-    horizon: float,
-    eps: float,
-    seed: int,
-    modes: int,
-    dim: int = 2,
-    length: float = 2.0 * np.pi,
-    ref_steps: int = 12800,
-    dealias: bool = False,
-) -> list[ConvergenceRow]:
-    """Random-mesh refinement study against a fixed-step reference run.
+def run_convergence(scenario: Scenario, base_steps: int, levels: int, ref_steps: int) -> list[ConvergenceRow]:
+    """Random-mesh refinement study of a scenario against a fixed-step reference.
 
+    Every run is run_scenario on the scenario with its policy replaced.
     Levels use K = base_steps * 2^i random admissible steps (seed + i);
     the reference uses ref_steps uniform steps of the same scheme on the
-    same grid, so the spatial error cancels in the comparison.  Errors:
-    H1 norm of phi - phi_ref at the horizon, and |gamma - (E(phi_ref)+1)|.
+    same grid from the same initial field, so the spatial error cancels in
+    the comparison.  Errors: H1 norm of phi - phi_ref at the horizon, and
+    |gamma - (E(phi_ref)+1)|.
     """
     if base_steps < 2 or levels < 1 or ref_steps <= 0:
         raise ValueError("need base_steps >= 2, levels >= 1, ref_steps > 0")
-    grid = Grid(dim, length, modes)
-    phi0 = ic_bubble(grid, eps)
+    horizon = scenario.horizon
 
-    ref_state = init_state(phi0, eps, dealias=dealias)
-    ref_state, _ = run_with_policy(ref_state, FixedStep(horizon / ref_steps), horizon)
-    phi_ref = ref_state.phi_prev1
-    gamma_ref = energy(phi_ref, eps) + 1.0
+    def final(policy):
+        records, [(_, phi)] = run_scenario(replace(scenario, policy=policy, snapshot_times=(horizon,)))
+        return records, phi
+
+    _, phi_ref = final(FixedStep(horizon / ref_steps))
+    gamma_ref = energy(phi_ref, scenario.eps) + 1.0
 
     rows: list[ConvergenceRow] = []
     for i in range(levels):
-        k = base_steps * 2**i
-        mesh = random_mesh(horizon, k, seed + i)
-        state = init_state(phi0, eps, dealias=dealias)
-        state, records = run_with_policy(state, PrescribedMesh(mesh), horizon)
-        h1_err = (state.phi_prev1 - phi_ref).h1_norm()
-        g_err = abs(state.gamma - gamma_ref)
-        xi_dev = max(abs(1.0 - r.xi) for r in records)
+        mesh = random_mesh(horizon, base_steps * 2**i, scenario.seed + i)
+        records, phi = final(PrescribedMesh(mesh))
+        h1_err = (phi - phi_ref).h1_norm()
+        g_err = abs(records[-1].gamma - gamma_ref)
         tau = float(mesh.steps.max())
         if rows:
             h1_order = order_of(rows[-1].h1_error, h1_err, rows[-1].tau, tau)
@@ -187,14 +176,14 @@ def run_convergence(
             h1_order = g_order = float("nan")
         rows.append(
             ConvergenceRow(
-                steps=k,
+                steps=mesh.count,
                 tau=tau,
                 h1_error=h1_err,
                 h1_order=h1_order,
                 gamma_error=g_err,
                 gamma_order=g_order,
                 max_ratio=mesh.max_ratio,
-                xi_dev=xi_dev,
+                xi_dev=max(abs(1.0 - r.xi) for r in records),
             )
         )
     return rows

@@ -98,9 +98,9 @@ class TimeMesh:
     def max_ratio(self) -> float:
         return float(self.ratios.max())
 
-    def _check_index(self, n: int, lowest: int = 1) -> None:
-        if not lowest <= n <= self.steps.size:
-            raise IndexError(f"step index {n} outside {lowest}..{self.steps.size}")
+    def _check_index(self, n: int) -> None:
+        if not 1 <= n <= self.steps.size:
+            raise IndexError(f"step index {n} outside 1..{self.steps.size}")
 
     def tau(self, n: int) -> float:
         self._check_index(n)
@@ -214,13 +214,16 @@ def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
     return kernel_matrices(mesh, n)[1][n - 1, ::-1].copy()
 
 
+QUADRATIC_FORM_SLACK = 1e-10
+
+
 class QuadraticFormCheck(NamedTuple):
     lhs: float
     rhs: float
     passed: bool
 
 
-def quadratic_form_check(mesh: TimeMesh, w, slack: float = 1e-10) -> QuadraticFormCheck:
+def quadratic_form_check(mesh: TimeMesh, w) -> QuadraticFormCheck:
     """Positive-definiteness chain of the orthogonal kernels.
 
     For an admissible mesh and any reals w_1..w_n,
@@ -230,8 +233,8 @@ def quadratic_form_check(mesh: TimeMesh, w, slack: float = 1e-10) -> QuadraticFo
             >= 0,
 
     that is 2 w^T Theta w >= (delta/20) sum_k (Theta^T w)_k^2 / tau_k >= 0.
-    Returns both sides and whether the chain holds up to the given
-    absolute slack.
+    Returns both sides and whether the chain holds up to the absolute
+    slack QUADRATIC_FORM_SLACK.
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
@@ -242,7 +245,7 @@ def quadratic_form_check(mesh: TimeMesh, w, slack: float = 1e-10) -> QuadraticFo
     theta, _ = kernel_matrices(mesh, n)
     lhs = 2.0 * float(w @ (theta @ w))
     rhs = float(np.sum((w @ theta) ** 2 / mesh.steps[:n])) * (mesh.delta / 20.0)
-    passed = lhs >= rhs - slack and rhs >= -slack
+    passed = lhs >= rhs - QUADRATIC_FORM_SLACK and rhs >= -QUADRATIC_FORM_SLACK
     return QuadraticFormCheck(lhs=lhs, rhs=rhs, passed=passed)
 
 

@@ -14,6 +14,7 @@ from chsolver import (
     AdaptiveStep,
     FixedStep,
     Grid,
+    Scenario,
     SpectralField,
     TimeMesh,
     advance,
@@ -27,6 +28,7 @@ from chsolver import (
     run_convergence,
     run_with_policy,
 )
+from chsolver.timestep import QUADRATIC_FORM_SLACK
 from dense_reference import dense_advance, half_spectrum, random_state
 
 
@@ -38,15 +40,8 @@ def report(num, msg):
 def convergence_rows():
     """Shared refinement study: 2d bubble, eps=0.2, K=50..400 random steps."""
     start = time.perf_counter()
-    rows = run_convergence(
-        base_steps=50,
-        levels=4,
-        horizon=0.1,
-        eps=0.2,
-        seed=0,
-        modes=64,
-        ref_steps=12800,
-    )
+    scenario = Scenario("convergence", 2, 64, 2.0 * np.pi, 0.2, 0.1, FixedStep(0.1), seed=0)
+    rows = run_convergence(scenario, base_steps=50, levels=4, ref_steps=12800)
     return rows, time.perf_counter() - start
 
 
@@ -142,11 +137,12 @@ class TestAcceptance:
                 res.dcc_sum.max(),
                 res.telescoping.max(),
             )
+        assert QUADRATIC_FORM_SLACK == 1e-10
         min_gap = np.inf
         for _ in range(1000):
             n = int(rng.integers(1, 101))
             mesh = random_mesh(float(rng.uniform(0.1, 2.0)), max(n, 2), seed=int(rng.integers(0, 2**31)))
-            check = quadratic_form_check(mesh, rng.standard_normal(n), slack=1e-10)
+            check = quadratic_form_check(mesh, rng.standard_normal(n))
             assert check.passed
             min_gap = min(min_gap, check.lhs - check.rhs)
         report(

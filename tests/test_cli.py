@@ -132,6 +132,25 @@ class TestCheck:
         assert main(["check", cfg]) == 0
         assert "check passed" in capsys.readouterr().out
 
+    def test_rerun_checks_step_one_against_initial_gamma(self, tmp_path, capsys, monkeypatch):
+        import chsolver.policies as policies
+
+        cfg = write_cfg(tmp_path, "scenario = convergence\nn = 16\nhorizon = 0.02\n[policy]\ncount = 8\n")
+        assert main(["check", cfg]) == 0
+        real_advance = policies.advance
+
+        def skewed_advance(state, tau):
+            state, rec = real_advance(state, tau)
+            if rec.n == 1:
+                rec = replace(rec, dissipation=rec.dissipation * (1.0 + 1e-6))
+            return state, rec
+
+        monkeypatch.setattr(policies, "advance", skewed_advance)
+        capsys.readouterr()
+        assert main(["check", cfg]) == 1
+        problems = capsys.readouterr().err.splitlines()[:-1]
+        assert problems and all(line.startswith("step 1: gamma drop") for line in problems)
+
     def test_corrupted_stream_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
         out = tmp_path / "out"

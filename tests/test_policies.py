@@ -52,6 +52,14 @@ class TestPrescribedMesh:
             policy.next_step(3, 0.0, 1.0, 1.0)
 
 
+class TestRatioCap:
+    def test_only_adaptive_policy_carries_a_cap(self):
+        assert FixedStep(0.1).ratio_cap is None
+        assert PrescribedMesh(TimeMesh([0.1, 0.2])).ratio_cap is None
+        assert AdaptiveStep(tau_min=1e-4, tau_max=1e-2, alpha=0.5).ratio_cap == r_max_root() - 0.01
+        assert AdaptiveStep(tau_min=1e-4, tau_max=1e-2, alpha=0.5, ratio_cap=2.0).ratio_cap == 2.0
+
+
 class TestAdaptiveStep:
     def test_first_step_is_minimum(self):
         policy = AdaptiveStep(tau_min=1e-4, tau_max=1e-2, alpha=0.5)
@@ -131,6 +139,21 @@ class TestDriver:
         with pytest.raises(ValueError, match=f"checkpoint {off_node!r} is not a node"):
             run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=(off_node,))
         assert calls == []
+
+    def test_prescribed_mesh_rejects_short_mesh_before_stepping(self, monkeypatch):
+        import chsolver.policies as policies
+
+        calls = []
+        monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
+        mesh = random_mesh(0.05, 12, seed=3)
+        with pytest.raises(ValueError, match=f"horizon 0.1 lies beyond the last mesh node {mesh.horizon!r}"):
+            run_with_policy(small_state(), PrescribedMesh(mesh), 0.1)
+        assert calls == []
+
+    def test_prescribed_mesh_accepts_horizon_off_last_node_by_rounding(self):
+        mesh = random_mesh(0.05, 12, seed=3)
+        state, records = run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon * (1.0 + 1e-13))
+        assert len(records) == 12
 
     def test_prescribed_mesh_accepts_node_checkpoints(self):
         mesh = random_mesh(0.05, 12, seed=3)

@@ -1,8 +1,11 @@
 """Tests for benchmark initial data, scenario runs and the convergence
 harness plumbing."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from convergence_reference import reference_convergence
 from scipy import ndimage
 
 from chsolver import (
@@ -21,6 +24,13 @@ from chsolver import (
     run_convergence,
     run_scenario,
 )
+
+
+def bubble(modes, eps, horizon, seed=0, dealias=False):
+    """Convergence scenario; run_convergence replaces its policy."""
+    return Scenario(
+        "convergence", 2, modes, 2.0 * np.pi, eps, horizon, FixedStep(horizon), seed=seed, dealias=dealias
+    )
 
 
 def x_mirror(values):
@@ -176,9 +186,7 @@ class TestOrderComputation:
 
 class TestConvergenceHarness:
     def test_row_structure_at_desk_scale(self):
-        rows = run_convergence(
-            base_steps=8, levels=2, horizon=0.02, eps=0.5, seed=0, modes=16, ref_steps=200
-        )
+        rows = run_convergence(bubble(modes=16, eps=0.5, horizon=0.02), base_steps=8, levels=2, ref_steps=200)
         assert [r.steps for r in rows] == [8, 16]
         assert np.isnan(rows[0].h1_order) and np.isnan(rows[0].gamma_order)
         assert np.isfinite(rows[1].h1_order) and np.isfinite(rows[1].gamma_order)
@@ -191,4 +199,21 @@ class TestConvergenceHarness:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="base_steps"):
-            run_convergence(1, 2, 0.1, 0.2, 0, 16)
+            run_convergence(bubble(modes=16, eps=0.2, horizon=0.1), 1, 2, 12800)
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_rows_equal_hand_driven_reference(self, dealias):
+        scenario = bubble(modes=16, eps=0.5, horizon=0.02, seed=4, dealias=dealias)
+        rows = run_convergence(scenario, base_steps=6, levels=3, ref_steps=120)
+        expected = reference_convergence(
+            base_steps=6, levels=3, horizon=0.02, eps=0.5, seed=4, modes=16, ref_steps=120, dealias=dealias
+        )
+        assert len(rows) == len(expected) == 3
+        for row, ref in zip(rows, expected):
+            assert np.array_equal(astuple(row), astuple(ref), equal_nan=True)
+
+    def test_uses_the_scenario_initial_field(self):
+        # a constant phase is stationary, so every level and the reference agree
+        scenario = Scenario("equilibrium", 2, 16, 2.0 * np.pi, 1.0, 0.02, FixedStep(0.02))
+        rows = run_convergence(scenario, base_steps=4, levels=1, ref_steps=10)
+        assert rows[0].h1_error < 1e-12

@@ -1,0 +1,107 @@
+"""Milliseconds per solver step, per kernels pass and per quadratic-form check.
+
+Usage:
+
+    python tools/perf_ms.py [--src PATH]
+
+PATH is the ``src`` directory of the checkout to time (default: the one next
+to this script), so the same script times any commit.  Every median is over
+REPEATS timed runs after the warm-up below.
+
+- advance: on each grid of the ROADMAP baseline table the stepper starts
+  from the coarsening initial field (seed 0), takes two untimed warm-up
+  steps, then REPEATS timed steps of a fixed size; the median is printed
+  with the median of one rfftn plus one irfftn on the same grid, the cost
+  floor of a step.  Transforms use the solver's own worker setting.
+- kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
+  (convergence scenario, seed SEED), writing kernels.csv and
+  kernel_residuals.csv into a temporary directory; the quadratic form is
+  checked on random_mesh(1, MAX_N, SEED) with standard normal weights.
+  Each is run once untimed first.
+"""
+
+import argparse
+import contextlib
+import io
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+GRIDS = ((2, 128), (2, 256), (2, 512), (3, 64), (3, 128))
+MAX_N = 400
+SEED = 5
+REPEATS = 7
+
+
+def median_ms(fn):
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(1e3 * (time.perf_counter() - start))
+    return statistics.median(times)
+
+
+def advance_table():
+    import numpy as np
+    from scipy import fft
+
+    from chsolver import Grid, advance, ic_random, init_state
+
+    print("grid      ms/advance  ms/(rfftn+irfftn)")
+    for dim, n in GRIDS:
+        grid = Grid(dim, 2.0 * np.pi, n)
+        state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
+        for _ in range(2):
+            state, _ = advance(state, 1e-6)
+
+        def step():
+            nonlocal state
+            state, _ = advance(state, 1e-6)
+
+        x = np.random.default_rng(0).normal(size=grid.shape)
+        floor = median_ms(lambda: fft.irfftn(fft.rfftn(x), s=x.shape))
+        print(f"{dim}d N={n:<4d} {median_ms(step):10.2f}  {floor:10.2f}")
+
+
+def kernels_table():
+    import numpy as np
+
+    from chsolver import quadratic_form_check, random_mesh
+    from chsolver.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "kernels.cfg"
+        cfg.write_text(f"scenario = convergence\nseed = {SEED}\n[kernels]\nmax_n = {MAX_N}\n")
+
+        def kernels_pass():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli_main(["kernels", str(cfg), "--outdir", str(Path(tmp) / "out")]) != 0:
+                    raise RuntimeError("chsolver kernels failed")
+
+        mesh = random_mesh(1.0, MAX_N, SEED)
+        w = np.random.default_rng(SEED).standard_normal(MAX_N)
+
+        def form():
+            if not quadratic_form_check(mesh, w).passed:
+                raise RuntimeError("quadratic-form chain fails")
+
+        kernels_pass()
+        form()
+        print(f"kernels pass (max_n = {MAX_N}):     {median_ms(kernels_pass):9.1f} ms")
+        print(f"quadratic_form_check (n = {MAX_N}): {median_ms(form):9.1f} ms")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, args.src)
+    advance_table()
+    kernels_table()
+
+
+if __name__ == "__main__":
+    main()
