@@ -1,6 +1,6 @@
 """Energy-stable variable-step IMEX BDF2 solver for the periodic Cahn-Hilliard equation."""
 
-from .spectral import Grid, SpectralField, fft_workers
+from .spectral import Grid, SpectralField
 from .timestep import (
     A1ViolationError,
     KernelResiduals,

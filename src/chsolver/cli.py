@@ -65,7 +65,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = parse_config(args.config, scenario=args.scenario or "convergence")
+    cfg = parse_config(args.config, args.scenario, default_scenario="convergence")
     out = _outdir(cfg, args.outdir)
     rows = run_convergence(build_scenario(cfg), cfg.base_k, cfg.levels, cfg.ref_steps)
     path = out / "convergence.csv"
@@ -86,7 +86,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    cfg = parse_config(args.config, scenario=args.scenario or "convergence")
+    cfg = parse_config(args.config, args.scenario, default_scenario="convergence")
     out = _outdir(cfg, args.outdir)
     mesh = random_mesh(cfg.horizon, cfg.max_n, cfg.seed)
     theta, p = kernel_matrices(mesh, cfg.max_n)
@@ -117,7 +117,7 @@ def _cmd_check(args) -> int:
         problems = validate_records(records, ratio_cap=cap)
     else:
         records, [(_, phi0)] = run_scenario(replace(scenario, snapshot_times=(0.0,)))
-        gamma0 = energy(phi0, scenario.eps) + 1.0
+        gamma0 = energy(phi0.grid, phi0.physical, phi0.coefficients, scenario.eps) + 1.0
         problems = validate_records(
             records, gamma0=gamma0, mass0=phi0.integral(), volume=phi0.grid.volume, ratio_cap=cap
         )

@@ -200,11 +200,12 @@ def _read_pairs(path: str) -> dict[tuple[str, str], object]:
     return pairs
 
 
-def parse_config(path: str, scenario: str | None = None) -> SimConfig:
-    """Parse a config file; an explicit scenario argument overrides the file."""
+def parse_config(path: str, scenario: str | None = None, default_scenario: str | None = None) -> SimConfig:
+    """Parse a config file; an explicit scenario argument overrides the file,
+    and default_scenario applies when neither names one."""
     pairs = _read_pairs(path)
 
-    name = scenario if scenario is not None else pairs.get(("run", "scenario"))
+    name = scenario if scenario is not None else pairs.get(("run", "scenario"), default_scenario)
     if name is None:
         raise ConfigValidationError("no scenario selected (config key or command-line flag)")
     if name not in SCENARIO_NAMES:

@@ -105,7 +105,7 @@ def run_scenario(scenario: Scenario):
     def capture(st, rec):
         for t in pending:
             if abs(rec.t - t) <= tol:
-                snapshots.append((t, st.phi_prev1))
+                snapshots.append((t, SpectralField(grid, physical=st.phi1)))
 
     state, records = run_with_policy(
         state, scenario.policy, scenario.horizon, checkpoints=pending, on_step=capture
@@ -149,7 +149,8 @@ def run_convergence(scenario: Scenario, base_steps: int, levels: int, ref_steps:
     the reference uses ref_steps uniform steps of the same scheme on the
     same grid from the same initial field, so the spatial error cancels in
     the comparison.  Errors: H1 norm of phi - phi_ref at the horizon, and
-    |gamma - (E(phi_ref)+1)|.
+    |gamma - (E(phi_ref)+1)|.  Orders are NaN on the first row and where
+    an error is exactly zero.
     """
     if base_steps < 2 or levels < 1 or ref_steps <= 0:
         raise ValueError("need base_steps >= 2, levels >= 1, ref_steps > 0")
@@ -159,8 +160,11 @@ def run_convergence(scenario: Scenario, base_steps: int, levels: int, ref_steps:
         records, [(_, phi)] = run_scenario(replace(scenario, policy=policy, snapshot_times=(horizon,)))
         return records, phi
 
+    def order(e_coarse, e_fine, tau_coarse, tau_fine):  # an exact level has no order
+        return float("nan") if 0.0 in (e_coarse, e_fine) else order_of(e_coarse, e_fine, tau_coarse, tau_fine)
+
     _, phi_ref = final(FixedStep(horizon / ref_steps))
-    gamma_ref = energy(phi_ref, scenario.eps) + 1.0
+    gamma_ref = energy(phi_ref.grid, phi_ref.physical, phi_ref.coefficients, scenario.eps) + 1.0
 
     rows: list[ConvergenceRow] = []
     for i in range(levels):
@@ -169,11 +173,10 @@ def run_convergence(scenario: Scenario, base_steps: int, levels: int, ref_steps:
         h1_err = (phi - phi_ref).h1_norm()
         g_err = abs(records[-1].gamma - gamma_ref)
         tau = float(mesh.steps.max())
+        h1_order = g_order = float("nan")
         if rows:
-            h1_order = order_of(rows[-1].h1_error, h1_err, rows[-1].tau, tau)
-            g_order = order_of(rows[-1].gamma_error, g_err, rows[-1].tau, tau)
-        else:
-            h1_order = g_order = float("nan")
+            h1_order = order(rows[-1].h1_error, h1_err, rows[-1].tau, tau)
+            g_order = order(rows[-1].gamma_error, g_err, rows[-1].tau, tau)
         rows.append(
             ConvergenceRow(
                 steps=mesh.count,

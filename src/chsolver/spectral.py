@@ -28,27 +28,12 @@ which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 from scipy import fft as _fft
-
-
-def fft_workers() -> int | None:
-    """Transform worker count from CHSOLVER_THREADS; None means library default."""
-    raw = os.environ.get("CHSOLVER_THREADS")
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CHSOLVER_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"CHSOLVER_THREADS must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -120,12 +105,12 @@ class Grid:
 
 def forward(u: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of the real grid array u."""
-    return _fft.rfftn(u, norm="forward", workers=fft_workers())
+    return _fft.rfftn(u, norm="forward")
 
 
 def inverse(coef: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Real grid array of the given shape from its half-spectrum coefficients."""
-    return _fft.irfftn(coef, s=shape, norm="forward", workers=fft_workers())
+    return _fft.irfftn(coef, s=shape, norm="forward")
 
 
 def parseval_sum(grid: Grid, coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
@@ -190,11 +175,27 @@ def _dealiased_cubic(grid: Grid, coef: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def _require_hermitian(coef: np.ndarray) -> None:
+    """ValueError unless the self-mirrored last-axis planes m = 0 and m = N/2
+    of the half spectrum coef equal their conjugate mirror images (index -k
+    on the other axes) to within 1e-12 of the largest coefficient.  irfftn
+    would silently project any other input, and norms summed from the
+    coefficients would then disagree with the field."""
+    tol = 1e-12 * np.abs(coef).max()
+    for m in (0, coef.shape[-1] - 1):
+        plane = coef[..., m]
+        axes = tuple(range(plane.ndim))
+        mirror = np.roll(np.flip(plane, axes), 1, axes)
+        if not np.abs(plane - mirror.conj()).max() <= tol:
+            raise ValueError(f"coefficient plane m = {m} is not Hermitian (not a real field)")
+
+
 class SpectralField:
     """Immutable real scalar field on a :class:`Grid`.
 
     Either representation may be supplied at construction; the other is
-    computed on demand and cached.  Coefficients are the half spectrum.
+    computed on demand and cached.  Coefficients are the half spectrum, and
+    its self-mirrored planes must be Hermitian (ValueError otherwise).
     """
 
     __slots__ = ("grid", "_physical", "_coefficients")
@@ -214,9 +215,18 @@ class SpectralField:
                 raise ValueError(
                     f"coefficient shape {coefficients.shape} does not match grid {grid.spectral_shape}"
                 )
+            _require_hermitian(coefficients)
             coefficients.setflags(write=False)
         self._physical = physical
         self._coefficients = coefficients
+
+    @classmethod
+    def _of_hermitian(cls, grid: Grid, coefficients: np.ndarray) -> "SpectralField":
+        """Field from a half spectrum known to pass the Hermitian check."""
+        field = cls.__new__(cls)
+        coefficients.setflags(write=False)
+        field.grid, field._physical, field._coefficients = grid, None, coefficients
+        return field
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "SpectralField":
@@ -261,11 +271,10 @@ class SpectralField:
         """(u, 1) = |Omega| * u_hat_0."""
         return self.grid.volume * float(self.coefficients[(0,) * self.grid.dim].real)
 
-    def mean(self) -> float:
-        return float(self.coefficients[(0,) * self.grid.dim].real)
-
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         """Difference of two fields on the same grid, in coefficient space."""
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
-        return SpectralField(self.grid, coefficients=self.coefficients - other.coefficients)
+        # the operands are half spectra of real fields; a check of the
+        # difference would weigh their rounding against a possibly tiny result
+        return SpectralField._of_hermitian(self.grid, self.coefficients - other.coefficients)

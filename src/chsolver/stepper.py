@@ -22,10 +22,9 @@ Substeps, in order:
 gamma is positive and non-increasing for every step size, and the mode-0
 equation reduces to pb_hat_0 = ph1_hat_0, so (phi_bar, 1) is conserved.
 
-A step works on plain half-spectrum and grid arrays and makes two real
-transforms: one rfftn of f, one irfftn of pb_hat (for the double-well
-energy).  The relaxed field phi_n is kept in physical space, where the next
-extrapolation needs it.
+A step works on plain arrays and makes two real transforms: one rfftn of
+f, one irfftn of pb_hat, whose grid values give the double-well energy and
+phi_n.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, cubic_coefficients, parseval_sum
+from .spectral import Grid, SpectralField, cubic_coefficients, inverse, parseval_sum
 from .timestep import bdf_weights
 
 
@@ -57,21 +56,22 @@ class StepRecord:
     dissipation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GsavState:
-    """Two-level history of the stepper.
+    """Two-level history of the stepper, as plain arrays (compared by identity).
 
-    phi_bar_* are the auxiliary (pre-relaxation) fields entering the
-    backward-difference stencil, which reads only their coefficients;
-    phi_* are the relaxed fields entering the extrapolated nonlinearity,
-    which reads them in physical space.  prev_tau is the last executed step
-    size (0 before the first step, which runs backward Euler).
+    phi_bar_hat1/2 are the half spectra of the auxiliary (pre-relaxation)
+    fields, all the backward-difference stencil reads; phi1/2 are the grid
+    values of the relaxed fields, which the extrapolation reads.  prev_tau
+    is the last step size (0 before the first step, which runs backward
+    Euler).
     """
 
-    phi_bar_prev1: SpectralField
-    phi_bar_prev2: SpectralField
-    phi_prev1: SpectralField
-    phi_prev2: SpectralField
+    grid: Grid
+    phi_bar_hat1: np.ndarray
+    phi_bar_hat2: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
     gamma: float
     eps: float
     step_index: int = 0
@@ -79,37 +79,24 @@ class GsavState:
     prev_tau: float = 0.0
     dealias: bool = False
 
-    @property
-    def grid(self) -> Grid:
-        return self.phi_bar_prev1.grid
 
-
-def energy(field: SpectralField, eps: float) -> float:
-    """Ginzburg-Landau energy: gradient part summed in coefficient space,
-    double-well part by physical-space quadrature."""
+def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
+    """Ginzburg-Landau energy of the field with grid values u and half spectrum
+    u_hat: gradient part from u_hat, double-well part by quadrature of u."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    u = field.physical
     w = u * u
     w -= 1.0
     w *= w
-    well = float(w.sum()) * field.grid.cell_volume / (4.0 * eps**2)
-    return 0.5 * field.grad_norm_sq() + well
+    well = float(w.sum()) * grid.cell_volume / (4.0 * eps**2)
+    return 0.5 * parseval_sum(grid, u_hat, grid.k_squared) + well
 
 
 def init_state(phi0: SpectralField, eps: float, dealias: bool = False) -> GsavState:
     """State before the first step: both histories hold phi0, gamma = E + 1."""
-    gamma0 = energy(phi0, eps) + 1.0
-    phi0 = phi0.to_coefficients().to_physical()
-    return GsavState(
-        phi_bar_prev1=phi0,
-        phi_bar_prev2=phi0,
-        phi_prev1=phi0,
-        phi_prev2=phi0,
-        gamma=gamma0,
-        eps=eps,
-        dealias=dealias,
-    )
+    u, u_hat = phi0.physical, phi0.coefficients
+    gamma0 = energy(phi0.grid, u, u_hat, eps) + 1.0
+    return GsavState(phi0.grid, u_hat, u_hat, u, u, gamma0, eps, dealias=dealias)
 
 
 def _step_ratio(state: GsavState, tau_n: float) -> float:
@@ -123,91 +110,88 @@ def _extrapolated_nonlinearity(state: GsavState, tau_n: float) -> np.ndarray:
     B u = (1+r) u^{n-1} - r u^{n-2} = u^{n-1} + r (u^{n-1} - u^{n-2})
     and B u^0 = u^0."""
     r = _step_ratio(state, tau_n)
-    u = state.phi_prev1.physical
+    u = state.phi1
     if state.step_index > 0:
-        u = u - state.phi_prev2.physical
+        u = u - state.phi2
         u *= r
-        u += state.phi_prev1.physical
+        u += state.phi1
     return cubic_coefficients(state.grid, u, state.eps, dealias=state.dealias)
 
 
-def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> SpectralField:
+def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> np.ndarray:
     r = _step_ratio(state, tau_n)
     b0, b1 = bdf_weights(tau_n, r)
     k2 = state.grid.k_squared
-    c1 = state.phi_bar_prev1.coefficients
+    c1 = state.phi_bar_hat1
     # (b0 c1 - b1 (c1 - c2) - |k|^2 f_hat) / (b0 + |k|^4)
-    coef = c1 - state.phi_bar_prev2.coefficients
+    coef = c1 - state.phi_bar_hat2
     coef *= -b1
     coef += b0 * c1
     coef -= k2 * f_hat
     inv = b0 + k2 * k2
     coef *= np.reciprocal(inv, out=inv)
-    if not np.isfinite(coef).all():
-        raise NonfiniteFieldError(f"nonfinite coefficients after step {state.step_index + 1}")
-    return SpectralField(state.grid, coefficients=coef)
+    return coef
 
 
-def linear_solve(state: GsavState, tau_n: float) -> SpectralField:
-    """Auxiliary field after the implicit solve (substep 1)."""
+def linear_solve(state: GsavState, tau_n: float) -> np.ndarray:
+    """Half spectrum of the auxiliary field after the implicit solve (substep 1)."""
     return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))
 
 
 def gamma_update(
-    gamma_prev: float, tau_n: float, phi_bar_n: SpectralField, f_hat: np.ndarray, e_bar: float
+    grid: Grid, gamma_prev: float, tau_n: float, pb_hat: np.ndarray, f_hat: np.ndarray, e_bar: float
 ) -> tuple[float, float]:
     """(gamma_n, ||grad mu||^2) from the closed-form contraction (substep 2).
 
-    f_hat holds the half-spectrum coefficients of the extrapolated
-    nonlinearity the solve used, e_bar the energy of phi_bar_n;
-    ||grad mu||^2 for mu = -lap(phi_bar_n) + f is summed in coefficient space.
+    pb_hat and e_bar are the auxiliary field's half spectrum and energy,
+    f_hat the nonlinearity the solve used; ||grad mu||^2 for
+    mu = -lap(phi_bar) + f is summed in coefficient space.
     """
-    g = phi_bar_n.grid
-    mu_hat = g.k_squared * phi_bar_n.coefficients
+    mu_hat = grid.k_squared * pb_hat
     mu_hat += f_hat
-    gm = parseval_sum(g, mu_hat, g.k_squared)
+    gm = parseval_sum(grid, mu_hat, grid.k_squared)
     return gamma_prev / (1.0 + tau_n * gm / (e_bar + 1.0)), gm
 
 
-def relax(phi_bar_n: SpectralField, gamma_n: float, e_bar: float) -> tuple[float, float, SpectralField]:
-    """(xi, eta, phi_n): rescale the auxiliary field by eta = xi (2 - xi) (substep 3).
-
-    phi_n is built in physical space, where the next step extrapolates; its
-    coefficients are transformed only when asked for.
-    """
+def relax(pb: np.ndarray, gamma_n: float, e_bar: float) -> tuple[float, float, np.ndarray]:
+    """(xi, eta, eta * pb) for the auxiliary grid values pb (substep 3)."""
     xi = gamma_n / (e_bar + 1.0)
     eta = xi * (2.0 - xi)
-    phi_n = SpectralField(phi_bar_n.grid, physical=eta * phi_bar_n.physical)
-    return xi, eta, phi_n
+    return xi, eta, eta * pb
 
 
 def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     """Execute one full step; returns the new state and its record."""
+    grid = state.grid
+    n = state.step_index + 1
     f_hat = _extrapolated_nonlinearity(state, tau_n)
-    phi_bar = _solve(state, tau_n, f_hat)
-    e_bar = energy(phi_bar, state.eps)
-    gamma_n, gm = gamma_update(state.gamma, tau_n, phi_bar, f_hat, e_bar)
-    xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
+    pb_hat = _solve(state, tau_n, f_hat)
+    pb = inverse(pb_hat, grid.shape)
+    e_bar = energy(grid, pb, pb_hat, state.eps)
+    gamma_n, gm = gamma_update(grid, state.gamma, tau_n, pb_hat, f_hat, e_bar)
+    # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
+    if not (np.isfinite(e_bar) and np.isfinite(gm)):
+        raise NonfiniteFieldError(f"nonfinite field after step {n}")
+    xi, eta, phi_n = relax(pb, gamma_n, e_bar)
     record = StepRecord(
-        n=state.step_index + 1,
+        n=n,
         t=state.time + tau_n,
         tau=tau_n,
         gamma=gamma_n,
         energy=e_bar,
         xi=xi,
         eta=eta,
-        mass=phi_bar.integral(),
+        mass=grid.volume * float(pb_hat[(0,) * grid.dim].real),
         dissipation=tau_n * xi * gm,
     )
     new_state = replace(
         state,
-        # drop the physical array energy() cached: the stencil never reads it
-        phi_bar_prev1=SpectralField(phi_bar.grid, coefficients=phi_bar.coefficients),
-        phi_bar_prev2=state.phi_bar_prev1,
-        phi_prev1=phi_n,
-        phi_prev2=state.phi_prev1,
+        phi_bar_hat1=pb_hat,
+        phi_bar_hat2=state.phi_bar_hat1,
+        phi1=phi_n,
+        phi2=state.phi1,
         gamma=gamma_n,
-        step_index=state.step_index + 1,
+        step_index=n,
         time=state.time + tau_n,
         prev_tau=tau_n,
     )

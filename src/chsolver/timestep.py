@@ -106,15 +106,6 @@ class TimeMesh:
         self._check_index(n)
         return float(self.steps[n - 1])
 
-    def ratio(self, n: int) -> float:
-        self._check_index(n)
-        return float(self.ratios[n - 1])
-
-    def time(self, n: int) -> float:
-        if not 0 <= n <= self.steps.size:
-            raise IndexError(f"node index {n} outside 0..{self.steps.size}")
-        return float(self.times[n])
-
     def satisfies_a1(self) -> bool:
         return bool(self.max_ratio <= r_max_root() - self.delta)
 

@@ -12,6 +12,7 @@ from chsolver import (
     FixedStep,
     Grid,
     PrescribedMesh,
+    SpectralField,
     energy,
     ic_bubble,
     init_state,
@@ -29,8 +30,8 @@ def reference_convergence(
 
     ref_state = init_state(phi0, eps, dealias=dealias)
     ref_state, _ = run_with_policy(ref_state, FixedStep(horizon / ref_steps), horizon)
-    phi_ref = ref_state.phi_prev1
-    gamma_ref = energy(phi_ref, eps) + 1.0
+    phi_ref = SpectralField(grid, physical=ref_state.phi1)
+    gamma_ref = energy(grid, phi_ref.physical, phi_ref.coefficients, eps) + 1.0
 
     rows = []
     for i in range(levels):
@@ -38,7 +39,7 @@ def reference_convergence(
         mesh = random_mesh(horizon, k, seed + i)
         state = init_state(phi0, eps, dealias=dealias)
         state, records = run_with_policy(state, PrescribedMesh(mesh), horizon)
-        h1_err = (state.phi_prev1 - phi_ref).h1_norm()
+        h1_err = (SpectralField(grid, physical=state.phi1) - phi_ref).h1_norm()
         g_err = abs(state.gamma - gamma_ref)
         tau = float(mesh.steps.max())
         if rows:

@@ -10,6 +10,7 @@ and only meant for small grids.
 import numpy as np
 
 from chsolver import SpectralField, bdf_weights
+from chsolver.spectral import inverse
 
 
 def dft_matrices(grid):
@@ -41,12 +42,12 @@ def dense_advance(state, tau):
 
     r = 0.0 if state.step_index == 0 else tau / state.prev_tau
     b0, b1 = bdf_weights(tau, r)
-    p1 = state.phi_bar_prev1.physical.ravel()
-    p2 = state.phi_bar_prev2.physical.ravel()
+    p1 = inverse(state.phi_bar_hat1, g.shape).ravel()
+    p2 = inverse(state.phi_bar_hat2, g.shape).ravel()
     if state.step_index == 0:
-        ext = state.phi_prev1.physical.ravel()
+        ext = state.phi1.ravel()
     else:
-        ext = (1.0 + r) * state.phi_prev1.physical.ravel() - r * state.phi_prev2.physical.ravel()
+        ext = (1.0 + r) * state.phi1.ravel() - r * state.phi2.ravel()
     f = (ext**3 - ext) / state.eps**2
 
     system = inv @ np.diag(b0 + k2**2) @ fwd

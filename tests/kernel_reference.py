@@ -17,7 +17,7 @@ def weight_table(mesh, n):
     b0 = np.empty(n + 1)
     b1 = np.empty(n + 1)
     for j in range(1, n + 1):
-        b0[j], b1[j] = bdf_weights(mesh.tau(j), mesh.ratio(j))
+        b0[j], b1[j] = bdf_weights(mesh.tau(j), mesh.ratios[j - 1])
     return b0, b1
 
 
@@ -58,11 +58,11 @@ def residual_row(mesh, n, values=None):
 
     doc_res = max(abs(row_sum(theta, k) - (1.0 if k == n else 0.0)) for k in range(1, n + 1))
     dcc_res = max(abs(row_sum(p, k) - 1.0) for k in range(1, n + 1))
-    dcc_sum = abs(float(p.sum()) - mesh.time(n))
+    dcc_sum = abs(float(p.sum()) - mesh.times[n])
     bound_margin = float(p.max()) - 2.0 * float(mesh.steps.max())
 
     if values is None:
-        values = [mesh.time(j) ** 2 for j in range(0, n + 1)]
+        values = [mesh.times[j] ** 2 for j in range(0, n + 1)]
     d2 = []
     for j in range(1, n + 1):
         d = b0[j] * (values[j] - values[j - 1])

@@ -83,6 +83,23 @@ class TestConverge:
         out = tmp_path / "out"
         assert main(["converge", cfg, "--outdir", str(out)]) == 0
 
+    def test_file_scenario_is_honoured(self, tmp_path):
+        # the stationary scenario keeps gamma = 1 exactly, so every gamma
+        # error is 0 and has no order; the field stays 1 up to the rounding
+        # of the mode-0 solve (the bubble would give errors of order 1)
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = equilibrium\nn = 16\n[converge]\nbase_k = 4\nlevels = 2\nref_steps = 20\n",
+        )
+        out = tmp_path / "out"
+        assert main(["converge", cfg, "--outdir", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["4", "8"]
+        for r in rows:
+            assert float(r[2]) < 1e-13
+            assert float(r[4]) == 0.0 and r[5] == "nan"
+        assert rows[0][3] == "nan"
+
 
 class TestKernels:
     def test_writes_kernels_and_residuals(self, tmp_path, capsys):
@@ -201,20 +218,6 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory")
         assert main(["simulate", cfg, "--outdir", str(blocker)]) == 2
         assert "runtime error" in capsys.readouterr().err
-
-
-class TestThreadControl:
-    def test_worker_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHSOLVER_THREADS", "1")
-        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
-        out = tmp_path / "out"
-        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
-
-    def test_invalid_value_is_runtime_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CHSOLVER_THREADS", "lots")
-        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
-        assert main(["simulate", cfg]) == 2
-        assert "CHSOLVER_THREADS" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

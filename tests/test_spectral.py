@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chsolver import Grid, SpectralField, energy, fft_workers
-from chsolver.spectral import cubic_coefficients
+from chsolver import Grid, SpectralField, energy
+from chsolver.spectral import cubic_coefficients, forward
 from dealias_reference import dealiased_cubic_full
 from dense_reference import full_k_squared, half_spectrum
 
@@ -151,6 +151,46 @@ class TestTransforms:
             SpectralField(grid, coefficients=np.zeros((8, 4), dtype=complex))
         with pytest.raises(ValueError, match="physical or a coefficient"):
             SpectralField(grid)
+
+    def test_non_hermitian_mode_rejected(self):
+        # irfftn would read c[1, 0] = 1 alone as cos(x), whose L2 norm is
+        # half of what the coefficient sums would report
+        grid = Grid(2, 2.0 * np.pi, 8)
+        c = np.zeros(grid.spectral_shape, dtype=complex)
+        c[1, 0] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SpectralField(grid, coefficients=c)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("plane", ["zero", "nyquist"])
+    @pytest.mark.parametrize("value", [1.0, 1j])
+    def test_self_mirrored_planes_checked(self, dim, plane, value):
+        # entry -k of plane m is the conjugate of entry k; index N/2 of the
+        # other axes is its own mirror, so there only real values pass
+        grid = Grid(dim, 2.0 * np.pi, 8)
+        m = 0 if plane == "zero" else grid.modes // 2
+        for index in ((1,) * (dim - 1), (4,) * (dim - 1)):
+            c = np.zeros(grid.spectral_shape, dtype=complex)
+            c[index + (m,)] = value
+            if index[0] == 4 and value == 1.0:
+                SpectralField(grid, coefficients=c)
+            else:
+                with pytest.raises(ValueError, match=f"plane m = {m} is not Hermitian"):
+                    SpectralField(grid, coefficients=c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        n=st.sampled_from(range(4, 33, 2)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+        offset=st.floats(-1e6, 1e6),
+    )
+    def test_spectra_of_real_fields_accepted(self, dim, n, seed, scale, offset):
+        grid = Grid(dim, 2.0 * np.pi, n)
+        u = scale * (offset + np.random.default_rng(seed).normal(size=grid.shape))
+        coef = forward(u)
+        assert np.array_equal(SpectralField(grid, coefficients=coef).coefficients, coef)
 
 
 class TestOperators:
@@ -292,7 +332,7 @@ class TestNormsAndQuadrature:
     def test_integral_and_mean(self):
         grid = Grid(2, 2.0 * np.pi, 16)
         field = trig_field(grid, lambda x, y: 1.5 + np.cos(x))
-        assert np.isclose(field.mean(), 1.5)
+        assert np.isclose(field.coefficients[0, 0], 1.5)
         assert np.isclose(field.integral(), 1.5 * grid.volume)
 
     def test_3d_quadrature(self):
@@ -337,8 +377,9 @@ class TestNormsAndQuadrature:
         assert abs(field.integral() - grid.volume * full[(0,) * dim].real) <= tol
 
         well = h * np.sum((u**2 - 1.0) ** 2) / (4.0 * eps**2)
-        assert np.isclose(energy(field, eps), 0.5 * grad_full + well, rtol=1e-12, atol=0)
-        assert np.isclose(energy(field, eps), 0.5 * grad_quad + well, rtol=1e-12, atol=0)
+        e = energy(grid, u, field.coefficients, eps)
+        assert np.isclose(e, 0.5 * grad_full + well, rtol=1e-12, atol=0)
+        assert np.isclose(e, 0.5 * grad_quad + well, rtol=1e-12, atol=0)
 
 
 class TestArithmetic:
@@ -358,26 +399,3 @@ class TestArithmetic:
         b = SpectralField.constant(Grid(2, 2.0 * np.pi, 16), 1.0)
         with pytest.raises(ValueError, match="different grids"):
             a - b
-
-
-class TestWorkerConfig:
-    def test_unset_means_default(self, monkeypatch):
-        monkeypatch.delenv("CHSOLVER_THREADS", raising=False)
-        assert fft_workers() is None
-
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv("CHSOLVER_THREADS", "2")
-        assert fft_workers() == 2
-
-    @pytest.mark.parametrize("raw", ["zero", "0", "-3"])
-    def test_invalid_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("CHSOLVER_THREADS", raw)
-        with pytest.raises(ValueError, match="CHSOLVER_THREADS"):
-            fft_workers()
-
-    def test_transforms_respect_setting(self, monkeypatch):
-        monkeypatch.setenv("CHSOLVER_THREADS", "1")
-        grid = Grid(2, 2.0 * np.pi, 16)
-        rng = np.random.default_rng(41)
-        u = rng.normal(size=grid.shape)
-        assert np.allclose(SpectralField(grid, physical=u).to_coefficients().physical, u)

@@ -6,6 +6,8 @@ full one-step comparison against the dense reference in
 dense_reference.py.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from chsolver import (
     relax,
     validate_records,
 )
-from chsolver.spectral import cubic_coefficients
+from chsolver.spectral import cubic_coefficients, forward, inverse
 from chsolver.stepper import _extrapolated_nonlinearity
 from dense_reference import dense_advance, half_spectrum, random_state
 
@@ -32,29 +34,33 @@ def rough_field(grid, seed, lo=-1.0, hi=1.0):
     return SpectralField(grid, physical=rng.uniform(lo, hi, grid.shape))
 
 
+def field_energy(field, eps):
+    return energy(field.grid, field.physical, field.coefficients, eps)
+
+
 class TestEnergy:
     def test_pure_phase_is_ground_state(self):
         grid = Grid(2, 2.0 * np.pi, 16)
-        assert energy(SpectralField.constant(grid, 1.0), 0.5) == 0.0
-        assert energy(SpectralField.constant(grid, -1.0), 0.5) == 0.0
+        assert field_energy(SpectralField.constant(grid, 1.0), 0.5) == 0.0
+        assert field_energy(SpectralField.constant(grid, -1.0), 0.5) == 0.0
 
     def test_zero_field_well_energy(self):
         # |Omega| / (4 eps^2) with eps = 0.5
         grid = Grid(2, 2.0 * np.pi, 16)
-        assert np.isclose(energy(SpectralField.constant(grid, 0.0), 0.5), 4.0 * np.pi**2)
+        assert np.isclose(field_energy(SpectralField.constant(grid, 0.0), 0.5), 4.0 * np.pi**2)
 
     def test_cosine_closed_form(self):
         # E[cos x] = pi^2 + 3 pi^2 / 8 at eps = 1 on (0, 2pi)^2
         grid = Grid(2, 2.0 * np.pi, 64)
         x, _ = grid.coordinates()
-        val = energy(SpectralField(grid, physical=np.cos(x)), 1.0)
+        val = field_energy(SpectralField(grid, physical=np.cos(x)), 1.0)
         assert np.isclose(val, np.pi**2 + 3.0 * np.pi**2 / 8.0, rtol=1e-12)
         assert np.isclose(val, 13.570706051497867, rtol=1e-14)
 
     def test_eps_validation(self):
         grid = Grid(2, 2.0 * np.pi, 8)
         with pytest.raises(ValueError, match="eps"):
-            energy(SpectralField.constant(grid, 0.0), -1.0)
+            field_energy(SpectralField.constant(grid, 0.0), -1.0)
 
 
 class TestInitialization:
@@ -68,9 +74,10 @@ class TestInitialization:
 
     def test_histories_share_initial_field(self):
         grid = Grid(2, 2.0 * np.pi, 16)
-        state = init_state(rough_field(grid, 1), 0.7)
-        assert state.phi_bar_prev1 is state.phi_bar_prev2
-        assert state.phi_prev1 is state.phi_bar_prev1
+        phi0 = rough_field(grid, 1)
+        state = init_state(phi0, 0.7)
+        assert state.phi_bar_hat1 is state.phi_bar_hat2 is phi0.coefficients
+        assert state.phi1 is state.phi2 is phi0.physical
         assert state.grid == grid
 
 
@@ -80,7 +87,7 @@ class TestSingleStep:
         state = init_state(SpectralField.constant(grid, 1.0), 1.0)
         for tau in (0.01, 0.5):
             state, rec = advance(state, tau)
-            assert np.allclose(state.phi_prev1.physical, 1.0, atol=1e-13)
+            assert np.allclose(state.phi1, 1.0, atol=1e-13)
             assert rec.gamma == 1.0
             assert rec.xi == 1.0
             assert rec.eta == 1.0
@@ -91,24 +98,37 @@ class TestSingleStep:
         state = init_state(rough_field(grid, 2), 0.8)
         tau = 0.05
         f_hat = _extrapolated_nonlinearity(state, tau)
-        assert np.array_equal(f_hat, cubic_coefficients(grid, state.phi_prev1.physical, 0.8))
-        c0 = state.phi_bar_prev1.coefficients
+        assert np.array_equal(f_hat, cubic_coefficients(grid, state.phi1, 0.8))
+        c0 = state.phi_bar_hat1
         k2 = grid.k_squared
         expected = (c0 / tau - k2 * f_hat) / (1.0 / tau + k2**2)
-        assert np.allclose(linear_solve(state, tau).coefficients, expected, atol=1e-13)
+        assert np.allclose(linear_solve(state, tau), expected, atol=1e-13)
         new_state, _ = advance(state, tau)
-        assert np.allclose(new_state.phi_bar_prev1.coefficients, expected, atol=1e-13)
+        assert np.allclose(new_state.phi_bar_hat1, expected, atol=1e-13)
 
-    def test_history_keeps_no_physical_auxiliary_field(self):
-        # the stencil reads phi_bar's coefficients only; the physical array
-        # energy() computed must not stay alive in the history
-        grid = Grid(2, 2.0 * np.pi, 16)
-        state = init_state(rough_field(grid, 3), 0.6)
-        for _ in range(2):
-            state, _ = advance(state, 0.02)
-        for field in (state.phi_bar_prev1, state.phi_bar_prev2):
-            assert field._physical is None
-            assert field._coefficients is not None
+    def test_history_keeps_no_physical_auxiliary_field(self, monkeypatch):
+        # the stencil reads phi_bar's half spectrum only: the history holds
+        # that and the relaxed grid values, as plain arrays, and a step
+        # builds no SpectralField
+        def forbidden(*args, **kwargs):
+            raise AssertionError("advance built a SpectralField")
+
+        grids = [Grid(2, 2.0 * np.pi, 16), Grid(3, 2.0 * np.pi, 8)]
+        states = [init_state(rough_field(grid, 3), 0.6) for grid in grids]
+        monkeypatch.setattr(SpectralField, "__init__", forbidden)
+        monkeypatch.setattr(SpectralField, "_of_hermitian", forbidden)
+        for grid, state in zip(grids, states):
+            for _ in range(2):
+                state, _ = advance(state, 0.02)
+            for name, shape, dtype in (
+                ("phi_bar_hat1", grid.spectral_shape, np.complex128),
+                ("phi_bar_hat2", grid.spectral_shape, np.complex128),
+                ("phi1", grid.shape, np.float64),
+                ("phi2", grid.shape, np.float64),
+            ):
+                value = getattr(state, name)
+                assert type(value) is np.ndarray
+                assert value.shape == shape and value.dtype == dtype
 
     def test_substeps_compose_to_advance(self):
         grid = Grid(2, 2.0 * np.pi, 16)
@@ -116,21 +136,23 @@ class TestSingleStep:
         state, _ = advance(state, 0.02)
         tau = 0.03
         # advance runs exactly these substeps, so the match is bitwise
-        phi_bar = linear_solve(state, tau)
-        e_bar = energy(phi_bar, state.eps)
+        pb_hat = linear_solve(state, tau)
+        pb = inverse(pb_hat, grid.shape)
+        e_bar = energy(grid, pb, pb_hat, state.eps)
         f_term = _extrapolated_nonlinearity(state, tau)
-        gamma_n, grad_mu_sq = gamma_update(state.gamma, tau, phi_bar, f_term, e_bar)
-        xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
+        gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
+        xi, eta, phi_n = relax(pb, gamma_n, e_bar)
         new_state, rec = advance(state, tau)
-        assert np.array_equal(new_state.phi_bar_prev1.coefficients, phi_bar.coefficients)
+        assert np.array_equal(new_state.phi_bar_hat1, pb_hat)
         assert rec.energy == e_bar
         assert rec.gamma == gamma_n
         assert rec.xi == xi
         assert rec.eta == eta
         assert rec.dissipation == tau * xi * grad_mu_sq
         assert new_state.gamma == gamma_n
-        assert np.array_equal(new_state.phi_prev1.physical, phi_n.physical)
-        assert np.array_equal(new_state.phi_prev1.coefficients, phi_n.coefficients)
+        assert np.array_equal(new_state.phi1, phi_n)
+        assert new_state.phi_bar_hat2 is state.phi_bar_hat1
+        assert new_state.phi2 is state.phi1
 
     def test_relaxation_algebra(self):
         # eta = xi (2 - xi), i.e. 1 - eta = (1 - xi)^2
@@ -154,15 +176,17 @@ class TestSingleStep:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             advance(state, tau)
 
-    def test_nonfinite_history_detected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["phi_bar_hat1", "phi_bar_hat2", "phi1", "phi2"])
+    def test_nonfinite_history_detected(self, name, value):
+        # one bad entry in any history array reaches the energy and
+        # ||grad mu||^2 of the next step
         grid = Grid(2, 2.0 * np.pi, 8)
-        bad = np.ones(grid.shape)
-        bad[0, 0] = np.inf
-        state = init_state(SpectralField.constant(grid, 0.2), 0.5)
-        from dataclasses import replace
-
-        state = replace(state, phi_bar_prev1=SpectralField(grid, physical=bad))
-        with np.errstate(invalid="ignore"), pytest.raises(NonfiniteFieldError, match="nonfinite"):
+        state, _ = advance(init_state(rough_field(grid, 13), 0.5), 0.01)
+        bad = getattr(state, name).copy()
+        bad[1, 2] = value
+        state = replace(state, **{name: bad})
+        with np.errstate(all="ignore"), pytest.raises(NonfiniteFieldError, match="nonfinite field after step 2"):
             advance(state, 0.01)
 
 
@@ -208,11 +232,11 @@ class TestInvariants:
         # mean is eta times the initial mean
         grid = Grid(2, 2.0 * np.pi, 16)
         phi0 = rough_field(grid, 9, lo=0.0, hi=1.0)
-        mean0 = phi0.mean()
+        mean0 = phi0.coefficients[0, 0].real
         state = init_state(phi0, 0.7)
         state, rec = advance(state, 0.05)
-        assert np.isclose(state.phi_bar_prev1.mean(), mean0, atol=1e-14)
-        assert np.isclose(state.phi_prev1.mean(), rec.eta * mean0, rtol=1e-12)
+        assert np.isclose(state.phi_bar_hat1[0, 0].real, mean0, atol=1e-14)
+        assert np.isclose(state.phi1.mean(), rec.eta * mean0, rtol=1e-12)
 
     def test_large_steps_stay_stable(self):
         # unconditional: gamma decays even for tau far beyond accuracy range
@@ -222,7 +246,7 @@ class TestInvariants:
         for tau in (0.5, 0.5, 0.5, 0.5):
             state, rec = advance(state, tau)
             assert rec.gamma <= gamma_prev
-            assert np.all(np.isfinite(state.phi_prev1.physical))
+            assert np.all(np.isfinite(state.phi1))
             gamma_prev = rec.gamma
 
 
@@ -261,31 +285,33 @@ class TestDenseOracle:
         state = random_state(grid, eps=0.6 + 0.1 * seed, seed=seed)
         tau = 0.012 + 0.003 * seed
         ref = dense_advance(state, tau)
-        phi_bar = linear_solve(state, tau)
-        assert np.abs(phi_bar.coefficients - half_spectrum(grid, ref["phi_bar_hat"])).max() < 1e-12
-        e_bar = energy(phi_bar, state.eps)
+        pb_hat = linear_solve(state, tau)
+        assert np.abs(pb_hat - half_spectrum(grid, ref["phi_bar_hat"])).max() < 1e-12
+        pb = inverse(pb_hat, grid.shape)
+        e_bar = energy(grid, pb, pb_hat, state.eps)
         assert np.isclose(e_bar, ref["energy"], rtol=1e-12)
         f_term = _extrapolated_nonlinearity(state, tau)
-        gamma_n, grad_mu_sq = gamma_update(state.gamma, tau, phi_bar, f_term, e_bar)
+        gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
         assert np.isclose(gamma_n, ref["gamma"], rtol=1e-12)
         assert np.isclose(grad_mu_sq, ref["grad_mu_sq"], rtol=1e-12)
-        xi, eta, phi_n = relax(phi_bar, gamma_n, e_bar)
+        xi, eta, phi_n = relax(pb, gamma_n, e_bar)
         assert np.isclose(xi, ref["xi"], rtol=1e-12)
         assert np.isclose(eta, ref["eta"], rtol=1e-12)
-        assert np.abs(phi_n.coefficients - half_spectrum(grid, ref["phi_hat"])).max() < 1e-12
+        assert np.abs(forward(phi_n) - half_spectrum(grid, ref["phi_hat"])).max() < 1e-12
         new_state, rec = advance(state, tau)
         assert np.isclose(rec.gamma, ref["gamma"], rtol=1e-12)
         assert np.isclose(rec.xi, ref["xi"], rtol=1e-12)
         assert np.isclose(rec.eta, ref["eta"], rtol=1e-12)
         phi_hat = half_spectrum(grid, ref["phi_hat"])
-        assert np.abs(new_state.phi_prev1.coefficients - phi_hat).max() < 1e-12
+        assert np.abs(forward(new_state.phi1) - phi_hat).max() < 1e-12
 
 
 class TestRecordValidation:
     def make_records(self, steps=20):
         grid = Grid(2, 2.0 * np.pi, 16)
-        state = init_state(rough_field(grid, 11), 0.8)
-        gamma0, mass0 = state.gamma, state.phi_prev1.integral()
+        phi0 = rough_field(grid, 11)
+        state = init_state(phi0, 0.8)
+        gamma0, mass0 = state.gamma, phi0.integral()
         records = []
         mesh = random_mesh(0.2, steps, seed=11)
         for n in range(1, steps + 1):
@@ -298,40 +324,30 @@ class TestRecordValidation:
         assert validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume) == []
 
     def test_gamma_increase_detected(self):
-        from dataclasses import replace
-
         records, gamma0, mass0, volume = self.make_records()
         records[5] = replace(records[5], gamma=records[4].gamma * 1.01)
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume)
         assert any("gamma increased" in p for p in problems)
 
     def test_identity_mismatch_detected(self):
-        from dataclasses import replace
-
         records, gamma0, mass0, volume = self.make_records()
         records[3] = replace(records[3], dissipation=records[3].dissipation * 2.0 + 1.0)
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume)
         assert any("dissipation" in p for p in problems)
 
     def test_mass_drift_detected(self):
-        from dataclasses import replace
-
         records, gamma0, mass0, volume = self.make_records()
         records[7] = replace(records[7], mass=records[7].mass + 1.0)
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume)
         assert any("mass drifted" in p for p in problems)
 
     def test_nonfinite_detected(self):
-        from dataclasses import replace
-
         records, gamma0, mass0, volume = self.make_records()
         records[2] = replace(records[2], energy=np.nan)
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume)
         assert any("nonfinite" in p for p in problems)
 
     def test_ratio_cap_enforced(self):
-        from dataclasses import replace
-
         records, gamma0, mass0, volume = self.make_records()
         records[9] = replace(records[9], tau=records[8].tau * 6.0)
         problems = validate_records(records, ratio_cap=4.85)

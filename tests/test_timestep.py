@@ -36,7 +36,7 @@ def convolution_matrix(mesh, n):
     """Dense lower-triangular M with M[j-1, k-1] = b^{(j)}_{j-k}."""
     mat = np.zeros((n, n))
     for j in range(1, n + 1):
-        b0, b1 = bdf_weights(mesh.tau(j), mesh.ratio(j))
+        b0, b1 = bdf_weights(mesh.tau(j), mesh.ratios[j - 1])
         mat[j - 1, j - 1] = b0
         if j >= 2:
             mat[j - 1, j - 2] = b1
@@ -88,14 +88,14 @@ class TestRootAndWeights:
         # D2 differentiates linears exactly everywhere and quadratics from
         # the second step on
         mesh = random_mesh(2.0, 30, seed=5)
-        lin = [2.0 * mesh.time(j) + 1.0 for j in range(31)]
-        quad = [mesh.time(j) ** 2 for j in range(31)]
+        lin = [2.0 * mesh.times[j] + 1.0 for j in range(31)]
+        quad = [mesh.times[j] ** 2 for j in range(31)]
         d_lin = bdf2_apply(mesh, lin)
         d_quad = bdf2_apply(mesh, quad)
         for j in range(1, 31):
             assert np.isclose(d_lin[j - 1], 2.0, atol=1e-11)
             if j >= 2:
-                assert np.isclose(d_quad[j - 1], 2.0 * mesh.time(j), atol=1e-10)
+                assert np.isclose(d_quad[j - 1], 2.0 * mesh.times[j], atol=1e-10)
 
     def test_bdf2_apply_needs_two_values(self):
         mesh = TimeMesh([1.0])
@@ -111,9 +111,8 @@ class TestTimeMesh:
         assert np.allclose(mesh.times, [0.0, 0.5, 1.5, 1.75])
         assert mesh.horizon == 1.75
         assert mesh.tau(2) == 1.0
-        assert mesh.time(0) == 0.0
-        assert mesh.ratio(1) == 0.0
-        assert mesh.ratio(3) == 0.25
+        assert mesh.ratios[0] == 0.0
+        assert mesh.ratios[2] == 0.25
         assert mesh.max_ratio == 2.0
 
     def test_index_bounds(self):
@@ -122,8 +121,6 @@ class TestTimeMesh:
             mesh.tau(0)
         with pytest.raises(IndexError):
             mesh.tau(3)
-        with pytest.raises(IndexError):
-            mesh.time(-1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -214,7 +211,7 @@ class TestKernels:
         mesh = random_mesh(3.0, 60, seed=15)
         for n in (1, 2, 33, 60):
             p = dcc_kernels(mesh, n)
-            assert np.isclose(p.sum(), mesh.time(n), rtol=1e-13)
+            assert np.isclose(p.sum(), mesh.times[n], rtol=1e-13)
             assert p.max() <= 2.0 * mesh.steps.max()
 
     def test_residuals_are_tiny(self):

@@ -12,7 +12,7 @@ REPEATS timed runs after the warm-up below.
   from the coarsening initial field (seed 0), takes two untimed warm-up
   steps, then REPEATS timed steps of a fixed size; the median is printed
   with the median of one rfftn plus one irfftn on the same grid, the cost
-  floor of a step.  Transforms use the solver's own worker setting.
+  floor of a step.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory; the quadratic form is
