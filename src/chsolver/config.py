@@ -200,9 +200,13 @@ def _read_pairs(path: str) -> dict[tuple[str, str], object]:
     return pairs
 
 
-def parse_config(path: str, scenario: str | None = None, default_scenario: str | None = None) -> SimConfig:
+def parse_config(
+    path: str, scenario: str | None = None, default_scenario: str | None = None, snapshots: bool = True
+) -> SimConfig:
     """Parse a config file; an explicit scenario argument overrides the file,
-    and default_scenario applies when neither names one."""
+    and default_scenario applies when neither names one.  With
+    snapshots=False (for subcommands that write none) the snapshot times are
+    dropped unchecked."""
     pairs = _read_pairs(path)
 
     name = scenario if scenario is not None else pairs.get(("run", "scenario"), default_scenario)
@@ -221,6 +225,8 @@ def parse_config(path: str, scenario: str | None = None, default_scenario: str |
             key, value = "eps", math.sqrt(value)
         merged[key] = value
     merged.pop("scenario", None)
+    if not snapshots:
+        merged["snapshots"] = ()
     if merged["kind"] not in ("fixed", "random", "adaptive"):
         raise ConfigValidationError(f"unknown policy kind {merged['kind']!r}")
 

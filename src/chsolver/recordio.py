@@ -104,7 +104,7 @@ def write_snapshot(field: SpectralField, path, time: float) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(field.physical, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.physical, dtype="<f8").data)
 
 
 def read_snapshot(path) -> Snapshot:

@@ -90,25 +90,44 @@ def initial_field(scenario: Scenario, grid: Grid) -> SpectralField:
     raise ValueError(f"unknown scenario {name!r}")
 
 
-def run_scenario(scenario: Scenario):
+def run_scenario(scenario: Scenario, sink=None):
     """Run to the horizon; returns (records, snapshots) where snapshots is a
     list of (time, field) pairs at the requested times (time 0 included when
-    requested)."""
+    requested).
+
+    With a sink, nothing is kept: each record goes to sink.record(rec) and
+    each snapshot to sink.snapshot(time, field) as soon as its step
+    completes, and the returned snapshot list is empty.  The time-0
+    snapshot goes out with step 1, so a run the driver rejects before its
+    first step hands the sink nothing.
+    """
     grid = Grid(scenario.dim, scenario.length, scenario.modes)
-    phi0 = initial_field(scenario, grid)
-    state = init_state(phi0, scenario.eps, dealias=scenario.dealias)
     tol = 1e-12 * scenario.horizon
     wanted = sorted(set(scenario.snapshot_times))
-    snapshots = [(t, phi0) for t in wanted if abs(t) <= tol]
+    initial = [t for t in wanted if abs(t) <= tol]
     pending = [t for t in wanted if t > tol]
+    snapshots = []
+    emit = sink.snapshot if sink is not None else lambda t, phi: snapshots.append((t, phi))
 
     def capture(st, rec):
+        if rec.n == 1:
+            # after step 1 the older history level is the initial field
+            for t in initial:
+                emit(t, SpectralField(grid, physical=st.phi2))
         for t in pending:
             if abs(rec.t - t) <= tol:
-                snapshots.append((t, SpectralField(grid, physical=st.phi1)))
+                emit(t, SpectralField(grid, physical=st.phi1))
+        if sink is not None:
+            sink.record(rec)
 
-    state, records = run_with_policy(
-        state, scenario.policy, scenario.horizon, checkpoints=pending, on_step=capture
+    # the driver holds the only reference to the initial state, so its
+    # arrays are freed once they leave the two-level history
+    _, records = run_with_policy(
+        init_state(initial_field(scenario, grid), scenario.eps, dealias=scenario.dealias),
+        scenario.policy,
+        scenario.horizon,
+        checkpoints=pending,
+        on_step=capture,
     )
     return records, snapshots
 

@@ -28,8 +28,9 @@ which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -113,21 +114,47 @@ def inverse(coef: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return _fft.irfftn(coef, s=shape, norm="forward")
 
 
-def parseval_sum(grid: Grid, coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
-    """|Omega| * sum over the full spectrum of symbol_k |u_hat_k|^2, from the
-    half spectrum coef (symbol defaults to 1 and must be even in k)."""
+# Pointwise passes over grid arrays and half spectra run slab by slab along
+# axis 0, each slab of at most this many elements (and at least one plane),
+# so their temporaries stay slab-sized instead of full-sized.
+SLAB_ELEMENTS = 2**17
+
+
+def slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """Slices along axis 0 that cut an array of the given shape into slabs
+    of at most SLAB_ELEMENTS elements (at least one plane each)."""
+    return _slabs(shape, SLAB_ELEMENTS)
+
+
+@lru_cache(maxsize=64)
+def _slabs(shape: tuple[int, ...], cap: int) -> tuple[slice, ...]:
+    rows = max(1, cap // math.prod(shape[1:]))
+    return tuple(slice(i, i + rows) for i in range(0, shape[0], rows))
+
+
+def parseval_terms(coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
+    """sum over the full spectrum of symbol_k |u_hat_k|^2 for the rows coef
+    of a half spectrum (any slab along axis 0), without the |Omega| factor."""
     sq = np.abs(coef)
     sq *= sq
     if symbol is not None:
         sq *= symbol
     # planes 0 and N/2 of the last axis are their own mirrors; the rest count twice
-    total = 2.0 * sq.sum() - sq[..., 0].sum() - sq[..., -1].sum()
-    return grid.volume * float(total)
+    return float(2.0 * sq.sum() - sq[..., 0].sum() - sq[..., -1].sum())
 
 
-def _cubic(u: np.ndarray, eps: float) -> np.ndarray:
-    """(u^3 - u)/eps^2 as a new array, by in-place ufuncs."""
-    w = u * u
+def parseval_sum(grid: Grid, coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
+    """|Omega| * sum over the full spectrum of symbol_k |u_hat_k|^2, from the
+    half spectrum coef (symbol defaults to 1 and must be even in k)."""
+    total = 0.0
+    for s in slabs(coef.shape):
+        total += parseval_terms(coef[s], None if symbol is None else symbol[s])
+    return grid.volume * total
+
+
+def cubic(u: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(u^3 - u)/eps^2 by in-place ufuncs, into out (a new array by default)."""
+    w = np.multiply(u, u, out=out)
     w -= 1.0
     w *= u
     w /= eps**2
@@ -146,7 +173,7 @@ def cubic_coefficients(grid: Grid, u: np.ndarray, eps: float, dealias: bool = Fa
         raise ValueError(f"eps must be positive, got {eps}")
     if dealias:
         return _dealiased_cubic(grid, forward(u), eps)
-    return forward(_cubic(u, eps))
+    return forward(cubic(u, eps))
 
 
 def _dealiased_cubic(grid: Grid, coef: np.ndarray, eps: float) -> np.ndarray:
@@ -165,7 +192,7 @@ def _dealiased_cubic(grid: Grid, coef: np.ndarray, eps: float) -> np.ndarray:
             dst = tuple(b[1] for b in combo) + (slice(0, m),)
             pad[dst] += coef[src]
     pad *= 0.5
-    w_hat = forward(_cubic(inverse(pad, (fine,) * dim), eps))
+    w_hat = forward(cubic(inverse(pad, (fine,) * dim), eps))
     out = np.zeros(grid.spectral_shape, dtype=np.complex128)
     blocks = ((slice(0, half), slice(0, half)), (slice(half + 1, n), slice(fine - half + 1, fine)))
     for combo in product(blocks, repeat=dim - 1):

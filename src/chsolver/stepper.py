@@ -20,11 +20,25 @@ Substeps, in order:
      phi_n = eta * phi_bar.
 
 gamma is positive and non-increasing for every step size, and the mode-0
-equation reduces to pb_hat_0 = ph1_hat_0, so (phi_bar, 1) is conserved.
+equation reduces to pb_hat_0 = ph1_hat_0, so (phi_bar, 1) is conserved;
+the solve sets that mode to ph1_hat_0 exactly.
 
 A step works on plain arrays and makes two real transforms: one rfftn of
 f, one irfftn of pb_hat, whose grid values give the double-well energy and
-phi_n.
+phi_n.  Everything else is pointwise and runs slab by slab along axis 0,
+each slab at most spectral.SLAB_ELEMENTS elements (2^17; a 2d N=128 grid
+is one slab):
+
+  - the extrapolation and the cubic, written into the rfftn input f;
+  - the solve, written into the new history array pb_hat, with the
+    ||grad mu||^2 sum of each slab taken as soon as it is solved, so f_hat
+    is freed before the irfftn;
+  - the well energy and both Parseval sums.
+
+So only f, f_hat, pb_hat and the irfftn output pb are full-size, and relax
+scales pb in place into phi_n.  advance calls energy and relax; the public
+linear_solve and gamma_update run the same slab helpers as its fused
+solve, so composing the four substeps reproduces advance bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +47,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, cubic_coefficients, inverse, parseval_sum
+from .spectral import (
+    Grid,
+    SpectralField,
+    cubic,
+    cubic_coefficients,
+    forward,
+    inverse,
+    parseval_sum,
+    parseval_terms,
+    slabs,
+)
 from .timestep import bdf_weights
 
 
@@ -85,10 +109,14 @@ def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
     u_hat: gradient part from u_hat, double-well part by quadrature of u."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w = u * u
-    w -= 1.0
-    w *= w
-    well = float(w.sum()) * grid.cell_volume / (4.0 * eps**2)
+    well = 0.0
+    for s in slabs(u.shape):
+        u_s = u[s]
+        w = u_s * u_s
+        w -= 1.0
+        w *= w
+        well += float(w.sum())
+    well = well * grid.cell_volume / (4.0 * eps**2)
     return 0.5 * parseval_sum(grid, u_hat, grid.k_squared) + well
 
 
@@ -108,34 +136,72 @@ def _step_ratio(state: GsavState, tau_n: float) -> float:
 def _extrapolated_nonlinearity(state: GsavState, tau_n: float) -> np.ndarray:
     """Half-spectrum coefficients of f(B phi^{n-1}), where
     B u = (1+r) u^{n-1} - r u^{n-2} = u^{n-1} + r (u^{n-1} - u^{n-2})
-    and B u^0 = u^0."""
+    and B u^0 = u^0.  B phi and f(B phi) are formed slab by slab into the
+    transform's input; the dealiased cubic needs all of B phi at once."""
     r = _step_ratio(state, tau_n)
-    u = state.phi1
-    if state.step_index > 0:
-        u = u - state.phi2
+    u1, u2 = state.phi1, state.phi2
+
+    def extrapolated(s):
+        if state.step_index == 0:
+            return u1[s]
+        u1_s = u1[s]
+        u = u1_s - u2[s]
         u *= r
-        u += state.phi1
-    return cubic_coefficients(state.grid, u, state.eps, dealias=state.dealias)
+        u += u1_s
+        return u
+
+    if state.dealias:
+        return cubic_coefficients(state.grid, extrapolated(slice(None)), state.eps, dealias=True)
+    f = np.empty(state.grid.shape)
+    for s in slabs(f.shape):
+        cubic(extrapolated(s), state.eps, out=f[s])
+    return forward(f)
 
 
-def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> np.ndarray:
+def _grad_mu_terms(k2: np.ndarray, pb_hat: np.ndarray, f_hat: np.ndarray) -> float:
+    """||grad mu||^2 / |Omega| over rows of the half spectrum, for
+    mu_hat = |k|^2 pb_hat + f_hat."""
+    mu_hat = k2 * pb_hat
+    mu_hat += f_hat
+    return parseval_terms(mu_hat, k2)
+
+
+def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> tuple[np.ndarray, float]:
+    """(pb_hat, ||grad mu||^2): the half spectrum of the auxiliary field and
+    the dissipation rate of substep 2, summed slab by slab as each slab of
+    pb_hat is solved."""
     r = _step_ratio(state, tau_n)
     b0, b1 = bdf_weights(tau_n, r)
-    k2 = state.grid.k_squared
-    c1 = state.phi_bar_hat1
-    # (b0 c1 - b1 (c1 - c2) - |k|^2 f_hat) / (b0 + |k|^4)
-    coef = c1 - state.phi_bar_hat2
-    coef *= -b1
-    coef += b0 * c1
-    coef -= k2 * f_hat
-    inv = b0 + k2 * k2
-    coef *= np.reciprocal(inv, out=inv)
-    return coef
+    grid = state.grid
+    c1, c2, k2 = state.phi_bar_hat1, state.phi_bar_hat2, grid.k_squared
+    zero = (0,) * grid.dim
+    pb_hat = np.empty_like(c1)
+    gm = 0.0
+    for s in slabs(pb_hat.shape):
+        c1_s, k2_s, f_s = c1[s], k2[s], f_hat[s]
+        # (b0 c1 - b1 (c1 - c2) - |k|^2 f_hat) / (b0 + |k|^4)
+        out = np.subtract(c1_s, c2[s], out=pb_hat[s])
+        out *= -b1
+        out += b0 * c1_s
+        out -= k2_s * f_s
+        inv = k2_s * k2_s
+        inv += b0
+        out *= np.reciprocal(inv, out=inv)
+        if s.start == 0:
+            # the mode-0 equation reduces to pb_hat_0 = c1_0; dividing by b0
+            # would move a constant field by an ulp per step
+            out[zero] = c1[zero]
+        gm += _grad_mu_terms(k2_s, out, f_s)
+    return pb_hat, grid.volume * gm
 
 
 def linear_solve(state: GsavState, tau_n: float) -> np.ndarray:
     """Half spectrum of the auxiliary field after the implicit solve (substep 1)."""
-    return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))
+    return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))[0]
+
+
+def _contracted(gamma_prev: float, tau_n: float, gm: float, e_bar: float) -> float:
+    return gamma_prev / (1.0 + tau_n * gm / (e_bar + 1.0))
 
 
 def gamma_update(
@@ -145,19 +211,24 @@ def gamma_update(
 
     pb_hat and e_bar are the auxiliary field's half spectrum and energy,
     f_hat the nonlinearity the solve used; ||grad mu||^2 for
-    mu = -lap(phi_bar) + f is summed in coefficient space.
+    mu = -lap(phi_bar) + f is summed in coefficient space, slab by slab as
+    advance sums it while solving.
     """
-    mu_hat = grid.k_squared * pb_hat
-    mu_hat += f_hat
-    gm = parseval_sum(grid, mu_hat, grid.k_squared)
-    return gamma_prev / (1.0 + tau_n * gm / (e_bar + 1.0)), gm
+    k2 = grid.k_squared
+    gm = 0.0
+    for s in slabs(pb_hat.shape):
+        gm += _grad_mu_terms(k2[s], pb_hat[s], f_hat[s])
+    gm = grid.volume * gm
+    return _contracted(gamma_prev, tau_n, gm, e_bar), gm
 
 
 def relax(pb: np.ndarray, gamma_n: float, e_bar: float) -> tuple[float, float, np.ndarray]:
-    """(xi, eta, eta * pb) for the auxiliary grid values pb (substep 3)."""
+    """(xi, eta, pb) for the auxiliary grid values pb, which are scaled by
+    eta in place (substep 3)."""
     xi = gamma_n / (e_bar + 1.0)
     eta = xi * (2.0 - xi)
-    return xi, eta, eta * pb
+    pb *= eta
+    return xi, eta, pb
 
 
 def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
@@ -165,13 +236,14 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     grid = state.grid
     n = state.step_index + 1
     f_hat = _extrapolated_nonlinearity(state, tau_n)
-    pb_hat = _solve(state, tau_n, f_hat)
+    pb_hat, gm = _solve(state, tau_n, f_hat)
+    del f_hat  # freed before the inverse transform allocates its output
     pb = inverse(pb_hat, grid.shape)
     e_bar = energy(grid, pb, pb_hat, state.eps)
-    gamma_n, gm = gamma_update(grid, state.gamma, tau_n, pb_hat, f_hat, e_bar)
     # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
     if not (np.isfinite(e_bar) and np.isfinite(gm)):
         raise NonfiniteFieldError(f"nonfinite field after step {n}")
+    gamma_n = _contracted(state.gamma, tau_n, gm, e_bar)
     xi, eta, phi_n = relax(pb, gamma_n, e_bar)
     record = StepRecord(
         n=n,

@@ -52,6 +52,48 @@ class TestSimulate:
         # rows 4 and 8 plus the always-written final row
         assert [rec.n for rec in records] == [4, 8, 10]
 
+    def test_crash_keeps_the_streamed_rows(self, tmp_path, capsys, monkeypatch):
+        # rows and snapshots are written as the run goes, so a failure at
+        # step 7 leaves steps 1-6 on disk, and they pass the check
+        import chsolver.policies as policies
+
+        cfg = write_cfg(tmp_path, EQUILIBRIUM_CFG)
+        out = tmp_path / "out"
+        real_advance = policies.advance
+
+        def failing_advance(state, tau):
+            if state.step_index + 1 == 7:
+                raise RuntimeError("injected failure")
+            return real_advance(state, tau)
+
+        monkeypatch.setattr(policies, "advance", failing_advance)
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert [rec.n for rec in read_records(out / "records.csv")] == [1, 2, 3, 4, 5, 6]
+        assert [read_snapshot(out / f"snap_{i:03d}.bin").time for i in range(2)] == [0.0, 0.05]
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+
+    def test_rows_reach_the_file_within_the_flush_interval(self, tmp_path, monkeypatch):
+        # with no interval every kept row is on disk before the next step starts
+        import chsolver.cli as cli
+        import chsolver.policies as policies
+
+        cfg = write_cfg(tmp_path, EQUILIBRIUM_CFG + "record_every = 2\n")
+        out = tmp_path / "out"
+        real_advance = policies.advance
+        seen = []
+
+        def watching_advance(state, tau):
+            path = out / "records.csv"
+            seen.append([r.n for r in read_records(path)] if path.exists() else None)
+            return real_advance(state, tau)
+
+        monkeypatch.setattr(cli, "ROW_FLUSH_SECONDS", 0.0)
+        monkeypatch.setattr(policies, "advance", watching_advance)
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        assert seen[:5] == [None, [], [2], [2], [2, 4]]
+        assert [r.n for r in read_records(out / "records.csv")] == [2, 4, 6, 8, 10]
+
     def test_scenario_flag_overrides_file(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\nhorizon = 0.05\n")
         out = tmp_path / "out"
@@ -69,8 +111,10 @@ class TestConverge:
         out = tmp_path / "out"
         assert main(["converge", cfg, "--outdir", str(out)]) == 0
         lines = (out / "convergence.csv").read_text().splitlines()
-        assert lines[0] == "K,tau,h1_error,h1_order,gamma_error,gamma_order,max_ratio"
+        assert lines[0] == "K,tau,h1_error,h1_order,gamma_error,gamma_order,max_ratio,xi_dev"
         assert len(lines) == 3
+        # xi_dev = max |1 - xi| over the level's run: small, and never exactly 0 here
+        assert all(0.0 < float(line.split(",")[7]) < 1e-2 for line in lines[1:])
         assert lines[1].startswith("8,")
         assert lines[2].startswith("16,")
         assert "K=" in capsys.readouterr().out
@@ -85,8 +129,7 @@ class TestConverge:
 
     def test_file_scenario_is_honoured(self, tmp_path):
         # the stationary scenario keeps gamma = 1 exactly, so every gamma
-        # error is 0 and has no order; the field stays 1 up to the rounding
-        # of the mode-0 solve (the bubble would give errors of order 1)
+        # error is 0 and has no order (the bubble would give errors of order 1)
         cfg = write_cfg(
             tmp_path,
             "scenario = equilibrium\nn = 16\n[converge]\nbase_k = 4\nlevels = 2\nref_steps = 20\n",
@@ -100,8 +143,44 @@ class TestConverge:
             assert float(r[4]) == 0.0 and r[5] == "nan"
         assert rows[0][3] == "nan"
 
+    def test_equilibrium_errors_are_exactly_zero(self, tmp_path):
+        # the pure phase is a fixed point of every step, bit for bit, so
+        # every error is 0 and no order is computed from rounding noise
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = equilibrium\nn = 16\n[converge]\nbase_k = 8\nlevels = 2\nref_steps = 200\n",
+        )
+        out = tmp_path / "out"
+        assert main(["converge", cfg, "--outdir", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["8", "16"]
+        for r in rows:
+            assert float(r[2]) == 0.0 and float(r[4]) == 0.0
+            assert r[3] == "nan" and r[5] == "nan"
+            assert float(r[7]) == 0.0
+
+    def test_preset_snapshots_beyond_a_short_horizon_are_ignored(self, tmp_path):
+        # coarsening2d presets snapshots up to t = 3; converge writes none
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = coarsening2d\nn = 16\nhorizon = 0.02\n"
+            "[converge]\nbase_k = 4\nlevels = 1\nref_steps = 8\n",
+        )
+        out = tmp_path / "out"
+        assert main(["converge", cfg, "--outdir", str(out)]) == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 2
+        assert not list(out.glob("snap_*"))
+
 
 class TestKernels:
+    def test_preset_snapshots_beyond_a_short_horizon_are_ignored(self, tmp_path):
+        cfg = write_cfg(tmp_path, "scenario = coarsening2d\nhorizon = 0.02\n[kernels]\nmax_n = 10\n")
+        out = tmp_path / "out"
+        assert main(["kernels", cfg, "--outdir", str(out)]) == 0
+        assert len((out / "kernel_residuals.csv").read_text().splitlines()) == 11
+        # simulate still checks the preset times against the horizon
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 1
+
     def test_writes_kernels_and_residuals(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 30\n")
         out = tmp_path / "out"

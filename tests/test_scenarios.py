@@ -169,6 +169,75 @@ class TestScenarioRuns:
         assert all(np.isfinite(rec.gamma) for rec in records)
 
 
+class _ListSink:
+    def __init__(self, keep=True):
+        self.keep = keep
+        self.events = []
+
+    def record(self, rec):
+        self.events.append(("record", rec.n))
+
+    def snapshot(self, t, field):
+        self.events.append(("snapshot", t, field.physical.copy() if self.keep else None))
+
+
+class TestStreamingAndRelease:
+    def test_sink_gets_records_and_snapshots_as_they_happen(self):
+        sc = Scenario(
+            "coarsening2d", 2, 16, 2.0 * np.pi, 0.3, 0.05, FixedStep(0.01), seed=2,
+            snapshot_times=(0.0, 0.02, 0.05),
+        )
+        kept_records, kept = run_scenario(sc)
+        sink = _ListSink()
+        records, snapshots = run_scenario(sc, sink)
+        assert snapshots == []
+        assert records == kept_records
+        # the time-0 snapshot goes out with step 1; a step's snapshot precedes its record
+        assert [e[:2] for e in sink.events] == [
+            ("snapshot", 0.0), ("record", 1), ("snapshot", 0.02), ("record", 2),
+            ("record", 3), ("record", 4), ("snapshot", 0.05), ("record", 5),
+        ]
+        got = [e[2] for e in sink.events if e[0] == "snapshot"]
+        for (t, field), values in zip(kept, got):
+            assert np.array_equal(field.physical, values)
+        assert np.array_equal(got[0], initial_field(sc, Grid(2, 2.0 * np.pi, 16)).physical)
+
+    @pytest.mark.parametrize("times,sink", [((), None), ((0.0, 0.04), _ListSink(keep=False))])
+    def test_initial_state_is_released_after_step_two(self, monkeypatch, times, sink):
+        # once the two-level history has moved past the initial field,
+        # nothing in the run may keep its arrays alive
+        import gc
+        import weakref
+
+        import chsolver.policies as policies
+        import chsolver.scenarios as scenarios
+
+        refs, alive = [], {}
+        real_init, real_advance = scenarios.init_state, policies.advance
+
+        def tracked_init(*args, **kwargs):
+            state = real_init(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in (state.phi1, state.phi_bar_hat1))
+            refs.append(weakref.ref(state))
+            return state
+
+        def checked_advance(state, tau):
+            if state.step_index == 2:
+                gc.collect()
+                alive[2] = sum(r() is not None for r in refs)
+            return real_advance(state, tau)
+
+        monkeypatch.setattr(scenarios, "init_state", tracked_init)
+        monkeypatch.setattr(policies, "advance", checked_advance)
+        sc = Scenario(
+            "coarsening2d", 2, 16, 2.0 * np.pi, 0.3, 0.05, FixedStep(0.01), seed=2,
+            snapshot_times=times,
+        )
+        run_scenario(sc) if sink is None else run_scenario(sc, sink)
+        assert len(refs) == 3
+        assert alive == {2: 0}
+
+
 class TestOrderComputation:
     def test_exact_halving(self):
         assert order_of(4e-4, 1e-4, 2e-3, 1e-3) == pytest.approx(2.0)

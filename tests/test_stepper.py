@@ -355,3 +355,58 @@ class TestRecordValidation:
 
     def test_empty_stream_flagged(self):
         assert validate_records([]) == ["no records"]
+
+
+class TestWorkingSet:
+    def test_constant_field_is_bitwise_stationary(self):
+        # mode 0 of the solve is pinned to the history's, so a pure phase
+        # does not drift by an ulp per step (dividing by b0 did, on this mesh)
+        mesh = random_mesh(0.1, 16, seed=3)
+        for dim, n in ((2, 16), (3, 8)):
+            grid = Grid(dim, 2.0 * np.pi, n)
+            state = init_state(SpectralField.constant(grid, 1.0), 1.0)
+            for k in range(1, mesh.count + 1):
+                state, rec = advance(state, mesh.tau(k))
+            assert np.array_equal(state.phi1, np.ones(grid.shape))
+            assert state.phi_bar_hat1[(0,) * dim] == 1.0
+            assert rec.mass == grid.volume
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_slab_count_does_not_change_the_step(self, monkeypatch, dealias):
+        # the blocking is invisible up to the rounding of the slab-wise sums
+        import chsolver.spectral as spectral
+
+        grid = Grid(3, 2.0 * np.pi, 16)
+        state, _ = advance(init_state(rough_field(grid, 14), 0.7, dealias=dealias), 0.01)
+        whole, whole_rec = advance(state, 0.013)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 16 * 16)
+        assert len(spectral.slabs(grid.shape)) == 8
+        sliced, sliced_rec = advance(state, 0.013)
+        assert np.array_equal(sliced.phi_bar_hat1, whole.phi_bar_hat1)
+        assert np.allclose(sliced.phi1, whole.phi1, rtol=1e-14, atol=1e-14)
+        for name in ("gamma", "energy", "xi", "eta", "mass", "dissipation"):
+            assert getattr(sliced_rec, name) == pytest.approx(getattr(whole_rec, name), rel=1e-14)
+
+    def test_peak_inside_advance_is_bounded(self, monkeypatch):
+        # a step keeps alive only the transform's input and outputs and the
+        # new history arrays, plus slab-sized temporaries
+        import tracemalloc
+
+        import chsolver.spectral as spectral
+
+        grid = Grid(3, 2.0 * np.pi, 32)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 32 * 32)
+        assert len(spectral.slabs(grid.shape)) == 16
+        assert len(spectral.slabs(grid.spectral_shape)) >= 8
+        state = init_state(rough_field(grid, 15), 0.6)
+        for _ in range(2):
+            state, _ = advance(state, 0.01)
+        full = 8 * 32**3
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            state, _ = advance(state, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / full <= 2.5

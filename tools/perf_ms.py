@@ -12,7 +12,11 @@ REPEATS timed runs after the warm-up below.
   from the coarsening initial field (seed 0), takes two untimed warm-up
   steps, then REPEATS timed steps of a fixed size; the median is printed
   with the median of one rfftn plus one irfftn on the same grid, the cost
-  floor of a step.
+  floor of a step.  Then come two medians over REPEATS further steps each:
+  the minor page faults of one step (ru_minflt), and the peak memory
+  tracemalloc sees inside one step above what was allocated at its entry,
+  in units of one float64 grid array.  tracemalloc sees numpy's arrays but
+  not the transforms' internal buffers.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory; the quadratic form is
@@ -23,10 +27,12 @@ REPEATS timed runs after the warm-up below.
 import argparse
 import contextlib
 import io
+import resource
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 GRIDS = ((2, 128), (2, 256), (2, 512), (3, 64), (3, 128))
@@ -44,13 +50,35 @@ def median_ms(fn):
     return statistics.median(times)
 
 
+def median_faults(fn):
+    counts = []
+    for _ in range(REPEATS):
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn()
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+    return statistics.median(counts)
+
+
+def median_peak_bytes(fn):
+    peaks = []
+    for _ in range(REPEATS):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+    return statistics.median(peaks)
+
+
 def advance_table():
     import numpy as np
     from scipy import fft
 
     from chsolver import Grid, advance, ic_random, init_state
 
-    print("grid      ms/advance  ms/(rfftn+irfftn)")
+    print("grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array")
     for dim, n in GRIDS:
         grid = Grid(dim, 2.0 * np.pi, n)
         state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
@@ -63,7 +91,10 @@ def advance_table():
 
         x = np.random.default_rng(0).normal(size=grid.shape)
         floor = median_ms(lambda: fft.irfftn(fft.rfftn(x), s=x.shape))
-        print(f"{dim}d N={n:<4d} {median_ms(step):10.2f}  {floor:10.2f}")
+        ms = median_ms(step)
+        faults = median_faults(step)
+        peak = median_peak_bytes(step) / (8 * n**dim)
+        print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}")
 
 
 def kernels_table():
