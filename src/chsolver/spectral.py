@@ -24,6 +24,12 @@ spectrum therefore weight the half spectrum by 1 on those two planes and by
     ||u||_L2^2 = |Omega| * sum_k w_k |u_hat_k|^2,   w_k in {1, 2},
 
 which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
+
+scipy.fft is imported at the first transform, not with this module, so a
+command that transforms nothing (``kernels``, ``check --records``) never
+loads it.  ``forward`` and ``inverse`` look up ``rfftn``/``irfftn`` on the
+scipy.fft module at every call, so ``scipy.fft.set_workers`` and anything
+that wraps those functions there reach every transform.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
-from scipy import fft as _fft
 
 
 @dataclass(frozen=True)
@@ -106,12 +111,16 @@ class Grid:
 
 def forward(u: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of the real grid array u."""
-    return _fft.rfftn(u, norm="forward")
+    from scipy import fft
+
+    return fft.rfftn(u, norm="forward")
 
 
 def inverse(coef: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Real grid array of the given shape from its half-spectrum coefficients."""
-    return _fft.irfftn(coef, s=shape, norm="forward")
+    from scipy import fft
+
+    return fft.irfftn(coef, s=shape, norm="forward")
 
 
 # Pointwise passes over grid arrays and half spectra run slab by slab along

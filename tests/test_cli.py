@@ -266,6 +266,14 @@ class TestCheck:
         main(["simulate", cfg, "--outdir", str(out)])
         assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
 
+    def test_preset_snapshots_beyond_a_short_horizon_are_ignored(self, tmp_path, capsys):
+        # coarsening2d presets snapshots up to t = 3; check writes none
+        cfg = write_cfg(tmp_path, "scenario = coarsening2d\nn = 16\nhorizon = 0.02\n")
+        assert main(["check", cfg]) == 0
+        assert "check passed" in capsys.readouterr().out
+        # simulate still checks the preset times against the horizon
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 1
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):

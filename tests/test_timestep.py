@@ -7,6 +7,9 @@ over random meshes, and the positivity chain is exercised by Monte Carlo
 over random admissible meshes.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,8 +59,18 @@ def dense_kernels(mesh, n):
 class TestRootAndWeights:
     def test_r_max_value(self):
         r = r_max_root()
-        assert abs(r - R_MAX) < 1e-14
+        assert r == R_MAX
         assert abs(r**3 - (2.0 * r + 1.0) ** 2) < 1e-10
+
+    def test_r_max_is_the_correctly_rounded_root(self):
+        def residual(x):
+            x = Fraction(x)
+            return x**3 - (2 * x + 1) ** 2
+
+        r = r_max_root()
+        up = math.nextafter(r, 5.0)
+        assert residual(r) < 0 < residual(up)
+        assert abs(residual(r)) < abs(residual(up))
 
     def test_backward_euler_weights(self):
         assert bdf_weights(0.5, 0.0) == (2.0, 0.0)

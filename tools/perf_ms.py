@@ -1,4 +1,4 @@
-"""Milliseconds per solver step, per kernels pass and per quadratic-form check.
+"""Milliseconds per solver step, kernels pass, quadratic-form check and cold start.
 
 Usage:
 
@@ -22,13 +22,19 @@ REPEATS timed runs after the warm-up below.
   kernel_residuals.csv into a temporary directory; the quadratic form is
   checked on random_mesh(1, MAX_N, SEED) with standard normal weights.
   Each is run once untimed first.
+- cold start: the wall time of a fresh interpreter, from spawn to exit, for
+  bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
+  max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
+  difference between rows is what each layer imports and runs.
 """
 
 import argparse
 import contextlib
 import io
+import os
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -125,6 +131,29 @@ def kernels_table():
         print(f"quadratic_form_check (n = {MAX_N}): {median_ms(form):9.1f} ms")
 
 
+def cold_start_table(src):
+    with tempfile.TemporaryDirectory() as tmp:
+        kernels_cfg = Path(tmp) / "kernels.cfg"
+        kernels_cfg.write_text(f"scenario = convergence\nseed = {SEED}\n[kernels]\nmax_n = 30\n")
+        simulate_cfg = Path(tmp) / "simulate.cfg"
+        simulate_cfg.write_text("scenario = kissing_bubbles\nn = 32\nhorizon = 0.01\n[output]\nsnapshots = 0.0\n")
+        out = str(Path(tmp) / "out")
+        cli = ["-m", "chsolver.cli"]
+        commands = (
+            ("python -c pass", ["-c", "pass"]),
+            ("import chsolver", ["-c", "import chsolver"]),
+            ("chsolver kernels (max_n = 30)", [*cli, "kernels", str(kernels_cfg), "--outdir", out]),
+            ("chsolver simulate (2d N = 32)", [*cli, "simulate", str(simulate_cfg), "--outdir", out]),
+        )
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
+        for label, args in commands:
+            ms = median_ms(
+                lambda: subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+            )
+            print(f"cold start, {label + ':':31s} {ms:7.1f} ms")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
@@ -132,6 +161,7 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     advance_table()
     kernels_table()
+    cold_start_table(args.src)
 
 
 if __name__ == "__main__":
