@@ -28,13 +28,27 @@ which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
 scipy.fft is imported at the first transform, not with this module, so a
 command that transforms nothing (``kernels``, ``check --records``) never
 loads it.  ``forward`` and ``inverse`` look up ``rfftn``/``irfftn`` on the
-scipy.fft module at every call, so ``scipy.fft.set_workers`` and anything
-that wraps those functions there reach every transform.
+scipy.fft module at every call, so anything that wraps those functions
+there reaches every transform.
+
+A step uses every core the process may run on (CORES, from its CPU
+affinity).  Transforms of grids with at least 2^18 points pass
+``workers=CORES``; smaller ones are called as before, with scipy's default.
+Pointwise passes run slab by slab along axis 0 (``slabs``, at most
+SLAB_ELEMENTS = 2^15 elements each), and ``slab_map`` shares the slabs of a
+multi-slab pass between the calling thread and CORES - 1 pool threads,
+started at the first such pass; numpy releases the GIL inside the slab
+arithmetic.  Results come back in slab order, ``slab_sum`` adds per-slab
+scalars in that order, and neither the transforms' output nor the slabs
+depend on the thread count, so neither does any result.  A process confined
+to one core (``taskset -c 0``) takes the serial path: plain loops, no
+threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -109,24 +123,44 @@ class Grid:
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
 
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The cores this process may run on: the transform workers of large grids
+# and the threads of slab_map.
+CORES = _cores()
+
+# Grids with at least this many points are transformed with CORES workers.
+PARALLEL_FFT_POINTS = 2**18
+
+
+def _workers(points: int) -> dict:
+    return {"workers": CORES} if points >= PARALLEL_FFT_POINTS else {}
+
+
 def forward(u: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of the real grid array u."""
     from scipy import fft
 
-    return fft.rfftn(u, norm="forward")
+    return fft.rfftn(u, norm="forward", **_workers(u.size))
 
 
 def inverse(coef: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Real grid array of the given shape from its half-spectrum coefficients."""
     from scipy import fft
 
-    return fft.irfftn(coef, s=shape, norm="forward")
+    return fft.irfftn(coef, s=shape, norm="forward", **_workers(math.prod(shape)))
 
 
 # Pointwise passes over grid arrays and half spectra run slab by slab along
 # axis 0, each slab of at most this many elements (and at least one plane),
-# so their temporaries stay slab-sized instead of full-sized.
-SLAB_ELEMENTS = 2**17
+# so their temporaries stay slab-sized instead of full-sized, also with
+# CORES slabs in flight at once.
+SLAB_ELEMENTS = 2**15
 
 
 def slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
@@ -139,6 +173,65 @@ def slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
 def _slabs(shape: tuple[int, ...], cap: int) -> tuple[slice, ...]:
     rows = max(1, cap // math.prod(shape[1:]))
     return tuple(slice(i, i + rows) for i in range(0, shape[0], rows))
+
+
+_pool = None
+
+
+def slab_map(fn, shape: tuple[int, ...]) -> list:
+    """[fn(s) for s in slabs(shape)], in slab order.  With more than one slab
+    and more than one core, the calling thread and CORES - 1 pool threads
+    take slabs in turn until none are left.  fn must write only to its own
+    slab of any array."""
+    parts = slabs(shape)
+    if len(parts) == 1 or CORES == 1:
+        return [fn(s) for s in parts]
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(CORES - 1, thread_name_prefix="chsolver-slab")
+    results = [None] * len(parts)
+    todo = iter(range(len(parts)))
+    # a pool thread lets go of its task only after the caller has moved on,
+    # and fn may hold full-size arrays (the solve holds f_hat), so the tasks
+    # reach fn through a box that is emptied before returning
+    box = [fn]
+
+    def drain():
+        for i in todo:  # one C call per index, so under the GIL each is taken once
+            results[i] = box[0](parts[i])
+
+    helpers = [_pool.submit(drain) for _ in range(min(CORES, len(parts)) - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.exception()  # waits for the helper, whatever it raised
+        box.clear()
+    for helper in helpers:
+        helper.result()  # re-raises a helper's exception
+    return results
+
+
+def slab_sum(fn, shape: tuple[int, ...]) -> float:
+    """Sum of the scalars slab_map(fn, shape) returns, added in slab order so
+    that the result does not depend on the thread count."""
+    total = 0.0
+    for term in slab_map(fn, shape):
+        total += term
+    return total
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads, so work
+    # submitted to it would wait forever; the child starts its own
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # platforms without fork have no such hook
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def parseval_terms(coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
@@ -155,10 +248,11 @@ def parseval_terms(coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
 def parseval_sum(grid: Grid, coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
     """|Omega| * sum over the full spectrum of symbol_k |u_hat_k|^2, from the
     half spectrum coef (symbol defaults to 1 and must be even in k)."""
-    total = 0.0
-    for s in slabs(coef.shape):
-        total += parseval_terms(coef[s], None if symbol is None else symbol[s])
-    return grid.volume * total
+
+    def terms(s):
+        return parseval_terms(coef[s], None if symbol is None else symbol[s])
+
+    return grid.volume * slab_sum(terms, coef.shape)
 
 
 def cubic(u: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -26,8 +26,9 @@ the solve sets that mode to ph1_hat_0 exactly.
 A step works on plain arrays and makes two real transforms: one rfftn of
 f, one irfftn of pb_hat, whose grid values give the double-well energy and
 phi_n.  Everything else is pointwise and runs slab by slab along axis 0,
-each slab at most spectral.SLAB_ELEMENTS elements (2^17; a 2d N=128 grid
-is one slab):
+each slab at most spectral.SLAB_ELEMENTS elements (2^15; a 2d N=128 grid
+is one slab), through spectral.slab_map and slab_sum, so the slabs of one
+pass run on every core and their scalars are added in slab order:
 
   - the extrapolation and the cubic, written into the rfftn input f;
   - the solve, written into the new history array pb_hat, with the
@@ -56,7 +57,8 @@ from .spectral import (
     inverse,
     parseval_sum,
     parseval_terms,
-    slabs,
+    slab_map,
+    slab_sum,
 )
 from .timestep import bdf_weights
 
@@ -109,14 +111,15 @@ def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
     u_hat: gradient part from u_hat, double-well part by quadrature of u."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    well = 0.0
-    for s in slabs(u.shape):
+
+    def well_terms(s):
         u_s = u[s]
         w = u_s * u_s
         w -= 1.0
         w *= w
-        well += float(w.sum())
-    well = well * grid.cell_volume / (4.0 * eps**2)
+        return float(w.sum())
+
+    well = slab_sum(well_terms, u.shape) * grid.cell_volume / (4.0 * eps**2)
     return 0.5 * parseval_sum(grid, u_hat, grid.k_squared) + well
 
 
@@ -153,8 +156,7 @@ def _extrapolated_nonlinearity(state: GsavState, tau_n: float) -> np.ndarray:
     if state.dealias:
         return cubic_coefficients(state.grid, extrapolated(slice(None)), state.eps, dealias=True)
     f = np.empty(state.grid.shape)
-    for s in slabs(f.shape):
-        cubic(extrapolated(s), state.eps, out=f[s])
+    slab_map(lambda s: cubic(extrapolated(s), state.eps, out=f[s]), f.shape)
     return forward(f)
 
 
@@ -176,8 +178,8 @@ def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> tuple[np.ndarra
     c1, c2, k2 = state.phi_bar_hat1, state.phi_bar_hat2, grid.k_squared
     zero = (0,) * grid.dim
     pb_hat = np.empty_like(c1)
-    gm = 0.0
-    for s in slabs(pb_hat.shape):
+
+    def solve_slab(s):
         c1_s, k2_s, f_s = c1[s], k2[s], f_hat[s]
         # (b0 c1 - b1 (c1 - c2) - |k|^2 f_hat) / (b0 + |k|^4)
         out = np.subtract(c1_s, c2[s], out=pb_hat[s])
@@ -191,7 +193,9 @@ def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> tuple[np.ndarra
             # the mode-0 equation reduces to pb_hat_0 = c1_0; dividing by b0
             # would move a constant field by an ulp per step
             out[zero] = c1[zero]
-        gm += _grad_mu_terms(k2_s, out, f_s)
+        return _grad_mu_terms(k2_s, out, f_s)
+
+    gm = slab_sum(solve_slab, pb_hat.shape)
     return pb_hat, grid.volume * gm
 
 
@@ -215,10 +219,7 @@ def gamma_update(
     advance sums it while solving.
     """
     k2 = grid.k_squared
-    gm = 0.0
-    for s in slabs(pb_hat.shape):
-        gm += _grad_mu_terms(k2[s], pb_hat[s], f_hat[s])
-    gm = grid.volume * gm
+    gm = grid.volume * slab_sum(lambda s: _grad_mu_terms(k2[s], pb_hat[s], f_hat[s]), pb_hat.shape)
     return _contracted(gamma_prev, tau_n, gm, e_bar), gm
 
 

@@ -6,13 +6,17 @@ the half-spectrum weights against physical quadrature and full-spectrum
 sums on random fields.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chsolver.spectral as spectral
 from chsolver import Grid, SpectralField, energy
-from chsolver.spectral import cubic_coefficients, forward
+from chsolver.spectral import cubic_coefficients, forward, inverse, slab_map, slabs
 from dealias_reference import dealiased_cubic_full
 from dense_reference import full_k_squared, half_spectrum
 
@@ -399,3 +403,82 @@ class TestArithmetic:
         b = SpectralField.constant(Grid(2, 2.0 * np.pi, 16), 1.0)
         with pytest.raises(ValueError, match="different grids"):
             a - b
+
+
+class TestCores:
+    @pytest.mark.parametrize("dim,n,parallel", [(2, 256, False), (3, 32, False), (2, 512, True), (3, 64, True)])
+    def test_workers_passed_from_2_18_points(self, monkeypatch, dim, n, parallel):
+        from scipy import fft
+
+        passed = []
+        for name in ("rfftn", "irfftn"):
+            orig = getattr(fft, name)
+
+            def recorder(*args, _orig=orig, **kwargs):
+                passed.append(kwargs.get("workers", "unset"))
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(fft, name, recorder)
+        monkeypatch.setattr(spectral, "CORES", 2)
+        u = np.random.default_rng(n).normal(size=(n,) * dim)
+        inverse(forward(u), u.shape)
+        assert passed == ([2, 2] if parallel else ["unset", "unset"])
+
+    def test_transforms_are_bitwise_independent_of_workers(self, monkeypatch):
+        u = np.random.default_rng(1).normal(size=(64, 64, 64))
+        out = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(spectral, "CORES", cores)
+            coef = forward(u)
+            out[cores] = coef, inverse(coef, u.shape)
+        assert np.array_equal(out[1][0], out[2][0])
+        assert np.array_equal(out[1][1], out[2][1])
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_slab_map_returns_results_in_slab_order(self, monkeypatch, cores):
+        monkeypatch.setattr(spectral, "CORES", cores)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64)
+        shape = (40, 8, 8)
+        parts = slabs(shape)
+        assert len(parts) == 40
+        assert slab_map(lambda s: (s.start, s.stop), shape) == [(s.start, s.stop) for s in parts]
+
+    def test_slab_map_fills_every_slab_once(self, monkeypatch):
+        # more threads than cores and a short switch interval: a slab taken
+        # twice or not at all changes the sum
+        monkeypatch.setattr(spectral, "CORES", 4)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64)
+        monkeypatch.setattr(spectral, "_pool", None)
+        out = np.zeros((400, 8, 8))
+
+        def fill(s):
+            out[s] += s.start + 1.0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                slab_map(fill, out.shape)
+        finally:
+            sys.setswitchinterval(interval)
+            spectral._pool.shutdown()
+        assert np.array_equal(out, np.broadcast_to(20.0 * np.arange(1.0, 401.0)[:, None, None], out.shape))
+
+    @pytest.mark.parametrize("shape,cores", [((16, 16), 2), ((40, 8, 8), 1)])
+    def test_one_slab_or_one_core_runs_on_the_calling_thread(self, monkeypatch, shape, cores):
+        monkeypatch.setattr(spectral, "CORES", cores)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64 if cores == 1 else 2**15)
+        assert slab_map(lambda s: threading.get_ident(), shape) == [threading.get_ident()] * len(slabs(shape))
+
+    def test_slab_map_raises_what_a_slab_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "CORES", 2)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64)
+
+        def fail_late(s):
+            if s.start == 37:
+                raise ZeroDivisionError("slab 37")
+            return s.start
+
+        with pytest.raises(ZeroDivisionError, match="slab 37"):
+            slab_map(fail_late, (40, 8, 8))
+        assert slab_map(lambda s: s.start, (40, 8, 8)) == list(range(40))

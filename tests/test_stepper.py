@@ -6,6 +6,9 @@ full one-step comparison against the dense reference in
 dense_reference.py.
 """
 
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +27,7 @@ from chsolver import (
     relax,
     validate_records,
 )
+import chsolver.spectral as spectral
 from chsolver.spectral import cubic_coefficients, forward, inverse
 from chsolver.stepper import _extrapolated_nonlinearity
 from dense_reference import dense_advance, half_spectrum, random_state
@@ -374,8 +378,6 @@ class TestWorkingSet:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_slab_count_does_not_change_the_step(self, monkeypatch, dealias):
         # the blocking is invisible up to the rounding of the slab-wise sums
-        import chsolver.spectral as spectral
-
         grid = Grid(3, 2.0 * np.pi, 16)
         state, _ = advance(init_state(rough_field(grid, 14), 0.7, dealias=dealias), 0.01)
         whole, whole_rec = advance(state, 0.013)
@@ -387,17 +389,19 @@ class TestWorkingSet:
         for name in ("gamma", "energy", "xi", "eta", "mass", "dissipation"):
             assert getattr(sliced_rec, name) == pytest.approx(getattr(whole_rec, name), rel=1e-14)
 
-    def test_peak_inside_advance_is_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_peak_inside_advance_is_bounded(self, monkeypatch, cores):
         # a step keeps alive only the transform's input and outputs and the
-        # new history arrays, plus slab-sized temporaries
+        # new history arrays, plus the temporaries of the slabs in flight:
+        # one per core, so the slabs shrink with the cores to keep the same
+        # 2 * 32 * 32 elements in flight
         import tracemalloc
 
-        import chsolver.spectral as spectral
-
         grid = Grid(3, 2.0 * np.pi, 32)
-        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 32 * 32)
-        assert len(spectral.slabs(grid.shape)) == 16
-        assert len(spectral.slabs(grid.spectral_shape)) >= 8
+        monkeypatch.setattr(spectral, "CORES", cores)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 32 * 32 // cores)
+        assert len(spectral.slabs(grid.shape)) == 16 * cores
+        assert len(spectral.slabs(grid.spectral_shape)) >= 8 * cores
         state = init_state(rough_field(grid, 15), 0.6)
         for _ in range(2):
             state, _ = advance(state, 0.01)
@@ -410,3 +414,69 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert (peak - entry) / full <= 2.5
+
+
+class TestThreads:
+    """Slabs on several cores: the same bits as on one, and fork safe."""
+
+    @staticmethod
+    def run(monkeypatch, cores, dealias=False):
+        monkeypatch.setattr(spectral, "CORES", cores)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 32 * 32)
+        grid = Grid(3, 2.0 * np.pi, 32)
+        assert len(spectral.slabs(grid.shape)) == 16
+        state = init_state(rough_field(grid, 21), 0.7, dealias=dealias)
+        records = []
+        for tau in (0.01, 0.013, 0.007, 0.02):
+            state, rec = advance(state, tau)
+            records.append(rec)
+        return state, records
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_two_cores_give_the_bits_of_one(self, monkeypatch, dealias):
+        one, one_records = self.run(monkeypatch, 1, dealias)
+        two, two_records = self.run(monkeypatch, 2, dealias)
+        for name in ("phi_bar_hat1", "phi_bar_hat2", "phi1", "phi2"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        assert one.gamma == two.gamma
+        assert one_records == two_records
+
+    def test_substeps_compose_to_advance_on_several_cores(self, monkeypatch):
+        state, _ = self.run(monkeypatch, 2)
+        grid, tau = state.grid, 0.011
+        pb_hat = linear_solve(state, tau)
+        pb = inverse(pb_hat, grid.shape)
+        e_bar = energy(grid, pb, pb_hat, state.eps)
+        f_term = _extrapolated_nonlinearity(state, tau)
+        gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
+        xi, eta, phi_n = relax(pb, gamma_n, e_bar)
+        new_state, rec = advance(state, tau)
+        assert np.array_equal(new_state.phi_bar_hat1, pb_hat)
+        assert np.array_equal(new_state.phi1, phi_n)
+        assert (rec.energy, rec.gamma, rec.xi, rec.eta) == (e_bar, gamma_n, xi, eta)
+        assert rec.dissipation == tau * xi * grad_mu_sq
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+    def test_forked_child_steps(self, monkeypatch):
+        # the child inherits the parent's slab pool but not its threads
+        monkeypatch.setattr(spectral, "CORES", 2)
+        grid = Grid(3, 2.0 * np.pi, 64)
+        assert len(spectral.slabs(grid.shape)) > 1
+        state, _ = advance(init_state(rough_field(grid, 22), 0.7), 0.01)
+        pid = os.fork()
+        if pid == 0:  # child: one more step, then leave without pytest's teardown
+            code = 1
+            try:
+                code = 0 if advance(state, 0.01)[1].n == 2 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's step did not finish within 30 s")

@@ -11,8 +11,10 @@ REPEATS timed runs after the warm-up below.
 - advance: on each grid of the ROADMAP baseline table the stepper starts
   from the coarsening initial field (seed 0), takes two untimed warm-up
   steps, then REPEATS timed steps of a fixed size; the median is printed
-  with the median of one rfftn plus one irfftn on the same grid, the cost
-  floor of a step.  Then come two medians over REPEATS further steps each:
+  with the median of one ``spectral.forward`` plus one ``spectral.inverse``
+  on the same grid, the cost floor of a step, made with the same transform
+  workers as the step.  The header gives ``spectral.CORES``, the cores the
+  step runs on.  Then come two medians over REPEATS further steps each:
   the minor page faults of one step (ru_minflt), and the peak memory
   tracemalloc sees inside one step above what was allocated at its entry,
   in units of one float64 grid array.  tracemalloc sees numpy's arrays but
@@ -80,11 +82,12 @@ def median_peak_bytes(fn):
 
 def advance_table():
     import numpy as np
-    from scipy import fft
 
-    from chsolver import Grid, advance, ic_random, init_state
+    from chsolver import Grid, advance, ic_random, init_state, spectral
 
-    print("grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array")
+    # commits before spectral.CORES ran every step on one core
+    cores = getattr(spectral, "CORES", 1)
+    print(f"grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array  (CORES = {cores})")
     for dim, n in GRIDS:
         grid = Grid(dim, 2.0 * np.pi, n)
         state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
@@ -96,7 +99,7 @@ def advance_table():
             state, _ = advance(state, 1e-6)
 
         x = np.random.default_rng(0).normal(size=grid.shape)
-        floor = median_ms(lambda: fft.irfftn(fft.rfftn(x), s=x.shape))
+        floor = median_ms(lambda: spectral.inverse(spectral.forward(x), x.shape))
         ms = median_ms(step)
         faults = median_faults(step)
         peak = median_peak_bytes(step) / (8 * n**dim)
