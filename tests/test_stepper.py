@@ -8,12 +8,14 @@ dense_reference.py.
 
 import os
 import signal
+import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import chsolver.spectral as spectral
 from chsolver import (
     Grid,
     NonfiniteFieldError,
@@ -27,7 +29,6 @@ from chsolver import (
     relax,
     validate_records,
 )
-import chsolver.spectral as spectral
 from chsolver.spectral import cubic_coefficients, forward, inverse
 from chsolver.stepper import _extrapolated_nonlinearity
 from dense_reference import dense_advance, half_spectrum, random_state
@@ -455,6 +456,25 @@ class TestThreads:
         assert np.array_equal(new_state.phi1, phi_n)
         assert (rec.energy, rec.gamma, rec.xi, rec.eta) == (e_bar, gamma_n, xi, eta)
         assert rec.dissipation == tau * xi * grad_mu_sq
+
+    def test_transforms_and_energy_run_on_the_calling_thread(self, monkeypatch):
+        # span tracers wrap these; they keep one stack, for the calling thread
+        import chsolver.stepper as stepper
+        from scipy import fft
+
+        threads = set()
+
+        def on_caller(fn):
+            def wrapper(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in ((fft, "rfftn"), (fft, "irfftn"), (stepper, "energy")):
+            monkeypatch.setattr(owner, name, on_caller(getattr(owner, name)))
+        self.run(monkeypatch, 2)
+        assert threads == {threading.get_ident()}
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
     def test_forked_child_steps(self, monkeypatch):

@@ -14,8 +14,8 @@ pairs, CHANGE first in even ones), one run at a time, each for S seconds with
 the same seed.  The file written at the repository root holds, per workload
 and side, every run's end-to-end metrics, its ``run_record`` line and raw
 ``run_s`` wall time, and the medians over the runs; per metric it gives the
-relative change of the medians and, for the metrics the pairs can order,
-how many pairs the change won.  The header gives both commits, nproc, the CPU
+relative change of the medians, both sides' first and third quartiles,
+and how many pairs the change won.  The header gives both commits, nproc, the CPU
 affinity and the Python, numpy and scipy versions.  An existing file is
 never overwritten.
 """
@@ -76,7 +76,9 @@ def summarize(base_runs: list, change_runs: list, better: dict) -> dict:
         base = [r["metrics"][name] for r in base_runs]
         change = [r["metrics"][name] for r in change_runs]
         b, c = statistics.median(base), statistics.median(change)
-        entry = {"base_median": b, "change_median": c, "better": direction}
+        entry = {"base_median": b, "change_median": c, "better": direction,
+                 "base_quartiles": statistics.quantiles(base, n=4)[::2],
+                 "change_quartiles": statistics.quantiles(change, n=4)[::2]}
         if b:
             entry["relative_change"] = c / b - 1.0
         wins = [(y < x) if direction == "lower" else (y > x) for x, y in zip(base, change)]
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--workdir", type=Path)
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
-    ap.add_argument("--pairs", type=int, default=6)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
