@@ -80,7 +80,10 @@ def read_records(path) -> list[StepRecord]:
             parts = line.split(",")
             if len(parts) != len(RECORD_FIELDS):
                 raise ValueError(f"line {lineno}: expected {len(RECORD_FIELDS)} fields")
-            out.append(StepRecord(int(parts[0]), *(float(p) for p in parts[1:])))
+            try:
+                out.append(StepRecord(int(parts[0]), *(float(p) for p in parts[1:])))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return out
 
 

@@ -32,23 +32,26 @@ scipy.fft module at every call, so anything that wraps those functions
 there reaches every transform.
 
 A step uses every core the process may run on (CORES, from its CPU
-affinity).  Transforms of grids with at least 2^18 points pass
-``workers=CORES``; smaller ones are called as before, with scipy's default.
+affinity) on arrays of more than PARALLEL_ELEMENTS = 2^18 elements, and
+only there: ``forward`` and ``inverse`` pass ``workers=CORES`` for such
+grids, and ``slab_map`` shares the slabs of a pass over such an array
+between the calling thread and CORES - 1 threads started for that pass and
+joined before it returns; numpy releases the GIL inside the slab
+arithmetic.  On smaller arrays the hand-off costs what the other cores
+save, so they run on the calling thread with scipy's default transform.
 Pointwise passes run slab by slab along axis 0 (``slabs``, at most
-SLAB_ELEMENTS = 2^15 elements each), and ``slab_map`` shares the slabs of a
-multi-slab pass between the calling thread and CORES - 1 pool threads,
-started at the first such pass; numpy releases the GIL inside the slab
-arithmetic.  Results come back in slab order, ``slab_sum`` adds per-slab
-scalars in that order, and neither the transforms' output nor the slabs
-depend on the thread count, so neither does any result.  A process confined
-to one core (``taskset -c 0``) takes the serial path: plain loops, no
-threads.
+SLAB_ELEMENTS = 2^15 elements each).  Results come back in slab order,
+``slab_sum`` adds per-slab scalars in that order, and neither the
+transforms' output nor the slabs depend on the thread count, so neither
+does any result.  A process confined to one core (``taskset -c 0``) takes
+the serial path: plain loops, no threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -130,16 +133,22 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-# The cores this process may run on: the transform workers of large grids
-# and the threads of slab_map.
+# The cores this process may run on: the transform workers and the slab
+# threads of large arrays.
 CORES = _cores()
 
-# Grids with at least this many points are transformed with CORES workers.
-PARALLEL_FFT_POINTS = 2**18
+# Arrays of more than this many elements are transformed with CORES workers
+# and have their slab passes shared among CORES threads; smaller ones run on
+# the calling thread alone.
+PARALLEL_ELEMENTS = 2**18
 
 
-def _workers(points: int) -> dict:
-    return {"workers": CORES} if points >= PARALLEL_FFT_POINTS else {}
+def _parallel(size: int) -> bool:
+    return CORES > 1 and size > PARALLEL_ELEMENTS
+
+
+def _workers(size: int) -> dict:
+    return {"workers": CORES} if _parallel(size) else {}
 
 
 def forward(u: np.ndarray) -> np.ndarray:
@@ -175,42 +184,35 @@ def _slabs(shape: tuple[int, ...], cap: int) -> tuple[slice, ...]:
     return tuple(slice(i, i + rows) for i in range(0, shape[0], rows))
 
 
-_pool = None
-
-
 def slab_map(fn, shape: tuple[int, ...]) -> list:
-    """[fn(s) for s in slabs(shape)], in slab order.  With more than one slab
-    and more than one core, the calling thread and CORES - 1 pool threads
-    take slabs in turn until none are left.  fn must write only to its own
-    slab of any array."""
+    """[fn(s) for s in slabs(shape)], in slab order.  On an array of more
+    than PARALLEL_ELEMENTS elements and more than one core, the calling
+    thread and CORES - 1 threads started for this call take slabs in turn
+    until none are left; the threads are joined before it returns, and the
+    first exception a slab raised is raised again.  fn must write only to
+    its own slab of any array."""
     parts = slabs(shape)
-    if len(parts) == 1 or CORES == 1:
+    if not _parallel(math.prod(shape)):
         return [fn(s) for s in parts]
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(CORES - 1, thread_name_prefix="chsolver-slab")
     results = [None] * len(parts)
     todo = iter(range(len(parts)))
-    # a pool thread lets go of its task only after the caller has moved on,
-    # and fn may hold full-size arrays (the solve holds f_hat), so the tasks
-    # reach fn through a box that is emptied before returning
-    box = [fn]
+    errors = []
 
     def drain():
-        for i in todo:  # one C call per index, so under the GIL each is taken once
-            results[i] = box[0](parts[i])
+        try:
+            for i in todo:  # one C call per index, so under the GIL each is taken once
+                results[i] = fn(parts[i])
+        except BaseException as exc:
+            errors.append(exc)
 
-    helpers = [_pool.submit(drain) for _ in range(min(CORES, len(parts)) - 1)]
-    try:
-        drain()
-    finally:
-        for helper in helpers:
-            helper.exception()  # waits for the helper, whatever it raised
-        box.clear()
+    helpers = [threading.Thread(target=drain) for _ in range(CORES - 1)]
     for helper in helpers:
-        helper.result()  # re-raises a helper's exception
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -221,17 +223,6 @@ def slab_sum(fn, shape: tuple[int, ...]) -> float:
     for term in slab_map(fn, shape):
         total += term
     return total
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool but none of its threads, so work
-    # submitted to it would wait forever; the child starts its own
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # platforms without fork have no such hook
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def parseval_terms(coef: np.ndarray, symbol: np.ndarray | None = None) -> float:

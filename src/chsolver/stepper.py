@@ -27,8 +27,10 @@ A step works on plain arrays and makes two real transforms: one rfftn of
 f, one irfftn of pb_hat, whose grid values give the double-well energy and
 phi_n.  Everything else is pointwise and runs slab by slab along axis 0,
 each slab at most spectral.SLAB_ELEMENTS elements (2^15; a 2d N=128 grid
-is one slab), through spectral.slab_map and slab_sum, so the slabs of one
-pass run on every core and their scalars are added in slab order:
+is one slab), through spectral.slab_map and slab_sum, which add the slabs'
+scalars in slab order.  On arrays of more than spectral.PARALLEL_ELEMENTS
+(2^18) elements the slabs of one pass run on every core, and so do the
+transforms; smaller steps stay on the calling thread.  The passes are:
 
   - the extrapolation and the cubic, written into the rfftn input f;
   - the solve, written into the new history array pb_hat, with the

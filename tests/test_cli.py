@@ -260,6 +260,21 @@ class TestCheck:
         assert "gamma increased" in captured.err
         assert "check failed" in captured.err
 
+    def test_unparseable_stream_names_the_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        out = tmp_path / "out"
+        main(["simulate", cfg, "--outdir", str(out)])
+        lines = (out / "records.csv").read_text().splitlines()
+        row = lines[6].split(",")
+        row[3] = "abc"
+        lines[6] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", cfg, "--records", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime error: ValueError: line 7: could not convert string to float: 'abc'\n"
+
     def test_clean_stream_passes(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
         out = tmp_path / "out"

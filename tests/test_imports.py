@@ -1,6 +1,7 @@
 """What each entry point imports and starts: scipy.fft only where something
-is transformed, scipy.optimize never, no scipy import at module level, and
-no thread pool (nor concurrent.futures) where no pass has several slabs."""
+is transformed, scipy.optimize never, no scipy import at module level, no
+thread pool (concurrent.futures.thread) anywhere, and no thread at all on
+grids below the parallel threshold."""
 
 import ast
 import json
@@ -18,9 +19,15 @@ PACKAGE = Path(chsolver.__file__).resolve().parent
 
 # Imports the package (or runs the CLI on the given arguments) in a fresh
 # interpreter and prints the exit code, the scipy and concurrent modules then
-# loaded, and the number of live threads.
+# loaded, and the number of threads started meanwhile.
 PROBE = """
 import json, sys, threading
+started = []
+start = threading.Thread.start
+def counting_start(self):
+    started.append(self.name)
+    start(self)
+threading.Thread.start = counting_start
 if sys.argv[1:]:
     from chsolver.cli import main
     code = main(sys.argv[1:])
@@ -28,12 +35,12 @@ else:
     import chsolver
     code = 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
-print(json.dumps([code, loaded, threading.active_count()]))
+print(json.dumps([code, loaded, len(started)]))
 """
 
 
 def fresh(*argv):
-    """(exit code, loaded scipy and concurrent modules, live threads) of
+    """(exit code, loaded scipy and concurrent modules, threads started) of
     PROBE in a new interpreter."""
     # the child imports the same package as this suite, however it was put on sys.path
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
@@ -92,15 +99,37 @@ def test_transforming_commands_load_scipy_fft_but_not_optimize(tmp_path, command
     assert code == 0
     assert "scipy.fft" in loaded
     assert "scipy.optimize" not in loaded
+    # scipy.fft itself loads concurrent.futures, but not its thread pool
+    assert "concurrent.futures.thread" not in loaded
 
 
-def test_single_slab_simulate_starts_no_thread(tmp_path):
-    # a 2d N=128 grid is one slab and has fewer than 2^18 points, so neither
-    # the slab pool nor the transforms' workers are started
-    cfg = write_cfg(tmp_path, "scenario = kissing_bubbles\nn = 128\nhorizon = 0.01\n[output]\nsnapshots = 0.0\n")
-    code, _, threads = fresh("simulate", cfg, "--outdir", str(tmp_path / "out"))
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario = kissing_bubbles\nn = 128\nhorizon = 0.01\n[output]\nsnapshots = 0.0\n",
+        "scenario = coarsening3d\nhorizon = 0.0005\n[output]\nsnapshots = 0.0\n",
+    ],
+    ids=["kissing_bubbles-2d-128", "coarsening3d-3d-48"],
+)
+def test_simulate_below_the_parallel_threshold_starts_no_thread(tmp_path, text):
+    # 2d N=128 and 3d N=48 grids have fewer than 2^18 points, so neither slab
+    # threads nor the transforms' workers are started
+    code, loaded, threads = fresh("simulate", write_cfg(tmp_path, text), "--outdir", str(tmp_path / "out"))
     assert code == 0
-    assert threads == 1
+    assert threads == 0
+    assert "concurrent.futures.thread" not in loaded
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_concurrent(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    assert not [name for name in names if name.split(".")[0] == "concurrent"]
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -85,6 +85,18 @@ class TestRecords:
         with pytest.raises(ValueError, match="line 4"):
             read_records(path)
 
+    @pytest.mark.parametrize("bad", ["abc", "2.5"])
+    def test_unparseable_value_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "records.csv"
+        write_records(sample_records(3), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[0 if bad == "2.5" else 4] = bad  # a float step index, or a word for the energy
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^line 3: .*'{bad}'"):
+            read_records(path)
+
 
 class TestSnapshots:
     def test_round_trip_is_bit_exact(self, tmp_path):

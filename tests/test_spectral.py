@@ -8,6 +8,7 @@ sums on random fields.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -406,8 +407,12 @@ class TestArithmetic:
 
 
 class TestCores:
-    @pytest.mark.parametrize("dim,n,parallel", [(2, 256, False), (3, 32, False), (2, 512, True), (3, 64, True)])
+    @pytest.mark.parametrize(
+        "dim,n,parallel",
+        [(2, 256, False), (3, 32, False), (2, 512, False), (3, 64, False), (3, 72, True), (2, 1024, True)],
+    )
     def test_workers_passed_from_2_18_points(self, monkeypatch, dim, n, parallel):
+        # only grids of more than 2^18 points (3d N=72 has 373,248) get CORES workers
         from scipy import fft
 
         passed = []
@@ -425,6 +430,7 @@ class TestCores:
         assert passed == ([2, 2] if parallel else ["unset", "unset"])
 
     def test_transforms_are_bitwise_independent_of_workers(self, monkeypatch):
+        monkeypatch.setattr(spectral, "PARALLEL_ELEMENTS", 2**15)
         u = np.random.default_rng(1).normal(size=(64, 64, 64))
         out = {}
         for cores in (1, 2):
@@ -434,24 +440,42 @@ class TestCores:
         assert np.array_equal(out[1][0], out[2][0])
         assert np.array_equal(out[1][1], out[2][1])
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_slab_map_returns_results_in_slab_order(self, monkeypatch, cores):
+    @staticmethod
+    def parallel(monkeypatch, cores):
+        """Slabs of 64 elements, and every array of more than 1024 elements
+        on the parallel path."""
         monkeypatch.setattr(spectral, "CORES", cores)
         monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64)
+        monkeypatch.setattr(spectral, "PARALLEL_ELEMENTS", 1024)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_slab_map_returns_results_in_slab_order(self, monkeypatch, cores):
+        self.parallel(monkeypatch, cores)
         shape = (40, 8, 8)
         parts = slabs(shape)
         assert len(parts) == 40
-        assert slab_map(lambda s: (s.start, s.stop), shape) == [(s.start, s.stop) for s in parts]
+        idents = set()
+
+        def bounds(s):
+            idents.add(threading.get_ident())
+            time.sleep(1e-4)  # long enough that every thread gets a slab
+            return s.start, s.stop
+
+        assert slab_map(bounds, shape) == [(s.start, s.stop) for s in parts]
+        if cores == 1:
+            assert idents == {threading.get_ident()}
+        else:
+            assert len(idents) >= 2
 
     def test_slab_map_fills_every_slab_once(self, monkeypatch):
         # more threads than cores and a short switch interval: a slab taken
         # twice or not at all changes the sum
-        monkeypatch.setattr(spectral, "CORES", 4)
-        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64)
-        monkeypatch.setattr(spectral, "_pool", None)
+        self.parallel(monkeypatch, 4)
         out = np.zeros((400, 8, 8))
+        idents = set()
 
         def fill(s):
+            idents.add(threading.get_ident())
             out[s] += s.start + 1.0
 
         interval = sys.getswitchinterval()
@@ -461,24 +485,43 @@ class TestCores:
                 slab_map(fill, out.shape)
         finally:
             sys.setswitchinterval(interval)
-            spectral._pool.shutdown()
+        assert len(idents) >= 2
         assert np.array_equal(out, np.broadcast_to(20.0 * np.arange(1.0, 401.0)[:, None, None], out.shape))
 
-    @pytest.mark.parametrize("shape,cores", [((16, 16), 2), ((40, 8, 8), 1)])
-    def test_one_slab_or_one_core_runs_on_the_calling_thread(self, monkeypatch, shape, cores):
+    @pytest.mark.parametrize(
+        "shape,cores,slab_elements,parallel_elements",
+        [
+            ((16, 16), 2, 2**15, 2**18),  # one slab
+            ((64, 64, 64), 2, 2**11, 2**18),  # 128 slabs of an array of exactly 2^18 elements
+            ((40, 8, 8), 2, 64, 2560),  # 40 slabs at the threshold
+            ((40, 8, 8), 1, 64, 1024),  # one core
+        ],
+    )
+    def test_small_array_or_one_core_runs_on_the_calling_thread(
+        self, monkeypatch, shape, cores, slab_elements, parallel_elements
+    ):
         monkeypatch.setattr(spectral, "CORES", cores)
-        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64 if cores == 1 else 2**15)
+        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", slab_elements)
+        monkeypatch.setattr(spectral, "PARALLEL_ELEMENTS", parallel_elements)
+        started = []
+        monkeypatch.setattr(spectral.threading, "Thread", lambda *a, **k: started.append(k))
         assert slab_map(lambda s: threading.get_ident(), shape) == [threading.get_ident()] * len(slabs(shape))
+        assert started == []
 
     def test_slab_map_raises_what_a_slab_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral, "CORES", 2)
-        monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 64)
+        self.parallel(monkeypatch, 2)
+        idents = set()
 
         def fail_late(s):
+            idents.add(threading.get_ident())
+            time.sleep(1e-4)
             if s.start == 37:
                 raise ZeroDivisionError("slab 37")
             return s.start
 
+        before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="slab 37"):
             slab_map(fail_late, (40, 8, 8))
+        assert len(idents) == 2
+        assert threading.active_count() == before
         assert slab_map(lambda s: s.start, (40, 8, 8)) == list(range(40))

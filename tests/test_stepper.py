@@ -39,6 +39,28 @@ def rough_field(grid, seed, lo=-1.0, hi=1.0):
     return SpectralField(grid, physical=rng.uniform(lo, hi, grid.shape))
 
 
+def slab_thread_idents(monkeypatch):
+    """The set that every slab a step's passes run afterwards adds its
+    thread's ident to (through spectral.slab_map, which slab_sum calls,
+    and the stepper's own import of it)."""
+    import chsolver.stepper as stepper
+
+    idents = set()
+    inner = spectral.slab_map
+
+    def recording(fn, shape):
+        def on_thread(s):
+            idents.add(threading.get_ident())
+            time.sleep(1e-4)  # long enough that every thread gets a slab
+            return fn(s)
+
+        return inner(on_thread, shape)
+
+    monkeypatch.setattr(spectral, "slab_map", recording)
+    monkeypatch.setattr(stepper, "slab_map", recording)
+    return idents
+
+
 def field_energy(field, eps):
     return energy(field.grid, field.physical, field.coefficients, eps)
 
@@ -400,12 +422,15 @@ class TestWorkingSet:
         grid = Grid(3, 2.0 * np.pi, 32)
         monkeypatch.setattr(spectral, "CORES", cores)
         monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 32 * 32 // cores)
+        # every pass of this grid, half spectra included, on the parallel path
+        monkeypatch.setattr(spectral, "PARALLEL_ELEMENTS", 2**12)
         assert len(spectral.slabs(grid.shape)) == 16 * cores
         assert len(spectral.slabs(grid.spectral_shape)) >= 8 * cores
         state = init_state(rough_field(grid, 15), 0.6)
         for _ in range(2):
             state, _ = advance(state, 0.01)
         full = 8 * 32**3
+        idents = slab_thread_idents(monkeypatch)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -413,6 +438,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(idents) >= min(cores, 2)
         return (peak - entry) / full
 
     def test_peak_inside_advance_is_bounded(self, monkeypatch):
@@ -426,19 +452,27 @@ class TestWorkingSet:
 
 
 class TestThreads:
-    """Slabs on several cores: the same bits as on one, and fork safe."""
+    """Slabs on several cores: the same bits as on one, no thread left
+    behind, and fork safe."""
 
     @staticmethod
     def run(monkeypatch, cores, dealias=False):
         monkeypatch.setattr(spectral, "CORES", cores)
         monkeypatch.setattr(spectral, "SLAB_ELEMENTS", 2 * 32 * 32)
+        # every pass of this grid, half spectra included, on the parallel path
+        monkeypatch.setattr(spectral, "PARALLEL_ELEMENTS", 2**12)
         grid = Grid(3, 2.0 * np.pi, 32)
         assert len(spectral.slabs(grid.shape)) == 16
         state = init_state(rough_field(grid, 21), 0.7, dealias=dealias)
+        idents = slab_thread_idents(monkeypatch)
         records = []
         for tau in (0.01, 0.013, 0.007, 0.02):
             state, rec = advance(state, tau)
             records.append(rec)
+        if cores == 1:
+            assert idents == {threading.get_ident()}
+        else:
+            assert len(idents) >= 2
         return state, records
 
     @pytest.mark.parametrize("dealias", [False, True])
@@ -484,13 +518,22 @@ class TestThreads:
         self.run(monkeypatch, 2)
         assert threads == {threading.get_ident()}
 
+    def test_no_thread_outlives_a_pass(self, monkeypatch):
+        state, _ = self.run(monkeypatch, 2)
+        before = threading.active_count()
+        advance(state, 0.01)
+        assert threading.active_count() == before
+
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
     def test_forked_child_steps(self, monkeypatch):
-        # the child inherits the parent's slab pool but not its threads
+        # the parent has run slab threads before the fork; the child starts its own
         monkeypatch.setattr(spectral, "CORES", 2)
+        monkeypatch.setattr(spectral, "PARALLEL_ELEMENTS", 2**12)
         grid = Grid(3, 2.0 * np.pi, 64)
         assert len(spectral.slabs(grid.shape)) > 1
+        idents = slab_thread_idents(monkeypatch)
         state, _ = advance(init_state(rough_field(grid, 22), 0.7), 0.01)
+        assert len(idents) >= 2
         pid = os.fork()
         if pid == 0:  # child: one more step, then leave without pytest's teardown
             code = 1
@@ -508,3 +551,35 @@ class TestThreads:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         pytest.fail("the forked child's step did not finish within 30 s")
+
+
+def test_coarsening3d_preset_step_starts_no_thread(monkeypatch, tmp_path):
+    # 3d N=48 is below the parallel threshold: slab passes and transforms
+    # stay on the calling thread even with several cores
+    from scipy import fft
+
+    from chsolver import build_scenario, initial_field, parse_config
+
+    monkeypatch.setattr(spectral, "CORES", 2)
+    started, workers = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self))[1])
+    for name in ("rfftn", "irfftn"):
+        orig = getattr(fft, name)
+
+        def recorder(*args, _orig=orig, **kwargs):
+            workers.append(kwargs.get("workers"))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(fft, name, recorder)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = coarsening3d\n")
+    scenario = build_scenario(parse_config(str(cfg)))
+    grid = Grid(scenario.dim, scenario.length, scenario.modes)
+    assert grid.shape == (48, 48, 48)
+    phi0 = initial_field(scenario, grid)
+    state = init_state(phi0, scenario.eps)
+    for _ in range(2):
+        state, _ = advance(state, 1e-4)
+    assert started == []
+    assert len(workers) >= 4 and set(workers) == {None}

@@ -8,7 +8,8 @@ PATH is the ``src`` directory of the checkout to time (default: the one next
 to this script), so the same script times any commit.  Every median is over
 REPEATS timed runs after the warm-up below.
 
-- advance: on each grid of the ROADMAP baseline table the stepper starts
+- advance: on each grid of the ROADMAP baseline table and on 3d N=48 and
+  N=96, either side of ``spectral.PARALLEL_ELEMENTS``, the stepper starts
   from the coarsening initial field (seed 0), takes two untimed warm-up
   steps, then REPEATS timed steps of a fixed size; the median is printed
   with the median of one ``spectral.forward`` plus one ``spectral.inverse``
@@ -43,7 +44,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-GRIDS = ((2, 128), (2, 256), (2, 512), (3, 64), (3, 128))
+GRIDS = ((2, 128), (2, 256), (2, 512), (3, 48), (3, 64), (3, 96), (3, 128))
 MAX_N = 400
 SEED = 5
 REPEATS = 7
