@@ -40,9 +40,9 @@ def rough_field(grid, seed, lo=-1.0, hi=1.0):
 
 
 def slab_thread_idents(monkeypatch):
-    """The set that every slab a step's passes run afterwards adds its
-    thread's ident to (through spectral.slab_map, which slab_sum calls,
-    and the stepper's own import of it)."""
+    """A set that collects the ident of each thread that runs a slab from
+    now on.  spectral.slab_map (which slab_sum calls) and the stepper's own
+    import of it are wrapped."""
     import chsolver.stepper as stepper
 
     idents = set()
