@@ -10,10 +10,18 @@ Snapshots: one ASCII header line
 
 followed by exactly N^dim little-endian IEEE-754 float64 values in
 row-major order.
+
+``read_snapshot`` works in three stages, so a bad file fails before any
+payload memory is taken: it parses the header and checks that a ``Grid``
+can hold it (dim 2 or 3, N even and >= 4, L positive and finite, t
+finite); it compares the payload size from ``os.fstat`` with N^dim * 8;
+then it reads the payload once, straight into the array it returns.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +89,7 @@ def read_records(path) -> list[StepRecord]:
             if len(parts) != len(RECORD_FIELDS):
                 raise ValueError(f"line {lineno}: expected {len(RECORD_FIELDS)} fields")
             try:
-                out.append(StepRecord(int(parts[0]), *(float(p) for p in parts[1:])))
+                out.append(StepRecord(int(parts[0]), *map(float, parts[1:])))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return out
@@ -110,12 +118,11 @@ def write_snapshot(field: SpectralField, path, time: float) -> None:
         fh.write(np.ascontiguousarray(field.physical, dtype="<f8").data)
 
 
-def read_snapshot(path) -> Snapshot:
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
+def _parse_header(line: bytes) -> tuple[int, int, float, float]:
+    if not line.endswith(b"\n"):
+        raise SnapshotFormatError(f"header line not terminated within {len(line)} bytes")
     try:
-        text = header.decode("ascii").strip()
+        text = line.decode("ascii").strip()
     except UnicodeDecodeError:
         raise SnapshotFormatError("header is not ASCII") from None
     parts = text.split()
@@ -134,8 +141,26 @@ def read_snapshot(path) -> Snapshot:
         time = float(fields["t"])
     except (KeyError, ValueError):
         raise SnapshotFormatError(f"bad header fields in {text!r}") from None
-    expected = modes**dim * 8
-    if len(payload) != expected:
-        raise SnapshotFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape((modes,) * dim)
-    return Snapshot(dim=dim, modes=modes, length=length, time=time, values=values.copy())
+    try:
+        Grid(dim, length, modes)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"header {text!r}: {exc}") from None
+    if not (math.isfinite(length) and math.isfinite(time)):
+        raise SnapshotFormatError(f"header {text!r}: L and t must be finite")
+    return dim, modes, length, time
+
+
+def read_snapshot(path) -> Snapshot:
+    with open(path, "rb") as fh:
+        # a valid header is under 100 bytes; the cap keeps a file with no
+        # newline from being read whole
+        dim, modes, length, time = _parse_header(fh.readline(256))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = modes**dim * 8
+        if size != expected:
+            raise SnapshotFormatError(f"payload is {size} bytes, expected {expected}")
+        values = np.empty((modes,) * dim, dtype="<f8")
+        got = fh.readinto(memoryview(values).cast("B"))
+    if got != expected:
+        raise SnapshotFormatError(f"payload read {got} bytes, expected {expected}")
+    return Snapshot(dim=dim, modes=modes, length=length, time=time, values=values)

@@ -46,6 +46,7 @@ solve, so composing the four substeps reproduces advance bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,7 +298,7 @@ def validate_records(
     prev_tau = None
     for rec in records:
         vals = (rec.t, rec.tau, rec.gamma, rec.energy, rec.xi, rec.eta, rec.mass, rec.dissipation)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             problems.append(f"step {rec.n}: nonfinite record values")
             continue
         if rec.gamma <= 0:

@@ -1,8 +1,13 @@
 """Tests for the record CSV and snapshot formats: bit-exact round trips and
 rejection of malformed inputs."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chsolver import (
     Grid,
@@ -14,6 +19,7 @@ from chsolver import (
     format_record,
     read_records,
     read_snapshot,
+    validate_records,
     write_records,
     write_snapshot,
 )
@@ -98,6 +104,49 @@ class TestRecords:
             read_records(path)
 
 
+# any float64: nan, +-inf, -0.0 and subnormals included
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+record_rows = st.lists(st.lists(any_float, min_size=8, max_size=8), min_size=1, max_size=20)
+
+
+def as_records(rows):
+    return [StepRecord(n, *vals) for n, vals in enumerate(rows, start=1)]
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Equal bit for bit; a nan only has to read back as a nan (its sign and
+    payload are not printed)."""
+    if math.isnan(a):
+        return math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestRecordProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=record_rows)
+    def test_round_trip_on_any_float64(self, tmp_path_factory, rows):
+        records = as_records(rows)
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        write_records(records, path)
+        back = read_records(path)
+        assert [r.n for r in back] == [r.n for r in records]
+        for rec, got in zip(records, back):
+            assert format_record(got) == format_record(rec)
+            for name in ("t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation"):
+                assert same_bits(getattr(rec, name), getattr(got, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=record_rows)
+    def test_nonfinite_verdict_names_exactly_the_nonfinite_rows(self, rows):
+        records = as_records(rows)
+        flagged = {
+            int(p.split(":")[0].removeprefix("step "))
+            for p in validate_records(records)
+            if p.endswith(": nonfinite record values")
+        }
+        assert flagged == {n for n, vals in enumerate(rows, start=1) if not all(map(math.isfinite, vals))}
+
+
 class TestSnapshots:
     def test_round_trip_is_bit_exact(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 16)
@@ -163,3 +212,42 @@ class TestSnapshots:
         path.write_bytes(b"\xff\xfe junk\n" + b"\0" * 16)
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "header, payload_bytes",
+        [
+            ("dim=2 N=0 L=1 t=0", 0),
+            ("dim=1 N=4 L=1 t=0", 32),
+            ("dim=2 N=4 L=nan t=inf", 128),
+            ("dim=2 N=5 L=-1 t=0", 200),
+        ],
+        ids=["empty-grid", "dim-1", "nonfinite-L-t", "odd-N-negative-L"],
+    )
+    def test_header_no_grid_can_hold(self, tmp_path, header, payload_bytes):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(f"CHSNAP v1 {header}\n".encode("ascii") + b"\0" * payload_bytes)
+        with pytest.raises(SnapshotFormatError, match="header"):
+            read_snapshot(path)
+
+    def test_header_without_newline(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(b"CHSNAP v1 dim=2 N=4 L=1 t=0" + b"0" * 4096)
+        with pytest.raises(SnapshotFormatError, match="header"):
+            read_snapshot(path)
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        # 2^60 values would be 8 EiB: the size check must come first
+        path = tmp_path / "snap.bin"
+        path.write_bytes(b"CHSNAP v1 dim=3 N=1048576 L=1 t=0\n" + b"\0" * 128)
+        with pytest.raises(SnapshotFormatError, match="expected"):
+            read_snapshot(path)
+
+    def test_values_own_a_writeable_contiguous_array(self, tmp_path):
+        grid = Grid(3, 1.0, 8)
+        path = tmp_path / "snap.bin"
+        write_snapshot(SpectralField.constant(grid, 0.5), path, time=0.0)
+        values = read_snapshot(path).values
+        assert values.flags.c_contiguous and values.flags.writeable
+        assert values.dtype == np.dtype("<f8")
+        assert values.base is None
+        assert values.shape == grid.shape

@@ -1,4 +1,4 @@
-"""Milliseconds per solver step, kernels pass, quadratic-form check and cold start.
+"""Milliseconds per solver step, kernels pass, quadratic-form check, snapshot and record I/O, and cold start.
 
 Usage:
 
@@ -25,6 +25,11 @@ REPEATS timed runs after the warm-up below.
   kernel_residuals.csv into a temporary directory; the quadratic form is
   checked on random_mesh(1, MAX_N, SEED) with standard normal weights.
   Each is run once untimed first.
+- I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
+  standard normal values (seed SEED), each run once untimed first, with the
+  median minor page faults of one call; and ``check --records`` (the
+  kissing_bubbles config's ratio cap) on a generated stream of IO_ROWS
+  rows that obeys every guarantee, so every row goes through every check.
 - cold start: the wall time of a fresh interpreter, from spawn to exit, for
   bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
   max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
@@ -46,6 +51,7 @@ from pathlib import Path
 
 GRIDS = ((2, 128), (2, 256), (2, 512), (3, 48), (3, 64), (3, 96), (3, 128))
 MAX_N = 400
+IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
 
@@ -135,6 +141,43 @@ def kernels_table():
         print(f"quadratic_form_check (n = {MAX_N}): {median_ms(form):9.1f} ms")
 
 
+def io_table():
+    import numpy as np
+
+    from chsolver import Grid, SpectralField, StepRecord, read_snapshot, write_records, write_snapshot
+    from chsolver.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        grid = Grid(3, 2.0 * np.pi, 128)
+        field = SpectralField(grid, physical=np.random.default_rng(SEED).standard_normal(grid.shape))
+        snap = Path(tmp) / "snap.bin"
+        print(f"I/O                                 ms  faults/call  ({snap.name}: 3d N=128, {8 * 128**3 / 1e6:.1f} MB)")
+        for label, fn in (
+            ("write_snapshot", lambda: write_snapshot(field, snap, time=0.0)),
+            ("read_snapshot", lambda: read_snapshot(snap)),
+        ):
+            fn()
+            print(f"{label:27s} {median_ms(fn):10.2f}  {median_faults(fn):11.0f}")
+
+        # gamma falls by exactly the dissipation each step; mass and tau are constant
+        rows, gamma = [], 1.0
+        for n in range(1, IO_ROWS + 1):
+            prev, gamma = gamma, gamma - 1e-5
+            rows.append(StepRecord(n, n * 1e-6, 1e-6, gamma, gamma - 1.0, 1.0, 0.0, 0.0, prev - gamma))
+        records = Path(tmp) / "records.csv"
+        write_records(rows, records)
+        cfg = Path(tmp) / "check.cfg"
+        cfg.write_text("scenario = kissing_bubbles\n")
+
+        def check():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli_main(["check", str(cfg), "--records", str(records)]) != 0:
+                    raise RuntimeError("chsolver check --records failed")
+
+        check()
+        print(f"check --records ({IO_ROWS} rows) {median_ms(check):10.2f}")
+
+
 def cold_start_table(src):
     with tempfile.TemporaryDirectory() as tmp:
         kernels_cfg = Path(tmp) / "kernels.cfg"
@@ -165,6 +208,7 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     advance_table()
     kernels_table()
+    io_table()
     cold_start_table(args.src)
 
 
