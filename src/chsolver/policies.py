@@ -96,7 +96,8 @@ def run_with_policy(
     on_step=None,
 ) -> tuple[GsavState, list[StepRecord]]:
     """Advance until time reaches the horizon, landing exactly on each
-    checkpoint time and on the horizon.  Returns (final state, records).
+    checkpoint time and on the horizon.  Returns (final state, records);
+    the final state is the given one, advanced in place.
 
     Under a PrescribedMesh every checkpoint must be a mesh node and the
     horizon must not lie beyond the last node (both within 1e-12 * horizon);
@@ -129,7 +130,7 @@ def run_with_policy(
         state, rec = advance(state, tau)
         if landed:
             # pin the node exactly so checkpoint comparisons are bitwise
-            state = replace(state, time=target)
+            state.time = target
             rec = replace(rec, t=target)
         records.append(rec)
         prev_gamma = gamma_before

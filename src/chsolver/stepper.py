@@ -38,16 +38,23 @@ transforms; smaller steps stay on the calling thread.  The passes are:
     is freed before the irfftn;
   - the well energy and both Parseval sums.
 
-So only f, f_hat, pb_hat and the irfftn output pb are full-size, and relax
-scales pb in place into phi_n.  advance calls energy and relax; the public
-linear_solve and gamma_update run the same slab helpers as its fused
-solve, so composing the four substeps reproduces advance bit for bit.
+advance updates the state in place and recycles the oldest level's
+buffers for the new one: f is written into phi2's buffer, which the state
+lets go of once f is transformed, and pb_hat into phi_bar_hat2's, each
+slab read before it is overwritten.  A read-only history array (the level
+init_state shares between both slots, a snapshot taken of a level) is
+never written; a new array is taken in its place.  So at the irfftn only
+phi_bar_hat1, pb_hat, phi1 and the output pb are full-size, besides the
+transform's own buffer, and relax scales pb in place into phi_n.  advance
+calls energy and relax; the public linear_solve and gamma_update run the
+same slab helpers as its fused solve and write no array of the state they
+are given, so composing the four substeps reproduces advance bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +92,7 @@ class StepRecord:
     dissipation: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class GsavState:
     """Two-level history of the stepper, as plain arrays (compared by identity).
 
@@ -94,6 +101,11 @@ class GsavState:
     values of the relaxed fields, which the extrapolation reads.  prev_tau
     is the last step size (0 before the first step, which runs backward
     Euler).
+
+    advance updates the state in place and may overwrite its writable
+    history arrays, so copy them, or mark them read-only, to keep them
+    past the next step.  A state whose step raised is left part-way
+    through it.
     """
 
     grid: Grid
@@ -139,27 +151,34 @@ def _step_ratio(state: GsavState, tau_n: float) -> float:
     return 0.0 if state.step_index == 0 else tau_n / state.prev_tau
 
 
-def _extrapolated_nonlinearity(state: GsavState, tau_n: float) -> np.ndarray:
+def _extrapolated_nonlinearity(
+    state: GsavState, tau_n: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Half-spectrum coefficients of f(B phi^{n-1}), where
     B u = (1+r) u^{n-1} - r u^{n-2} = u^{n-1} + r (u^{n-1} - u^{n-2})
     and B u^0 = u^0.  B phi and f(B phi) are formed slab by slab into the
-    transform's input; the dealiased cubic needs all of B phi at once."""
+    transform's input, out if given (which may be phi2 itself: each slab of
+    it is read before it is written), else a new array; the dealiased cubic
+    needs all of B phi at once, so there the input holds B phi."""
     r = _step_ratio(state, tau_n)
-    u1, u2 = state.phi1, state.phi2
+    grid, eps, u1, u2 = state.grid, state.eps, state.phi1, state.phi2
 
-    def extrapolated(s):
+    def extrapolated(s, into=None):
         if state.step_index == 0:
             return u1[s]
         u1_s = u1[s]
-        u = u1_s - u2[s]
+        u = np.subtract(u1_s, u2[s], out=into)
         u *= r
         u += u1_s
         return u
 
+    if state.dealias and state.step_index == 0:
+        return cubic_coefficients(grid, u1, eps, dealias=True)
+    f = np.empty(grid.shape) if out is None else out
     if state.dealias:
-        return cubic_coefficients(state.grid, extrapolated(slice(None)), state.eps, dealias=True)
-    f = np.empty(state.grid.shape)
-    slab_map(lambda s: cubic(extrapolated(s), state.eps, out=f[s]), f.shape)
+        slab_map(lambda s: extrapolated(s, into=f[s]), f.shape)
+        return cubic_coefficients(grid, f, eps, dealias=True)
+    slab_map(lambda s: cubic(extrapolated(s), eps, out=f[s]), f.shape)
     return forward(f)
 
 
@@ -171,16 +190,20 @@ def _grad_mu_terms(k2: np.ndarray, pb_hat: np.ndarray, f_hat: np.ndarray) -> flo
     return parseval_terms(mu_hat, k2)
 
 
-def _solve(state: GsavState, tau_n: float, f_hat: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve(
+    state: GsavState, tau_n: float, f_hat: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """(pb_hat, ||grad mu||^2): the half spectrum of the auxiliary field and
     the dissipation rate of substep 2, summed slab by slab as each slab of
-    pb_hat is solved."""
+    pb_hat is solved.  pb_hat is out if given (which may be phi_bar_hat2
+    itself: each slab of it is read before it is written), else a new
+    array."""
     r = _step_ratio(state, tau_n)
     b0, b1 = bdf_weights(tau_n, r)
     grid = state.grid
     c1, c2, k2 = state.phi_bar_hat1, state.phi_bar_hat2, grid.k_squared
     zero = (0,) * grid.dim
-    pb_hat = np.empty_like(c1)
+    pb_hat = np.empty_like(c1) if out is None else out
 
     def solve_slab(s):
         c1_s, k2_s, f_s = c1[s], k2[s], f_hat[s]
@@ -235,20 +258,33 @@ def relax(pb: np.ndarray, gamma_n: float, e_bar: float) -> tuple[float, float, n
     return xi, eta, pb
 
 
+def _spare(old: np.ndarray, other: np.ndarray) -> np.ndarray | None:
+    """old, whose buffer the new level may take, or None when it must not be
+    written: it is read-only, or it shares memory with the other level."""
+    if old.flags.writeable and not np.may_share_memory(old, other):
+        return old
+    return None
+
+
 def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
-    """Execute one full step; returns the new state and its record."""
+    """Execute one full step, updating state in place; returns state and
+    the step's record.  The new level takes the oldest level's writable
+    buffers (see GsavState)."""
     grid = state.grid
     n = state.step_index + 1
-    f_hat = _extrapolated_nonlinearity(state, tau_n)
-    pb_hat, gm = _solve(state, tau_n, f_hat)
+    f_hat = _extrapolated_nonlinearity(state, tau_n, _spare(state.phi2, state.phi1))
+    # the oldest grid level is dead once f is transformed; freed before the irfftn
+    state.phi2 = state.phi1
+    pb_hat, gm = _solve(state, tau_n, f_hat, _spare(state.phi_bar_hat2, state.phi_bar_hat1))
     del f_hat  # freed before the inverse transform allocates its output
+    state.phi_bar_hat1, state.phi_bar_hat2 = pb_hat, state.phi_bar_hat1
     pb = inverse(pb_hat, grid.shape)
     e_bar = energy(grid, pb, pb_hat, state.eps)
     # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
     if not (np.isfinite(e_bar) and np.isfinite(gm)):
         raise NonfiniteFieldError(f"nonfinite field after step {n}")
     gamma_n = _contracted(state.gamma, tau_n, gm, e_bar)
-    xi, eta, phi_n = relax(pb, gamma_n, e_bar)
+    xi, eta, state.phi1 = relax(pb, gamma_n, e_bar)
     record = StepRecord(
         n=n,
         t=state.time + tau_n,
@@ -260,18 +296,11 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
         mass=grid.volume * float(pb_hat[(0,) * grid.dim].real),
         dissipation=tau_n * xi * gm,
     )
-    new_state = replace(
-        state,
-        phi_bar_hat1=pb_hat,
-        phi_bar_hat2=state.phi_bar_hat1,
-        phi1=phi_n,
-        phi2=state.phi1,
-        gamma=gamma_n,
-        step_index=n,
-        time=state.time + tau_n,
-        prev_tau=tau_n,
-    )
-    return new_state, record
+    state.gamma = gamma_n
+    state.step_index = n
+    state.time += tau_n
+    state.prev_tau = tau_n
+    return state, record
 
 
 def validate_records(

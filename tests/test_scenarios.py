@@ -205,7 +205,8 @@ class TestStreamingAndRelease:
     @pytest.mark.parametrize("times,sink", [((), None), ((0.0, 0.04), _ListSink(keep=False))])
     def test_initial_state_is_released_after_step_two(self, monkeypatch, times, sink):
         # once the two-level history has moved past the initial field,
-        # nothing in the run may keep its arrays alive
+        # nothing in the run may keep its arrays alive (the state object
+        # itself lives on: advance updates it in place)
         import gc
         import weakref
 
@@ -218,7 +219,6 @@ class TestStreamingAndRelease:
         def tracked_init(*args, **kwargs):
             state = real_init(*args, **kwargs)
             refs.extend(weakref.ref(a) for a in (state.phi1, state.phi_bar_hat1))
-            refs.append(weakref.ref(state))
             return state
 
         def checked_advance(state, tau):
@@ -234,7 +234,7 @@ class TestStreamingAndRelease:
             snapshot_times=times,
         )
         run_scenario(sc) if sink is None else run_scenario(sc, sink)
-        assert len(refs) == 3
+        assert len(refs) == 2
         assert alive == {2: 0}
 
 

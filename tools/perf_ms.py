@@ -19,7 +19,11 @@ REPEATS timed runs after the warm-up below.
   the minor page faults of one step (ru_minflt), and the peak memory
   tracemalloc sees inside one step above what was allocated at its entry,
   in units of one float64 grid array.  tracemalloc sees numpy's arrays but
-  not the transforms' internal buffers.
+  not the transforms' internal buffers, so the last column is the resident
+  peak: in a fresh process per grid, the growth of ru_maxrss over the first
+  RESIDENT_STEPS steps above its value once init_state has returned, also
+  in grid arrays.  It counts everything resident, the history arrays and
+  the buffer the irfftn allocates inside pocketfft included.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory; the quadratic form is
@@ -54,6 +58,22 @@ MAX_N = 400
 IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
+RESIDENT_STEPS = 4
+
+# run in a fresh interpreter: dim, N and the step count on the command line;
+# prints the growth of ru_maxrss (KiB on Linux) over the steps
+_RESIDENT_CHILD = """
+import resource, sys
+import numpy as np
+from chsolver import Grid, advance, ic_random, init_state
+dim, n, steps = map(int, sys.argv[1:])
+grid = Grid(dim, 2.0 * np.pi, n)
+state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
+entry = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(steps):
+    state, _ = advance(state, 1e-6)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - entry)
+"""
 
 
 def median_ms(fn):
@@ -87,14 +107,27 @@ def median_peak_bytes(fn):
     return statistics.median(peaks)
 
 
-def advance_table():
+def _env(src):
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def resident_peak_kib(src, dim, n):
+    """ru_maxrss growth over RESIDENT_STEPS steps of a fresh process, in KiB."""
+    argv = [sys.executable, "-c", _RESIDENT_CHILD, str(dim), str(n), str(RESIDENT_STEPS)]
+    return int(subprocess.run(argv, env=_env(src), check=True, capture_output=True, text=True).stdout)
+
+
+def advance_table(src):
     import numpy as np
 
     from chsolver import Grid, advance, ic_random, init_state, spectral
 
     # commits before spectral.CORES ran every step on one core
     cores = getattr(spectral, "CORES", 1)
-    print(f"grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array  (CORES = {cores})")
+    print(
+        f"grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array  rss/array  (CORES = {cores})"
+    )
     for dim, n in GRIDS:
         grid = Grid(dim, 2.0 * np.pi, n)
         state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
@@ -110,7 +143,8 @@ def advance_table():
         ms = median_ms(step)
         faults = median_faults(step)
         peak = median_peak_bytes(step) / (8 * n**dim)
-        print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}")
+        rss = 1024 * resident_peak_kib(src, dim, n) / (8 * n**dim)
+        print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}  {rss:9.2f}")
 
 
 def kernels_table():
@@ -192,8 +226,7 @@ def cold_start_table(src):
             ("chsolver kernels (max_n = 30)", [*cli, "kernels", str(kernels_cfg), "--outdir", out]),
             ("chsolver simulate (2d N = 32)", [*cli, "simulate", str(simulate_cfg), "--outdir", out]),
         )
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path}
+        env = _env(src)
         for label, args in commands:
             ms = median_ms(
                 lambda: subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
@@ -206,7 +239,7 @@ def main(argv=None):
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
-    advance_table()
+    advance_table(args.src)
     kernels_table()
     io_table()
     cold_start_table(args.src)
