@@ -23,7 +23,10 @@ REPEATS timed runs after the warm-up below.
   peak: in a fresh process per grid, the growth of ru_maxrss over the first
   RESIDENT_STEPS steps above its value once init_state has returned, also
   in grid arrays.  It counts everything resident, the history arrays and
-  the buffer the irfftn allocates inside pocketfft included.
+  the buffer the irfftn allocates inside pocketfft included.  These
+  processes are started before this script imports numpy: a process
+  inherits its parent's resident size as its starting ru_maxrss, which
+  must stay below the probe's own.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory; the quadratic form is
@@ -112,13 +115,18 @@ def _env(src):
     return {**os.environ, "PYTHONPATH": path}
 
 
-def resident_peak_kib(src, dim, n):
-    """ru_maxrss growth over RESIDENT_STEPS steps of a fresh process, in KiB."""
-    argv = [sys.executable, "-c", _RESIDENT_CHILD, str(dim), str(n), str(RESIDENT_STEPS)]
-    return int(subprocess.run(argv, env=_env(src), check=True, capture_output=True, text=True).stdout)
+def resident_peaks(src):
+    """{(dim, N): ru_maxrss growth over RESIDENT_STEPS steps of a fresh
+    process, in grid arrays}."""
+    peaks = {}
+    for dim, n in GRIDS:
+        argv = [sys.executable, "-c", _RESIDENT_CHILD, str(dim), str(n), str(RESIDENT_STEPS)]
+        kib = int(subprocess.run(argv, env=_env(src), check=True, capture_output=True, text=True).stdout)
+        peaks[dim, n] = 1024 * kib / (8 * n**dim)
+    return peaks
 
 
-def advance_table(src):
+def advance_table(rss):
     import numpy as np
 
     from chsolver import Grid, advance, ic_random, init_state, spectral
@@ -143,8 +151,7 @@ def advance_table(src):
         ms = median_ms(step)
         faults = median_faults(step)
         peak = median_peak_bytes(step) / (8 * n**dim)
-        rss = 1024 * resident_peak_kib(src, dim, n) / (8 * n**dim)
-        print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}  {rss:9.2f}")
+        print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}  {rss[dim, n]:9.2f}")
 
 
 def kernels_table():
@@ -238,8 +245,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = ap.parse_args(argv)
+    rss = resident_peaks(args.src)
     sys.path.insert(0, args.src)
-    advance_table(args.src)
+    advance_table(rss)
     kernels_table()
     io_table()
     cold_start_table(args.src)
