@@ -97,7 +97,7 @@ def run_with_policy(
 ) -> tuple[GsavState, list[StepRecord]]:
     """Advance until time reaches the horizon, landing exactly on each
     checkpoint time and on the horizon.  Returns (final state, records);
-    the final state is the given one, advanced in place.
+    the given state is left without its history arrays (see GsavState).
 
     Under a PrescribedMesh every checkpoint must be a mesh node and the
     horizon must not lie beyond the last node (both within 1e-12 * horizon);

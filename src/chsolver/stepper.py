@@ -38,23 +38,24 @@ transforms; smaller steps stay on the calling thread.  The passes are:
     is freed before the irfftn;
   - the well energy and both Parseval sums.
 
-advance updates the state in place and recycles the oldest level's
-buffers for the new one: f is written into phi2's buffer, which the state
-lets go of once f is transformed, and pb_hat into phi_bar_hat2's, each
-slab read before it is overwritten.  A read-only history array (the level
-init_state shares between both slots, a snapshot taken of a level) is
-never written; a new array is taken in its place.  So at the irfftn only
-phi_bar_hat1, pb_hat, phi1 and the output pb are full-size, besides the
-transform's own buffer, and relax scales pb in place into phi_n.  advance
-calls energy and relax; the public linear_solve and gamma_update run the
-same slab helpers as its fused solve and write no array of the state they
-are given, so composing the four substeps reproduces advance bit for bit.
+advance hands the given state's history over to the state it returns and
+recycles the oldest level's buffers for the new level: f is written into
+phi2's buffer, which the given state lets go of once f is transformed,
+and pb_hat into phi_bar_hat2's, each slab read before it is overwritten.
+A read-only history array (the level init_state shares between both
+slots, a snapshot taken of a level) is never written; a new array is
+taken in its place.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
+the output pb are full-size, besides the transform's own buffer, and
+relax scales pb in place into phi_n.  advance calls energy and relax; the
+public linear_solve and gamma_update run the same slab helpers as its
+fused solve and write no array of the state they are given, so composing
+the four substeps reproduces advance bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,10 +103,11 @@ class GsavState:
     is the last step size (0 before the first step, which runs backward
     Euler).
 
-    advance updates the state in place and may overwrite its writable
-    history arrays, so copy them, or mark them read-only, to keep them
-    past the next step.  A state whose step raised is left part-way
-    through it.
+    advance returns a new state that takes over the given state's history
+    arrays and may overwrite the writable ones, so copy them, or mark them
+    read-only, to keep them past the next step.  The given state keeps its
+    scalars (time, gamma, ...) but is left holding None in place of its
+    arrays, also when the step raised, so it cannot be stepped again.
     """
 
     grid: Grid
@@ -267,24 +269,26 @@ def _spare(old: np.ndarray, other: np.ndarray) -> np.ndarray | None:
 
 
 def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
-    """Execute one full step, updating state in place; returns state and
-    the step's record.  The new level takes the oldest level's writable
-    buffers (see GsavState)."""
+    """Execute one full step; returns the new state and its record.  The new
+    state takes over the given state's history, whose oldest level's
+    writable buffers the new level takes, and the given state is left
+    holding no history arrays (see GsavState)."""
     grid = state.grid
     n = state.step_index + 1
-    f_hat = _extrapolated_nonlinearity(state, tau_n, _spare(state.phi2, state.phi1))
+    phi1, c1 = state.phi1, state.phi_bar_hat1
+    f_hat = _extrapolated_nonlinearity(state, tau_n, _spare(state.phi2, phi1))
     # the oldest grid level is dead once f is transformed; freed before the irfftn
-    state.phi2 = state.phi1
-    pb_hat, gm = _solve(state, tau_n, f_hat, _spare(state.phi_bar_hat2, state.phi_bar_hat1))
+    state.phi1 = state.phi2 = None
+    pb_hat, gm = _solve(state, tau_n, f_hat, _spare(state.phi_bar_hat2, c1))
+    state.phi_bar_hat1 = state.phi_bar_hat2 = None
     del f_hat  # freed before the inverse transform allocates its output
-    state.phi_bar_hat1, state.phi_bar_hat2 = pb_hat, state.phi_bar_hat1
     pb = inverse(pb_hat, grid.shape)
     e_bar = energy(grid, pb, pb_hat, state.eps)
     # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
     if not (np.isfinite(e_bar) and np.isfinite(gm)):
         raise NonfiniteFieldError(f"nonfinite field after step {n}")
     gamma_n = _contracted(state.gamma, tau_n, gm, e_bar)
-    xi, eta, state.phi1 = relax(pb, gamma_n, e_bar)
+    xi, eta, phi_n = relax(pb, gamma_n, e_bar)
     record = StepRecord(
         n=n,
         t=state.time + tau_n,
@@ -296,11 +300,18 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
         mass=grid.volume * float(pb_hat[(0,) * grid.dim].real),
         dissipation=tau_n * xi * gm,
     )
-    state.gamma = gamma_n
-    state.step_index = n
-    state.time += tau_n
-    state.prev_tau = tau_n
-    return state, record
+    new_state = replace(
+        state,
+        phi_bar_hat1=pb_hat,
+        phi_bar_hat2=c1,
+        phi1=phi_n,
+        phi2=phi1,
+        gamma=gamma_n,
+        step_index=n,
+        time=state.time + tau_n,
+        prev_tau=tau_n,
+    )
+    return new_state, record
 
 
 def validate_records(

@@ -101,33 +101,6 @@ class TestSimulate:
         assert (out / "records.csv").exists()
 
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "scenario = coarsening2d\nn = 16\nhorizon = 0.06\n[policy]\nkind = fixed\ntau = 0.01\n"
-            "[output]\nsnapshots = 0.0, 0.01, 0.02, 0.03, 0.05, 0.06\n",
-            "scenario = coarsening3d\nn = 8\nhorizon = 3e-4\n[policy]\nkind = fixed\ntau = 5e-5\n"
-            "[output]\nsnapshots = 0.0, 5e-5, 1e-4, 2e-4, 3e-4\n",
-            "scenario = kissing_bubbles\nn = 32\nhorizon = 0.02\n[output]\nsnapshots = 0.0, 0.005, 0.01, 0.02\n",
-        ],
-        ids=["coarsening2d", "coarsening3d", "kissing_bubbles"],
-    )
-    def test_kept_snapshots_equal_the_written_ones(self, tmp_path, text):
-        # the list path keeps every snapshot to the end of the run while the
-        # stepper recycles history buffers; no later step may write into one
-        from chsolver import build_scenario, parse_config, run_scenario
-
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
-        _, kept = run_scenario(build_scenario(parse_config(cfg)))
-        written = [read_snapshot(p) for p in sorted(out.glob("snap_*.bin"))]
-        assert len(kept) == len(written) >= 4
-        for (t, field), snap in zip(kept, written):
-            assert t == snap.time
-            assert np.array_equal(field.physical, snap.values)
-
-
 class TestConverge:
     def test_writes_table(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -182,31 +182,56 @@ class _ListSink:
 
 
 class TestStreamingAndRelease:
-    def test_sink_gets_records_and_snapshots_as_they_happen(self):
-        sc = Scenario(
-            "coarsening2d", 2, 16, 2.0 * np.pi, 0.3, 0.05, FixedStep(0.01), seed=2,
-            snapshot_times=(0.0, 0.02, 0.05),
-        )
+    @pytest.mark.parametrize(
+        "sc,events",
+        [
+            (
+                Scenario(
+                    "coarsening2d", 2, 16, 2.0 * np.pi, 0.3, 0.05, FixedStep(0.01), seed=2,
+                    snapshot_times=(0.0, 0.02, 0.05),
+                ),
+                [("snapshot", 0.0), ("record", 1), ("snapshot", 0.02), ("record", 2),
+                 ("record", 3), ("record", 4), ("snapshot", 0.05), ("record", 5)],
+            ),
+            (
+                Scenario(
+                    "coarsening3d", 3, 8, 2.0 * np.pi, 0.3, 2e-4, FixedStep(5e-5), seed=2,
+                    snapshot_times=(0.0, 5e-5, 1e-4, 2e-4),
+                ),
+                [("snapshot", 0.0), ("snapshot", 5e-5), ("record", 1), ("snapshot", 1e-4), ("record", 2),
+                 ("record", 3), ("snapshot", 2e-4), ("record", 4)],
+            ),
+            (
+                Scenario(
+                    "kissing_bubbles", 2, 32, 2.0 * np.pi, 0.3, 0.02, FixedStep(0.005),
+                    snapshot_times=(0.0, 0.01, 0.02),
+                ),
+                [("snapshot", 0.0), ("record", 1), ("snapshot", 0.01), ("record", 2),
+                 ("record", 3), ("snapshot", 0.02), ("record", 4)],
+            ),
+        ],
+        ids=["coarsening2d", "coarsening3d", "kissing_bubbles"],
+    )
+    def test_sink_gets_records_and_snapshots_as_they_happen(self, sc, events):
         kept_records, kept = run_scenario(sc)
         sink = _ListSink()
         records, snapshots = run_scenario(sc, sink)
         assert snapshots == []
         assert records == kept_records
         # the time-0 snapshot goes out with step 1; a step's snapshot precedes its record
-        assert [e[:2] for e in sink.events] == [
-            ("snapshot", 0.0), ("record", 1), ("snapshot", 0.02), ("record", 2),
-            ("record", 3), ("record", 4), ("snapshot", 0.05), ("record", 5),
-        ]
+        assert [e[:2] for e in sink.events] == events
+        # the list path keeps each snapshot through later steps, which
+        # recycle history buffers: none may be written into a kept one
         got = [e[2] for e in sink.events if e[0] == "snapshot"]
+        assert len(kept) == len(got)
         for (t, field), values in zip(kept, got):
             assert np.array_equal(field.physical, values)
-        assert np.array_equal(got[0], initial_field(sc, Grid(2, 2.0 * np.pi, 16)).physical)
+        assert np.array_equal(got[0], initial_field(sc, Grid(sc.dim, sc.length, sc.modes)).physical)
 
     @pytest.mark.parametrize("times,sink", [((), None), ((0.0, 0.04), _ListSink(keep=False))])
     def test_initial_state_is_released_after_step_two(self, monkeypatch, times, sink):
         # once the two-level history has moved past the initial field,
-        # nothing in the run may keep its arrays alive (the state object
-        # itself lives on: advance updates it in place)
+        # nothing in the run may keep its arrays alive
         import gc
         import weakref
 
@@ -219,6 +244,7 @@ class TestStreamingAndRelease:
         def tracked_init(*args, **kwargs):
             state = real_init(*args, **kwargs)
             refs.extend(weakref.ref(a) for a in (state.phi1, state.phi_bar_hat1))
+            refs.append(weakref.ref(state))
             return state
 
         def checked_advance(state, tau):
@@ -234,7 +260,7 @@ class TestStreamingAndRelease:
             snapshot_times=times,
         )
         run_scenario(sc) if sink is None else run_scenario(sc, sink)
-        assert len(refs) == 2
+        assert len(refs) == 3
         assert alive == {2: 0}
 
 

@@ -182,9 +182,8 @@ class TestSingleStep:
         f_term = _extrapolated_nonlinearity(state, tau)
         gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
         xi, eta, phi_n = relax(pb, gamma_n, e_bar)
-        before = copy.copy(state)  # the levels advance shifts; it updates state in place
+        before = copy.copy(state)  # advance takes the given state's arrays
         new_state, rec = advance(state, tau)
-        assert new_state is state
         assert np.array_equal(new_state.phi_bar_hat1, pb_hat)
         assert rec.energy == e_bar
         assert rec.gamma == gamma_n
@@ -518,6 +517,20 @@ class TestInPlace:
         # from step 3 on, the stepper's own oldest spectrum takes the new level
         for k in range(2, len(taus)):
             assert hats[k] is hats[k - 2]
+
+    def test_given_state_keeps_its_scalars_and_gives_up_its_arrays(self):
+        # a caller may still read the clock it stepped from; a second step
+        # from the given state fails instead of reading recycled buffers
+        grid = Grid(2, 2.0 * np.pi, 16)
+        state, _ = advance(init_state(rough_field(grid, 24), 0.6), 0.01)
+        before = copy.copy(state)
+        new_state, _ = advance(state, 0.02)
+        assert new_state is not state
+        for name in ("gamma", "time", "prev_tau", "step_index"):
+            assert getattr(state, name) == getattr(before, name), name
+        assert all(getattr(state, name) is None for name in HISTORY)
+        with pytest.raises(AttributeError):
+            advance(state, 0.02)
 
     def test_levels_sharing_memory_are_not_written(self):
         # a writable level that is the other level is read while the new one is formed
