@@ -13,9 +13,10 @@ row-major order.
 
 ``read_snapshot`` works in three stages, so a bad file fails before any
 payload memory is taken: it parses the header and checks that a ``Grid``
-can hold it (dim 2 or 3, N even and >= 4, L positive and finite, t
-finite); it compares the payload size from ``os.fstat`` with N^dim * 8;
-then it reads the payload once, straight into the array it returns.
+can hold it (dim 2 or 3, N even and >= 4, L positive and finite) and that
+t is finite; it compares the payload size from ``os.fstat`` with
+N^dim * 8; then it reads the payload once, straight into the array it
+returns.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def _parse_header(line: bytes) -> tuple[int, int, float, float]:
         Grid(dim, length, modes)
     except ValueError as exc:
         raise SnapshotFormatError(f"header {text!r}: {exc}") from None
-    if not (math.isfinite(length) and math.isfinite(time)):
-        raise SnapshotFormatError(f"header {text!r}: L and t must be finite")
+    if not math.isfinite(time):
+        raise SnapshotFormatError(f"header {text!r}: t must be finite")
     return dim, modes, length, time
 
 

@@ -1,9 +1,8 @@
 """Scalar fields on periodic uniform grids, with Fourier-space operators.
 
-A field lives on the N^dim collocation grid of the cube (0, L)^dim and is
-held in physical space (real values at the grid points), in coefficient
-space (complex Fourier coefficients), or both.  Coefficients follow the
-convention
+A field lives on the N^dim collocation grid of the cube (0, L)^dim: a real
+array of its values at the grid points, and the half spectrum of its
+complex Fourier coefficients, which follow the convention
 
     u_hat_k = (1/|Omega|) * int_Omega u(x) exp(-i k.x) dx,
 
@@ -24,6 +23,9 @@ spectrum therefore weight the half spectrum by 1 on those two planes and by
     ||u||_L2^2 = |Omega| * sum_k w_k |u_hat_k|^2,   w_k in {1, 2},
 
 which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
+Norms and integrals are functions of a grid and a half spectrum
+(``parseval_sum``, ``h1_norm``, ``integral``); ``SpectralField`` only wraps
+read-only grid values, for initial fields and snapshots.
 
 scipy.fft is imported at the first transform, not with this module, so a
 command that transforms nothing (``kernels``, ``check --records``) never
@@ -50,6 +52,7 @@ the serial path: plain loops, no threads.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -74,10 +77,11 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        operator.index(self.modes)  # TypeError unless an integer
         if self.modes < 4 or self.modes % 2 != 0:
             raise ValueError(f"modes must be even and >= 4, got {self.modes}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -255,22 +259,14 @@ def cubic(u: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarra
     return w
 
 
-def cubic_coefficients(grid: Grid, u: np.ndarray, eps: float, dealias: bool = False) -> np.ndarray:
-    """Half-spectrum coefficients of f(u) = (u^3 - u)/eps^2 for the real grid array u.
-
-    By default the product is formed by straight collocation on the native
-    grid.  With dealias=True the cubic is evaluated on a 3N/2 zero-padded
-    grid and truncated back; the truncation scrubs the Nyquist planes of the
-    result.
+def dealiased_cubic(grid: Grid, u: np.ndarray, eps: float) -> np.ndarray:
+    """Half-spectrum coefficients of f(u) = (u^3 - u)/eps^2 for the real grid
+    array u, with the cubic evaluated on a 3N/2 zero-padded grid and
+    truncated back; the truncation scrubs the Nyquist planes of the result.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if dealias:
-        return _dealiased_cubic(grid, forward(u), eps)
-    return forward(cubic(u, eps))
-
-
-def _dealiased_cubic(grid: Grid, coef: np.ndarray, eps: float) -> np.ndarray:
+    coef = forward(u)
     n, half, dim = grid.modes, grid.modes // 2, grid.dim
     fine = 3 * n // 2
     pad = np.zeros((fine,) * (dim - 1) + (fine // 2 + 1,), dtype=np.complex128)
@@ -296,106 +292,34 @@ def _dealiased_cubic(grid: Grid, coef: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _require_hermitian(coef: np.ndarray) -> None:
-    """ValueError unless the self-mirrored last-axis planes m = 0 and m = N/2
-    of the half spectrum coef equal their conjugate mirror images (index -k
-    on the other axes) to within 1e-12 of the largest coefficient.  irfftn
-    would silently project any other input, and norms summed from the
-    coefficients would then disagree with the field."""
-    tol = 1e-12 * np.abs(coef).max()
-    for m in (0, coef.shape[-1] - 1):
-        plane = coef[..., m]
-        axes = tuple(range(plane.ndim))
-        mirror = np.roll(np.flip(plane, axes), 1, axes)
-        if not np.abs(plane - mirror.conj()).max() <= tol:
-            raise ValueError(f"coefficient plane m = {m} is not Hermitian (not a real field)")
+def integral(grid: Grid, coef: np.ndarray) -> float:
+    """(u, 1) = |Omega| * u_hat_0 of the field with half spectrum coef."""
+    return grid.volume * float(coef[(0,) * grid.dim].real)
+
+
+def h1_norm(grid: Grid, coef: np.ndarray) -> float:
+    """sqrt(||u||_L2^2 + ||grad u||_L2^2) of the field with half spectrum coef."""
+    return math.sqrt(parseval_sum(grid, coef) + parseval_sum(grid, coef, grid.k_squared))
 
 
 class SpectralField:
-    """Immutable real scalar field on a :class:`Grid`.
+    """Real scalar field on a :class:`Grid`, given by its grid values, which
+    are marked read-only; its half spectrum is computed on first use, cached
+    and read-only too."""
 
-    Either representation may be supplied at construction; the other is
-    computed on demand and cached.  Coefficients are the half spectrum, and
-    its self-mirrored planes must be Hermitian (ValueError otherwise).
-    """
+    def __init__(self, grid: Grid, physical):
+        physical = np.asarray(physical, dtype=np.float64)
+        if physical.shape != grid.shape:
+            raise ValueError(f"physical shape {physical.shape} does not match grid {grid.shape}")
+        physical.setflags(write=False)
+        self.grid, self.physical = grid, physical
 
-    __slots__ = ("grid", "_physical", "_coefficients")
-
-    def __init__(self, grid: Grid, physical=None, coefficients=None):
-        if physical is None and coefficients is None:
-            raise ValueError("need a physical or a coefficient array")
-        self.grid = grid
-        if physical is not None:
-            physical = np.asarray(physical, dtype=np.float64)
-            if physical.shape != grid.shape:
-                raise ValueError(f"physical shape {physical.shape} does not match grid {grid.shape}")
-            physical.setflags(write=False)
-        if coefficients is not None:
-            coefficients = np.asarray(coefficients, dtype=np.complex128)
-            if coefficients.shape != grid.spectral_shape:
-                raise ValueError(
-                    f"coefficient shape {coefficients.shape} does not match grid {grid.spectral_shape}"
-                )
-            _require_hermitian(coefficients)
-            coefficients.setflags(write=False)
-        self._physical = physical
-        self._coefficients = coefficients
-
-    @classmethod
-    def _of_hermitian(cls, grid: Grid, coefficients: np.ndarray) -> "SpectralField":
-        """Field from a half spectrum known to pass the Hermitian check."""
-        field = cls.__new__(cls)
-        coefficients.setflags(write=False)
-        field.grid, field._physical, field._coefficients = grid, None, coefficients
-        return field
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "SpectralField":
-        return cls(grid, physical=np.full(grid.shape, float(value)))
-
-    def to_coefficients(self) -> "SpectralField":
-        """Materialize the coefficient representation; returns self."""
-        if self._coefficients is None:
-            coef = forward(self._physical)
-            coef.setflags(write=False)
-            self._coefficients = coef
-        return self
-
-    def to_physical(self) -> "SpectralField":
-        """Materialize the physical representation; returns self."""
-        if self._physical is None:
-            phys = inverse(self._coefficients, self.grid.shape)
-            phys.setflags(write=False)
-            self._physical = phys
-        return self
-
-    @property
+    @cached_property
     def coefficients(self) -> np.ndarray:
-        return self.to_coefficients()._coefficients
-
-    @property
-    def physical(self) -> np.ndarray:
-        return self.to_physical()._physical
-
-    def l2_norm_sq(self) -> float:
-        """||u||_L2^2 = |Omega| * sum w |u_hat|^2."""
-        return parseval_sum(self.grid, self.coefficients)
-
-    def grad_norm_sq(self) -> float:
-        """||grad u||_L2^2 = |Omega| * sum w |k|^2 |u_hat|^2."""
-        return parseval_sum(self.grid, self.coefficients, self.grid.k_squared)
-
-    def h1_norm(self) -> float:
-        return float(np.sqrt(self.l2_norm_sq() + self.grad_norm_sq()))
+        coef = forward(self.physical)
+        coef.setflags(write=False)
+        return coef
 
     def integral(self) -> float:
         """(u, 1) = |Omega| * u_hat_0."""
-        return self.grid.volume * float(self.coefficients[(0,) * self.grid.dim].real)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        """Difference of two fields on the same grid, in coefficient space."""
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        # the operands are half spectra of real fields; a check of the
-        # difference would weigh their rounding against a possibly tiny result
-        return SpectralField._of_hermitian(self.grid, self.coefficients - other.coefficients)
+        return integral(self.grid, self.coefficients)

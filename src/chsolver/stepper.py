@@ -63,8 +63,9 @@ from .spectral import (
     Grid,
     SpectralField,
     cubic,
-    cubic_coefficients,
+    dealiased_cubic,
     forward,
+    integral,
     inverse,
     parseval_sum,
     parseval_terms,
@@ -161,7 +162,8 @@ def _extrapolated_nonlinearity(
     and B u^0 = u^0.  B phi and f(B phi) are formed slab by slab into the
     transform's input, out if given (which may be phi2 itself: each slab of
     it is read before it is written), else a new array; the dealiased cubic
-    needs all of B phi at once, so there the input holds B phi."""
+    needs all of B phi at once, so there the input holds B phi (u^0 itself
+    on the first step)."""
     r = _step_ratio(state, tau_n)
     grid, eps, u1, u2 = state.grid, state.eps, state.phi1, state.phi2
 
@@ -174,12 +176,13 @@ def _extrapolated_nonlinearity(
         u += u1_s
         return u
 
-    if state.dealias and state.step_index == 0:
-        return cubic_coefficients(grid, u1, eps, dealias=True)
-    f = np.empty(grid.shape) if out is None else out
     if state.dealias:
-        slab_map(lambda s: extrapolated(s, into=f[s]), f.shape)
-        return cubic_coefficients(grid, f, eps, dealias=True)
+        u = u1
+        if state.step_index:
+            u = np.empty(grid.shape) if out is None else out
+            slab_map(lambda s: extrapolated(s, into=u[s]), u.shape)
+        return dealiased_cubic(grid, u, eps)
+    f = np.empty(grid.shape) if out is None else out
     slab_map(lambda s: cubic(extrapolated(s), eps, out=f[s]), f.shape)
     return forward(f)
 
@@ -297,7 +300,7 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
         energy=e_bar,
         xi=xi,
         eta=eta,
-        mass=grid.volume * float(pb_hat[(0,) * grid.dim].real),
+        mass=integral(grid, pb_hat),
         dissipation=tau_n * xi * gm,
     )
     new_state = replace(

@@ -172,7 +172,7 @@ class TestSnapshots:
     def test_header_is_single_ascii_line(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField.constant(grid, 1.0), path, time=2.0)
+        write_snapshot(SpectralField(grid, physical=np.ones(grid.shape)), path, time=2.0)
         header = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
         assert header.startswith("CHSNAP v1 dim=2 N=8 ")
         assert "t=2" in header
@@ -186,7 +186,7 @@ class TestSnapshots:
     def test_truncated_payload(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField.constant(grid, 1.0), path, time=0.0)
+        write_snapshot(SpectralField(grid, physical=np.ones(grid.shape)), path, time=0.0)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(SnapshotFormatError, match="expected"):
@@ -195,7 +195,7 @@ class TestSnapshots:
     def test_trailing_garbage(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField.constant(grid, 1.0), path, time=0.0)
+        write_snapshot(SpectralField(grid, physical=np.ones(grid.shape)), path, time=0.0)
         with open(path, "ab") as fh:
             fh.write(b"extra")
         with pytest.raises(SnapshotFormatError, match="expected"):
@@ -245,7 +245,7 @@ class TestSnapshots:
     def test_values_own_a_writeable_contiguous_array(self, tmp_path):
         grid = Grid(3, 1.0, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField.constant(grid, 0.5), path, time=0.0)
+        write_snapshot(SpectralField(grid, physical=np.full(grid.shape, 0.5)), path, time=0.0)
         values = read_snapshot(path).values
         assert values.flags.c_contiguous and values.flags.writeable
         assert values.dtype == np.dtype("<f8")

@@ -19,17 +19,23 @@ import chsolver.timestep as ts
 import kernel_reference
 from chsolver import (
     A1ViolationError,
+    Grid,
+    PrescribedMesh,
     SingularKernelError,
     TimeMesh,
     bdf2_apply,
     bdf_weights,
     dcc_kernels,
     doc_kernels,
+    ic_random,
+    init_state,
     kernel_matrices,
     kernel_residuals,
     quadratic_form_check,
     r_max_root,
     random_mesh,
+    run_with_policy,
+    validate_records,
 )
 
 R_MAX = 4.864536512317584
@@ -381,3 +387,56 @@ class TestKernelMatrixProperties:
         assert np.all(theta[lower] > 0.0)
         assert np.all(p[lower] > 0.0)
         np.testing.assert_allclose(p.sum(axis=1), mesh.times[1:], rtol=1e-13, atol=0)
+
+
+class TestSawtoothMesh:
+    """A1 where it is tight: 120 steps whose ratios alternate between
+    r_max - 0.01 and its reciprocal.  random_mesh draws a ratio this close
+    to the cap only rarely, and never one below 1/4.86."""
+
+    CAP = R_MAX - 0.01
+
+    @classmethod
+    def mesh(cls):
+        # a power-of-two short step makes every ratio exactly CAP or fl(1/CAP)
+        short = 2.0**-17
+        return TimeMesh(np.tile([short, short * cls.CAP], 60), delta=0.01)
+
+    def test_ratios_sit_on_the_cap(self):
+        mesh = self.mesh()
+        assert mesh.count == 120
+        assert np.all(mesh.ratios[1::2] == self.CAP)
+        assert np.all(mesh.ratios[2::2] == 1.0 / self.CAP)
+        assert mesh.satisfies_a1()
+
+    def test_quadratic_form_check_passes(self):
+        mesh = self.mesh()
+        rng = np.random.default_rng(40)
+        draws = [np.ones(120), (-1.0) ** np.arange(120)] + [rng.normal(size=120) for _ in range(20)]
+        for w in draws:
+            chk = quadratic_form_check(mesh, w)
+            assert chk.passed
+            assert chk.lhs >= chk.rhs >= 0.0
+
+    def test_kernel_residuals_hold(self):
+        # the bounds of TestKernels.test_residuals_are_tiny
+        mesh = self.mesh()
+        values = np.random.default_rng(41).normal(size=121)
+        for res in (kernel_residuals(mesh, 120), kernel_residuals(mesh, 120, values=values)):
+            assert res.doc_orthogonality.max() < 1e-13
+            assert res.dcc_identity.max() < 1e-13
+            assert res.dcc_sum.max() < 1e-13
+            assert res.dcc_bound_margin.max() <= 0.0
+            assert res.telescoping.max() < 1e-12
+
+    def test_coarsening2d_run_keeps_the_guarantees(self):
+        mesh = self.mesh()
+        grid = Grid(2, 2.0 * np.pi, 32)
+        phi0 = ic_random(grid, 1)
+        state = init_state(phi0, 0.3)
+        gamma0, mass0 = state.gamma, phi0.integral()
+        _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
+        # the driver replays the mesh; only the landing step absorbs the rounding of the node sum
+        np.testing.assert_allclose([rec.tau for rec in records], mesh.steps, rtol=1e-10, atol=0)
+        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=self.CAP)
+        assert problems == []
