@@ -75,9 +75,10 @@ class Grid:
     modes: int
 
     def __post_init__(self):
+        for count in (self.dim, self.modes):
+            operator.index(count)  # TypeError unless an integer
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        operator.index(self.modes)  # TypeError unless an integer
         if self.modes < 4 or self.modes % 2 != 0:
             raise ValueError(f"modes must be even and >= 4, got {self.modes}")
         if not 0 < self.length < math.inf:
