@@ -12,7 +12,7 @@ Sections and keys:
              tau_min, tau_max, alpha, delta
   [output]   outdir, snapshots (comma-separated times), record_every
   [converge] base_k, levels, ref_steps
-  [kernels]  max_n
+  [kernels]  max_n (>= 2)
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def _validate(cfg: SimConfig) -> None:
             bad(f"need 0 < tau_min <= tau_max, got {cfg.tau_min}, {cfg.tau_max}")
     if cfg.base_k < 2 or cfg.levels < 1 or cfg.ref_steps < 1:
         bad("converge needs base_k >= 2, levels >= 1, ref_steps >= 1")
-    if cfg.max_n < 1:
-        bad(f"max_n must be >= 1, got {cfg.max_n}")
+    if cfg.max_n < 2:
+        bad(f"max_n must be >= 2, got {cfg.max_n}")
 
 
 def build_policy(cfg: SimConfig) -> StepPolicy:

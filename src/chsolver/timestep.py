@@ -17,8 +17,11 @@ Theta = B^{-1}, Theta[n, j] = theta^{(n)}_{n-j}, and the discrete
 complementary convolution (DCC) kernels are the rows of P = cumsum of Theta
 down each column, so that P B = 1 on the lower triangle.  Both matrices are
 built by one sweep over their columns with the two-term recurrences that B's
-bandwidth allows; they serve only for a-posteriori verification, and the
-stepper never uses them.
+bandwidth allows, and one row by the same recurrences in O(n); they serve
+only for a-posteriori verification, and the stepper never uses them.  The
+positive-definiteness chain of Theta needs neither matrix: Theta w and
+Theta^T w are one forward and one back substitution through B each, so it is
+checked in O(n) time and memory.
 """
 
 from __future__ import annotations
@@ -132,10 +135,10 @@ def _weights(tau, r):
 
 def bdf_weights(tau_n: float, r_n: float) -> tuple[float, float]:
     """Leading weights (b0, b1) for one step; r_n = 0 gives backward Euler."""
-    if tau_n <= 0:
-        raise ValueError(f"tau must be positive, got {tau_n}")
-    if r_n < 0:
-        raise ValueError(f"step ratio must be nonnegative, got {r_n}")
+    if not 0 < tau_n < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau_n}")
+    if not 0 <= r_n < np.inf:
+        raise ValueError(f"step ratio must be nonnegative and finite, got {r_n}")
     return _weights(tau_n, r_n)
 
 
@@ -193,13 +196,29 @@ def kernel_matrices(mesh: TimeMesh, n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, p
 
 
+def _kernel_row(mesh: TimeMesh, n: int, complementary: bool) -> np.ndarray:
+    # row n of P (complementary) or Theta, reversed, by the recurrences of
+    # kernel_matrices in the same operations, so bitwise equal to its row
+    mesh._check_index(n)
+    b0, b1 = _weight_table(mesh, n)
+    b0, b1 = b0.tolist(), b1.tolist()
+    row = [1.0 / b0[n - 1]]
+    if complementary:
+        for k in range(n - 1, 0, -1):
+            row.append((1.0 - b1[k] * row[-1]) / b0[k - 1])
+    else:
+        for k in range(n - 1, 0, -1):
+            row.append(-b1[k] * row[-1] / b0[k - 1])
+    return np.array(row)
+
+
 def doc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
     """Orthogonal kernels theta[m] = theta^{(n)}_m for m = 0..n-1.
 
     Defined by sum_{j=k}^{n} theta^{(n)}_{n-j} b^{(j)}_{j-k} = delta_{nk}
-    for every k = 1..n: row n of Theta = B^{-1}, reversed.
+    for every k = 1..n: row n of Theta = B^{-1}, reversed, in O(n).
     """
-    return kernel_matrices(mesh, n)[0][n - 1, ::-1].copy()
+    return _kernel_row(mesh, n, complementary=False)
 
 
 def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
@@ -207,9 +226,9 @@ def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
 
     Defined by sum_{j=k}^{n} p^{(n)}_{n-j} b^{(j)}_{j-k} = 1 for every
     k = 1..n; equivalently p^{(n)}_{n-j} = sum_{l=j}^{n} theta^{(l)}_{l-j}.
-    Row n of P, reversed.
+    Row n of P, reversed, in O(n).
     """
-    return kernel_matrices(mesh, n)[1][n - 1, ::-1].copy()
+    return _kernel_row(mesh, n, complementary=True)
 
 
 QUADRATIC_FORM_SLACK = 1e-10
@@ -233,6 +252,15 @@ def quadratic_form_check(mesh: TimeMesh, w) -> QuadraticFormCheck:
     that is 2 w^T Theta w >= (delta/20) sum_k (Theta^T w)_k^2 / tau_k >= 0.
     Returns both sides and whether the chain holds up to the absolute
     slack QUADRATIC_FORM_SLACK.
+
+    Theta = B^{-1} is never formed: y = Theta w and z = Theta^T w solve
+    B y = w and B^T z = w, one forward and one back substitution through the
+    bidiagonal B,
+
+        y_k = (w_k - b1(k) y_{k-1}) / b0(k),
+        z_k = (w_k - b1(k+1) z_{k+1}) / b0(k),
+
+    so the check costs O(n) time and memory.
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
@@ -240,9 +268,19 @@ def quadratic_form_check(mesh: TimeMesh, w) -> QuadraticFormCheck:
         raise ValueError("w must be a nonempty 1d sequence")
     mesh._check_index(n)
     mesh.require_a1()
-    theta, _ = kernel_matrices(mesh, n)
-    lhs = 2.0 * float(w @ (theta @ w))
-    rhs = float(np.sum((w @ theta) ** 2 / mesh.steps[:n])) * (mesh.delta / 20.0)
+    b0, b1 = _weight_table(mesh, n)
+    b0, b1, wl = b0.tolist(), b1.tolist(), w.tolist()  # Python floats are cheaper scalar operands
+    # b1(1) = 0 and b1(n+1) := 0 start the two substitutions
+    y, y_k = [], 0.0
+    for w_k, b0_k, b1_k in zip(wl, b0, b1):
+        y_k = (w_k - b1_k * y_k) / b0_k
+        y.append(y_k)
+    z, z_k = [], 0.0
+    for w_k, b0_k, b1_next in zip(reversed(wl), reversed(b0), reversed(b1[1:] + [0.0])):
+        z_k = (w_k - b1_next * z_k) / b0_k
+        z.append(z_k)
+    lhs = 2.0 * float(w @ np.array(y))
+    rhs = float(np.sum(np.array(z[::-1]) ** 2 / mesh.steps[:n])) * (mesh.delta / 20.0)
     passed = lhs >= rhs - QUADRATIC_FORM_SLACK and rhs >= -QUADRATIC_FORM_SLACK
     return QuadraticFormCheck(lhs=lhs, rhs=rhs, passed=passed)
 

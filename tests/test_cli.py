@@ -196,6 +196,14 @@ class TestKernels:
         assert worst < 1e-11
         assert "worst identity residual" in capsys.readouterr().out
 
+    def test_single_row_is_rejected_before_writing(self, tmp_path, capsys):
+        # random_mesh needs two steps; the config check must fail before the outdir is made
+        cfg = write_cfg(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 1\n")
+        out = tmp_path / "out"
+        assert main(["kernels", cfg, "--outdir", str(out)]) == 1
+        assert "max_n must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kernel_rows_parse_back_exactly(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = convergence\nseed = 3\n[kernels]\nmax_n = 30\n")
         out = tmp_path / "out"

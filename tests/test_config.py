@@ -223,6 +223,13 @@ class TestValidation:
         with pytest.raises(ConfigValidationError, match=match):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_kernels_need_two_rows(self, tmp_path, value):
+        # random_mesh, which the kernels command draws its mesh from, needs two steps
+        with pytest.raises(ConfigValidationError, match="max_n must be >= 2"):
+            parse_config(write(tmp_path, f"scenario = convergence\n[kernels]\nmax_n = {value}\n"))
+        assert parse_config(write(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 2\n")).max_n == 2
+
     @pytest.mark.parametrize("kind", ["fixed", "random", "adaptive"])
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_every_preset_parses_under_every_kind(self, tmp_path, scenario, kind):

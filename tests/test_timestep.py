@@ -3,11 +3,16 @@
 The column-swept theta and p kernels are checked against a dense
 triangular solve of their defining linear systems and against the per-row
 loops of kernel_reference, their matrix identities are property-tested
-over random meshes, and the positivity chain is exercised by Monte Carlo
-over random admissible meshes.
+over random meshes, and one row by its recurrence must equal the matrix
+row bitwise.  The positivity chain, checked by two substitutions, is
+compared with the matrix products and the loop reference and exercised by
+Monte Carlo over random admissible meshes and over meshes at the edges of
+the ratio condition A1: a sawtooth on the cap, cycles of growth at the cap
+and one deep drop, and drawn mixtures of near-cap and tiny ratios.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +44,56 @@ from chsolver import (
 )
 
 R_MAX = 4.864536512317584
+CAP = R_MAX - 0.01
+
+
+def chained_steps(first, ratios):
+    """tau_1 = first and tau_k = tau_{k-1} r_k, each product rounded down
+    where needed so that the mesh's ratio tau_k / tau_{k-1} never exceeds r_k."""
+    steps = [first]
+    for r in ratios:
+        tau = steps[-1] * r
+        while tau / steps[-1] > r:
+            tau = math.nextafter(tau, 0.0)
+        steps.append(tau)
+    return np.array(steps)
+
+
+def matrix_form(mesh, w):
+    """(lhs, rhs) of the positivity chain by products with kernel_matrices."""
+    theta, _ = kernel_matrices(mesh, w.size)
+    lhs = 2.0 * float(w @ (theta @ w))
+    rhs = float(np.sum((w @ theta) ** 2 / mesh.steps[: w.size])) * (mesh.delta / 20.0)
+    return lhs, rhs
+
+
+def assert_form_matches(mesh, w):
+    """quadratic_form_check agrees with the matrix products and the loop
+    reference to rel 1e-12, and the chain holds."""
+    chk = quadratic_form_check(mesh, w)
+    assert chk.passed
+    for lhs, rhs in (matrix_form(mesh, w), kernel_reference.quadratic_form(mesh, w)):
+        assert chk.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert chk.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+
+def assert_rows_equal_matrix_rows(mesh, rows):
+    theta, p = kernel_matrices(mesh, max(rows))
+    for n in rows:
+        assert np.array_equal(doc_kernels(mesh, n), theta[n - 1, n - 1 :: -1])
+        assert np.array_equal(dcc_kernels(mesh, n), p[n - 1, n - 1 :: -1])
+
+
+def assert_residuals_hold(mesh, n, seed):
+    """The bounds of TestKernels.test_residuals_are_tiny, for the default
+    sequence t_j^2 and for standard normal values."""
+    values = np.random.default_rng(seed).normal(size=n + 1)
+    for res in (kernel_residuals(mesh, n), kernel_residuals(mesh, n, values=values)):
+        assert res.doc_orthogonality.max() < 1e-13
+        assert res.dcc_identity.max() < 1e-13
+        assert res.dcc_sum.max() < 1e-13
+        assert res.dcc_bound_margin.max() <= 0.0
+        assert res.telescoping.max() < 1e-12
 
 
 def convolution_matrix(mesh, n):
@@ -92,6 +147,17 @@ class TestRootAndWeights:
             bdf_weights(0.0, 1.0)
         with pytest.raises(ValueError, match="ratio must be nonnegative"):
             bdf_weights(1.0, -0.5)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tau_rejected(self, tau):
+        # inf once gave a zero leading weight (0.0, -0.0), nan gave (nan, nan)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            bdf_weights(tau, 0.5)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_nonfinite_ratio_rejected(self, r):
+        with pytest.raises(ValueError, match="ratio must be nonnegative and finite"):
+            bdf_weights(0.5, r)
 
     def test_consistency_identity(self):
         # b0 tau_n + b1 tau_{n-1} = 1 for every admissible pair
@@ -307,6 +373,26 @@ class TestQuadraticForm:
             assert chk.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
             assert chk.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_substitutions_match_matrix_products(self, count, seed):
+        mesh = random_mesh(1.0, max(count, 2), seed)
+        assert_form_matches(mesh, np.random.default_rng(seed).normal(size=count))
+
+    def test_linear_memory(self):
+        # one n x n array at n = 10^4 would take 800 MB; the check holds O(n)
+        n = 10_000
+        mesh = random_mesh(1.0, n, seed=23)
+        w = np.random.default_rng(23).normal(size=n)
+        tracemalloc.start()
+        try:
+            chk = quadratic_form_check(mesh, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chk.passed
+        assert peak < 400 * n
+
     def test_returns_plain_python_types(self):
         chk = quadratic_form_check(random_mesh(1.0, 5, seed=2), [1.0, -2.0, 0.5, 3.0, -1.0])
         assert type(chk.lhs) is float
@@ -371,6 +457,21 @@ class TestLoopReference:
             np.testing.assert_allclose(d[j - 1], want, rtol=1e-14, atol=1e-14)
 
 
+class TestKernelRows:
+    """doc_kernels and dcc_kernels walk one row's recurrence with the
+    operations of kernel_matrices' column sweep, so they give its bits."""
+
+    def test_every_row_equals_the_matrix_row(self):
+        mesh = random_mesh(1.0, 400, seed=24)
+        assert_rows_equal_matrix_rows(mesh, range(1, 401))
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rows_equal_matrix_rows(self, count, seed, data):
+        n = data.draw(st.integers(1, count))
+        assert_rows_equal_matrix_rows(random_mesh(1.0, count, seed), sorted({1, n, count}))
+
+
 class TestKernelMatrixProperties:
     @settings(max_examples=60, deadline=None)
     @given(count=st.integers(2, 150), seed=st.integers(0, 2**32 - 1))
@@ -394,19 +495,17 @@ class TestSawtoothMesh:
     r_max - 0.01 and its reciprocal.  random_mesh draws a ratio this close
     to the cap only rarely, and never one below 1/4.86."""
 
-    CAP = R_MAX - 0.01
-
-    @classmethod
-    def mesh(cls):
+    @staticmethod
+    def mesh():
         # a power-of-two short step makes every ratio exactly CAP or fl(1/CAP)
         short = 2.0**-17
-        return TimeMesh(np.tile([short, short * cls.CAP], 60), delta=0.01)
+        return TimeMesh(np.tile([short, short * CAP], 60), delta=0.01)
 
     def test_ratios_sit_on_the_cap(self):
         mesh = self.mesh()
         assert mesh.count == 120
-        assert np.all(mesh.ratios[1::2] == self.CAP)
-        assert np.all(mesh.ratios[2::2] == 1.0 / self.CAP)
+        assert np.all(mesh.ratios[1::2] == CAP)
+        assert np.all(mesh.ratios[2::2] == 1.0 / CAP)
         assert mesh.satisfies_a1()
 
     def test_quadratic_form_check_passes(self):
@@ -418,16 +517,17 @@ class TestSawtoothMesh:
             assert chk.passed
             assert chk.lhs >= chk.rhs >= 0.0
 
-    def test_kernel_residuals_hold(self):
-        # the bounds of TestKernels.test_residuals_are_tiny
+    def test_substitutions_match_matrix_products(self):
         mesh = self.mesh()
-        values = np.random.default_rng(41).normal(size=121)
-        for res in (kernel_residuals(mesh, 120), kernel_residuals(mesh, 120, values=values)):
-            assert res.doc_orthogonality.max() < 1e-13
-            assert res.dcc_identity.max() < 1e-13
-            assert res.dcc_sum.max() < 1e-13
-            assert res.dcc_bound_margin.max() <= 0.0
-            assert res.telescoping.max() < 1e-12
+        rng = np.random.default_rng(42)
+        for w in (np.ones(120), (-1.0) ** np.arange(120), rng.normal(size=120), rng.normal(size=57)):
+            assert_form_matches(mesh, w)
+
+    def test_rows_equal_matrix_rows(self):
+        assert_rows_equal_matrix_rows(self.mesh(), range(1, 121))
+
+    def test_kernel_residuals_hold(self):
+        assert_residuals_hold(self.mesh(), 120, seed=41)
 
     def test_coarsening2d_run_keeps_the_guarantees(self):
         mesh = self.mesh()
@@ -438,5 +538,101 @@ class TestSawtoothMesh:
         _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
         # the driver replays the mesh; only the landing step absorbs the rounding of the node sum
         np.testing.assert_allclose([rec.tau for rec in records], mesh.steps, rtol=1e-10, atol=0)
-        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=self.CAP)
+        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=CAP)
         assert problems == []
+
+
+class TestGrowthDropMesh:
+    """A1 at both ends in one cycle: four steps of geometric growth at ratio
+    CAP, then one drop at ratio CAP^-4 (about 1.8e-3) back to the cycle's
+    first step, so every cycle repeats the first."""
+
+    @staticmethod
+    def mesh(cycles):
+        return TimeMesh(np.tile(chained_steps(2.0**-17, [CAP] * 4), cycles), delta=0.01)
+
+    def test_ratios_sit_on_the_cap_and_drop(self):
+        mesh = self.mesh(3)
+        cycles = mesh.steps.reshape(3, 5)
+        assert np.all(cycles == cycles[0])
+        growth = mesh.ratios.reshape(3, 5)[:, 1:]
+        np.testing.assert_allclose(growth, CAP, rtol=1e-15, atol=0)
+        assert growth.max() <= CAP
+        np.testing.assert_allclose(mesh.ratios[5::5], CAP**-4, rtol=1e-14, atol=0)
+        assert 1.7e-3 < mesh.ratios[5] < 1.9e-3
+        assert mesh.satisfies_a1()
+
+    def test_quadratic_form_check_passes_at_ten_thousand_steps(self):
+        mesh = self.mesh(2000)
+        rng = np.random.default_rng(43)
+        for w in (np.ones(10_000), (-1.0) ** np.arange(10_000), *rng.normal(size=(5, 10_000))):
+            chk = quadratic_form_check(mesh, w)
+            assert chk.passed
+            assert chk.lhs >= chk.rhs >= 0.0
+
+    def test_substitutions_match_matrix_products(self):
+        rng = np.random.default_rng(44)
+        for w in (np.ones(200), rng.normal(size=200)):
+            assert_form_matches(self.mesh(40), w)
+
+    def test_rows_equal_matrix_rows(self):
+        assert_rows_equal_matrix_rows(self.mesh(80), [*range(1, 400, 7), 400])
+
+    def test_kernel_residuals_hold(self):
+        assert_residuals_hold(self.mesh(80), 400, seed=45)
+
+
+def mixed_steps(draws, count, floor):
+    """count steps, the first 1, then ratios taken cyclically from draws,
+    triples (near-cap ratio, ratio <= 1e-2, take the small one).  The choice
+    is flipped where it would take the running step below floor or above 1,
+    so either choice is a drawn ratio.  A power-of-two scale, which keeps
+    every ratio's bits, then brings the horizon to at most 1."""
+    tau, ratios = 1.0, []
+    for i in range(count - 1):
+        near, small, take_small = draws[i % len(draws)]
+        if take_small and tau * small < floor or not take_small and tau * near > 1.0:
+            take_small = not take_small
+        r = small if take_small else near
+        ratios.append(r)
+        tau *= r
+    steps = chained_steps(1.0, ratios)
+    return steps * 2.0 ** -math.ceil(math.log2(steps.sum()))
+
+
+class TestMixedRatioMesh:
+    """Drawn ratio sequences that mix ratios on or just below the cap with
+    ratios of at most 1e-2.
+
+    kernel_residuals reports absolute residuals, which grow like the machine
+    epsilon times the largest product of a kernel and a weight in the row,
+    about the ratio of the largest to the smallest step nearby.  So its
+    bounds are checked on draws whose steps span at most four decades (1e-11,
+    the bound of acceptance criterion 4 and of the benchmark's gate); the
+    chain and the kernel rows are checked on draws spanning twelve."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.floats(CAP - 0.1, CAP), st.floats(1e-5, 1e-2), st.booleans()), min_size=1, max_size=40
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chain_and_identities_hold(self, draws, seed):
+        mesh = TimeMesh(mixed_steps(draws, 10_000, floor=1e-12), delta=0.01)
+        assert mesh.satisfies_a1()
+        rng = np.random.default_rng(seed)
+        chk = quadratic_form_check(mesh, rng.normal(size=10_000))
+        assert chk.passed
+        assert chk.lhs >= chk.rhs >= 0.0
+        assert_form_matches(mesh, rng.normal(size=100))
+        assert_rows_equal_matrix_rows(mesh, [1, 2, 3, 400])
+
+        shallow = TimeMesh(mixed_steps(draws, 400, floor=1e-4), delta=0.01)
+        assert shallow.satisfies_a1()
+        for res in (kernel_residuals(shallow, 400), kernel_residuals(shallow, 400, values=rng.normal(size=401))):
+            assert res.doc_orthogonality.max() < 1e-11
+            assert res.dcc_identity.max() < 1e-11
+            assert res.dcc_sum.max() < 1e-11
+            assert res.dcc_bound_margin.max() <= 0.0
+            assert res.telescoping.max() < 1e-11

@@ -30,8 +30,12 @@ REPEATS timed runs after the warm-up below.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory; the quadratic form is
-  checked on random_mesh(1, MAX_N, SEED) with standard normal weights.
-  Each is run once untimed first.
+  checked on random_mesh(1, n, SEED) with standard normal weights, at
+  n = MAX_N and n = FORM_N, the latter with the tracemalloc peak of one
+  check.  Each is run once untimed first.  A commit whose check builds the
+  n x n kernel matrices (a tracemalloc peak at n = PROBE_N above one such
+  array) would need 80 GB per matrix at FORM_N, so its FORM_N row reads
+  "skipped".
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
   standard normal values (seed SEED), each run once untimed first, with the
   median minor page faults of one call; and ``check --records`` (the
@@ -58,6 +62,8 @@ from pathlib import Path
 
 GRIDS = ((2, 128), (2, 256), (2, 512), (3, 48), (3, 64), (3, 96), (3, 128))
 MAX_N = 400
+FORM_N = 100_000
+PROBE_N = 2_000
 IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
@@ -97,17 +103,19 @@ def median_faults(fn):
     return statistics.median(counts)
 
 
+def single_peak_bytes(fn):
+    """The tracemalloc peak of one call above what was allocated at its entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
 def median_peak_bytes(fn):
-    peaks = []
-    for _ in range(REPEATS):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            fn()
-            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
-        finally:
-            tracemalloc.stop()
-    return statistics.median(peaks)
+    return statistics.median(single_peak_bytes(fn) for _ in range(REPEATS))
 
 
 def _env(src):
@@ -169,17 +177,27 @@ def kernels_table():
                 if cli_main(["kernels", str(cfg), "--outdir", str(Path(tmp) / "out")]) != 0:
                     raise RuntimeError("chsolver kernels failed")
 
-        mesh = random_mesh(1.0, MAX_N, SEED)
-        w = np.random.default_rng(SEED).standard_normal(MAX_N)
+        def form_check(n):
+            mesh = random_mesh(1.0, n, SEED)
+            w = np.random.default_rng(SEED).standard_normal(n)
 
-        def form():
-            if not quadratic_form_check(mesh, w).passed:
-                raise RuntimeError("quadratic-form chain fails")
+            def form():
+                if not quadratic_form_check(mesh, w).passed:
+                    raise RuntimeError("quadratic-form chain fails")
+
+            form()
+            return form
 
         kernels_pass()
-        form()
-        print(f"kernels pass (max_n = {MAX_N}):     {median_ms(kernels_pass):9.1f} ms")
-        print(f"quadratic_form_check (n = {MAX_N}): {median_ms(form):9.1f} ms")
+        form = form_check(MAX_N)
+        print(f"kernels pass (max_n = {MAX_N}):        {median_ms(kernels_pass):9.1f} ms")
+        print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
+        label = f"quadratic_form_check (n = {FORM_N}):"
+        if single_peak_bytes(form_check(PROBE_N)) > 8 * PROBE_N**2:
+            print(f"{label} skipped (builds n x n arrays)")
+            return
+        form = form_check(FORM_N)
+        print(f"{label} {median_ms(form):9.2f} ms, tracemalloc peak {single_peak_bytes(form) / 1e6:.1f} MB")
 
 
 def io_table():
