@@ -3,8 +3,10 @@
 The kernels are rebuilt row by row with the scalar weights of
 ``bdf_weights``, by the two-term back-substitutions that define them, and
 the identity residuals and the quadratic form by explicit loops.  The
-library builds all rows at once by one column sweep and checks them with
-matrix products; the tests require both to agree to rounding.
+library builds all rows at once by one column sweep and checks their
+identities with matrix products, and evaluates the quadratic form by two
+substitutions through the bidiagonal weight matrix; the tests require
+both to agree to rounding.
 """
 
 import numpy as np

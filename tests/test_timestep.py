@@ -96,6 +96,20 @@ def assert_residuals_hold(mesh, n, seed):
         assert res.telescoping.max() < 1e-12
 
 
+def assert_run_keeps_guarantees(mesh):
+    """A coarsening2d N=32 run on the mesh: gamma never increases, the
+    per-step identity and mass hold, and no ratio exceeds CAP."""
+    grid = Grid(2, 2.0 * np.pi, 32)
+    phi0 = ic_random(grid, 1)
+    state = init_state(phi0, 0.3)
+    gamma0, mass0 = state.gamma, phi0.integral()
+    _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
+    # the driver replays the mesh; only the landing step absorbs the rounding of the node sum
+    np.testing.assert_allclose([rec.tau for rec in records], mesh.steps, rtol=1e-10, atol=0)
+    problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=CAP)
+    assert problems == []
+
+
 def convolution_matrix(mesh, n):
     """Dense lower-triangular M with M[j-1, k-1] = b^{(j)}_{j-k}."""
     mat = np.zeros((n, n))
@@ -530,16 +544,7 @@ class TestSawtoothMesh:
         assert_residuals_hold(self.mesh(), 120, seed=41)
 
     def test_coarsening2d_run_keeps_the_guarantees(self):
-        mesh = self.mesh()
-        grid = Grid(2, 2.0 * np.pi, 32)
-        phi0 = ic_random(grid, 1)
-        state = init_state(phi0, 0.3)
-        gamma0, mass0 = state.gamma, phi0.integral()
-        _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
-        # the driver replays the mesh; only the landing step absorbs the rounding of the node sum
-        np.testing.assert_allclose([rec.tau for rec in records], mesh.steps, rtol=1e-10, atol=0)
-        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=CAP)
-        assert problems == []
+        assert_run_keeps_guarantees(self.mesh())
 
 
 class TestGrowthDropMesh:
@@ -580,6 +585,9 @@ class TestGrowthDropMesh:
 
     def test_kernel_residuals_hold(self):
         assert_residuals_hold(self.mesh(80), 400, seed=45)
+
+    def test_coarsening2d_run_keeps_the_guarantees(self):
+        assert_run_keeps_guarantees(self.mesh(24))
 
 
 def mixed_steps(draws, count, floor):
