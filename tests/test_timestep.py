@@ -576,9 +576,10 @@ class TestGrowthDropMesh:
             assert chk.lhs >= chk.rhs >= 0.0
 
     def test_substitutions_match_matrix_products(self):
+        mesh = self.mesh(40)
         rng = np.random.default_rng(44)
         for w in (np.ones(200), rng.normal(size=200)):
-            assert_form_matches(self.mesh(40), w)
+            assert_form_matches(mesh, w)
 
     def test_rows_equal_matrix_rows(self):
         assert_rows_equal_matrix_rows(self.mesh(80), [*range(1, 400, 7), 400])
