@@ -17,11 +17,10 @@ Theta = B^{-1}, Theta[n, j] = theta^{(n)}_{n-j}, and the discrete
 complementary convolution (DCC) kernels are the rows of P = cumsum of Theta
 down each column, so that P B = 1 on the lower triangle.  Both matrices are
 built by one sweep over their columns with the two-term recurrences that B's
-bandwidth allows, and one row by the same recurrences in O(n); they serve
-only for a-posteriori verification, and the stepper never uses them.  The
-positive-definiteness chain of Theta needs neither matrix: Theta w and
-Theta^T w are one forward and one back substitution through B each, so it is
-checked in O(n) time and memory.
+bandwidth allows; they serve only for a-posteriori verification, and the
+stepper never uses them.  The positive-definiteness chain of Theta needs
+neither matrix: Theta w and Theta^T w are one forward and one back
+substitution through B each, so it is checked in O(n) time and memory.
 """
 
 from __future__ import annotations
@@ -196,29 +195,13 @@ def kernel_matrices(mesh: TimeMesh, n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, p
 
 
-def _kernel_row(mesh: TimeMesh, n: int, complementary: bool) -> np.ndarray:
-    # row n of P (complementary) or Theta, reversed, by the recurrences of
-    # kernel_matrices in the same operations, so bitwise equal to its row
-    mesh._check_index(n)
-    b0, b1 = _weight_table(mesh, n)
-    b0, b1 = b0.tolist(), b1.tolist()
-    row = [1.0 / b0[n - 1]]
-    if complementary:
-        for k in range(n - 1, 0, -1):
-            row.append((1.0 - b1[k] * row[-1]) / b0[k - 1])
-    else:
-        for k in range(n - 1, 0, -1):
-            row.append(-b1[k] * row[-1] / b0[k - 1])
-    return np.array(row)
-
-
 def doc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
     """Orthogonal kernels theta[m] = theta^{(n)}_m for m = 0..n-1.
 
     Defined by sum_{j=k}^{n} theta^{(n)}_{n-j} b^{(j)}_{j-k} = delta_{nk}
-    for every k = 1..n: row n of Theta = B^{-1}, reversed, in O(n).
+    for every k = 1..n: row n of Theta = B^{-1}, reversed.
     """
-    return _kernel_row(mesh, n, complementary=False)
+    return kernel_matrices(mesh, n)[0][n - 1, ::-1].copy()
 
 
 def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
@@ -226,9 +209,9 @@ def dcc_kernels(mesh: TimeMesh, n: int) -> np.ndarray:
 
     Defined by sum_{j=k}^{n} p^{(n)}_{n-j} b^{(j)}_{j-k} = 1 for every
     k = 1..n; equivalently p^{(n)}_{n-j} = sum_{l=j}^{n} theta^{(l)}_{l-j}.
-    Row n of P, reversed, in O(n).
+    Row n of P, reversed.
     """
-    return _kernel_row(mesh, n, complementary=True)
+    return kernel_matrices(mesh, n)[1][n - 1, ::-1].copy()
 
 
 QUADRATIC_FORM_SLACK = 1e-10

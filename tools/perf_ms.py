@@ -32,10 +32,7 @@ REPEATS timed runs after the warm-up below.
   kernel_residuals.csv into a temporary directory; the quadratic form is
   checked on random_mesh(1, n, SEED) with standard normal weights, at
   n = MAX_N and n = FORM_N, the latter with the tracemalloc peak of one
-  check.  Each is run once untimed first.  A commit whose check builds the
-  n x n kernel matrices (a tracemalloc peak at n = PROBE_N above one such
-  array) would need 80 GB per matrix at FORM_N, so its FORM_N row reads
-  "skipped".
+  check.  Each is run once untimed first.
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
   standard normal values (seed SEED), each run once untimed first, with the
   median minor page faults of one call; and ``check --records`` (the
@@ -63,7 +60,6 @@ from pathlib import Path
 GRIDS = ((2, 128), (2, 256), (2, 512), (3, 48), (3, 64), (3, 96), (3, 128))
 MAX_N = 400
 FORM_N = 100_000
-PROBE_N = 2_000
 IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
@@ -192,12 +188,11 @@ def kernels_table():
         form = form_check(MAX_N)
         print(f"kernels pass (max_n = {MAX_N}):        {median_ms(kernels_pass):9.1f} ms")
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
-        label = f"quadratic_form_check (n = {FORM_N}):"
-        if single_peak_bytes(form_check(PROBE_N)) > 8 * PROBE_N**2:
-            print(f"{label} skipped (builds n x n arrays)")
-            return
         form = form_check(FORM_N)
-        print(f"{label} {median_ms(form):9.2f} ms, tracemalloc peak {single_peak_bytes(form) / 1e6:.1f} MB")
+        print(
+            f"quadratic_form_check (n = {FORM_N}): {median_ms(form):9.2f} ms,"
+            f" tracemalloc peak {single_peak_bytes(form) / 1e6:.1f} MB"
+        )
 
 
 def io_table():
