@@ -7,7 +7,6 @@ from .timestep import (
     QuadraticFormCheck,
     SingularKernelError,
     TimeMesh,
-    bdf2_apply,
     bdf_weights,
     dcc_kernels,
     doc_kernels,

@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
@@ -40,6 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--records", default=None, help="verify an existing records CSV instead of running"
     )
     return parser
+
+
+# rows of the converge and kernels CSVs ('%.17g' % x is format(x, '.17g')):
+# a block of rows is one template repeated per row on one flat tuple of values
+CONVERGENCE_ROW = "%d" + ",%.17g" * 7 + "\n"
+KERNEL_ROW = "%d,%d,%.17g,%.17g\n"
+RESIDUAL_ROW = "%d" + ",%.17g" * 5 + "\n"
 
 
 def _outdir(cfg, override) -> Path:
@@ -84,8 +92,7 @@ class _RunOutput:
     def _flush(self) -> None:
         if self.writer is None:
             self.writer = RecordWriter(self.out / "records.csv")
-        for rec in self.pending:
-            self.writer.write(rec)
+        self.writer.write_block(self.pending)
         self.pending.clear()
         self.due = time.monotonic() + ROW_FLUSH_SECONDS
 
@@ -122,11 +129,7 @@ def _cmd_converge(args) -> int:
     path = out / "convergence.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("K,tau,h1_error,h1_order,gamma_error,gamma_order,max_ratio,xi_dev\n")
-        for r in rows:
-            fh.write(
-                f"{r.steps},{r.tau:.17g},{r.h1_error:.17g},{r.h1_order:.17g},"
-                f"{r.gamma_error:.17g},{r.gamma_order:.17g},{r.max_ratio:.17g},{r.xi_dev:.17g}\n"
-            )
+        fh.write(CONVERGENCE_ROW * len(rows) % tuple(chain.from_iterable(map(astuple, rows))))
     for r in rows:
         print(
             f"K={r.steps:6d}  tau={r.tau:.4e}  h1={r.h1_error:.4e} ({r.h1_order:5.2f})  "
@@ -145,14 +148,14 @@ def _cmd_kernels(args) -> int:
     with open(out / "kernels.csv", "w", encoding="utf-8") as fh:
         fh.write("n,offset,theta,p\n")
         for n in range(1, cfg.max_n + 1):
-            row = zip(theta[n - 1, n - 1 :: -1].tolist(), p[n - 1, n - 1 :: -1].tolist())
-            fh.write("".join(f"{n},{m},{a:.17g},{b:.17g}\n" for m, (a, b) in enumerate(row)))
+            th, pp = theta[n - 1, n - 1 :: -1].tolist(), p[n - 1, n - 1 :: -1].tolist()
+            fh.write(KERNEL_ROW * n % tuple(chain.from_iterable(zip(repeat(n), range(n), th, pp))))
     res = _residuals(mesh, theta, p)
     columns = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.dcc_bound_margin, res.telescoping)
     with open(out / "kernel_residuals.csv", "w", encoding="utf-8") as fh:
         fh.write("n,doc_orthogonality,dcc_identity,dcc_sum,dcc_bound_margin,telescoping\n")
-        for n, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
-            fh.write(f"{n}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        rows = zip(range(1, cfg.max_n + 1), *(c.tolist() for c in columns))
+        fh.write(RESIDUAL_ROW * cfg.max_n % tuple(chain.from_iterable(rows)))
     identities = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping)
     worst = max(float(c.max()) for c in identities)
     print(f"wrote {out / 'kernels.csv'} and {out / 'kernel_residuals.csv'}")

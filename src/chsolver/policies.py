@@ -1,9 +1,10 @@
 """Step-size policies and the driver loop.
 
 A policy proposes the next step size from (step index, last step, last two
-gamma values); the driver may shorten a proposal to land exactly on a
-checkpoint or on the horizon.  Shortening only lowers the next ratio, so
-an admissible proposal stream stays admissible.
+gamma values); to land exactly on a checkpoint or on the horizon the driver
+shortens a proposal that overshoots it and keeps one within 1e-12 * horizon,
+setting the clock to the target.  It never lengthens a proposal, and
+shortening only lowers the next ratio, so an admissible stream stays so.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def run_with_policy(
         tau = policy.next_step(state.step_index + 1, state.prev_tau, prev_gamma, state.gamma)
         remaining = target - state.time
         landed = tau >= remaining - tol
-        if landed:
+        if tau > remaining + tol:  # a landing proposal keeps its bits: a mesh replays exactly
             tau = remaining
         gamma_before = state.gamma
         state, rec = advance(state, tau)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,6 +33,9 @@ from .spectral import Grid, SpectralField
 from .stepper import StepRecord
 
 RECORD_FIELDS = ("n", "t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation")
+# one row as a % template ('%.17g' % x is format(x, '.17g')) and the values it takes
+RECORD_ROW = "%d" + ",%.17g" * (len(RECORD_FIELDS) - 1) + "\n"
+_record_values = attrgetter(*RECORD_FIELDS)
 SNAPSHOT_MAGIC = "CHSNAP"
 SNAPSHOT_VERSION = "v1"
 
@@ -44,12 +49,11 @@ def _fmt(x: float) -> str:
 
 
 def format_record(record: StepRecord) -> str:
-    vals = [str(record.n)] + [_fmt(getattr(record, f)) for f in RECORD_FIELDS[1:]]
-    return ",".join(vals)
+    return RECORD_ROW[:-1] % _record_values(record)
 
 
 class RecordWriter:
-    """Streams records to a CSV file, one appended row per step."""
+    """Streams records to a CSV file; each write appends one block of rows and flushes."""
 
     def __init__(self, path):
         self._fh = open(path, "w", encoding="utf-8")
@@ -57,7 +61,11 @@ class RecordWriter:
         self._fh.flush()
 
     def write(self, record: StepRecord) -> None:
-        self._fh.write(format_record(record) + "\n")
+        self.write_block((record,))
+
+    def write_block(self, records) -> None:
+        values = tuple(chain.from_iterable(map(_record_values, records)))
+        self._fh.write(RECORD_ROW * (len(values) // len(RECORD_FIELDS)) % values)
         self._fh.flush()
 
     def close(self) -> None:
@@ -72,8 +80,7 @@ class RecordWriter:
 
 def write_records(records, path) -> None:
     with RecordWriter(path) as w:
-        for rec in records:
-            w.write(rec)
+        w.write_block(records)
 
 
 def read_records(path) -> list[StepRecord]:

@@ -149,19 +149,9 @@ def _weight_table(mesh: TimeMesh, n: int) -> tuple[np.ndarray, np.ndarray]:
     return b0, b1
 
 
-def bdf2_apply(mesh: TimeMesh, values) -> np.ndarray:
-    """D2 u^j for j = 1..len(values)-1 at positions j-1, where
-    values = [u^0, u^1, ...] holds scalars or equally shaped arrays."""
-    u = np.asarray(values, dtype=np.float64)
-    m = len(u) - 1
-    if m < 1:
-        raise ValueError("need at least u^0 and u^1")
-    mesh._check_index(m)
-    return _bdf2_apply_table(*_weight_table(mesh, m), u)
-
-
 def _bdf2_apply_table(b0: np.ndarray, b1: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # bdf2_apply with the weights of steps 1..len(u)-1 given
+    # D2 u^j for j = 1..len(u)-1 at positions j-1, where u = [u^0, u^1, ...]
+    # holds scalars or equally shaped arrays and b0, b1 the weights of those steps
     per_step = (b0.size,) + (1,) * (u.ndim - 1)
     b0, b1 = b0.reshape(per_step), b1.reshape(per_step)
     du = np.diff(u, axis=0)

@@ -6,12 +6,26 @@ the identity residuals and the quadratic form by explicit loops.  The
 library builds all rows at once by one column sweep and checks their
 identities with matrix products, and evaluates the quadratic form by two
 substitutions through the bidiagonal weight matrix; the tests require
-both to agree to rounding.
+both to agree to rounding.  ``bdf2_apply`` applies the library's table
+form of the BDF2 operator, which only the kernel residuals use, to a mesh.
 """
 
 import numpy as np
 
+import chsolver.timestep as ts
 from chsolver import bdf_weights
+
+
+def bdf2_apply(mesh, values):
+    """D2 u^j for j = 1..len(values)-1 at positions j-1, where
+    values = [u^0, u^1, ...] holds scalars or equally shaped arrays: the
+    library's table form, which kernel residuals use, on the mesh's weights."""
+    u = np.asarray(values, dtype=np.float64)
+    m = len(u) - 1
+    if m < 1:
+        raise ValueError("need at least u^0 and u^1")
+    mesh._check_index(m)
+    return ts._bdf2_apply_table(*ts._weight_table(mesh, m), u)
 
 
 def weight_table(mesh, n):

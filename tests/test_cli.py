@@ -210,12 +210,16 @@ class TestKernels:
         assert main(["kernels", cfg, "--outdir", str(out)]) == 0
         parsed = chsolver.parse_config(cfg)
         mesh = chsolver.random_mesh(parsed.horizon, 30, parsed.seed)
-        rows = [line.split(",") for line in (out / "kernels.csv").read_text().splitlines()[1:]]
+        lines = (out / "kernels.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
         for n in range(1, 31):
-            block = rows[n * (n - 1) // 2 : n * (n + 1) // 2]
-            assert [(int(r[0]), int(r[1])) for r in block] == [(n, m) for m in range(n)]
-            assert [float(r[2]) for r in block] == chsolver.doc_kernels(mesh, n).tolist()
-            assert [float(r[3]) for r in block] == chsolver.dcc_kernels(mesh, n).tolist()
+            block = slice(n * (n - 1) // 2, n * (n + 1) // 2)
+            theta, p = chsolver.doc_kernels(mesh, n).tolist(), chsolver.dcc_kernels(mesh, n).tolist()
+            assert [(int(r[0]), int(r[1])) for r in rows[block]] == [(n, m) for m in range(n)]
+            assert [float(r[2]) for r in rows[block]] == theta
+            assert [float(r[3]) for r in rows[block]] == p
+            # the text itself is the per-value .17g of each kernel
+            assert lines[block] == [f"{n},{m},{a:.17g},{b:.17g}" for m, (a, b) in enumerate(zip(theta, p))]
 
 
 class TestPrescribedMeshCheckpoints:

@@ -3,6 +3,7 @@ rejection of malformed inputs."""
 
 import math
 import struct
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chsolver import (
+    RECORD_FIELDS,
     Grid,
     RecordWriter,
     Snapshot,
@@ -23,6 +25,8 @@ from chsolver import (
     write_records,
     write_snapshot,
 )
+from chsolver.cli import CONVERGENCE_ROW, KERNEL_ROW, RESIDUAL_ROW
+from chsolver.recordio import RECORD_ROW
 
 
 def sample_records(count=12, seed=0):
@@ -145,6 +149,52 @@ class TestRecordProperties:
             if p.endswith(": nonfinite record values")
         }
         assert flagged == {n for n, vals in enumerate(rows, start=1) if not all(map(math.isfinite, vals))}
+
+
+def per_value_rows(rows, ints):
+    """The rows as text, the first ints values of each by str and every
+    other by format(x, ".17g")."""
+    lines = (",".join([str(v) for v in row[:ints]] + [format(v, ".17g") for v in row[ints:]]) for row in rows)
+    return "".join(line + "\n" for line in lines)
+
+
+def by_template(template, rows):
+    return template * len(rows) % tuple(chain.from_iterable(rows))
+
+
+class TestRowTemplates:
+    """A block of rows formatted by one % template is byte for byte the
+    per-value .17g text, for every float64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=record_rows)
+    def test_record_rows(self, tmp_path_factory, rows):
+        records = as_records(rows)
+        want = per_value_rows([[r.n, *vals] for r, vals in zip(records, rows)], ints=1)
+        assert "".join(format_record(r) + "\n" for r in records) == want
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        with RecordWriter(path) as w:
+            w.write(records[0])
+            w.write_block(records[1:])
+        assert path.read_text() == ",".join(RECORD_FIELDS) + "\n" + want
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10**6), pairs=st.lists(st.tuples(any_float, any_float), min_size=1, max_size=40))
+    def test_kernel_rows(self, n, pairs):
+        rows = [(n, m, a, b) for m, (a, b) in enumerate(pairs)]
+        assert by_template(KERNEL_ROW, rows) == per_value_rows(rows, ints=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(any_float, min_size=5, max_size=5), min_size=1, max_size=20))
+    def test_residual_rows(self, rows):
+        rows = [(n, *vals) for n, vals in enumerate(rows, start=1)]
+        assert by_template(RESIDUAL_ROW, rows) == per_value_rows(rows, ints=1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.lists(any_float, min_size=7, max_size=7), min_size=1, max_size=8))
+    def test_convergence_rows(self, rows):
+        rows = [(2**k, *vals) for k, vals in enumerate(rows, start=4)]
+        assert by_template(CONVERGENCE_ROW, rows) == per_value_rows(rows, ints=1)
 
 
 class TestSnapshots:

@@ -27,7 +27,6 @@ from chsolver import (
     PrescribedMesh,
     SingularKernelError,
     TimeMesh,
-    bdf2_apply,
     bdf_weights,
     dcc_kernels,
     doc_kernels,
@@ -96,8 +95,8 @@ def assert_run_keeps_guarantees(mesh):
     state = init_state(phi0, 0.3)
     gamma0, mass0 = state.gamma, phi0.integral()
     _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
-    # the driver replays the mesh; only the landing step absorbs the rounding of the node sum
-    np.testing.assert_allclose([rec.tau for rec in records], mesh.steps, rtol=1e-10, atol=0)
+    # the driver replays the mesh bit for bit, the landing step included
+    assert [rec.tau for rec in records] == mesh.steps.tolist()
     problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=CAP)
     assert problems == []
 
@@ -181,8 +180,8 @@ class TestRootAndWeights:
         mesh = random_mesh(2.0, 30, seed=5)
         lin = [2.0 * mesh.times[j] + 1.0 for j in range(31)]
         quad = [mesh.times[j] ** 2 for j in range(31)]
-        d_lin = bdf2_apply(mesh, lin)
-        d_quad = bdf2_apply(mesh, quad)
+        d_lin = kernel_reference.bdf2_apply(mesh, lin)
+        d_quad = kernel_reference.bdf2_apply(mesh, quad)
         for j in range(1, 31):
             assert np.isclose(d_lin[j - 1], 2.0, atol=1e-11)
             if j >= 2:
@@ -191,7 +190,7 @@ class TestRootAndWeights:
     def test_bdf2_apply_needs_two_values(self):
         mesh = TimeMesh([1.0])
         with pytest.raises(ValueError, match="at least"):
-            bdf2_apply(mesh, [1.0])
+            kernel_reference.bdf2_apply(mesh, [1.0])
 
 
 class TestTimeMesh:
@@ -446,7 +445,7 @@ class TestLoopReference:
         mesh = random_mesh(1.0, 6, seed=22)
         fields = np.random.default_rng(22).normal(size=(7, 3, 4))
         b0, b1 = kernel_reference.weight_table(mesh, 6)
-        d = bdf2_apply(mesh, fields)
+        d = kernel_reference.bdf2_apply(mesh, fields)
         assert d.shape == (6, 3, 4)
         for j in range(1, 7):
             want = b0[j] * (fields[j] - fields[j - 1])
@@ -602,6 +601,22 @@ class TestMixedRatioMesh:
         assert chk.passed
         assert chk.lhs >= chk.rhs >= 0.0
         assert_form_matches(mesh, rng.normal(size=100))
+
+    @pytest.mark.parametrize("nodes", [(), (20, 40, 59)], ids=["horizon", "checkpoints"])
+    def test_prescribed_mesh_is_replayed_exactly(self, nodes):
+        # a last step on the cap: a driver that stretched a landing step to the
+        # rounded distance left to the horizon took its ratio above the cap
+        grid = Grid(2, 2.0 * np.pi, 16)
+        for seed in range(40):
+            steps = mixed_steps(seeded_mixed_draws(seed), 60)
+            mesh = TimeMesh(np.append(steps, steps[-1] * CAP), delta=0.01)
+            assert mesh.satisfies_a1()
+            checkpoints = mesh.times[list(nodes)]
+            state = init_state(ic_random(grid, 1), 0.3)
+            _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
+            assert [rec.tau for rec in records] == mesh.steps.tolist()
+            assert records[-1].t == mesh.horizon
+            assert validate_records(records, ratio_cap=CAP) == []
 
     @pytest.mark.xfail(
         strict=True,

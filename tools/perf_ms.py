@@ -29,7 +29,10 @@ REPEATS timed runs after the warm-up below.
   must stay below the probe's own.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
-  kernel_residuals.csv into a temporary directory; the quadratic form is
+  kernel_residuals.csv into a temporary directory.  Beside it stands the
+  pass's ``.17g`` floor: the median time to format its 2 * n(n+1)/2 kernel
+  values alone, as one tuple of floats through one ``"%.17g"`` template,
+  with no separators, indices or file.  The quadratic form is
   checked on random_mesh(1, n, SEED) with standard normal weights, at
   n = MAX_N and n = FORM_N, the latter with the tracemalloc peak of one
   check.  Each is run once untimed first.
@@ -161,7 +164,7 @@ def advance_table(rss):
 def kernels_table():
     import numpy as np
 
-    from chsolver import quadratic_form_check, random_mesh
+    from chsolver import kernel_matrices, parse_config, quadratic_form_check, random_mesh
     from chsolver.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -184,9 +187,15 @@ def kernels_table():
             form()
             return form
 
+        theta, p = kernel_matrices(random_mesh(parse_config(cfg).horizon, MAX_N, SEED), MAX_N)
+        lower = np.tril_indices(MAX_N)
+        values = tuple(theta[lower].tolist() + p[lower].tolist())
+        template = "%.17g" * len(values)
+
         kernels_pass()
         form = form_check(MAX_N)
         print(f"kernels pass (max_n = {MAX_N}):        {median_ms(kernels_pass):9.1f} ms")
+        print(f".17g floor ({len(values)} values):     {median_ms(lambda: template % values):9.1f} ms")
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
         form = form_check(FORM_N)
         print(
