@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage/validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import astuple, replace
@@ -24,11 +25,13 @@ from pathlib import Path
 
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
 from .recordio import RecordWriter, read_records, write_snapshot
+from .policies import PrescribedMesh
 from .scenarios import run_convergence, run_scenario
 from .stepper import energy, validate_records
 from .timestep import _residuals, kernel_matrices, random_mesh
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chsolver", description="Periodic Cahn-Hilliard solver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,9 +110,17 @@ class _RunOutput:
         self.writer.close()
 
 
+def _landing_scenario(cfg):
+    """The configured run; a random mesh needs a node at each snapshot time."""
+    scenario = build_scenario(cfg)
+    if isinstance(scenario.policy, PrescribedMesh):
+        scenario.policy.require_nodes(cfg.snapshots, cfg.horizon, ConfigValidationError)
+    return scenario
+
+
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario)
-    scenario = build_scenario(cfg)
+    scenario = _landing_scenario(cfg)
     out = _outdir(cfg, args.outdir)
     sink = _RunOutput(out, cfg.record_every)
     try:
@@ -123,7 +134,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = parse_config(args.config, args.scenario, default_scenario="convergence", snapshots=False)
+    cfg = parse_config(args.config, args.scenario, default_scenario="convergence", check_snapshots=False)
     out = _outdir(cfg, args.outdir)
     rows = run_convergence(build_scenario(cfg), cfg.base_k, cfg.levels, cfg.ref_steps)
     path = out / "convergence.csv"
@@ -141,7 +152,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    cfg = parse_config(args.config, args.scenario, default_scenario="convergence", snapshots=False)
+    cfg = parse_config(args.config, args.scenario, default_scenario="convergence", check_snapshots=False)
     out = _outdir(cfg, args.outdir)
     mesh = random_mesh(cfg.horizon, cfg.max_n, cfg.seed)
     theta, p = kernel_matrices(mesh, cfg.max_n)
@@ -163,16 +174,29 @@ def _cmd_kernels(args) -> int:
     return 0
 
 
+class _InitialField:
+    """run_scenario sink for check: keeps the t = 0 field, drops the rest."""
+
+    field = None
+    record = staticmethod(lambda rec: None)
+
+    def snapshot(self, t: float, field) -> None:
+        if t == 0.0:
+            self.field = field
+
+
 def _cmd_check(args) -> int:
-    # a rerun captures only t = 0 and --records reads none: the preset times go unchecked
-    cfg = parse_config(args.config, scenario=args.scenario, snapshots=False)
-    scenario = build_scenario(cfg)
+    cfg = parse_config(args.config, scenario=args.scenario, check_snapshots=False)
+    scenario = _landing_scenario(cfg)
     cap = scenario.policy.ratio_cap
     if args.records is not None:
         records = read_records(args.records)
         problems = validate_records(records, ratio_cap=cap)
     else:
-        records, [(_, phi0)] = run_scenario(replace(scenario, snapshot_times=(0.0,)))
+        # the snapshot times are landing targets (beyond the horizon, none), as in simulate
+        sink = _InitialField()
+        records, _ = run_scenario(replace(scenario, snapshot_times=(0.0, *scenario.snapshot_times)), sink)
+        phi0 = sink.field
         gamma0 = energy(phi0.grid, phi0.physical, phi0.coefficients, scenario.eps) + 1.0
         problems = validate_records(
             records, gamma0=gamma0, mass0=phi0.integral(), volume=phi0.grid.volume, ratio_cap=cap

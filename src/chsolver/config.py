@@ -201,12 +201,12 @@ def _read_pairs(path: str) -> dict[tuple[str, str], object]:
 
 
 def parse_config(
-    path: str, scenario: str | None = None, default_scenario: str | None = None, snapshots: bool = True
+    path: str, scenario: str | None = None, default_scenario: str | None = None, check_snapshots: bool = True
 ) -> SimConfig:
     """Parse a config file; an explicit scenario argument overrides the file,
     and default_scenario applies when neither names one.  With
-    snapshots=False (for subcommands that write none) the snapshot times are
-    dropped unchecked."""
+    check_snapshots=False (for subcommands that write none) the snapshot
+    times are kept but not checked against the horizon."""
     pairs = _read_pairs(path)
 
     name = scenario if scenario is not None else pairs.get(("run", "scenario"), default_scenario)
@@ -225,17 +225,15 @@ def parse_config(
             key, value = "eps", math.sqrt(value)
         merged[key] = value
     merged.pop("scenario", None)
-    if not snapshots:
-        merged["snapshots"] = ()
     if merged["kind"] not in ("fixed", "random", "adaptive"):
         raise ConfigValidationError(f"unknown policy kind {merged['kind']!r}")
 
     cfg = SimConfig(scenario=name, **{_FIELD_NAMES.get(k, k): v for k, v in merged.items()})
-    _validate(cfg)
+    _validate(cfg, check_snapshots)
     return cfg
 
 
-def _validate(cfg: SimConfig) -> None:
+def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
     def bad(msg):
         raise ConfigValidationError(msg)
 
@@ -255,7 +253,7 @@ def _validate(cfg: SimConfig) -> None:
         bad(f"horizon must be positive, got {cfg.horizon}")
     if cfg.record_every < 1:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
-    if not all(0 <= t <= cfg.horizon * (1 + 1e-12) for t in cfg.snapshots):
+    if check_snapshots and not all(0 <= t <= cfg.horizon * (1 + 1e-12) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
     # range-check every policy key that is set, whether or not the kind uses it
     for key in ("tau", "tau_min", "tau_max"):

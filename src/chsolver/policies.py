@@ -48,6 +48,14 @@ class FixedStep(StepPolicy):
 class PrescribedMesh(StepPolicy):
     mesh: TimeMesh
 
+    def require_nodes(self, times, horizon: float, error=ValueError) -> None:
+        """Raise error unless every time inside (0, horizon) is a node within
+        1e-12 * horizon: landing off one shifts every later node."""
+        tol = 1e-12 * horizon
+        for c in times:
+            if tol < c < horizon - tol and np.abs(self.mesh.times - c).min() > tol:
+                raise error(f"checkpoint {c!r} is not a node of the prescribed mesh")
+
     def next_step(self, n, prev_tau, prev_gamma, curr_gamma):
         if n > self.mesh.count:
             raise MeshExhaustedError(f"mesh has {self.mesh.count} steps, step {n} requested")
@@ -108,10 +116,7 @@ def run_with_policy(
     tol = 1e-12 * horizon
     targets = sorted({float(c) for c in checkpoints if state.time + tol < c < horizon - tol})
     if isinstance(policy, PrescribedMesh):
-        # landing off a node would shift every later node and exhaust the mesh
-        for c in targets:
-            if np.abs(policy.mesh.times - c).min() > tol:
-                raise ValueError(f"checkpoint {c!r} is not a node of the prescribed mesh")
+        policy.require_nodes(targets, horizon)
         if horizon - policy.mesh.horizon > tol:
             raise ValueError(f"horizon {horizon!r} lies beyond the last mesh node {policy.mesh.horizon!r}")
     targets.append(float(horizon))

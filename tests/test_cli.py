@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chsolver
-from chsolver import read_records, read_snapshot, write_records
+from chsolver import cli, read_records, read_snapshot, write_records
 from chsolver.cli import main
 
 
@@ -229,9 +229,10 @@ class TestPrescribedMeshCheckpoints:
             "scenario = convergence\nn = 16\nhorizon = 0.02\n[output]\nsnapshots = 0.0, 0.0101\n",
         )
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--outdir", str(out)]) != 0
+        # a validation failure, found before the output directory is made
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 1
         assert "checkpoint 0.0101 is not a node" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert not out.exists()
 
 
 class TestCheck:
@@ -258,6 +259,22 @@ class TestCheck:
         assert main(["check", cfg]) == 1
         problems = capsys.readouterr().err.splitlines()[:-1]
         assert problems and all(line.startswith("step 1: gamma drop") for line in problems)
+
+    def test_rerun_takes_the_steps_simulate_wrote(self, tmp_path, capsys):
+        # the rerun lands on the snapshot times too: 197 steps, where skipping them gave 195
+        cfg = write_cfg(tmp_path, "scenario = kissing_bubbles\nn = 64\n")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        rows = len(read_records(out / "records.csv"))
+        capsys.readouterr()
+        assert main(["check", cfg]) == 0
+        assert capsys.readouterr().out == f"check passed: {rows} steps, all guarantees hold\n"
+
+    def test_rerun_keeps_only_the_initial_field(self):
+        sink = cli._InitialField()
+        sink.snapshot(0.0, "phi0")
+        sink.snapshot(0.1, "phi1")
+        assert sink.field == "phi0"
 
     def test_corrupted_stream_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
@@ -300,6 +317,63 @@ class TestCheck:
         assert "check passed" in capsys.readouterr().out
         # simulate still checks the preset times against the horizon
         assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call leaks into the next."""
+
+    def test_second_call_builds_no_parser(self, tmp_path, monkeypatch):
+        import argparse
+
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        try:
+            assert main(["check", cfg]) == 0
+            first = len(built)
+            assert main(["check", cfg]) == 0
+        finally:
+            cli._build_parser.cache_clear()
+        # the parser and one per subcommand, then none
+        assert built[0] == "chsolver" and first == 5
+        assert len(built) == first
+
+    def test_records_flag_does_not_stick(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        runs = []
+        real_run = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args) or real_run(*args))
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+        assert runs == []
+        assert main(["check", cfg]) == 0
+        assert len(runs) == 1
+
+    def test_scenario_override_does_not_stick(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "scenario = convergence\nn = 16\nhorizon = 0.02\n[policy]\ncount = 8\n")
+        # equilibrium's fixed step of 0.01 takes 2 steps, the file's random mesh 8
+        assert main(["check", cfg, "--scenario", "equilibrium"]) == 0
+        assert "check passed: 2 steps" in capsys.readouterr().out
+        assert main(["check", cfg]) == 0
+        assert "check passed: 8 steps" in capsys.readouterr().out
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        assert main(["check", cfg]) == 0
+        capsys.readouterr()
+        assert main(["check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: chsolver check")
+        assert "required: config" in captured.err
 
 
 class TestExitCodes:

@@ -618,6 +618,10 @@ class TestMixedRatioMesh:
             assert records[-1].t == mesh.horizon
             assert validate_records(records, ratio_cap=CAP) == []
 
+    def test_coarsening2d_run_keeps_the_guarantees(self):
+        for seed in range(3):
+            assert_run_keeps_guarantees(TimeMesh(mixed_steps(seeded_mixed_draws(seed), 400), delta=0.01))
+
     @pytest.mark.xfail(
         strict=True,
         reason="kernel_residuals reports absolute residuals, which grow like eps times max tau / min tau"

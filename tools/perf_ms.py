@@ -40,7 +40,9 @@ REPEATS timed runs after the warm-up below.
   standard normal values (seed SEED), each run once untimed first, with the
   median minor page faults of one call; and ``check --records`` (the
   kissing_bubbles config's ratio cap) on a generated stream of IO_ROWS
-  rows that obeys every guarantee, so every row goes through every check.
+  rows that obeys every guarantee, so every row goes through every check,
+  and on the first row of that stream alone: the fixed cost of one warm
+  in-process call (argument parsing, config, scenario and file handling).
 - cold start: the wall time of a fresh interpreter, from spawn to exit, for
   bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
   max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
@@ -227,18 +229,21 @@ def io_table():
         for n in range(1, IO_ROWS + 1):
             prev, gamma = gamma, gamma - 1e-5
             rows.append(StepRecord(n, n * 1e-6, 1e-6, gamma, gamma - 1.0, 1.0, 0.0, 0.0, prev - gamma))
-        records = Path(tmp) / "records.csv"
+        records, one_row = Path(tmp) / "records.csv", Path(tmp) / "one_row.csv"
         write_records(rows, records)
+        write_records(rows[:1], one_row)
         cfg = Path(tmp) / "check.cfg"
         cfg.write_text("scenario = kissing_bubbles\n")
 
-        def check():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli_main(["check", str(cfg), "--records", str(records)]) != 0:
-                    raise RuntimeError("chsolver check --records failed")
+        for label, path in ((f"{IO_ROWS} rows", records), ("1 row", one_row)):
 
-        check()
-        print(f"check --records ({IO_ROWS} rows) {median_ms(check):10.2f}")
+            def check():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli_main(["check", str(cfg), "--records", str(path)]) != 0:
+                        raise RuntimeError("chsolver check --records failed")
+
+            check()
+            print(f"{'check --records (' + label + ')':27s} {median_ms(check):10.3f}")
 
 
 def cold_start_table(src):
