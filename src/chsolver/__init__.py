@@ -19,6 +19,7 @@ from .timestep import (
 from .stepper import (
     GsavState,
     NonfiniteFieldError,
+    RecordTable,
     StepRecord,
     advance,
     energy,
@@ -58,6 +59,7 @@ from .recordio import (
     Snapshot,
     SnapshotFormatError,
     format_record,
+    read_record_table,
     read_records,
     read_snapshot,
     write_records,

@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
-from .recordio import RecordWriter, read_records, write_snapshot
+from .recordio import RecordWriter, read_record_table, write_snapshot
 from .policies import PrescribedMesh
 from .scenarios import run_convergence, run_scenario
 from .stepper import energy, validate_records
@@ -190,7 +190,7 @@ def _cmd_check(args) -> int:
     scenario = _landing_scenario(cfg)
     cap = scenario.policy.ratio_cap
     if args.records is not None:
-        records = read_records(args.records)
+        records = read_record_table(args.records)
         problems = validate_records(records, ratio_cap=cap)
     else:
         # the snapshot times are landing targets (beyond the horizon, none), as in simulate

@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
 
 from .spectral import Grid, SpectralField
-from .stepper import StepRecord
+from .stepper import RecordTable, StepRecord
 
 RECORD_FIELDS = ("n", "t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation")
 # one row as a % template ('%.17g' % x is format(x, '.17g')) and the values it takes
@@ -83,24 +83,52 @@ def write_records(records, path) -> None:
         w.write_block(records)
 
 
-def read_records(path) -> list[StepRecord]:
+def read_record_table(path) -> RecordTable:
+    """The records CSV at path as columns, read in one ``read``: n by
+    ``int``, every other value by ``float``, as the StepRecord fields would
+    be, with blank lines skipped.  A malformed row raises ValueError
+    ("line N: ...") for the first such line of the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != list(RECORD_FIELDS):
-            raise ValueError(f"unexpected record header {header!r}")
-        out = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(RECORD_FIELDS):
-                raise ValueError(f"line {lineno}: expected {len(RECORD_FIELDS)} fields")
-            try:
-                out.append(StepRecord(int(parts[0]), *map(float, parts[1:])))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+        header, _, body = fh.read().partition("\n")
+    header = header.strip()
+    if header.split(",") != list(RECORD_FIELDS):
+        raise ValueError(f"unexpected record header {header!r}")
+    width = len(RECORD_FIELDS)
+    rows = [line for line in map(str.strip, body.split("\n")) if line]
+    if set(map(str.count, rows, repeat(","))) <= {width - 1}:  # every row has width fields
+        fields = ",".join(rows).split(",") if rows else []
+        try:
+            n = list(map(int, fields[::width]))
+            del fields[::width]
+            values = np.fromiter(map(float, fields), np.float64, len(fields))
+        except ValueError:
+            pass
+        else:
+            return RecordTable(n, values.reshape(len(rows), width - 1))
+    raise _row_error(body)
+
+
+def _row_error(body: str) -> ValueError:
+    """The error of the first malformed row of body, the lines after the
+    header."""
+    width = len(RECORD_FIELDS)
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != width:
+            return ValueError(f"line {lineno}: expected {width} fields")
+        try:
+            int(parts[0])
+            list(map(float, parts[1:]))
+        except ValueError as exc:
+            return ValueError(f"line {lineno}: {exc}")
+    raise AssertionError("no malformed row")
+
+
+def read_records(path) -> list[StepRecord]:
+    table = read_record_table(path)
+    return list(map(StepRecord, table.n, *table.values.T.tolist()))
 
 
 @dataclass(frozen=True)

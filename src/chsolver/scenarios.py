@@ -52,8 +52,10 @@ def ic_kissing(grid: Grid, eps2: float) -> SpectralField:
 
 def ic_random(grid: Grid, seed: int) -> SpectralField:
     """0.35 + 0.3 * Rand(x) with Rand uniform on (-1, 1)."""
-    rng = np.random.default_rng(seed)
-    return SpectralField(grid, physical=0.35 + 0.3 * rng.uniform(-1.0, 1.0, grid.shape))
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape)
+    u *= 0.3  # in place: the same bits as 0.35 + 0.3 * u, without two temporaries
+    u += 0.35
+    return SpectralField(grid, physical=u)
 
 
 def ic_equilibrium(grid: Grid) -> SpectralField:

@@ -54,8 +54,11 @@ the four substeps reproduces advance bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -317,6 +320,30 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     return new_state, record
 
 
+RECORD_COLUMNS = ("t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation")
+_record_values = attrgetter(*RECORD_COLUMNS)
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """A record stream as columns: the step indices n, and a rows x 8
+    float64 array of the other StepRecord fields, in RECORD_COLUMNS order."""
+
+    n: list[int]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    @classmethod
+    def from_records(cls, records) -> RecordTable:
+        """The table of a sequence of StepRecords."""
+        width = len(RECORD_COLUMNS)
+        flat = chain.from_iterable(map(_record_values, records))
+        values = np.fromiter(flat, np.float64, width * len(records))
+        return cls([rec.n for rec in records], values.reshape(len(records), width))
+
+
 def validate_records(
     records,
     gamma0: float | None = None,
@@ -324,47 +351,66 @@ def validate_records(
     volume: float | None = None,
     ratio_cap: float | None = None,
 ) -> list[str]:
-    """Check a record stream against the scheme's guarantees.
+    """Check a record stream, a RecordTable or a sequence of StepRecords,
+    against the scheme's guarantees.
 
-    Returns a list of human-readable violations (empty when clean):
-    gamma positive and non-increasing, xi positive, the per-step identity
-    gamma_{n-1} - gamma_n = dissipation, constant mass, finiteness, and
-    optionally the step-ratio cap.
+    Returns a list of human-readable violations (empty when clean), in row
+    order: gamma positive and non-increasing, xi positive, the per-step
+    identity gamma_{n-1} - gamma_n = dissipation, constant mass,
+    finiteness, and optionally the step-ratio cap.  A nonfinite row is
+    reported alone, and the next row is checked against the last finite
+    one (the first finite row against gamma0, if given).  The checks run
+    on whole columns; messages are built for the flagged rows only.
     """
-    problems: list[str] = []
-    if not records:
+    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    if not table:
         return ["no records"]
-    g_scale = gamma0 if gamma0 is not None else records[0].gamma
-    m_anchor = mass0 if mass0 is not None else records[0].mass
+    values = table.values
+    row0 = dict(zip(RECORD_COLUMNS, values[0].tolist()))
+    g_scale = gamma0 if gamma0 is not None else row0["gamma"]
+    m_anchor = mass0 if mass0 is not None else row0["mass"]
     m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
-    prev_gamma = gamma0
-    prev_tau = None
-    for rec in records:
-        vals = (rec.t, rec.tau, rec.gamma, rec.energy, rec.xi, rec.eta, rec.mass, rec.dissipation)
-        if not all(map(math.isfinite, vals)):
-            problems.append(f"step {rec.n}: nonfinite record values")
+    finite = np.isfinite(values).all(axis=1)
+    rows = finite.nonzero()[0]
+    _, tau, gamma, _, xi, _, mass, dissipation = values[rows].T
+    # each finite row's predecessor: the previous finite row, or gamma0 and
+    # no step before the first; a nan there fails every comparison
+    first_gamma = math.nan if gamma0 is None else gamma0
+    with np.errstate(all="ignore"):
+        prev_gamma = np.concatenate(([first_gamma], gamma[:-1]))
+        prev_tau = np.concatenate(([math.nan], tau[:-1]))
+        checks = [
+            gamma <= 0,
+            xi <= 0,
+            gamma > prev_gamma + 1e-13 * g_scale,
+            abs(prev_gamma - gamma - dissipation) > 1e-12 * prev_gamma,
+            abs(mass - m_anchor) > 1e-10 * m_scale,
+        ]
+        if ratio_cap is not None:
+            checks.append(tau > ratio_cap * prev_tau * (1.0 + 1e-12))
+    hit = ~finite
+    hit[rows[functools.reduce(np.logical_or, checks)]] = True
+    problems = []
+    for i in hit.nonzero()[0].tolist():
+        n = table.n[i]
+        if not finite[i]:
+            problems.append(f"step {n}: nonfinite record values")
             continue
-        if rec.gamma <= 0:
-            problems.append(f"step {rec.n}: gamma = {rec.gamma} not positive")
-        if rec.xi <= 0:
-            problems.append(f"step {rec.n}: xi = {rec.xi} not positive")
-        if prev_gamma is not None:
-            if rec.gamma > prev_gamma + 1e-13 * g_scale:
-                problems.append(
-                    f"step {rec.n}: gamma increased from {prev_gamma!r} to {rec.gamma!r}"
-                )
-            drop = prev_gamma - rec.gamma
-            if abs(drop - rec.dissipation) > 1e-12 * prev_gamma:
-                problems.append(
-                    f"step {rec.n}: gamma drop {drop!r} != dissipation {rec.dissipation!r}"
-                )
-        if abs(rec.mass - m_anchor) > 1e-10 * m_scale:
-            problems.append(f"step {rec.n}: mass drifted from {m_anchor!r} to {rec.mass!r}")
-        if ratio_cap is not None and prev_tau is not None:
-            if rec.tau > ratio_cap * prev_tau * (1.0 + 1e-12):
-                problems.append(
-                    f"step {rec.n}: ratio {rec.tau / prev_tau:.4f} exceeds cap {ratio_cap:.4f}"
-                )
-        prev_gamma = rec.gamma
-        prev_tau = rec.tau
+        j = int(rows.searchsorted(i))  # the row's position among the finite rows
+        low_gamma, low_xi, increased, unbalanced, drifted, *over_cap = (c[j] for c in checks)
+        g, x, m, d = gamma[j].item(), xi[j].item(), mass[j].item(), dissipation[j].item()
+        prev = prev_gamma[j].item()
+        if low_gamma:
+            problems.append(f"step {n}: gamma = {g} not positive")
+        if low_xi:
+            problems.append(f"step {n}: xi = {x} not positive")
+        if increased:
+            problems.append(f"step {n}: gamma increased from {prev!r} to {g!r}")
+        if unbalanced:
+            problems.append(f"step {n}: gamma drop {prev - g!r} != dissipation {d!r}")
+        if drifted:
+            problems.append(f"step {n}: mass drifted from {m_anchor!r} to {m!r}")
+        if any(over_cap):
+            ratio = tau[j].item() / prev_tau[j].item()
+            problems.append(f"step {n}: ratio {ratio:.4f} exceeds cap {ratio_cap:.4f}")
     return problems

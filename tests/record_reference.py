@@ -1,0 +1,73 @@
+"""Per-row reference for the record reader and validator.
+
+``read_records`` parses a records CSV line by line into ``StepRecord``s,
+and ``validate_records`` checks the guarantees one record at a time
+against the previous finite record.  The library parses the whole file at
+once into a ``RecordTable`` and checks its columns with array masks; the
+tests require the same table, bit for bit, and the same messages in the
+same order.
+"""
+
+import math
+
+from chsolver import RECORD_FIELDS, StepRecord
+
+
+def read_records(path) -> list[StepRecord]:
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header.split(",") != list(RECORD_FIELDS):
+            raise ValueError(f"unexpected record header {header!r}")
+        out = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(RECORD_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(RECORD_FIELDS)} fields")
+            try:
+                out.append(StepRecord(int(parts[0]), *map(float, parts[1:])))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return out
+
+
+def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=None) -> list[str]:
+    problems: list[str] = []
+    if not records:
+        return ["no records"]
+    g_scale = gamma0 if gamma0 is not None else records[0].gamma
+    m_anchor = mass0 if mass0 is not None else records[0].mass
+    m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
+    prev_gamma = gamma0
+    prev_tau = None
+    for rec in records:
+        vals = (rec.t, rec.tau, rec.gamma, rec.energy, rec.xi, rec.eta, rec.mass, rec.dissipation)
+        if not all(map(math.isfinite, vals)):
+            problems.append(f"step {rec.n}: nonfinite record values")
+            continue
+        if rec.gamma <= 0:
+            problems.append(f"step {rec.n}: gamma = {rec.gamma} not positive")
+        if rec.xi <= 0:
+            problems.append(f"step {rec.n}: xi = {rec.xi} not positive")
+        if prev_gamma is not None:
+            if rec.gamma > prev_gamma + 1e-13 * g_scale:
+                problems.append(
+                    f"step {rec.n}: gamma increased from {prev_gamma!r} to {rec.gamma!r}"
+                )
+            drop = prev_gamma - rec.gamma
+            if abs(drop - rec.dissipation) > 1e-12 * prev_gamma:
+                problems.append(
+                    f"step {rec.n}: gamma drop {drop!r} != dissipation {rec.dissipation!r}"
+                )
+        if abs(rec.mass - m_anchor) > 1e-10 * m_scale:
+            problems.append(f"step {rec.n}: mass drifted from {m_anchor!r} to {rec.mass!r}")
+        if ratio_cap is not None and prev_tau is not None:
+            if rec.tau > ratio_cap * prev_tau * (1.0 + 1e-12):
+                problems.append(
+                    f"step {rec.n}: ratio {rec.tau / prev_tau:.4f} exceeds cap {ratio_cap:.4f}"
+                )
+        prev_gamma = rec.gamma
+        prev_tau = rec.tau
+    return problems

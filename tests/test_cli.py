@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chsolver
-from chsolver import cli, read_records, read_snapshot, write_records
+from chsolver import StepRecord, cli, read_records, read_snapshot, write_records
 from chsolver.cli import main
 
 
@@ -309,6 +309,21 @@ class TestCheck:
         out = tmp_path / "out"
         main(["simulate", cfg, "--outdir", str(out)])
         assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+
+    def test_stream_is_checked_as_columns(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        built = []
+        init = StepRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["n"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepRecord, "__init__", counted)
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+        assert built == []
 
     def test_preset_snapshots_beyond_a_short_horizon_are_ignored(self, tmp_path, capsys):
         # coarsening2d presets snapshots up to t = 3; check writes none

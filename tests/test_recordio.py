@@ -3,22 +3,26 @@ rejection of malformed inputs."""
 
 import math
 import struct
-from itertools import chain
+from dataclasses import astuple
+from itertools import chain, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import record_reference
 from chsolver import (
     RECORD_FIELDS,
     Grid,
+    RecordTable,
     RecordWriter,
     Snapshot,
     SnapshotFormatError,
     SpectralField,
     StepRecord,
     format_record,
+    read_record_table,
     read_records,
     read_snapshot,
     validate_records,
@@ -149,6 +153,174 @@ class TestRecordProperties:
             if p.endswith(": nonfinite record values")
         }
         assert flagged == {n for n, vals in enumerate(rows, start=1) if not all(map(math.isfinite, vals))}
+
+
+CAP = 4.8645  # the kissing_bubbles ratio cap, just above r_max
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def bits(records):
+    """The float fields of records, in RECORD_COLUMNS order, as raw bits."""
+    return np.array([astuple(r)[1:] for r in records], dtype=np.float64).reshape(-1, 8).view(np.uint64)
+
+
+@st.composite
+def faulty_streams(draw):
+    """(gamma0, mass0, rows): a stream that keeps every guarantee (gamma
+    falls by exactly its dissipation from gamma0, the mass is mass0, step
+    ratios stay below CAP), with faults of every kind injected at drawn
+    rows, the first one included.  A zero step makes the next step's ratio
+    message divide by zero, which both validators raise."""
+    gamma0 = gamma = draw(st.floats(0.5, 10.0))
+    mass0 = draw(st.floats(-1.0, 1.0))
+    count = draw(st.integers(1, 12))
+    rows, t, tau = [], 0.0, draw(st.floats(1e-6, 1e-2))
+    for _ in range(count):
+        tau *= draw(st.floats(0.2, 4.0))
+        t += tau
+        xi = draw(st.floats(0.5, 1.0))
+        prev, gamma = gamma, gamma * draw(st.floats(0.5, 1.0))
+        rows.append([t, tau, gamma, gamma - 1.0, xi, xi * (2.0 - xi), mass0, prev - gamma])
+    for _ in range(draw(st.integers(0, 4))):
+        row = rows[draw(st.integers(0, count - 1))]
+        kinds = ["nonfinite", "gamma", "xi", "increase", "identity", "mass", "ratio", "zero-step", "any"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "nonfinite":
+            row[draw(st.integers(0, 7))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif kind in ("gamma", "xi"):
+            row[2 if kind == "gamma" else 4] = draw(st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0))
+        elif kind == "increase":
+            row[2] *= draw(st.floats(1.0, 4.0))
+        elif kind == "identity":
+            row[7] *= draw(st.floats(0.0, 2.0))
+        elif kind == "mass":
+            row[6] += draw(st.floats(-1e-8, 1e-8))
+        elif kind == "ratio":
+            row[1] *= draw(st.floats(CAP / 4.0, 4.0 * CAP))
+        elif kind == "zero-step":
+            row[1] = draw(st.sampled_from([0.0, -0.0]))
+        else:
+            row[draw(st.integers(0, 7))] = draw(any_float)
+    return gamma0, mass0, rows
+
+
+@st.composite
+def record_texts(draw):
+    """A records CSV as text: rows of any float64, written as write_records
+    writes them, then blank and padded lines, CRLF line ends, a missing final
+    newline, a bad header, and rows with a foreign token, a field too many
+    or too few."""
+    lines = [format_record(r) for r in as_records(draw(record_rows))]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["blank", "pad", "token", "short", "long"]))
+        if kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "pad":
+            lines[i] = f" {lines[i]} \t"
+        elif kind == "token":
+            parts = lines[i].split(",")
+            token = draw(st.sampled_from(["abc", "1.5", "", " ", "1e999", "-nan", "1_0", "0x10", "Infinity"]))
+            parts[draw(st.integers(0, len(parts) - 1))] = token
+            lines[i] = ",".join(parts)
+        elif kind == "short":
+            lines[i] = lines[i].rsplit(",", 1)[0]
+        else:
+            lines[i] += ",1"
+    header = draw(st.sampled_from([",".join(RECORD_FIELDS)] * 4 + ["n,t,gamma", ""]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *lines]) + draw(st.sampled_from([newline, ""]))
+
+
+class TestColumnarPath:
+    """The bulk parse and the column checks against the per-row reference
+    in record_reference.py."""
+
+    @pytest.mark.parametrize("anchors", list(product((False, True), repeat=4)), ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(stream=faulty_streams(), data=st.data())
+    def test_validator_matches_the_reference(self, anchors, stream, data):
+        gamma0, mass0, rows = stream
+        true = {"gamma0": gamma0, "mass0": mass0, "volume": 4.0 * math.pi**2, "ratio_cap": CAP}
+        kwargs = {
+            name: data.draw(st.just(value) | any_float, label=name)
+            for (name, value), given_ in zip(true.items(), anchors)
+            if given_
+        }
+        records = as_records(rows)
+        want = outcome(record_reference.validate_records, records, **kwargs)
+        assert outcome(validate_records, records, **kwargs) == want
+        assert outcome(validate_records, RecordTable.from_records(records), **kwargs) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=record_texts())
+    def test_parse_matches_the_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = outcome(record_reference.read_records, path)
+        table = outcome(read_record_table, path)
+        if not isinstance(want, list):
+            assert table == want
+            return
+        assert table.n == [r.n for r in want]
+        assert table.values.dtype == np.float64
+        assert np.array_equal(table.values.view(np.uint64), bits(want))
+        assert list(map(format_record, read_records(path))) == list(map(format_record, want))
+        checked = outcome(record_reference.validate_records, want, ratio_cap=CAP)
+        assert outcome(validate_records, table, ratio_cap=CAP) == checked
+
+
+HEADER = ",".join(RECORD_FIELDS) + "\n"
+
+
+def row(n, n_text=None, energy="0.5"):
+    return f"{n_text or n},0.1,0.01,2,{energy},1,1,0,0\n"
+
+
+class TestRowErrors:
+    """Each malformed stream raises the per-row reader's exact error, with
+    the line number counted over every line, blank ones included."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n,t,gamma\n1,0.1,2.0\n", "unexpected record header 'n,t,gamma'"),
+            (HEADER + row(1) + "2,0.5,0.1\n" + row(3), "line 3: expected 9 fields"),
+            (HEADER + row(1) + row(2, n_text="1.5"), "line 3: invalid literal for int() with base 10: '1.5'"),
+            (HEADER + row(1, energy="abc"), "line 2: could not convert string to float: 'abc'"),
+            (
+                HEADER + "\n" + row(1) + "  \n\n" + row(2, energy="abc"),
+                "line 6: could not convert string to float: 'abc'",
+            ),
+            (HEADER + row(1) + row(2)[:-1] + ",7", "line 3: expected 9 fields"),
+        ],
+        ids=["header", "field-count", "float-n", "word", "blank-lines", "no-final-newline"],
+    )
+    def test_error_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        assert outcome(record_reference.read_records, path) == (ValueError, message)
+        with pytest.raises(ValueError) as info:
+            read_record_table(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        [HEADER + "\n" + row(1) + "  \n\n" + row(2) + "\n", HEADER + row(1) + row(2)[:-1]],
+        ids=["blank-lines", "no-final-newline"],
+    )
+    def test_blank_lines_and_last_line_parse(self, tmp_path, text):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        assert read_records(path) == record_reference.read_records(path)
+        assert read_record_table(path).n == [1, 2]
 
 
 def per_value_rows(rows, ints):

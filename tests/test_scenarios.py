@@ -123,6 +123,12 @@ class TestRandomIC:
         grid = Grid(3, 2.0 * np.pi, 8)
         assert ic_random(grid, seed=1).physical.shape == (8, 8, 8)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_in_place_field_has_the_bits_of_the_expression(self, seed):
+        grid = Grid(3, 2.0 * np.pi, 8)
+        u = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape)
+        assert np.array_equal(ic_random(grid, seed).physical, 0.35 + 0.3 * u)
+
 
 class TestScenarioRuns:
     def test_dispatch(self):

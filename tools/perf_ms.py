@@ -43,6 +43,10 @@ REPEATS timed runs after the warm-up below.
   rows that obeys every guarantee, so every row goes through every check,
   and on the first row of that stream alone: the fixed cost of one warm
   in-process call (argument parsing, config, scenario and file handling).
+  The stream's parse and check follow apart: ``read_records`` and
+  ``validate_records`` on its StepRecords, and, where the commit has
+  ``read_record_table``, the table parse and the check of the table, the
+  two halves of ``check --records``.
 - cold start: the wall time of a fresh interpreter, from spawn to exit, for
   bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
   max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
@@ -209,20 +213,32 @@ def kernels_table():
 def io_table():
     import numpy as np
 
-    from chsolver import Grid, SpectralField, StepRecord, read_snapshot, write_records, write_snapshot
+    from chsolver import (
+        Grid,
+        SpectralField,
+        StepRecord,
+        build_scenario,
+        parse_config,
+        read_records,
+        read_snapshot,
+        recordio,
+        validate_records,
+        write_records,
+        write_snapshot,
+    )
     from chsolver.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Grid(3, 2.0 * np.pi, 128)
         field = SpectralField(grid, physical=np.random.default_rng(SEED).standard_normal(grid.shape))
         snap = Path(tmp) / "snap.bin"
-        print(f"I/O                                 ms  faults/call  ({snap.name}: 3d N=128, {8 * 128**3 / 1e6:.1f} MB)")
+        print(f"{'I/O':38s} {'ms':>10s}  faults/call  ({snap.name}: 3d N=128, {8 * 128**3 / 1e6:.1f} MB)")
         for label, fn in (
             ("write_snapshot", lambda: write_snapshot(field, snap, time=0.0)),
             ("read_snapshot", lambda: read_snapshot(snap)),
         ):
             fn()
-            print(f"{label:27s} {median_ms(fn):10.2f}  {median_faults(fn):11.0f}")
+            print(f"{label:38s} {median_ms(fn):10.2f}  {median_faults(fn):11.0f}")
 
         # gamma falls by exactly the dissipation each step; mass and tau are constant
         rows, gamma = [], 1.0
@@ -243,7 +259,26 @@ def io_table():
                         raise RuntimeError("chsolver check --records failed")
 
             check()
-            print(f"{'check --records (' + label + ')':27s} {median_ms(check):10.3f}")
+            print(f"{'check --records (' + label + ')':38s} {median_ms(check):10.3f}")
+
+        # the parse and the guarantee check of the IO_ROWS stream apart, on
+        # StepRecords; and, on commits that have it, on the table check --records uses
+        cap = build_scenario(parse_config(cfg)).policy.ratio_cap
+        stream = read_records(records)
+        parts = [
+            ("read_records", lambda: read_records(records)),
+            ("validate_records", lambda: validate_records(stream, ratio_cap=cap)),
+        ]
+        if hasattr(recordio, "read_record_table"):
+            table = recordio.read_record_table(records)
+            parts += [
+                ("read_record_table", lambda: recordio.read_record_table(records)),
+                ("validate_records (table)", lambda: validate_records(table, ratio_cap=cap)),
+            ]
+        for label, fn in parts:
+            if label.startswith("validate") and fn():
+                raise RuntimeError(f"{label} flags the generated stream")
+            print(f"{label + f' ({IO_ROWS} rows)':38s} {median_ms(fn):10.3f}")
 
 
 def cold_start_table(src):
