@@ -20,8 +20,10 @@ import functools
 import sys
 import time
 from dataclasses import astuple, replace
-from itertools import chain, repeat
+from itertools import accumulate, chain
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
 from .recordio import RecordWriter, read_record_table, write_snapshot
@@ -46,11 +48,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# rows of the converge and kernels CSVs ('%.17g' % x is format(x, '.17g')):
+# rows of the converge and residuals CSVs ('%.17g' % x is format(x, '.17g')):
 # a block of rows is one template repeated per row on one flat tuple of values
 CONVERGENCE_ROW = "%d" + ",%.17g" * 7 + "\n"
-KERNEL_ROW = "%d,%d,%.17g,%.17g\n"
 RESIDUAL_ROW = "%d" + ",%.17g" * 5 + "\n"
+
+
+def kernel_row_blocks(max_lines: int):
+    """The writer of kernels.csv's row blocks, for blocks of up to max_lines
+    lines: a function (n, values) -> the lines "n,m,a,b" for m = 0, 1, ...,
+    one per pair (a, b) of the flat sequence values, a and b printed with
+    '%.17g'.  The lines' template is built once, with n as "@" and m as
+    text; a call cuts it to the block's length, puts n in with one replace
+    and formats only the values."""
+    lines = [f"@,{m},%.17g,%.17g\n" for m in range(max_lines)]
+    template = "".join(lines)
+    ends = list(accumulate(map(len, lines)))
+
+    def row_block(n: int, values) -> str:
+        return template[: ends[len(values) // 2 - 1]].replace("@", str(n)) % tuple(values)
+
+    return row_block
 
 
 def _outdir(cfg, override) -> Path:
@@ -156,11 +174,16 @@ def _cmd_kernels(args) -> int:
     out = _outdir(cfg, args.outdir)
     mesh = random_mesh(cfg.horizon, cfg.max_n, cfg.seed)
     theta, p = kernel_matrices(mesh, cfg.max_n)
+    row_block = kernel_row_blocks(cfg.max_n)
+    # row n's (theta_m, p_m) pairs, m = 0..n-1, interleaved in the first n rows
+    pairs = np.empty((cfg.max_n, 2))
+    flat = pairs.reshape(-1)
     with open(out / "kernels.csv", "w", encoding="utf-8") as fh:
         fh.write("n,offset,theta,p\n")
         for n in range(1, cfg.max_n + 1):
-            th, pp = theta[n - 1, n - 1 :: -1].tolist(), p[n - 1, n - 1 :: -1].tolist()
-            fh.write(KERNEL_ROW * n % tuple(chain.from_iterable(zip(repeat(n), range(n), th, pp))))
+            pairs[:n, 0] = theta[n - 1, n - 1 :: -1]
+            pairs[:n, 1] = p[n - 1, n - 1 :: -1]
+            fh.write(row_block(n, flat[: 2 * n].tolist()))
     res = _residuals(mesh, theta, p)
     columns = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.dcc_bound_margin, res.telescoping)
     with open(out / "kernel_residuals.csv", "w", encoding="utf-8") as fh:

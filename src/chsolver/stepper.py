@@ -54,7 +54,6 @@ the four substeps reproduces advance bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -355,12 +354,14 @@ def validate_records(
     against the scheme's guarantees.
 
     Returns a list of human-readable violations (empty when clean), in row
-    order: gamma positive and non-increasing, xi positive, the per-step
-    identity gamma_{n-1} - gamma_n = dissipation, constant mass,
-    finiteness, and optionally the step-ratio cap.  A nonfinite row is
-    reported alone, and the next row is checked against the last finite
-    one (the first finite row against gamma0, if given).  The checks run
-    on whole columns; messages are built for the flagged rows only.
+    order: the clock advancing (t above the previous finite row's t), tau,
+    gamma and xi positive, gamma non-increasing, the per-step identity
+    gamma_{n-1} - gamma_n = dissipation, constant mass, finiteness, and
+    optionally the step-ratio cap, which a step after a non-positive one
+    (itself reported) is not held to.  A nonfinite row is reported alone,
+    and the next row is checked against the last finite one (the first
+    finite row against gamma0, if given).  The checks run on whole columns;
+    messages are built for the flagged rows only.
     """
     table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
     if not table:
@@ -372,16 +373,18 @@ def validate_records(
     m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
     finite = np.isfinite(values).all(axis=1)
     rows = finite.nonzero()[0]
-    _, tau, gamma, _, xi, _, mass, dissipation = values[rows].T
-    # each finite row's predecessor: the previous finite row, or gamma0 and
-    # no step before the first; a nan there fails every comparison
-    first_gamma = math.nan if gamma0 is None else gamma0
+    kept = values.take(rows, axis=0)
+    t, tau, gamma, _, xi, _, mass, dissipation = kept.T
+    # each finite row's predecessor: the previous finite row's t, tau and
+    # gamma, or no t or step and gamma0 before the first; a nan there fails
+    # every comparison
+    first = (math.nan, math.nan, math.nan if gamma0 is None else gamma0)
     with np.errstate(all="ignore"):
-        prev_gamma = np.concatenate(([first_gamma], gamma[:-1]))
-        prev_tau = np.concatenate(([math.nan], tau[:-1]))
+        prev_t, prev_tau, prev_gamma = np.concatenate(([first], kept[:-1, :3])).T
         checks = [
-            gamma <= 0,
-            xi <= 0,
+            t <= prev_t,
+            # tau, gamma and xi positive, as one comparison
+            np.minimum(np.minimum(tau, gamma), xi) <= 0,
             gamma > prev_gamma + 1e-13 * g_scale,
             abs(prev_gamma - gamma - dissipation) > 1e-12 * prev_gamma,
             abs(mass - m_anchor) > 1e-10 * m_scale,
@@ -389,7 +392,7 @@ def validate_records(
         if ratio_cap is not None:
             checks.append(tau > ratio_cap * prev_tau * (1.0 + 1e-12))
     hit = ~finite
-    hit[rows[functools.reduce(np.logical_or, checks)]] = True
+    hit[rows] = np.logical_or.reduce(checks)
     problems = []
     for i in hit.nonzero()[0].tolist():
         n = table.n[i]
@@ -397,12 +400,17 @@ def validate_records(
             problems.append(f"step {n}: nonfinite record values")
             continue
         j = int(rows.searchsorted(i))  # the row's position among the finite rows
-        low_gamma, low_xi, increased, unbalanced, drifted, *over_cap = (c[j] for c in checks)
-        g, x, m, d = gamma[j].item(), xi[j].item(), mass[j].item(), dissipation[j].item()
-        prev = prev_gamma[j].item()
-        if low_gamma:
+        stalled, _, increased, unbalanced, drifted, *over_cap = (c[j] for c in checks)
+        now, step, g, x = t[j].item(), tau[j].item(), gamma[j].item(), xi[j].item()
+        m, d = mass[j].item(), dissipation[j].item()
+        prev, prev_step = prev_gamma[j].item(), prev_tau[j].item()
+        if stalled:
+            problems.append(f"step {n}: t = {now!r} does not exceed the previous t = {prev_t[j].item()!r}")
+        if step <= 0:
+            problems.append(f"step {n}: tau = {step} not positive")
+        if g <= 0:
             problems.append(f"step {n}: gamma = {g} not positive")
-        if low_xi:
+        if x <= 0:
             problems.append(f"step {n}: xi = {x} not positive")
         if increased:
             problems.append(f"step {n}: gamma increased from {prev!r} to {g!r}")
@@ -410,7 +418,6 @@ def validate_records(
             problems.append(f"step {n}: gamma drop {prev - g!r} != dissipation {d!r}")
         if drifted:
             problems.append(f"step {n}: mass drifted from {m_anchor!r} to {m!r}")
-        if any(over_cap):
-            ratio = tau[j].item() / prev_tau[j].item()
-            problems.append(f"step {n}: ratio {ratio:.4f} exceeds cap {ratio_cap:.4f}")
+        if any(over_cap) and prev_step > 0:
+            problems.append(f"step {n}: ratio {step / prev_step:.4f} exceeds cap {ratio_cap:.4f}")
     return problems

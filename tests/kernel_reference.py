@@ -8,7 +8,12 @@ identities with matrix products, and evaluates the quadratic form by two
 substitutions through the bidiagonal weight matrix; the tests require
 both to agree to rounding.  ``bdf2_apply`` applies the library's table
 form of the BDF2 operator, which only the kernel residuals use, to a mesh.
+``write_kernels_csv`` is the earlier kernels.csv writer, one ``%``
+template with ``%d`` for n and the offset per row block; the library's
+writer must give the same bytes.
 """
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -107,3 +112,17 @@ def quadratic_form(mesh, w):
         rhs += acc**2 / mesh.tau(k)
     rhs *= mesh.delta / 20.0
     return lhs, rhs
+
+
+KERNEL_ROW = "%d,%d,%.17g,%.17g\n"
+
+
+def write_kernels_csv(path, theta, p):
+    """kernels.csv of the kernel matrices theta and p: the header, then row
+    block n = 1..len(theta) through KERNEL_ROW * n applied to the tuples
+    (n, m, theta^{(n)}_m, p^{(n)}_m) of the row's .tolist() slices."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("n,offset,theta,p\n")
+        for n in range(1, len(theta) + 1):
+            th, pp = theta[n - 1, n - 1 :: -1].tolist(), p[n - 1, n - 1 :: -1].tolist()
+            fh.write(KERNEL_ROW * n % tuple(chain.from_iterable(zip(repeat(n), range(n), th, pp))))

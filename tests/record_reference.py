@@ -41,12 +41,16 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
     m_anchor = mass0 if mass0 is not None else records[0].mass
     m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
     prev_gamma = gamma0
-    prev_tau = None
+    prev_t = prev_tau = None
     for rec in records:
         vals = (rec.t, rec.tau, rec.gamma, rec.energy, rec.xi, rec.eta, rec.mass, rec.dissipation)
         if not all(map(math.isfinite, vals)):
             problems.append(f"step {rec.n}: nonfinite record values")
             continue
+        if prev_t is not None and rec.t <= prev_t:
+            problems.append(f"step {rec.n}: t = {rec.t!r} does not exceed the previous t = {prev_t!r}")
+        if rec.tau <= 0:
+            problems.append(f"step {rec.n}: tau = {rec.tau} not positive")
         if rec.gamma <= 0:
             problems.append(f"step {rec.n}: gamma = {rec.gamma} not positive")
         if rec.xi <= 0:
@@ -63,11 +67,11 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
                 )
         if abs(rec.mass - m_anchor) > 1e-10 * m_scale:
             problems.append(f"step {rec.n}: mass drifted from {m_anchor!r} to {rec.mass!r}")
-        if ratio_cap is not None and prev_tau is not None:
+        # the ratio to a non-positive step is not defined; that step is reported
+        if ratio_cap is not None and prev_tau is not None and prev_tau > 0:
             if rec.tau > ratio_cap * prev_tau * (1.0 + 1e-12):
                 problems.append(
                     f"step {rec.n}: ratio {rec.tau / prev_tau:.4f} exceeds cap {ratio_cap:.4f}"
                 )
-        prev_gamma = rec.gamma
-        prev_tau = rec.tau
+        prev_t, prev_gamma, prev_tau = rec.t, rec.gamma, rec.tau
     return problems

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chsolver
+import kernel_reference
 from chsolver import StepRecord, cli, read_records, read_snapshot, write_records
 from chsolver.cli import main
 
@@ -221,6 +222,15 @@ class TestKernels:
             # the text itself is the per-value .17g of each kernel
             assert lines[block] == [f"{n},{m},{a:.17g},{b:.17g}" for m, (a, b) in enumerate(zip(theta, p))]
 
+    def test_kernels_csv_matches_the_per_row_writer(self, tmp_path):
+        cfg = write_cfg(tmp_path, "scenario = convergence\nseed = 2\n[kernels]\nmax_n = 100\n")
+        out = tmp_path / "out"
+        assert main(["kernels", cfg, "--outdir", str(out)]) == 0
+        parsed = chsolver.parse_config(cfg)
+        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, 100, parsed.seed), 100)
+        kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
+        assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
 
 class TestPrescribedMeshCheckpoints:
     def test_off_node_snapshot_fails_before_writing(self, tmp_path, capsys):
@@ -332,6 +342,41 @@ class TestCheck:
         assert "check passed" in capsys.readouterr().out
         # simulate still checks the preset times against the horizon
         assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 1
+
+
+class TestStepAndClockChecks:
+    """check --records names a step at or below zero and a clock that does
+    not advance, and exits 1; the step after a zero step is not a runtime
+    error."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("bubbles")
+        cfg = write_cfg(tmp, "scenario = kissing_bubbles\nn = 32\n")
+        assert main(["simulate", cfg, "--outdir", str(tmp / "out")]) == 0
+        return cfg, read_records(tmp / "out" / "records.csv")
+
+    @pytest.mark.parametrize(
+        "row, field, value, message",
+        [
+            (-1, "tau", -0.001, "tau = -0.001 not positive"),
+            (99, "t", 0.0, "t = 0.0 does not exceed the previous t = "),
+            (89, "tau", 0.0, "tau = 0.0 not positive"),
+        ],
+        ids=["negative-last-step", "clock-back-to-zero", "zero-step"],
+    )
+    def test_edit_fails_with_one_named_violation(self, run, tmp_path, capsys, row, field, value, message):
+        cfg, records = run
+        records = list(records)
+        records[row] = replace(records[row], **{field: value})
+        bad = tmp_path / "bad.csv"
+        write_records(records, bad)
+        capsys.readouterr()
+        assert main(["check", cfg, "--records", str(bad)]) == 1
+        problems = capsys.readouterr().err.splitlines()
+        assert len(problems) == 2
+        assert problems[0].startswith(f"step {records[row].n}: {message}")
+        assert problems[1] == f"check failed: 1 violation(s) over {len(records)} steps"
 
 
 class TestParserReuse:

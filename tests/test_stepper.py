@@ -397,6 +397,18 @@ class TestRecordValidation:
         problems = validate_records(records, ratio_cap=4.85)
         assert any("exceeds cap" in p for p in problems)
 
+    def test_nonpositive_step_detected(self):
+        records, gamma0, mass0, volume = self.make_records()
+        records[4] = replace(records[4], tau=-records[4].tau)
+        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume, ratio_cap=4.85)
+        assert problems == [f"step 5: tau = {records[4].tau} not positive"]
+
+    def test_clock_that_stands_still_detected(self):
+        records, gamma0, mass0, volume = self.make_records()
+        records[6] = replace(records[6], t=records[5].t)
+        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume)
+        assert problems == [f"step 7: t = {records[5].t!r} does not exceed the previous t = {records[5].t!r}"]
+
     def test_empty_stream_flagged(self):
         assert validate_records([]) == ["no records"]
 

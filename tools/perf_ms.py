@@ -32,7 +32,10 @@ REPEATS timed runs after the warm-up below.
   kernel_residuals.csv into a temporary directory.  Beside it stands the
   pass's ``.17g`` floor: the median time to format its 2 * n(n+1)/2 kernel
   values alone, as one tuple of floats through one ``"%.17g"`` template,
-  with no separators, indices or file.  The quadratic form is
+  with no separators, indices or file.  The pass and the floor are timed
+  in turn, one call of each per round, so both medians see the same host
+  phase; the line after them is the pass's median over the floor's.  The
+  quadratic form is
   checked on random_mesh(1, n, SEED) with standard normal weights, at
   n = MAX_N and n = FORM_N, the latter with the tracemalloc peak of one
   check.  Each is run once untimed first.
@@ -97,6 +100,17 @@ def median_ms(fn):
         fn()
         times.append(1e3 * (time.perf_counter() - start))
     return statistics.median(times)
+
+
+def alternating_medians(*fns):
+    """The median ms of each of fns over REPEATS rounds of one call of each, in turn."""
+    times = [[] for _ in fns]
+    for _ in range(REPEATS):
+        for fn, ms in zip(fns, times):
+            start = time.perf_counter()
+            fn()
+            ms.append(1e3 * (time.perf_counter() - start))
+    return [statistics.median(ms) for ms in times]
 
 
 def median_faults(fn):
@@ -200,8 +214,10 @@ def kernels_table():
 
         kernels_pass()
         form = form_check(MAX_N)
-        print(f"kernels pass (max_n = {MAX_N}):        {median_ms(kernels_pass):9.1f} ms")
-        print(f".17g floor ({len(values)} values):     {median_ms(lambda: template % values):9.1f} ms")
+        pass_ms, floor_ms = alternating_medians(kernels_pass, lambda: template % values)
+        print(f"kernels pass (max_n = {MAX_N}):        {pass_ms:9.1f} ms")
+        print(f".17g floor ({len(values)} values):     {floor_ms:9.1f} ms")
+        print(f"kernels pass / .17g floor:            {pass_ms / floor_ms:9.2f}")
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
         form = form_check(FORM_N)
         print(
