@@ -35,10 +35,9 @@ REPEATS timed runs after the warm-up below.
   with no separators, indices or file.  The pass and the floor are timed
   in turn, one call of each per round, so both medians see the same host
   phase; the line after them is the pass's median over the floor's.  The
-  quadratic form is
-  checked on random_mesh(1, n, SEED) with standard normal weights, at
-  n = MAX_N and n = FORM_N, the latter with the tracemalloc peak of one
-  check.  Each is run once untimed first.
+  quadratic form is checked on random_mesh(1, n, SEED) with standard
+  normal weights, at n = MAX_N and n = FORM_N, the latter with the
+  tracemalloc peak of one check.  Each is run once untimed first.
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
   standard normal values (seed SEED), each run once untimed first, with the
   median minor page faults of one call; and ``check --records`` (the
@@ -93,15 +92,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - entry)
 """
 
 
-def median_ms(fn):
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(1e3 * (time.perf_counter() - start))
-    return statistics.median(times)
-
-
 def alternating_medians(*fns):
     """The median ms of each of fns over REPEATS rounds of one call of each, in turn."""
     times = [[] for _ in fns]
@@ -111,6 +101,10 @@ def alternating_medians(*fns):
             fn()
             ms.append(1e3 * (time.perf_counter() - start))
     return [statistics.median(ms) for ms in times]
+
+
+def median_ms(fn):
+    return alternating_medians(fn)[0]
 
 
 def median_faults(fn):
