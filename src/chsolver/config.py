@@ -2,8 +2,8 @@
 
 Format: one ``key = value`` per line, grouped under ``[section]`` headers,
 ``#`` starts a comment.  Keys before the first header belong to [run].
-Unknown sections or keys are errors; missing keys take the selected
-scenario's defaults.
+Unknown sections or keys are errors; a missing key takes the selected
+scenario's preset value, or else the default of its SimConfig field.
 
 Sections and keys:
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .policies import AdaptiveStep, FixedStep, PrescribedMesh, StepPolicy
 from .scenarios import Scenario
-from .timestep import r_max_root, random_mesh
+from .timestep import DELTA, LANDING_RTOL, r_max_root, random_mesh
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,28 +35,7 @@ class ConfigValidationError(ValueError):
     """Well-formed config with an invalid or inconsistent value."""
 
 
-SCENARIO_NAMES = ("convergence", "kissing_bubbles", "coarsening2d", "coarsening3d", "equilibrium")
-
-# Per-scenario defaults; anything not listed falls back to _BASE.
-_BASE = {
-    "dim": 2,
-    "n": 128,
-    "length": TWO_PI,
-    "seed": 0,
-    "dealias": False,
-    "outdir": "out",
-    "record_every": 1,
-    "snapshots": (),
-    "base_k": 400,
-    "levels": 4,
-    "ref_steps": 12800,
-    "max_n": 50,
-    **dict.fromkeys(("tau", "count", "tau_min", "tau_max", "alpha", "delta")),
-}
-
-# Config keys whose SimConfig field has another name
-_FIELD_NAMES = {"n": "modes", "kind": "policy_kind"}
-
+# Per-scenario defaults; a field not listed takes SimConfig's default.
 _SCENARIO_DEFAULTS = {
     "convergence": {
         "eps": 0.2,
@@ -100,58 +79,55 @@ _SCENARIO_DEFAULTS = {
         "tau": 0.01,
     },
 }
+SCENARIO_NAMES = tuple(_SCENARIO_DEFAULTS)
 
-_KEY_TYPES = {
-    ("run", "scenario"): str,
-    ("run", "dim"): int,
-    ("run", "n"): int,
-    ("run", "length"): float,
-    ("run", "eps"): float,
-    ("run", "eps2"): float,
-    ("run", "horizon"): float,
-    ("run", "seed"): int,
-    ("run", "dealias"): bool,
-    ("policy", "kind"): str,
-    ("policy", "tau"): float,
-    ("policy", "count"): int,
-    ("policy", "tau_min"): float,
-    ("policy", "tau_max"): float,
-    ("policy", "alpha"): float,
-    ("policy", "delta"): float,
-    ("output", "outdir"): str,
-    ("output", "snapshots"): "floats",
-    ("output", "record_every"): int,
-    ("converge", "base_k"): int,
-    ("converge", "levels"): int,
-    ("converge", "ref_steps"): int,
-    ("kernels", "max_n"): int,
+# The config keys of each section and the type each value parses as.  A key
+# sets the SimConfig field of its name, or of its _FIELD_NAMES entry; eps2
+# sets eps to its square root.
+_SECTIONS = {
+    "run": {
+        "scenario": str, "dim": int, "n": int, "length": float, "eps": float, "eps2": float,
+        "horizon": float, "seed": int, "dealias": bool,
+    },
+    "policy": {
+        "kind": str, "tau": float, "count": int, "tau_min": float, "tau_max": float, "alpha": float,
+        "delta": float,
+    },
+    "output": {"outdir": str, "snapshots": "floats", "record_every": int},
+    "converge": {"base_k": int, "levels": int, "ref_steps": int},
+    "kernels": {"max_n": int},
 }
+_FIELD_NAMES = {"n": "modes", "kind": "policy_kind"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
+    """A run's settings.  A field's default applies where neither the config
+    file nor the scenario's preset sets it; every preset sets eps, horizon
+    and policy_kind."""
+
     scenario: str
-    dim: int
-    modes: int
-    length: float
+    dim: int = 2
+    modes: int = 128
+    length: float = TWO_PI
     eps: float
     horizon: float
-    seed: int
-    dealias: bool
+    seed: int = 0
+    dealias: bool = False
     policy_kind: str
-    tau: float | None
-    count: int | None
-    tau_min: float | None
-    tau_max: float | None
-    alpha: float | None
-    delta: float | None
-    outdir: str
-    snapshots: tuple[float, ...]
-    record_every: int
-    base_k: int
-    levels: int
-    ref_steps: int
-    max_n: int
+    tau: float | None = None
+    count: int | None = None
+    tau_min: float | None = None
+    tau_max: float | None = None
+    alpha: float | None = None
+    delta: float = DELTA
+    outdir: str = "out"
+    snapshots: tuple[float, ...] = ()
+    record_every: int = 1
+    base_k: int = 400
+    levels: int = 4
+    ref_steps: int = 12800
+    max_n: int = 50
 
 
 def _convert(raw: str, kind, lineno: int, key: str):
@@ -185,18 +161,19 @@ def _read_pairs(path: str) -> dict[tuple[str, str], object]:
                 if not text.endswith("]"):
                     raise ConfigParseError(f"line {lineno}: unterminated section header {text!r}")
                 section = text[1:-1].strip()
-                if section not in ("run", "policy", "output", "converge", "kernels"):
+                if section not in _SECTIONS:
                     raise ConfigParseError(f"line {lineno}: unknown section {section!r}")
                 continue
             if "=" not in text:
                 raise ConfigParseError(f"line {lineno}: expected 'key = value', got {text!r}")
             key, raw = text.split("=", 1)
             key = key.strip().lower()
-            if (section, key) not in _KEY_TYPES:
+            kind = _SECTIONS[section].get(key)
+            if kind is None:
                 raise ConfigParseError(f"line {lineno}: unknown key {key!r} in section [{section}]")
             if (section, key) in pairs:
                 raise ConfigParseError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
-            pairs[(section, key)] = _convert(raw, _KEY_TYPES[(section, key)], lineno, key)
+            pairs[(section, key)] = _convert(raw, kind, lineno, key)
     return pairs
 
 
@@ -215,7 +192,7 @@ def parse_config(
     if name not in SCENARIO_NAMES:
         raise ConfigValidationError(f"unknown scenario {name!r}, pick one of {SCENARIO_NAMES}")
 
-    merged = {**_BASE, **_SCENARIO_DEFAULTS[name]}
+    merged = dict(_SCENARIO_DEFAULTS[name])
     if ("run", "eps") in pairs and ("run", "eps2") in pairs:
         raise ConfigValidationError("give eps or eps2, not both")
     for (_, key), value in pairs.items():
@@ -245,15 +222,12 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         bad(f"dim must be 2 or 3, got {cfg.dim}")
     if cfg.modes < 4 or cfg.modes % 2:
         bad(f"n must be even and >= 4, got {cfg.modes}")
-    if cfg.length <= 0:
-        bad(f"length must be positive, got {cfg.length}")
-    if cfg.eps <= 0:
-        bad(f"eps must be positive, got {cfg.eps}")
-    if cfg.horizon <= 0:
-        bad(f"horizon must be positive, got {cfg.horizon}")
+    for key in ("length", "eps", "horizon"):
+        if getattr(cfg, key) <= 0:
+            bad(f"{key} must be positive, got {getattr(cfg, key)}")
     if cfg.record_every < 1:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
-    if check_snapshots and not all(0 <= t <= cfg.horizon * (1 + 1e-12) for t in cfg.snapshots):
+    if check_snapshots and not all(0 <= t <= cfg.horizon * (1 + LANDING_RTOL) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
     # range-check every policy key that is set, whether or not the kind uses it
     for key in ("tau", "tau_min", "tau_max"):
@@ -264,7 +238,7 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         bad(f"count must be >= 2, got {cfg.count}")
     if cfg.alpha is not None and cfg.alpha < 0:
         bad(f"alpha must be nonnegative, got {cfg.alpha}")
-    if cfg.delta is not None and not 0 < cfg.delta < r_max_root() - 1.0:
+    if not 0 < cfg.delta < r_max_root() - 1.0:
         bad(f"delta must lie in (0, r_max - 1), got {cfg.delta}")
     if cfg.policy_kind == "fixed":
         if cfg.tau is None:
@@ -288,7 +262,7 @@ def build_policy(cfg: SimConfig) -> StepPolicy:
         return FixedStep(cfg.tau)
     if cfg.policy_kind == "random":
         return PrescribedMesh(random_mesh(cfg.horizon, cfg.count, cfg.seed))
-    cap = None if cfg.delta is None else r_max_root() - cfg.delta
+    cap = r_max_root() - cfg.delta
     return AdaptiveStep(tau_min=cfg.tau_min, tau_max=cfg.tau_max, alpha=cfg.alpha, ratio_cap=cap)
 
 

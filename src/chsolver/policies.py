@@ -2,8 +2,8 @@
 
 A policy proposes the next step size from (step index, last step, last two
 gamma values); to land exactly on a checkpoint or on the horizon the driver
-shortens a proposal that overshoots it and keeps one within 1e-12 * horizon,
-setting the clock to the target.  It never lengthens a proposal, and
+shortens a proposal that overshoots it and keeps one within LANDING_RTOL *
+horizon, setting the clock to the target.  It never lengthens a proposal, and
 shortening only lowers the next ratio, so an admissible stream stays so.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .stepper import GsavState, StepRecord, advance
-from .timestep import TimeMesh, r_max_root
+from .timestep import DELTA, LANDING_RTOL, TimeMesh, r_max_root
 
 
 class MeshExhaustedError(IndexError):
@@ -50,8 +50,8 @@ class PrescribedMesh(StepPolicy):
 
     def require_nodes(self, times, horizon: float, error=ValueError) -> None:
         """Raise error unless every time inside (0, horizon) is a node within
-        1e-12 * horizon: landing off one shifts every later node."""
-        tol = 1e-12 * horizon
+        LANDING_RTOL * horizon: landing off one shifts every later node."""
+        tol = LANDING_RTOL * horizon
         for c in times:
             if tol < c < horizon - tol and np.abs(self.mesh.times - c).min() > tol:
                 raise error(f"checkpoint {c!r} is not a node of the prescribed mesh")
@@ -69,25 +69,21 @@ class AdaptiveStep(StepPolicy):
     Proposes tau = tau_max / sqrt(1 + alpha * |dE|^2) with
     dE = (gamma_n - gamma_{n-1}) / tau_n, then clamps into
     [tau_min, min(tau_max, ratio_cap * prev_tau)].  The first step is
-    tau_min.  ratio_cap defaults to r_max - 0.01.
+    tau_min.  ratio_cap defaults to r_max - DELTA.
     """
 
     tau_min: float
     tau_max: float
     alpha: float
-    ratio_cap: float | None = None
+    ratio_cap: float = r_max_root() - DELTA
 
     def __post_init__(self):
         if not 0 < self.tau_min <= self.tau_max < math.inf:
             raise ValueError(f"need 0 < tau_min <= tau_max < inf, got {self.tau_min}, {self.tau_max}")
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        cap = self.ratio_cap
-        if cap is None:
-            cap = r_max_root() - 0.01
-            object.__setattr__(self, "ratio_cap", cap)
-        if not 1.0 < cap < r_max_root():
-            raise ValueError(f"ratio_cap must lie in (1, r_max), got {cap}")
+        if not 1.0 < self.ratio_cap < r_max_root():
+            raise ValueError(f"ratio_cap must lie in (1, r_max), got {self.ratio_cap}")
 
     def next_step(self, n, prev_tau, prev_gamma, curr_gamma):
         if n == 1:
@@ -109,11 +105,11 @@ def run_with_policy(
     the given state is left without its history arrays (see GsavState).
 
     Under a PrescribedMesh every checkpoint must be a mesh node and the
-    horizon must not lie beyond the last node (both within 1e-12 * horizon);
-    otherwise ValueError is raised before any step."""
+    horizon must not lie beyond the last node (both within LANDING_RTOL *
+    horizon); otherwise ValueError is raised before any step."""
     if not state.time < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {state.time}")
-    tol = 1e-12 * horizon
+    tol = LANDING_RTOL * horizon
     targets = sorted({float(c) for c in checkpoints if state.time + tol < c < horizon - tol})
     if isinstance(policy, PrescribedMesh):
         policy.require_nodes(targets, horizon)

@@ -30,9 +30,9 @@ from operator import attrgetter
 import numpy as np
 
 from .spectral import Grid, SpectralField
-from .stepper import RecordTable, StepRecord
+from .stepper import RECORD_COLUMNS, RecordTable, StepRecord
 
-RECORD_FIELDS = ("n", "t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation")
+RECORD_FIELDS = ("n", *RECORD_COLUMNS)
 # one row as a % template ('%.17g' % x is format(x, '.17g')) and the values it takes
 RECORD_ROW = "%d" + ",%.17g" * (len(RECORD_FIELDS) - 1) + "\n"
 _record_values = attrgetter(*RECORD_FIELDS)

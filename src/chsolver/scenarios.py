@@ -9,7 +9,7 @@ import numpy as np
 from .policies import FixedStep, PrescribedMesh, StepPolicy, run_with_policy
 from .spectral import Grid, SpectralField, h1_norm
 from .stepper import energy, init_state
-from .timestep import random_mesh
+from .timestep import LANDING_RTOL, random_mesh
 
 
 class DimMismatchError(ValueError):
@@ -104,7 +104,7 @@ def run_scenario(scenario: Scenario, sink=None):
     first step hands the sink nothing.
     """
     grid = Grid(scenario.dim, scenario.length, scenario.modes)
-    tol = 1e-12 * scenario.horizon
+    tol = LANDING_RTOL * scenario.horizon
     wanted = sorted(set(scenario.snapshot_times))
     initial = [t for t in wanted if abs(t) <= tol]
     pending = [t for t in wanted if t > tol]

@@ -55,7 +55,7 @@ the four substeps reproduces advance bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from operator import attrgetter
 
@@ -94,6 +94,11 @@ class StepRecord:
     eta: float
     mass: float
     dissipation: float
+
+
+# the float fields of a StepRecord, the columns after n
+RECORD_COLUMNS = tuple(f.name for f in fields(StepRecord))[1:]
+_record_values = attrgetter(*RECORD_COLUMNS)
 
 
 @dataclass(eq=False)
@@ -317,10 +322,6 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
         prev_tau=tau_n,
     )
     return new_state, record
-
-
-RECORD_COLUMNS = ("t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation")
-_record_values = attrgetter(*RECORD_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 
+# the A1 margin: a step ratio is admissible up to r_max - DELTA
+DELTA = 0.01
+# a run lands on a target time t when it comes within LANDING_RTOL * horizon
+# of it, and the clock is then set to t exactly
+LANDING_RTOL = 1e-12
+
+
 class SingularKernelError(ArithmeticError):
     """A nonpositive leading weight b0; signals a corrupted mesh."""
 
@@ -63,7 +70,7 @@ class TimeMesh:
     """
 
     steps: np.ndarray
-    delta: float = 0.01
+    delta: float = DELTA
 
     def __post_init__(self):
         steps = np.array(self.steps, dtype=np.float64, ndmin=1)
