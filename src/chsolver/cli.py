@@ -41,10 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a config file")
         p.add_argument("--scenario", default=None, help="override the scenario name")
-        p.add_argument("--outdir", default=None, help="override the output directory")
-    sub.choices["check"].add_argument(
-        "--records", default=None, help="verify an existing records CSV instead of running"
-    )
+        if name == "check":
+            p.add_argument("--records", default=None, help="verify an existing records CSV instead of running")
+        else:
+            p.add_argument("--outdir", default=None, help="override the output directory")
     return parser
 
 

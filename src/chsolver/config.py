@@ -35,7 +35,7 @@ class ConfigValidationError(ValueError):
     """Well-formed config with an invalid or inconsistent value."""
 
 
-# Per-scenario defaults; a field not listed takes SimConfig's default.
+# Per-scenario presets, by config key; a key not listed takes its SimConfig field's default.
 _SCENARIO_DEFAULTS = {
     "convergence": {
         "eps": 0.2,
@@ -80,6 +80,8 @@ _SCENARIO_DEFAULTS = {
     },
 }
 SCENARIO_NAMES = tuple(_SCENARIO_DEFAULTS)
+# presets whose initial data is 2d
+_PLANAR = ("convergence", "kissing_bubbles")
 
 # The config keys of each section and the type each value parses as.  A key
 # sets the SimConfig field of its name, or of its _FIELD_NAMES entry; eps2
@@ -220,6 +222,8 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
             bad(f"{key} must be finite, got {value}")
     if cfg.dim not in (2, 3):
         bad(f"dim must be 2 or 3, got {cfg.dim}")
+    if cfg.dim != 2 and cfg.scenario in _PLANAR:
+        bad(f"scenario {cfg.scenario} has 2d initial data, got dim {cfg.dim}")
     if cfg.modes < 4 or cfg.modes % 2:
         bad(f"n must be even and >= 4, got {cfg.modes}")
     for key in ("length", "eps", "horizon"):

@@ -74,7 +74,7 @@ from .spectral import (
     slab_map,
     slab_sum,
 )
-from .timestep import bdf_weights
+from .timestep import LANDING_RTOL, bdf_weights
 
 
 class NonfiniteFieldError(FloatingPointError):
@@ -355,14 +355,17 @@ def validate_records(
     against the scheme's guarantees.
 
     Returns a list of human-readable violations (empty when clean), in row
-    order: the clock advancing (t above the previous finite row's t), tau,
-    gamma and xi positive, gamma non-increasing, the per-step identity
-    gamma_{n-1} - gamma_n = dissipation, constant mass, finiteness, and
-    optionally the step-ratio cap, which a step after a non-positive one
-    (itself reported) is not held to.  A nonfinite row is reported alone,
-    and the next row is checked against the last finite one (the first
-    finite row against gamma0, if given).  The checks run on whole columns;
-    messages are built for the flagged rows only.
+    order: the clock, tau, gamma and xi positive, gamma non-increasing, the
+    per-step identity gamma_{n-1} - gamma_n = dissipation, constant mass,
+    finiteness, and optionally the step-ratio cap, which a step after a
+    non-positive one (itself reported) is not held to.  The clock starts at
+    0 and each t must exceed the previous finite row's; a row whose n
+    follows that row's must also advance it by its tau, within LANDING_RTOL
+    * the largest finite t, unless its tau is not positive or that row's
+    clock was reported.  A nonfinite row is reported alone, and the next
+    row is checked against the last finite one (the first finite row
+    against gamma0, if given).  The checks run on whole columns; messages
+    are built for the flagged rows only.
     """
     table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
     if not table:
@@ -377,13 +380,18 @@ def validate_records(
     kept = values.take(rows, axis=0)
     t, tau, gamma, _, xi, _, mass, dissipation = kept.T
     # each finite row's predecessor: the previous finite row's t, tau and
-    # gamma, or no t or step and gamma0 before the first; a nan there fails
-    # every comparison
-    first = (math.nan, math.nan, math.nan if gamma0 is None else gamma0)
+    # gamma, or the clock's start, no step and gamma0 before the first; a
+    # nan there fails every comparison
+    first = (0.0, math.nan, math.nan if gamma0 is None else gamma0)
     with np.errstate(all="ignore"):
         prev_t, prev_tau, prev_gamma = np.concatenate(([first], kept[:-1, :3])).T
+        dt = t - prev_t
+        slipped = abs(dt - tau) > LANDING_RTOL * t.max(initial=0.0)
+        if slipped.any():  # a row after a gap is not held to its step
+            slipped &= np.diff(np.take(table.n, rows), prepend=0) == 1
         checks = [
-            t <= prev_t,
+            dt <= 0,
+            slipped,
             # tau, gamma and xi positive, as one comparison
             np.minimum(np.minimum(tau, gamma), xi) <= 0,
             gamma > prev_gamma + 1e-13 * g_scale,
@@ -395,18 +403,24 @@ def validate_records(
     hit = ~finite
     hit[rows] = np.logical_or.reduce(checks)
     problems = []
+    clock_off = -2  # the position among the finite rows of the last one whose clock was reported
     for i in hit.nonzero()[0].tolist():
         n = table.n[i]
         if not finite[i]:
             problems.append(f"step {n}: nonfinite record values")
             continue
         j = int(rows.searchsorted(i))  # the row's position among the finite rows
-        stalled, _, increased, unbalanced, drifted, *over_cap = (c[j] for c in checks)
+        stalled, slip, _, increased, unbalanced, drifted, *over_cap = (c[j] for c in checks)
         now, step, g, x = t[j].item(), tau[j].item(), gamma[j].item(), xi[j].item()
         m, d = mass[j].item(), dissipation[j].item()
         prev, prev_step = prev_gamma[j].item(), prev_tau[j].item()
         if stalled:
-            problems.append(f"step {n}: t = {now!r} does not exceed the previous t = {prev_t[j].item()!r}")
+            since = "not positive" if j == 0 else f"does not exceed the previous t = {prev_t[j].item()!r}"
+            problems.append(f"step {n}: t = {now!r} {since}")
+            clock_off = j
+        elif slip and step > 0 and clock_off != j - 1:
+            problems.append(f"step {n}: t advanced by {dt[j].item()!r} != tau = {step!r}")
+            clock_off = j
         if step <= 0:
             problems.append(f"step {n}: tau = {step} not positive")
         if g <= 0:

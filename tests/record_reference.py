@@ -9,8 +9,10 @@ same order.
 """
 
 import math
+from dataclasses import astuple
 
 from chsolver import RECORD_FIELDS, StepRecord
+from chsolver.timestep import LANDING_RTOL
 
 
 def read_records(path) -> list[StepRecord]:
@@ -33,6 +35,10 @@ def read_records(path) -> list[StepRecord]:
     return out
 
 
+def _finite(rec) -> bool:
+    return all(map(math.isfinite, astuple(rec)[1:]))
+
+
 def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=None) -> list[str]:
     problems: list[str] = []
     if not records:
@@ -40,15 +46,25 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
     g_scale = gamma0 if gamma0 is not None else records[0].gamma
     m_anchor = mass0 if mass0 is not None else records[0].mass
     m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
+    tol = LANDING_RTOL * max([0.0] + [rec.t for rec in records if _finite(rec)])
     prev_gamma = gamma0
-    prev_t = prev_tau = None
+    prev_tau = None
+    # the clock starts at 0 before step 1; held: the previous row's clock was not reported
+    prev_t, prev_n, held = 0.0, 0, True
     for rec in records:
-        vals = (rec.t, rec.tau, rec.gamma, rec.energy, rec.xi, rec.eta, rec.mass, rec.dissipation)
-        if not all(map(math.isfinite, vals)):
+        if not _finite(rec):
             problems.append(f"step {rec.n}: nonfinite record values")
             continue
-        if prev_t is not None and rec.t <= prev_t:
-            problems.append(f"step {rec.n}: t = {rec.t!r} does not exceed the previous t = {prev_t!r}")
+        clock_ok = True
+        if rec.t <= prev_t:
+            if prev_tau is None:
+                problems.append(f"step {rec.n}: t = {rec.t!r} not positive")
+            else:
+                problems.append(f"step {rec.n}: t = {rec.t!r} does not exceed the previous t = {prev_t!r}")
+            clock_ok = False
+        elif held and rec.tau > 0 and rec.n == prev_n + 1 and abs(rec.t - prev_t - rec.tau) > tol:
+            problems.append(f"step {rec.n}: t advanced by {rec.t - prev_t!r} != tau = {rec.tau!r}")
+            clock_ok = False
         if rec.tau <= 0:
             problems.append(f"step {rec.n}: tau = {rec.tau} not positive")
         if rec.gamma <= 0:
@@ -73,5 +89,5 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
                 problems.append(
                     f"step {rec.n}: ratio {rec.tau / prev_tau:.4f} exceeds cap {ratio_cap:.4f}"
                 )
-        prev_t, prev_gamma, prev_tau = rec.t, rec.gamma, rec.tau
+        prev_t, prev_n, held, prev_gamma, prev_tau = rec.t, rec.n, clock_ok, rec.gamma, rec.tau
     return problems

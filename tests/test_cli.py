@@ -345,8 +345,9 @@ class TestCheck:
 
 
 class TestStepAndClockChecks:
-    """check --records names a step at or below zero and a clock that does
-    not advance, and exits 1; the step after a zero step is not a runtime
+    """check --records names a step at or below zero, a clock that does not
+    start above 0 or does not advance, and a clock that does not advance by
+    the row's step, and exits 1; the step after a zero step is not a runtime
     error."""
 
     @pytest.fixture(scope="class")
@@ -357,18 +358,22 @@ class TestStepAndClockChecks:
         return cfg, read_records(tmp / "out" / "records.csv")
 
     @pytest.mark.parametrize(
-        "row, field, value, message",
+        "row, field, edit, message",
         [
-            (-1, "tau", -0.001, "tau = -0.001 not positive"),
-            (99, "t", 0.0, "t = 0.0 does not exceed the previous t = "),
-            (89, "tau", 0.0, "tau = 0.0 not positive"),
+            (-1, "tau", lambda v: -0.001, "tau = -0.001 not positive"),
+            (99, "t", lambda v: 0.0, "t = 0.0 does not exceed the previous t = "),
+            (89, "tau", lambda v: 0.0, "tau = 0.0 not positive"),
+            (0, "t", lambda v: 0.0, "t = 0.0 not positive"),
+            (0, "t", lambda v: -1.0, "t = -1.0 not positive"),
+            (-1, "t", lambda v: v + 1.0, "t advanced by "),
         ],
-        ids=["negative-last-step", "clock-back-to-zero", "zero-step"],
+        ids=["negative-last-step", "clock-back-to-zero", "zero-step", "first-clock-at-zero",
+             "first-clock-negative", "last-clock-ahead"],
     )
-    def test_edit_fails_with_one_named_violation(self, run, tmp_path, capsys, row, field, value, message):
+    def test_edit_fails_with_one_named_violation(self, run, tmp_path, capsys, row, field, edit, message):
         cfg, records = run
         records = list(records)
-        records[row] = replace(records[row], **{field: value})
+        records[row] = replace(records[row], **{field: edit(getattr(records[row], field))})
         bad = tmp_path / "bad.csv"
         write_records(records, bad)
         capsys.readouterr()
@@ -459,6 +464,21 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\nhorizon = nan\n")
         assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 1
         assert "horizon must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["kissing_bubbles", "convergence"])
+    @pytest.mark.parametrize("command", ["simulate", "converge", "check"])
+    def test_3d_grid_for_a_2d_preset_is_validation_error(self, tmp_path, capsys, scenario, command):
+        cfg = write_cfg(tmp_path, f"scenario = {scenario}\nn = 8\ndim = 3\n[output]\noutdir = {tmp_path / 'out'}\n")
+        assert main([command, cfg]) == 1
+        assert capsys.readouterr().err == f"error: scenario {scenario} has 2d initial data, got dim 3\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_check_takes_no_outdir(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        assert main(["check", cfg, "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --outdir" in err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_is_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")

@@ -1,12 +1,16 @@
 """Tests for config parsing, per-scenario defaults, and policy assembly."""
 
 import math
+import re
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from chsolver import (
     AdaptiveStep,
+    SimConfig,
     ConfigParseError,
     ConfigValidationError,
     FixedStep,
@@ -17,6 +21,7 @@ from chsolver import (
     parse_config,
     r_max_root,
 )
+from chsolver import config
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -271,3 +276,25 @@ class TestAssembly:
         assert (sc.dim, sc.modes, sc.length) == (2, 128, cfg.length)
         assert sc.snapshot_times == cfg.snapshots
         assert isinstance(sc.policy, AdaptiveStep)
+
+
+class TestKeyTable:
+    """The section table, SimConfig's fields and the module docstring name
+    the same keys."""
+
+    def test_every_key_sets_one_field_and_every_field_has_a_key(self):
+        keys = [key for table in config._SECTIONS.values() for key in table]
+        targets = Counter(config._FIELD_NAMES.get(key, "eps" if key == "eps2" else key) for key in keys)
+        # eps is set by eps and by eps2; every other field by one key
+        assert targets == Counter({f.name: 1 for f in fields(SimConfig)}) + Counter({"eps": 1})
+
+    def test_docstring_lists_each_sections_keys(self):
+        listed, section = {}, None
+        for line in config.__doc__.split("Sections and keys:")[1].splitlines():
+            header = re.match(r"\s*\[(\w+)\](.*)", line)
+            if header:
+                section, line = header[1], header[2]
+            names = re.sub(r"\([^)]*\)", "", line).split(",")
+            listed.setdefault(section, []).extend(name.strip() for name in names if name.strip())
+        listed.pop(None, None)
+        assert listed == {name: list(table) for name, table in config._SECTIONS.items()}

@@ -94,8 +94,9 @@ def test_check_records_leaves_scipy_fft_unloaded(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "check", "converge"])
 def test_transforming_commands_load_scipy_fft_but_not_optimize(tmp_path, command):
-    text = SIM_CFG + "[converge]\nbase_k = 4\nlevels = 1\nref_steps = 8\n"
-    code, loaded, _ = fresh(command, write_cfg(tmp_path, text), "--outdir", str(tmp_path / "out"))
+    # the outdir in the file: check takes no --outdir
+    text = SIM_CFG + f"[converge]\nbase_k = 4\nlevels = 1\nref_steps = 8\n[output]\noutdir = {tmp_path / 'out'}\n"
+    code, loaded, _ = fresh(command, write_cfg(tmp_path, text))
     assert code == 0
     assert "scipy.fft" in loaded
     assert "scipy.optimize" not in loaded

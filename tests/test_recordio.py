@@ -31,6 +31,7 @@ from chsolver import (
 )
 from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_row_blocks
 from chsolver.recordio import RECORD_ROW
+from chsolver.timestep import LANDING_RTOL
 
 
 def sample_records(count=12, seed=0):
@@ -173,12 +174,13 @@ def bits(records):
 
 @st.composite
 def faulty_streams(draw):
-    """(gamma0, mass0, rows): a stream that keeps every guarantee (gamma
+    """(gamma0, mass0, records): a stream that keeps every guarantee (gamma
     falls by exactly its dissipation from gamma0, the mass is mass0, step
     ratios stay below CAP), with faults of every kind injected at drawn
     rows, the first one included: among them steps at or below zero, after
-    which the next step is not held to the cap, and clocks that stand still
-    or go back."""
+    which the next step is not held to the cap, clocks that stand still or
+    go back, a first clock at or below 0, clocks moved ahead by 1 or by a
+    few landing tolerances, and rows dropped, which leave a gap in n."""
     gamma0 = gamma = draw(st.floats(0.5, 10.0))
     mass0 = draw(st.floats(-1.0, 1.0))
     count = draw(st.integers(1, 12))
@@ -192,7 +194,7 @@ def faulty_streams(draw):
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, count - 1))
         row = rows[i]
-        kinds = ["nonfinite", "tau", "gamma", "xi", "clock", "increase", "identity", "mass", "ratio", "any"]
+        kinds = ["nonfinite", "tau", "gamma", "xi", "clock", "shift", "increase", "identity", "mass", "ratio", "any"]
         kind = draw(st.sampled_from(kinds))
         if kind == "nonfinite":
             row[draw(st.integers(0, 7))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -203,6 +205,10 @@ def faulty_streams(draw):
             # at or before the previous row's t, or just after it
             back = draw(st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 2.0))
             row[0] = rows[max(i - 1, 0)][0] - back * row[1]
+            if i == 0:
+                row[0] = draw(st.sampled_from([0.0, -1.0, row[0]]))
+        elif kind == "shift":
+            row[0] += draw(st.just(1.0) | st.floats(-4.0, 4.0).map(lambda k: k * LANDING_RTOL * t))
         elif kind == "increase":
             row[2] *= draw(st.floats(1.0, 4.0))
         elif kind == "identity":
@@ -213,7 +219,11 @@ def faulty_streams(draw):
             row[1] *= draw(st.floats(CAP / 4.0, 4.0 * CAP))
         else:
             row[draw(st.integers(0, 7))] = draw(any_float)
-    return gamma0, mass0, rows
+    records = as_records(rows)
+    for _ in range(draw(st.integers(0, 2))):
+        if len(records) > 1:
+            del records[draw(st.integers(0, len(records) - 1))]
+    return gamma0, mass0, records
 
 
 @st.composite
@@ -252,14 +262,13 @@ class TestColumnarPath:
     @settings(max_examples=40, deadline=None)
     @given(stream=faulty_streams(), data=st.data())
     def test_validator_matches_the_reference(self, anchors, stream, data):
-        gamma0, mass0, rows = stream
+        gamma0, mass0, records = stream
         true = {"gamma0": gamma0, "mass0": mass0, "volume": 4.0 * math.pi**2, "ratio_cap": CAP}
         kwargs = {
             name: data.draw(st.just(value) | any_float, label=name)
             for (name, value), given_ in zip(true.items(), anchors)
             if given_
         }
-        records = as_records(rows)
         want = outcome(record_reference.validate_records, records, **kwargs)
         assert outcome(validate_records, records, **kwargs) == want
         assert outcome(validate_records, RecordTable.from_records(records), **kwargs) == want

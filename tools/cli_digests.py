@@ -1,0 +1,165 @@
+"""One line per CLI run over a fixed set of configs: exit code, output and a digest of every file written.
+
+Usage:
+
+    python tools/cli_digests.py [--src PATH] > digests.txt
+
+PATH is the ``src`` directory of the checkout to run (default: the one next
+to this script), so the same script runs any commit, and ``diff`` of two
+commits' outputs shows every change of behaviour the configs reach.
+
+The configs are: every scenario preset at a small n (horizons cut where a
+preset would take thousands of steps), each policy kind, the ``delta``,
+``eps2``, ``dealias`` and ``record_every`` keys, a fixed step that must land
+on an interior snapshot, and one config for each parse and validation error
+message.  Each config runs through ``simulate``, ``converge``, ``kernels``
+and ``check`` in process, each in a new temporary directory that holds only
+the config file and is the working directory, so the default ``outdir``
+lands inside it.  After ``simulate``, ``check --records`` reads the
+records.csv it wrote, when there is one.  Every run prints
+
+    <config> <command>: exit <code> files <sha256> stdout <text> stderr <text>
+
+with stdout and stderr as JSON strings, the directory masked as ``<dir>``,
+and the sha256 over the relative path of every directory and the relative
+path and bytes of every file written, in path order ("-" when nothing was
+written).
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# small converge and kernels sizes, appended to every runnable config
+_SMALL = "[converge]\nbase_k = 4\nlevels = 2\nref_steps = 16\n[kernels]\nmax_n = 12\n"
+
+RUNS = {
+    "convergence": "scenario = convergence\nn = 8\n[policy]\ncount = 20\n",
+    "kissing_bubbles": "scenario = kissing_bubbles\nn = 16\nhorizon = 0.2\n[output]\nsnapshots = 0.0, 0.1, 0.2\n",
+    "coarsening2d": "scenario = coarsening2d\nn = 16\nhorizon = 0.002\n[output]\nsnapshots = 0.0, 0.001, 0.002\n",
+    "coarsening3d": "scenario = coarsening3d\nn = 8\nhorizon = 0.001\n[output]\nsnapshots = 0.0, 0.0005, 0.001\n",
+    "equilibrium": "scenario = equilibrium\nn = 8\n",
+    "fixed": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = fixed\ntau = 0.003\n"
+    "[output]\nsnapshots = 0.0, 0.005\n",
+    "fixed-landing": "scenario = coarsening2d\nn = 16\nhorizon = 0.05\n[policy]\nkind = fixed\ntau = 0.01\n"
+    "[output]\nsnapshots = 0.0, 0.0301\n",
+    "random": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
+    "[output]\nsnapshots = 0.0, 0.01\n",
+    "adaptive-delta": "scenario = coarsening2d\nn = 8\nhorizon = 0.05\n[policy]\ntau_min = 1e-4\ntau_max = 1e-2\n"
+    "alpha = 0\ndelta = 0.5\n[output]\nsnapshots = 0.0, 0.05\n",
+    "eps2": "scenario = kissing_bubbles\nn = 16\neps2 = 0.05\nhorizon = 0.1\n[output]\nsnapshots = 0.0, 0.05, 0.1\n",
+    "dealias": "scenario = coarsening2d\nn = 16\ndealias = true\nhorizon = 0.002\n[output]\nsnapshots = 0.0\n",
+    "record_every": "scenario = kissing_bubbles\nn = 16\nhorizon = 0.2\n[output]\nsnapshots = 0.0, 0.1, 0.2\n"
+    "record_every = 7\n",
+    "dim3-kissing": "scenario = kissing_bubbles\nn = 8\ndim = 3\nhorizon = 0.01\n[output]\nsnapshots = 0.0\n",
+    "dim3-convergence": "scenario = convergence\nn = 8\ndim = 3\n",
+}
+
+ERRORS = {
+    "unterminated-section": "[policy\n",
+    "unknown-section": "[extras]\nx = 1\n",
+    "no-equals": "scenario equilibrium\n",
+    "unknown-key": "scenario = equilibrium\nfoo = 1\n",
+    "duplicate-key": "scenario = equilibrium\nn = 8\nn = 16\n",
+    "bad-int": "scenario = equilibrium\nn = many\n",
+    "bad-bool": "scenario = equilibrium\ndealias = maybe\n",
+    "bad-floats": "scenario = equilibrium\n[output]\nsnapshots = 0, x\n",
+    "no-scenario": "n = 16\n",
+    "unknown-scenario": "scenario = melting\n",
+    "eps-and-eps2": "scenario = equilibrium\neps = 0.1\neps2 = 0.01\n",
+    "eps2-nonpositive": "scenario = equilibrium\neps2 = 0\n",
+    "unknown-kind": "scenario = equilibrium\n[policy]\nkind = magic\n",
+    "nonfinite": "scenario = equilibrium\nhorizon = nan\n",
+    "dim": "scenario = equilibrium\ndim = 4\n",
+    "odd-n": "scenario = equilibrium\nn = 15\n",
+    "length": "scenario = equilibrium\nlength = 0\n",
+    "eps": "scenario = equilibrium\neps = -1\n",
+    "horizon": "scenario = equilibrium\nhorizon = 0\n",
+    "record_every": "scenario = equilibrium\n[output]\nrecord_every = 0\n",
+    "snapshot-beyond-horizon": "scenario = equilibrium\n[output]\nsnapshots = 0.0, 5.0\n",
+    "tau": "scenario = equilibrium\n[policy]\ntau = -1\n",
+    "tau_min": "scenario = coarsening2d\n[policy]\ntau_min = 0\n",
+    "tau_max": "scenario = coarsening2d\n[policy]\ntau_max = -1\n",
+    "count": "scenario = convergence\n[policy]\ncount = 1\n",
+    "alpha": "scenario = coarsening2d\n[policy]\nalpha = -0.5\n",
+    "delta": "scenario = coarsening2d\n[policy]\ndelta = 4\n",
+    "fixed-needs-tau": "scenario = convergence\n[policy]\nkind = fixed\n",
+    "random-needs-count": "scenario = kissing_bubbles\n[policy]\nkind = random\n",
+    "adaptive-needs-keys": "scenario = equilibrium\n[policy]\nkind = adaptive\n",
+    "tau-order": "scenario = coarsening2d\n[policy]\ntau_min = 1e-3\ntau_max = 1e-4\n",
+    "converge-keys": "scenario = equilibrium\n[converge]\nlevels = 0\n",
+    "max_n": "scenario = convergence\n[kernels]\nmax_n = 1\n",
+    "off-node-snapshot": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
+    "[output]\nsnapshots = 0.0, 0.00123\n",
+}
+
+COMMANDS = ("simulate", "converge", "kernels", "check")
+
+
+def configs():
+    """(name, text) of every config, the runnable ones first."""
+    yield from ((name, text + _SMALL) for name, text in RUNS.items())
+    yield from ((f"error-{name}", text) for name, text in ERRORS.items())
+
+
+def digest(root: Path, skip: Path) -> str:
+    paths = sorted(p for p in root.rglob("*") if p != skip)
+    if not paths:
+        return "-"
+    h = hashlib.sha256()
+    for p in paths:
+        name = p.relative_to(root).as_posix().encode()
+        h.update(name + b"/\0" if p.is_dir() else name + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+def run(main, name: str, argv: list[str], root: Path, config: Path) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+
+    def masked(text):
+        return text.replace(str(root), "<dir>")
+
+    label = masked(" ".join(argv[:1] + argv[2:]))
+    print(f"{name} {label}: exit {rc} files {digest(root, config)} "
+          f"stdout {json.dumps(masked(out.getvalue()))} stderr {json.dumps(masked(err.getvalue()))}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from chsolver import cli
+
+    if Path(cli.__file__).resolve().parent != src / "chsolver":
+        sys.exit(f"imported chsolver from {cli.__file__}, not from {src}")
+
+    here = os.getcwd()
+    try:
+        for name, text in configs():
+            for command in COMMANDS:
+                with tempfile.TemporaryDirectory() as tmp:
+                    root = Path(tmp).resolve()
+                    config = root / "run.cfg"
+                    config.write_text(text, encoding="utf-8")
+                    os.chdir(root)
+                    run(cli.main, name, [command, str(config)], root, config)
+                    if command == "simulate" and (root / "out" / "records.csv").is_file():
+                        records = str(root / "out" / "records.csv")
+                        run(cli.main, name, ["check", str(config), "--records", records], root, config)
+                    os.chdir(here)  # before the directory is removed
+    finally:
+        os.chdir(here)
+
+
+if __name__ == "__main__":
+    main()
