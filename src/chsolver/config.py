@@ -231,6 +231,8 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
             bad(f"{key} must be positive, got {getattr(cfg, key)}")
     if cfg.record_every < 1:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
+    if cfg.seed < 0:
+        bad(f"seed must be >= 0, got {cfg.seed}")
     if check_snapshots and not all(0 <= t <= cfg.horizon * (1 + LANDING_RTOL) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
     # range-check every policy key that is set, whether or not the kind uses it

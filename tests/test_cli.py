@@ -11,7 +11,7 @@ import pytest
 
 import chsolver
 import kernel_reference
-from chsolver import StepRecord, cli, read_records, read_snapshot, write_records
+from chsolver import StepRecord, cli, read_records, read_snapshot, spectral, write_records
 from chsolver.cli import main
 
 
@@ -230,6 +230,95 @@ class TestKernels:
         theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, 100, parsed.seed), 100)
         kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
         assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# kernels.csv at this max_n has 9870 lines, enough for three formatting processes
+SPLIT_N = 140
+
+
+def split_cfg(tmp_path):
+    assert SPLIT_N * (SPLIT_N + 1) // 2 >= 3 * cli.FORK_MIN_LINES
+    return write_cfg(tmp_path, f"scenario = convergence\nseed = 4\n[kernels]\nmax_n = {SPLIT_N}\n")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestKernelsOnEveryCore:
+    def test_output_does_not_depend_on_the_core_count(self, tmp_path, monkeypatch):
+        cfg = split_cfg(tmp_path)
+        parsed = chsolver.parse_config(cfg)
+        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, SPLIT_N, parsed.seed), SPLIT_N)
+        kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(None)  # a child appends to its own copy
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        residuals = set()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(spectral, "CORES", cores)
+            parts = cli._kernel_parts(SPLIT_N)
+            # contiguous parts, of unequal line counts once split
+            assert [n for rows in parts for n in rows] == list(range(1, SPLIT_N + 1))
+            assert len({sum(rows) for rows in parts}) == cores
+            forks.clear()
+            out = tmp_path / f"cores{cores}"
+            assert main(["kernels", cfg, "--outdir", str(out)]) == 0
+            assert len(forks) == cores - 1
+            assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            residuals.add((out / "kernel_residuals.csv").read_bytes())
+            assert_no_child_left()
+        assert len(residuals) == 1
+
+    def test_below_the_threshold_nothing_is_forked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "CORES", 2)
+        max_n = 2
+        while (max_n + 1) * (max_n + 2) // 2 < 2 * cli.FORK_MIN_LINES:
+            max_n += 1
+        cfg = write_cfg(tmp_path, f"scenario = convergence\n[kernels]\nmax_n = {max_n}\n")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the threshold"))
+        assert cli._kernel_parts(max_n) == [range(1, max_n + 1)]
+        assert main(["kernels", cfg, "--outdir", str(tmp_path / "out")]) == 0
+
+    def test_a_failing_part_is_a_runtime_error(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(spectral, "CORES", 2)
+        first, second = cli._kernel_parts(SPLIT_N)
+        row_blocks = cli.kernel_row_blocks
+
+        def failing_row_blocks(max_lines):
+            row_block = row_blocks(max_lines)
+
+            def failing(n, values):
+                if n > first[-1]:
+                    raise ValueError("a row past the first part")
+                return row_block(n, values)
+
+            return failing
+
+        monkeypatch.setattr(cli, "kernel_row_blocks", failing_row_blocks)
+        assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
+        err = capfd.readouterr().err
+        rows = f"rows {second[0]}..{second[-1]}"
+        assert f"chsolver kernels, {rows}: ValueError: a row past the first part" in err
+        assert f"runtime error: RuntimeError: the process formatting kernels.csv {rows} exited with 1" in err
+        assert_no_child_left()
+
+    def test_a_failing_parent_reaps_its_children(self, tmp_path, monkeypatch, capfd):
+        # the child's part fills the pipe, so it is still writing when the parent fails
+        monkeypatch.setattr(spectral, "CORES", 2)
+
+        def failing_residuals(*args):
+            raise ValueError("residuals failed")
+
+        monkeypatch.setattr(cli, "_residuals", failing_residuals)
+        assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
+        assert "runtime error: ValueError: residuals failed" in capfd.readouterr().err
+        assert_no_child_left()
 
 
 class TestPrescribedMeshCheckpoints:
@@ -471,6 +560,14 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, f"scenario = {scenario}\nn = 8\ndim = 3\n[output]\noutdir = {tmp_path / 'out'}\n")
         assert main([command, cfg]) == 1
         assert capsys.readouterr().err == f"error: scenario {scenario} has 2d initial data, got dim 3\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "converge", "kernels", "check"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, command):
+        text = f"scenario = convergence\nn = 8\nseed = -1\n[output]\noutdir = {tmp_path / 'out'}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, cfg]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_check_takes_no_outdir(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """What each entry point imports and starts: scipy.fft only where something
 is transformed, scipy.optimize never, no scipy import at module level, no
-thread pool (concurrent.futures.thread) anywhere, and no thread at all on
-grids below the parallel threshold."""
+thread pool (concurrent.futures.thread) anywhere, no thread at all on
+grids below the parallel threshold, and for kernels neither a thread nor
+multiprocessing, also where it forks."""
 
 import ast
 import json
@@ -13,13 +14,14 @@ from pathlib import Path
 import pytest
 
 import chsolver
-from chsolver.cli import main
+from chsolver.cli import FORK_MIN_LINES, main
 
 PACKAGE = Path(chsolver.__file__).resolve().parent
 
 # Imports the package (or runs the CLI on the given arguments) in a fresh
-# interpreter and prints the exit code, the scipy and concurrent modules then
-# loaded, and the number of threads started meanwhile.
+# interpreter and prints the exit code, the scipy, concurrent and
+# multiprocessing modules then loaded, and the number of threads started
+# meanwhile.
 PROBE = """
 import json, sys, threading
 started = []
@@ -29,19 +31,19 @@ def counting_start(self):
     start(self)
 threading.Thread.start = counting_start
 if sys.argv[1:]:
-    from chsolver.cli import main
+    from chsolver.cli import FORK_MIN_LINES, main
     code = main(sys.argv[1:])
 else:
     import chsolver
     code = 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))
 print(json.dumps([code, loaded, len(started)]))
 """
 
 
 def fresh(*argv):
-    """(exit code, loaded scipy and concurrent modules, threads started) of
-    PROBE in a new interpreter."""
+    """(exit code, loaded scipy, concurrent and multiprocessing modules,
+    threads started) of PROBE in a new interpreter."""
     # the child imports the same package as this suite, however it was put on sys.path
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -79,6 +81,18 @@ def test_kernels_leaves_scipy_fft_unloaded(tmp_path):
     assert "scipy.fft" not in loaded
     assert "scipy.optimize" not in loaded
     assert "concurrent.futures" not in loaded
+
+
+def test_kernels_above_the_split_threshold_starts_no_thread(tmp_path):
+    # the rows are split among forked processes on a host with more than one core
+    max_n = 140
+    assert max_n * (max_n + 1) // 2 >= 2 * FORK_MIN_LINES
+    cfg = write_cfg(tmp_path, f"scenario = convergence\n[kernels]\nmax_n = {max_n}\n")
+    code, loaded, threads = fresh("kernels", cfg, "--outdir", str(tmp_path / "out"))
+    assert code == 0
+    assert threads == 0
+    assert not {m.split(".")[0] for m in loaded} & {"concurrent", "multiprocessing"}
+    assert "scipy.fft" not in loaded
 
 
 def test_check_records_leaves_scipy_fft_unloaded(tmp_path):

@@ -29,13 +29,18 @@ REPEATS timed runs after the warm-up below.
   must stay below the probe's own.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
-  kernel_residuals.csv into a temporary directory.  Beside it stands the
-  pass's ``.17g`` floor: the median time to format its 2 * n(n+1)/2 kernel
-  values alone, as one tuple of floats through one ``"%.17g"`` template,
-  with no separators, indices or file.  The pass and the floor are timed
-  in turn, one call of each per round, so both medians see the same host
-  phase; the line after them is the pass's median over the floor's.  The
-  quadratic form is checked on random_mesh(1, n, SEED) with standard
+  kernel_residuals.csv into a temporary directory, once with
+  ``spectral.CORES = 1`` (serial) and once with the host's CORES (its rows
+  split among that many processes).  Beside them stands the pass's
+  ``.17g`` floor: the median time to format its 2 * n(n+1)/2 kernel values
+  alone in one process, as one tuple of floats through one ``"%.17g"``
+  template, with no separators, indices or file.  The two passes and the
+  floor are timed in turn, one call of each per round, so all three
+  medians see the same host phase; each pass is also given over the floor.
+  The peak RSS of one pass at the host's CORES comes from a fresh
+  interpreter: its own (``RUSAGE_SELF``) and its largest forked process's
+  (``RUSAGE_CHILDREN``), which the benchmark's ``peak_rss_mb`` does not
+  count.  The quadratic form is checked on random_mesh(1, n, SEED) with standard
   normal weights, at n = MAX_N and n = FORM_N, the latter with the
   tracemalloc peak of one check.  Each is run once untimed first.
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
@@ -75,6 +80,17 @@ IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
 RESIDENT_STEPS = 4
+
+# run in a fresh interpreter: the kernels arguments on the command line;
+# prints the peak RSS (KiB on Linux) of this process and of its largest child
+_KERNELS_CHILD = """
+import contextlib, io, resource, sys
+from chsolver.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    if main(sys.argv[1:]) != 0:
+        raise SystemExit("chsolver kernels failed")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
 
 # run in a fresh interpreter: dim, N and the step count on the command line;
 # prints the growth of ru_maxrss (KiB on Linux) over the steps
@@ -175,20 +191,30 @@ def advance_table(rss):
         print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}  {rss[dim, n]:9.2f}")
 
 
-def kernels_table():
+def kernels_table(src):
     import numpy as np
 
-    from chsolver import kernel_matrices, parse_config, quadratic_form_check, random_mesh
+    from chsolver import kernel_matrices, parse_config, quadratic_form_check, random_mesh, spectral
     from chsolver.cli import main as cli_main
 
+    # commits before spectral.CORES ran the pass in one process
+    cores = getattr(spectral, "CORES", 1)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "kernels.cfg"
         cfg.write_text(f"scenario = convergence\nseed = {SEED}\n[kernels]\nmax_n = {MAX_N}\n")
+        argv = ["kernels", str(cfg), "--outdir", str(Path(tmp) / "out")]
 
-        def kernels_pass():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli_main(["kernels", str(cfg), "--outdir", str(Path(tmp) / "out")]) != 0:
-                    raise RuntimeError("chsolver kernels failed")
+        def kernels_pass(pass_cores):
+            def run():
+                spectral.CORES = pass_cores
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        if cli_main(argv) != 0:
+                            raise RuntimeError("chsolver kernels failed")
+                finally:
+                    spectral.CORES = cores
+
+            return run
 
         def form_check(n):
             mesh = random_mesh(1.0, n, SEED)
@@ -206,12 +232,23 @@ def kernels_table():
         values = tuple(theta[lower].tolist() + p[lower].tolist())
         template = "%.17g" * len(values)
 
-        kernels_pass()
+        serial, split = kernels_pass(1), kernels_pass(cores)
+        serial()
+        split()
         form = form_check(MAX_N)
-        pass_ms, floor_ms = alternating_medians(kernels_pass, lambda: template % values)
-        print(f"kernels pass (max_n = {MAX_N}):        {pass_ms:9.1f} ms")
-        print(f".17g floor ({len(values)} values):     {floor_ms:9.1f} ms")
-        print(f"kernels pass / .17g floor:            {pass_ms / floor_ms:9.2f}")
+        serial_ms, split_ms, floor_ms = alternating_medians(serial, split, lambda: template % values)
+        child = [sys.executable, "-c", _KERNELS_CHILD, *argv]
+        peaks = subprocess.run(child, env=_env(src), check=True, capture_output=True).stdout
+        self_kib, child_kib = map(int, peaks.split())
+        print(f"kernels pass (max_n = {MAX_N}), CORES = 1: {serial_ms:9.1f} ms")
+        print(f"kernels pass (max_n = {MAX_N}), CORES = {cores}: {split_ms:9.1f} ms")
+        print(f".17g floor ({len(values)} values):      {floor_ms:9.1f} ms")
+        print(f"kernels pass / .17g floor, CORES = 1:  {serial_ms / floor_ms:9.2f}")
+        print(f"kernels pass / .17g floor, CORES = {cores}:  {split_ms / floor_ms:9.2f}")
+        print(
+            f"kernels peak RSS, CORES = {cores}: {self_kib / 1024:.1f} MB,"
+            f" largest forked process {child_kib / 1024:.1f} MB"
+        )
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
         form = form_check(FORM_N)
         print(
@@ -320,7 +357,7 @@ def main(argv=None):
     rss = resident_peaks(args.src)
     sys.path.insert(0, args.src)
     advance_table(rss)
-    kernels_table()
+    kernels_table(args.src)
     io_table()
     cold_start_table(args.src)
 
