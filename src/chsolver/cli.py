@@ -11,6 +11,18 @@ Subcommands (each takes a config file path):
              with --records) and verify the scheme's guarantees
 
 Exit codes: 0 success, 1 usage/validation failure, 2 runtime error.
+
+``kernels`` formats kernels.csv on every core the process may run on
+(``spectral.CORES``): rows 1..max_n are cut into contiguous parts of about
+equal line count, each of at least FORK_MIN_LINES lines.  Each part after
+the first is formatted by a process forked for it (``os.fork``), which
+writes its text to a pipe and leaves through ``os._exit``; the command
+writes the first part, then kernel_residuals.csv, then copies the pipes
+into kernels.csv in part order and reaps every child before it returns.
+A child that fails is a runtime error.  The bytes written do not depend on
+the number of parts.  With one core (``taskset -c 0``), on a smaller file,
+or without ``os.fork``, one process writes every row.  No other command
+starts a process.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ REPEATS timed runs after the warm-up below.
   floor are timed in turn, one call of each per round, so all three
   medians see the same host phase; each pass is also given over the floor.
   The peak RSS of one pass at the host's CORES comes from a fresh
-  interpreter: its own (``RUSAGE_SELF``) and its largest forked process's
-  (``RUSAGE_CHILDREN``), which the benchmark's ``peak_rss_mb`` does not
-  count.  The quadratic form is checked on random_mesh(1, n, SEED) with standard
+  interpreter, started like the resident probes above before this script
+  imports numpy: its own
+  (``RUSAGE_SELF``) and its largest forked process's (``RUSAGE_CHILDREN``),
+  which the benchmark's ``peak_rss_mb`` does not count.  The quadratic form is checked on random_mesh(1, n, SEED) with standard
   normal weights, at n = MAX_N and n = FORM_N, the latter with the
   tracemalloc peak of one check.  Each is run once untimed first.
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
@@ -191,7 +192,21 @@ def advance_table(rss):
         print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}  {rss[dim, n]:9.2f}")
 
 
-def kernels_table(src):
+def _kernels_cfg(tmp: str) -> Path:
+    cfg = Path(tmp) / "kernels.cfg"
+    cfg.write_text(f"scenario = convergence\nseed = {SEED}\n[kernels]\nmax_n = {MAX_N}\n")
+    return cfg
+
+
+def kernels_peaks(src):
+    """(peak RSS of a fresh kernels pass, of its largest child), in MB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sys.executable, "-c", _KERNELS_CHILD, "kernels", str(_kernels_cfg(tmp)), "--outdir", tmp + "/out"]
+        kib = subprocess.run(argv, env=_env(src), check=True, capture_output=True).stdout.split()
+    return [int(k) / 1024 for k in kib]
+
+
+def kernels_table(peaks):
     import numpy as np
 
     from chsolver import kernel_matrices, parse_config, quadratic_form_check, random_mesh, spectral
@@ -200,8 +215,7 @@ def kernels_table(src):
     # commits before spectral.CORES ran the pass in one process
     cores = getattr(spectral, "CORES", 1)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "kernels.cfg"
-        cfg.write_text(f"scenario = convergence\nseed = {SEED}\n[kernels]\nmax_n = {MAX_N}\n")
+        cfg = _kernels_cfg(tmp)
         argv = ["kernels", str(cfg), "--outdir", str(Path(tmp) / "out")]
 
         def kernels_pass(pass_cores):
@@ -237,18 +251,12 @@ def kernels_table(src):
         split()
         form = form_check(MAX_N)
         serial_ms, split_ms, floor_ms = alternating_medians(serial, split, lambda: template % values)
-        child = [sys.executable, "-c", _KERNELS_CHILD, *argv]
-        peaks = subprocess.run(child, env=_env(src), check=True, capture_output=True).stdout
-        self_kib, child_kib = map(int, peaks.split())
         print(f"kernels pass (max_n = {MAX_N}), CORES = 1: {serial_ms:9.1f} ms")
         print(f"kernels pass (max_n = {MAX_N}), CORES = {cores}: {split_ms:9.1f} ms")
         print(f".17g floor ({len(values)} values):      {floor_ms:9.1f} ms")
         print(f"kernels pass / .17g floor, CORES = 1:  {serial_ms / floor_ms:9.2f}")
         print(f"kernels pass / .17g floor, CORES = {cores}:  {split_ms / floor_ms:9.2f}")
-        print(
-            f"kernels peak RSS, CORES = {cores}: {self_kib / 1024:.1f} MB,"
-            f" largest forked process {child_kib / 1024:.1f} MB"
-        )
+        print(f"kernels peak RSS, CORES = {cores}: {peaks[0]:.1f} MB, largest forked process {peaks[1]:.1f} MB")
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
         form = form_check(FORM_N)
         print(
@@ -355,9 +363,10 @@ def main(argv=None):
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = ap.parse_args(argv)
     rss = resident_peaks(args.src)
+    kernels = kernels_peaks(args.src)
     sys.path.insert(0, args.src)
     advance_table(rss)
-    kernels_table(args.src)
+    kernels_table(kernels)
     io_table()
     cold_start_table(args.src)
 
