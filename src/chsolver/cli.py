@@ -19,7 +19,8 @@ the first is formatted by a process forked for it (``os.fork``), which
 writes its text to a pipe and leaves through ``os._exit``; the command
 writes the first part, then kernel_residuals.csv, then copies the pipes
 into kernels.csv in part order and reaps every child before it returns.
-A child that fails is a runtime error.  The bytes written do not depend on
+A child that fails is a runtime error; a part no process can be forked for
+is formatted by the command itself.  The bytes written do not depend on
 the number of parts.  With one core (``taskset -c 0``), on a smaller file,
 or without ``os.fork``, one process writes every row.  No other command
 starts a process.
@@ -208,14 +209,18 @@ def _kernel_parts(max_n: int) -> list[range]:
 def _fork_part(write_rows, rows: range):
     """Forks a process that formats the row blocks rows of kernels.csv into
     memory with write_rows, writes them to a pipe and exits; returns
-    (rows, its pid, the read end of its pipe)."""
-    r, w = os.pipe()
+    (rows, its pid, the read end of its pipe).  Where no pipe or process
+    can be had (EMFILE, EAGAIN, ENOMEM), returns (rows, None, None) and the
+    caller formats the part."""
+    r = w = None
     try:
+        r, w = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+        for fd in (r, w):
+            if fd is not None:
+                os.close(fd)
+        return rows, None, None
     if pid == 0:  # the child leaves through os._exit, never into the caller's stack
         status = 1
         try:
@@ -225,6 +230,8 @@ def _fork_part(write_rows, rows: range):
             with open(w, "wb") as pipe:
                 pipe.write("".join(text).encode())
             status = 0
+        except BrokenPipeError:
+            pass  # the parent failed and closed the pipe; it reports its own error
         except BaseException as exc:
             message = f"chsolver kernels, rows {rows.start}..{rows.stop - 1}: {type(exc).__name__}: {exc}\n"
             os.write(2, message.encode())
@@ -258,10 +265,12 @@ def _cmd_kernels(args) -> int:
             write(row_block(n, flat[: 2 * n].tolist()))
 
     first, *rest = _kernel_parts(cfg.max_n)
-    children = []  # (rows, pid, pipe read end) of the parts after the first, in file order
+    # (rows, pid, pipe read end) of the parts after the first, in file order;
+    # pid and read end are None for a part no process could be forked for
+    parts = []
     try:
         for rows in rest:
-            children.append(_fork_part(write_rows, rows))
+            parts.append(_fork_part(write_rows, rows))
         with open(out / "kernels.csv", "w", encoding="utf-8") as fh:
             fh.write("n,offset,theta,p\n")
             write_rows(first, fh.write)
@@ -272,18 +281,27 @@ def _cmd_kernels(args) -> int:
                 rh.write("n,doc_orthogonality,dcc_identity,dcc_sum,dcc_bound_margin,telescoping\n")
                 res_rows = zip(range(1, cfg.max_n + 1), *(c.tolist() for c in columns))
                 rh.write(RESIDUAL_ROW * cfg.max_n % tuple(chain.from_iterable(res_rows)))
-            fh.flush()
-            while children:
-                rows, pid, r = children[0]
+            while parts:
+                rows, pid, r = parts[0]
+                if pid is None:
+                    write_rows(rows, fh.write)
+                    del parts[0]
+                    continue
+                fh.flush()
                 while chunk := os.read(r, PIPE_CHUNK):
                     fh.buffer.write(chunk)
                 os.close(r)
-                del children[0]
+                del parts[0]
                 _reap(rows, pid)
     finally:
-        # on failure: a closed pipe ends a child still writing (EPIPE)
-        for rows, pid, r in children:
+        # on failure: a child holds copies of the read ends forked before it,
+        # so every pipe is closed before any child is waited for.  The last
+        # child then gets EPIPE if still writing and exits, which closes its
+        # copies for the one before it, and so on.
+        forked = [(pid, r) for _, pid, r in parts if pid is not None]
+        for _, r in forked:
             os.close(r)
+        for pid, _ in forked:
             os.waitpid(pid, 0)
     identities = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping)
     worst = max(float(c.max()) for c in identities)

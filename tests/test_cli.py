@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import errno
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -232,13 +235,21 @@ class TestKernels:
         assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-# kernels.csv at this max_n has 9870 lines, enough for three formatting processes
-SPLIT_N = 140
+# kernels.csv at this max_n has 12880 lines, enough for four formatting
+# processes, each writing more than a pipe's 64 KiB buffer
+SPLIT_N = 160
 
 
 def split_cfg(tmp_path):
-    assert SPLIT_N * (SPLIT_N + 1) // 2 >= 3 * cli.FORK_MIN_LINES
+    assert SPLIT_N * (SPLIT_N + 1) // 2 >= 4 * cli.FORK_MIN_LINES
     return write_cfg(tmp_path, f"scenario = convergence\nseed = 4\n[kernels]\nmax_n = {SPLIT_N}\n")
+
+
+def write_reference(tmp_path, cfg):
+    parsed = chsolver.parse_config(cfg)
+    theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, SPLIT_N, parsed.seed), SPLIT_N)
+    kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
+    return (tmp_path / "reference.csv").read_bytes()
 
 
 def assert_no_child_left():
@@ -246,12 +257,31 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Hung(BaseException):
+    """Raised by deadline's alarm; not an Exception, so main lets it through."""
+
+
+@contextlib.contextmanager
+def deadline(seconds=60):
+    """Turns a command that blocks for good (a child waited for while it
+    writes to a pipe nobody reads) into a Hung error."""
+
+    def hung(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestKernelsOnEveryCore:
     def test_output_does_not_depend_on_the_core_count(self, tmp_path, monkeypatch):
         cfg = split_cfg(tmp_path)
-        parsed = chsolver.parse_config(cfg)
-        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, SPLIT_N, parsed.seed), SPLIT_N)
-        kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
+        reference = write_reference(tmp_path, cfg)
         forks, fork = [], os.fork
 
         def counting_fork():
@@ -270,7 +300,7 @@ class TestKernelsOnEveryCore:
             out = tmp_path / f"cores{cores}"
             assert main(["kernels", cfg, "--outdir", str(out)]) == 0
             assert len(forks) == cores - 1
-            assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            assert (out / "kernels.csv").read_bytes() == reference
             residuals.add((out / "kernel_residuals.csv").read_bytes())
             assert_no_child_left()
         assert len(residuals) == 1
@@ -285,39 +315,72 @@ class TestKernelsOnEveryCore:
         assert cli._kernel_parts(max_n) == [range(1, max_n + 1)]
         assert main(["kernels", cfg, "--outdir", str(tmp_path / "out")]) == 0
 
-    def test_a_failing_part_is_a_runtime_error(self, tmp_path, monkeypatch, capfd):
-        monkeypatch.setattr(spectral, "CORES", 2)
-        first, second = cli._kernel_parts(SPLIT_N)
+    @pytest.mark.parametrize("failing", [{1}, {2}, {1, 2}], ids=["second", "third", "second-and-third"])
+    def test_a_part_no_process_is_forked_for_is_formatted_here(self, tmp_path, monkeypatch, failing):
+        monkeypatch.setattr(spectral, "CORES", 3)
+        cfg = split_cfg(tmp_path)
+        reference = write_reference(tmp_path, cfg)
+        calls, fork = [], os.fork
+
+        def failing_fork():
+            calls.append(None)
+            if len(calls) in failing:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        out = tmp_path / "out"
+        with deadline():
+            assert main(["kernels", cfg, "--outdir", str(out)]) == 0
+        assert len(calls) == 2
+        assert (out / "kernels.csv").read_bytes() == reference
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_a_failing_part_is_a_runtime_error(self, tmp_path, monkeypatch, capfd, cores):
+        # only the second part fails: the parts after it are still being
+        # written to their pipes when the parent gives up
+        monkeypatch.setattr(spectral, "CORES", cores)
+        parts = cli._kernel_parts(SPLIT_N)
+        assert len(parts) == cores
+        second = parts[1]
         row_blocks = cli.kernel_row_blocks
 
         def failing_row_blocks(max_lines):
             row_block = row_blocks(max_lines)
 
             def failing(n, values):
-                if n > first[-1]:
-                    raise ValueError("a row past the first part")
+                if n in second:
+                    raise ValueError("a row of the second part")
                 return row_block(n, values)
 
             return failing
 
         monkeypatch.setattr(cli, "kernel_row_blocks", failing_row_blocks)
-        assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
+        with deadline():
+            assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
         err = capfd.readouterr().err
         rows = f"rows {second[0]}..{second[-1]}"
-        assert f"chsolver kernels, {rows}: ValueError: a row past the first part" in err
+        assert f"chsolver kernels, {rows}: ValueError: a row of the second part" in err
         assert f"runtime error: RuntimeError: the process formatting kernels.csv {rows} exited with 1" in err
+        assert "BrokenPipeError" not in err
         assert_no_child_left()
 
-    def test_a_failing_parent_reaps_its_children(self, tmp_path, monkeypatch, capfd):
-        # the child's part fills the pipe, so it is still writing when the parent fails
-        monkeypatch.setattr(spectral, "CORES", 2)
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_a_failing_parent_reaps_its_children(self, tmp_path, monkeypatch, capfd, cores):
+        # each child's part fills its pipe, so it is still writing when the parent fails
+        monkeypatch.setattr(spectral, "CORES", cores)
+        assert len(cli._kernel_parts(SPLIT_N)) == cores
 
         def failing_residuals(*args):
             raise ValueError("residuals failed")
 
         monkeypatch.setattr(cli, "_residuals", failing_residuals)
-        assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
-        assert "runtime error: ValueError: residuals failed" in capfd.readouterr().err
+        with deadline():
+            assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
+        err = capfd.readouterr().err
+        assert "runtime error: ValueError: residuals failed" in err
+        assert "BrokenPipeError" not in err
         assert_no_child_left()
 
 

@@ -31,7 +31,7 @@ def counting_start(self):
     start(self)
 threading.Thread.start = counting_start
 if sys.argv[1:]:
-    from chsolver.cli import FORK_MIN_LINES, main
+    from chsolver.cli import main
     code = main(sys.argv[1:])
 else:
     import chsolver
