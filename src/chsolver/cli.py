@@ -43,7 +43,7 @@ import numpy as np
 from . import spectral
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
 from .recordio import RecordWriter, read_record_table, write_snapshot
-from .policies import PrescribedMesh
+from .policies import LandingError, landing_targets
 from .scenarios import run_convergence, run_scenario
 from .stepper import energy, validate_records
 from .timestep import _residuals, kernel_matrices, random_mesh
@@ -88,9 +88,7 @@ def kernel_row_blocks(max_lines: int):
 
 
 def _outdir(cfg, override) -> Path:
-    path = Path(override if override is not None else cfg.outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(override if override is not None else cfg.outdir)
 
 
 # simulate writes the kept record rows in batches at most this many seconds
@@ -103,9 +101,9 @@ ROW_FLUSH_SECONDS = 1.0
 class _RunOutput:
     """run_scenario sink for simulate: writes each snapshot as it is taken,
     and the kept record rows at most ROW_FLUSH_SECONDS after their step
-    (all of them on close, also when the run fails).  records.csv is opened
-    with the first rows, so a run rejected before its first step writes
-    nothing."""
+    (all of them on close, also when the run fails).  The directory is made
+    and records.csv opened with the first file written, so a run that fails
+    before its first step completes leaves nothing behind."""
 
     def __init__(self, out: Path, record_every: int):
         self.out, self.every = out, record_every
@@ -123,11 +121,13 @@ class _RunOutput:
             self._flush()
 
     def snapshot(self, t: float, field) -> None:
+        self.out.mkdir(parents=True, exist_ok=True)
         write_snapshot(field, self.out / f"snap_{self.snapshots:03d}.bin", t)
         self.snapshots += 1
 
     def _flush(self) -> None:
         if self.writer is None:
+            self.out.mkdir(parents=True, exist_ok=True)
             self.writer = RecordWriter(self.out / "records.csv")
         self.writer.write_block(self.pending)
         self.pending.clear()
@@ -144,17 +144,9 @@ class _RunOutput:
         self.writer.close()
 
 
-def _landing_scenario(cfg):
-    """The configured run; a random mesh needs a node at each snapshot time."""
-    scenario = build_scenario(cfg)
-    if isinstance(scenario.policy, PrescribedMesh):
-        scenario.policy.require_nodes(cfg.snapshots, cfg.horizon, ConfigValidationError)
-    return scenario
-
-
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario)
-    scenario = _landing_scenario(cfg)
+    scenario = build_scenario(cfg)
     out = _outdir(cfg, args.outdir)
     sink = _RunOutput(out, cfg.record_every)
     try:
@@ -170,6 +162,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = parse_config(args.config, args.scenario, default_scenario="convergence", check_snapshots=False)
     out = _outdir(cfg, args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = run_convergence(build_scenario(cfg), cfg.base_k, cfg.levels, cfg.ref_steps)
     path = out / "convergence.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -251,6 +244,7 @@ def _reap(rows: range, pid: int) -> None:
 def _cmd_kernels(args) -> int:
     cfg = parse_config(args.config, args.scenario, default_scenario="convergence", check_snapshots=False)
     out = _outdir(cfg, args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
     mesh = random_mesh(cfg.horizon, cfg.max_n, cfg.seed)
     theta, p = kernel_matrices(mesh, cfg.max_n)
     row_block = kernel_row_blocks(cfg.max_n)
@@ -323,9 +317,11 @@ class _InitialField:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario, check_snapshots=False)
-    scenario = _landing_scenario(cfg)
+    scenario = build_scenario(cfg)
     cap = scenario.policy.ratio_cap
     if args.records is not None:
+        # an off-node snapshot fails here as it does in simulate
+        landing_targets(scenario.policy, 0.0, scenario.horizon, scenario.snapshot_times)
         records = read_record_table(args.records)
         problems = validate_records(records, ratio_cap=cap)
     else:
@@ -362,7 +358,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigParseError, ConfigValidationError, FileNotFoundError) as exc:
+    except (ConfigParseError, ConfigValidationError, LandingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

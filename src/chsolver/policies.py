@@ -1,15 +1,17 @@
 """Step-size policies and the driver loop.
 
 A policy proposes the next step size from (step index, last step, last two
-gamma values); to land exactly on a checkpoint or on the horizon the driver
-shortens a proposal that overshoots it and keeps one within LANDING_RTOL *
-horizon, setting the clock to the target.  It never lengthens a proposal, and
-shortening only lowers the next ratio, so an admissible stream stays so.
+gamma values).  The driver alone applies the landing rule: it shortens a
+proposal that overshoots the next checkpoint or the horizon, keeps one
+within LANDING_RTOL * horizon and sets the clock to the target.  It never
+lengthens a proposal, but shortening step n raises the ratio of step n + 1,
+which nothing caps under a policy without ratio_cap (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +22,10 @@ from .timestep import DELTA, LANDING_RTOL, TimeMesh, r_max_root
 
 class MeshExhaustedError(IndexError):
     """A prescribed mesh ran out of steps before the horizon."""
+
+
+class LandingError(ValueError):
+    """A checkpoint or horizon that a prescribed mesh has no node at."""
 
 
 class StepPolicy:
@@ -47,14 +53,6 @@ class FixedStep(StepPolicy):
 @dataclass(frozen=True)
 class PrescribedMesh(StepPolicy):
     mesh: TimeMesh
-
-    def require_nodes(self, times, horizon: float, error=ValueError) -> None:
-        """Raise error unless every time inside (0, horizon) is a node within
-        LANDING_RTOL * horizon: landing off one shifts every later node."""
-        tol = LANDING_RTOL * horizon
-        for c in times:
-            if tol < c < horizon - tol and np.abs(self.mesh.times - c).min() > tol:
-                raise error(f"checkpoint {c!r} is not a node of the prescribed mesh")
 
     def next_step(self, n, prev_tau, prev_gamma, curr_gamma):
         if n > self.mesh.count:
@@ -93,36 +91,45 @@ class AdaptiveStep(StepPolicy):
         return min(max(proposal, self.tau_min), self.tau_max, self.ratio_cap * prev_tau)
 
 
-def run_with_policy(
-    state: GsavState,
-    policy: StepPolicy,
-    horizon: float,
-    checkpoints=(),
-    on_step=None,
-) -> tuple[GsavState, list[StepRecord]]:
-    """Advance until time reaches the horizon, landing exactly on each
-    checkpoint time and on the horizon.  Returns (final state, records);
-    the given state is left without its history arrays (see GsavState).
-
-    Under a PrescribedMesh every checkpoint must be a mesh node and the
-    horizon must not lie beyond the last node (both within LANDING_RTOL *
-    horizon); otherwise ValueError is raised before any step."""
-    if not state.time < horizon < math.inf:
-        raise ValueError(f"horizon {horizon} must be finite and beyond current time {state.time}")
+def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoints) -> list[float]:
+    """The times a run from start lands on: the checkpoints inside (start +
+    tol, horizon - tol), sorted, then the horizon; tol = LANDING_RTOL *
+    horizon.  Under a PrescribedMesh, LandingError names the first of them
+    (in the given order) that is no node, or a horizon beyond the last node,
+    both within tol: landing off a node shifts every later one."""
+    if not start < horizon < math.inf:
+        raise ValueError(f"horizon {horizon} must be finite and beyond current time {start}")
     tol = LANDING_RTOL * horizon
-    targets = sorted({float(c) for c in checkpoints if state.time + tol < c < horizon - tol})
+    inner = [float(c) for c in checkpoints if start + tol < c < horizon - tol]
     if isinstance(policy, PrescribedMesh):
-        policy.require_nodes(targets, horizon)
+        for c in inner:
+            if np.abs(policy.mesh.times - c).min() > tol:
+                raise LandingError(f"checkpoint {c!r} is not a node of the prescribed mesh")
         if horizon - policy.mesh.horizon > tol:
-            raise ValueError(f"horizon {horizon!r} lies beyond the last mesh node {policy.mesh.horizon!r}")
-    targets.append(float(horizon))
+            raise LandingError(f"horizon {horizon!r} lies beyond the last mesh node {policy.mesh.horizon!r}")
+    return [*sorted(set(inner)), float(horizon)]
+
+
+def run_with_policy(
+    state: GsavState, policy: StepPolicy, horizon: float, checkpoints=(), on_step=None
+) -> tuple[GsavState, list[StepRecord]]:
+    """Advance until time reaches the horizon, landing exactly on each of
+    landing_targets, which raises before any step.  Returns (final state,
+    records); the given state is left without its history arrays (see
+    GsavState).  After each step, on_step(state, rec, reached) gets the
+    checkpoints in [start - tol, horizon + tol] that the step reached, each
+    once, as (time, grid values) pairs in time order; step 1 leads with
+    those at the start time and its older level.  The values are the
+    state's own arrays (see GsavState to keep them)."""
+    start = state.time
+    targets = landing_targets(policy, start, horizon, checkpoints)
+    tol = LANDING_RTOL * horizon
+    marks = sorted({float(c) for c in checkpoints if start - tol <= c <= horizon + tol})
+    done = bisect_right(marks, start + tol)  # marks[:done] lie at the start time
     records: list[StepRecord] = []
     prev_gamma = state.gamma
-    idx = 0
     while state.time < horizon - tol:
-        while targets[idx] <= state.time + tol:
-            idx += 1
-        target = targets[idx]
+        target = targets[bisect_right(targets, state.time + tol)]
         tau = policy.next_step(state.step_index + 1, state.prev_tau, prev_gamma, state.gamma)
         remaining = target - state.time
         landed = tau >= remaining - tol
@@ -136,6 +143,9 @@ def run_with_policy(
             rec = replace(rec, t=target)
         records.append(rec)
         prev_gamma = gamma_before
-        if on_step is not None:
-            on_step(state, rec)
+        now = bisect_right(marks, state.time + tol)
+        if on_step is not None:  # after the run's first step, phi2 holds the start values
+            at_start = marks[:done] if len(records) == 1 else []
+            on_step(state, rec, [(t, state.phi2) for t in at_start] + [(t, state.phi1) for t in marks[done:now]])
+        done = now
     return state, records

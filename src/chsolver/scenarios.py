@@ -9,7 +9,7 @@ import numpy as np
 from .policies import FixedStep, PrescribedMesh, StepPolicy, run_with_policy
 from .spectral import Grid, SpectralField, h1_norm
 from .stepper import energy, init_state
-from .timestep import LANDING_RTOL, random_mesh
+from .timestep import random_mesh
 
 
 class DimMismatchError(ValueError):
@@ -94,31 +94,22 @@ def initial_field(scenario: Scenario, grid: Grid) -> SpectralField:
 
 def run_scenario(scenario: Scenario, sink=None):
     """Run to the horizon; returns (records, snapshots) where snapshots is a
-    list of (time, field) pairs at the requested times (time 0 included when
-    requested).
+    list of (time, field) pairs, one for each requested time the run reaches
+    as run_with_policy reports them (time 0 included when requested).
 
-    With a sink, nothing is kept: each record goes to sink.record(rec) and
-    each snapshot to sink.snapshot(time, field) as soon as its step
-    completes, and the returned snapshot list is empty.  The time-0
-    snapshot goes out with step 1, so a run the driver rejects before its
-    first step hands the sink nothing.
+    With a sink, the snapshots are not kept: each record goes to
+    sink.record(rec) and each snapshot to sink.snapshot(time, field) as soon
+    as its step completes, and the returned snapshot list is empty; every
+    record is still returned.  The time-0 snapshot goes out with step 1, so
+    a run the driver rejects before its first step hands the sink nothing.
     """
     grid = Grid(scenario.dim, scenario.length, scenario.modes)
-    tol = LANDING_RTOL * scenario.horizon
-    wanted = sorted(set(scenario.snapshot_times))
-    initial = [t for t in wanted if abs(t) <= tol]
-    pending = [t for t in wanted if t > tol]
     snapshots = []
     emit = sink.snapshot if sink is not None else lambda t, phi: snapshots.append((t, phi))
 
-    def capture(st, rec):
-        if rec.n == 1:
-            # after step 1 the older history level is the initial field
-            for t in initial:
-                emit(t, SpectralField(grid, physical=st.phi2))
-        for t in pending:
-            if abs(rec.t - t) <= tol:
-                emit(t, SpectralField(grid, physical=st.phi1))
+    def capture(st, rec, reached):
+        for t, values in reached:
+            emit(t, SpectralField(grid, physical=values))
         if sink is not None:
             sink.record(rec)
 
@@ -128,7 +119,7 @@ def run_scenario(scenario: Scenario, sink=None):
         init_state(initial_field(scenario, grid), scenario.eps, dealias=scenario.dealias),
         scenario.policy,
         scenario.horizon,
-        checkpoints=pending,
+        checkpoints=scenario.snapshot_times,
         on_step=capture,
     )
     return records, snapshots

@@ -77,6 +77,20 @@ class TestSimulate:
         assert [read_snapshot(out / f"snap_{i:03d}.bin").time for i in range(2)] == [0.0, 0.05]
         assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
 
+    def test_failure_in_step_one_leaves_no_outdir(self, tmp_path, capsys, monkeypatch):
+        # the directory is made with the first file written, after step 1
+        import chsolver.policies as policies
+
+        def failing_advance(state, tau):
+            raise RuntimeError("injected failure")
+
+        cfg = write_cfg(tmp_path, EQUILIBRIUM_CFG)
+        out = tmp_path / "out"
+        monkeypatch.setattr(policies, "advance", failing_advance)
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_reach_the_file_within_the_flush_interval(self, tmp_path, monkeypatch):
         # with no interval every kept row is on disk before the next step starts
         import chsolver.cli as cli
@@ -437,6 +451,16 @@ class TestCheck:
         sink.snapshot(0.0, "phi0")
         sink.snapshot(0.1, "phi1")
         assert sink.field == "phi0"
+
+    def test_off_node_snapshot_fails_with_and_without_records(self, tmp_path, capsys):
+        run = "scenario = convergence\nn = 16\nhorizon = 0.02\n[output]\nsnapshots = "
+        out = tmp_path / "out"
+        assert main(["simulate", write_cfg(tmp_path, run + "0.0\n", "on.cfg"), "--outdir", str(out)]) == 0
+        cfg = write_cfg(tmp_path, run + "0.0, 0.0101\n")
+        for argv in (["check", cfg], ["check", cfg, "--records", str(out / "records.csv")]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: checkpoint 0.0101 is not a node of the prescribed mesh\n"
 
     def test_corrupted_stream_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")

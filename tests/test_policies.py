@@ -16,6 +16,7 @@ from chsolver import (
     random_mesh,
     run_with_policy,
 )
+from chsolver.policies import LandingError
 
 
 def small_state(seed=0, n=16, eps=0.8):
@@ -136,7 +137,7 @@ class TestDriver:
         monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
         mesh = random_mesh(0.05, 12, seed=3)
         off_node = float(0.5 * (mesh.times[4] + mesh.times[5]))
-        with pytest.raises(ValueError, match=f"checkpoint {off_node!r} is not a node"):
+        with pytest.raises(LandingError, match=f"checkpoint {off_node!r} is not a node"):
             run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=(off_node,))
         assert calls == []
 
@@ -146,7 +147,7 @@ class TestDriver:
         calls = []
         monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
         mesh = random_mesh(0.05, 12, seed=3)
-        with pytest.raises(ValueError, match=f"horizon 0.1 lies beyond the last mesh node {mesh.horizon!r}"):
+        with pytest.raises(LandingError, match=f"horizon 0.1 lies beyond the last mesh node {mesh.horizon!r}"):
             run_with_policy(small_state(), PrescribedMesh(mesh), 0.1)
         assert calls == []
 
@@ -197,7 +198,7 @@ class TestDriver:
     def test_on_step_callback_sees_every_record(self):
         state = small_state()
         seen = []
-        run_with_policy(state, FixedStep(0.01), 0.05, on_step=lambda st, rec: seen.append(rec.n))
+        run_with_policy(state, FixedStep(0.01), 0.05, on_step=lambda st, rec, reached: seen.append(rec.n))
         assert seen == [1, 2, 3, 4, 5]
 
     def test_horizon_validation(self):

@@ -2,28 +2,37 @@
 harness plumbing."""
 
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from convergence_reference import reference_convergence
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
+from test_timestep import CAP, mixed_steps, seeded_mixed_draws
 
+import chsolver.policies as policies
 from chsolver import (
     AdaptiveStep,
     DegenerateRatioError,
     DimMismatchError,
     FixedStep,
     Grid,
+    PrescribedMesh,
     Scenario,
+    TimeMesh,
     ic_bubble,
     ic_equilibrium,
     ic_kissing,
     ic_random,
     initial_field,
     order_of,
+    random_mesh,
     run_convergence,
     run_scenario,
 )
+from chsolver.timestep import LANDING_RTOL
 
 
 def bubble(modes, eps, horizon, seed=0, dealias=False):
@@ -268,6 +277,84 @@ class TestStreamingAndRelease:
         run_scenario(sc) if sink is None else run_scenario(sc, sink)
         assert len(refs) == 3
         assert alive == {2: 0}
+
+
+def assert_each_checkpoint_reported_once(sc):
+    """Runs sc into a sink.  Each snapshot time in [-tol, horizon + tol] must
+    go out once, in time order, before the record of the first step that
+    ends within tol of it or beyond (step 1 for a time within tol of 0), with
+    the grid values of that step's state (the initial field for time 0);
+    no other time goes out."""
+    tol = LANDING_RTOL * sc.horizon
+    levels = {0: initial_field(sc, Grid(sc.dim, sc.length, sc.modes)).physical}
+    real_advance = policies.advance
+
+    def recording_advance(state, tau):
+        state, rec = real_advance(state, tau)
+        levels[rec.n] = state.phi1.copy()
+        return state, rec
+
+    sink = _ListSink()
+    with mock.patch.object(policies, "advance", recording_advance):
+        records, _ = run_scenario(sc, sink)
+    marks = sorted({t for t in sc.snapshot_times if -tol <= t <= sc.horizon + tol})
+    step = {t: 0 if t <= tol else next(rec.n for rec in records if rec.t >= t - tol) for t in marks}
+    expected = []
+    for rec in records:
+        expected += [("snapshot", t, step[t]) for t in marks if max(step[t], 1) == rec.n]
+        expected.append(("record", rec.n))
+    assert [e[:2] for e in sink.events] == [e[:2] for e in expected]
+    for got, want in zip(sink.events, expected):
+        if got[0] == "snapshot":
+            assert np.array_equal(got[2], levels[want[2]])
+
+
+H = 0.01
+TOL = LANDING_RTOL * H
+
+_policies = st.one_of(
+    st.floats(H / 20, H / 3).map(FixedStep),
+    st.builds(AdaptiveStep, tau_min=st.just(H / 100), tau_max=st.floats(H / 20, H / 4), alpha=st.floats(0.0, 100.0)),
+    st.builds(lambda count, seed: PrescribedMesh(random_mesh(H, count, seed)), st.integers(2, 16), st.integers(0, 999)),
+)
+
+
+@st.composite
+def _checkpointed_runs(draw):
+    """A policy and snapshot times: clusters within TOL of each other around
+    0, the horizon and up to three interior times (nodes of a prescribed
+    mesh), plus one time below -TOL and one beyond the horizon + TOL."""
+    policy = draw(_policies)
+    if isinstance(policy, PrescribedMesh):
+        interior = st.sampled_from(policy.mesh.times[1:-1].tolist())
+    else:
+        interior = st.floats(0.05 * H, 0.95 * H)
+    bases = [0.0, H, *draw(st.lists(interior, max_size=3))]
+    offsets = st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=3)
+    times = [b + f * TOL for b in bases for f in draw(offsets)]
+    return policy, (*times, -2.0 * TOL, H + 2.0 * TOL)
+
+
+class TestCheckpointReporting:
+    @settings(max_examples=30, deadline=None)
+    @given(_checkpointed_runs())
+    def test_each_checkpoint_goes_out_once_with_its_step(self, run):
+        policy, times = run
+        assert_each_checkpoint_reported_once(
+            Scenario("coarsening2d", 2, 8, 2.0 * np.pi, 0.3, H, policy, seed=3, snapshot_times=times)
+        )
+
+    def test_a_step_shorter_than_tol_reports_its_checkpoint_once(self):
+        # step 40 of this mesh is shorter than tol, so steps 39 and 40 both
+        # end within tol of node 40; its snapshot goes out with step 39 only
+        steps = mixed_steps(seeded_mixed_draws(32), 60)
+        mesh = TimeMesh(np.append(steps, steps[-1] * CAP), delta=0.01)
+        assert mesh.steps[39] < LANDING_RTOL * mesh.horizon
+        times = tuple(mesh.times[[20, 40, 59]].tolist())
+        assert_each_checkpoint_reported_once(
+            Scenario("coarsening2d", 2, 16, 2.0 * np.pi, 0.3, mesh.horizon, PrescribedMesh(mesh), seed=1,
+                     snapshot_times=times)
+        )
 
 
 class TestOrderComputation:

@@ -11,12 +11,17 @@ commits' outputs shows every change of behaviour the configs reach.
 The configs are: every scenario preset at a small n (horizons cut where a
 preset would take thousands of steps), each policy kind, the ``delta``,
 ``eps2``, ``dealias`` and ``record_every`` keys, a fixed step that must land
-on an interior snapshot, and one config for each parse and validation error
-message.  Each config runs through ``simulate``, ``converge``, ``kernels``
-and ``check`` in process, each in a new temporary directory that holds only
-the config file and is the working directory, so the default ``outdir``
-lands inside it.  After ``simulate``, ``check --records`` reads the
-records.csv it wrote, when there is one.  Every run prints
+on an interior snapshot, the landing edge cases (snapshots within the
+landing tolerance, 1e-12 * horizon, of each other, of 0, of the horizon and
+of a random mesh's node; random-mesh snapshots off its nodes, one just
+beyond the tolerance and two out of order), and one config for each parse
+and validation error message.  Each config runs through ``simulate``,
+``converge``, ``kernels`` and ``check`` in process, each in a new temporary
+directory that holds only the config file and is the working directory, so
+the default ``outdir`` lands inside it.  After ``simulate``, ``check
+--records`` reads ``out/records.csv``, also where ``simulate`` wrote none,
+so a config that ``simulate`` rejects shows what ``check --records`` makes
+of it.  Every run prints
 
     <config> <command>: exit <code> files <sha256> stdout <text> stderr <text>
 
@@ -51,6 +56,12 @@ RUNS = {
     "[output]\nsnapshots = 0.0, 0.0301\n",
     "random": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
     "[output]\nsnapshots = 0.0, 0.01\n",
+    # tol = 1e-14: pairs 5e-15 to 1e-14 apart around 0, an interior time and the horizon
+    "fixed-near-snapshots": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = fixed\ntau = 0.003\n"
+    "[output]\nsnapshots = 0.0, 5e-15, 0.005, 0.005000000000005, 0.009999999999995, 0.01, 0.010000000000005\n",
+    # 4e-15 either side of node 5 of the 12-step mesh, 0.003257731040766149, and past the horizon
+    "random-near-node": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
+    "[output]\nsnapshots = 0.0, 0.003257731040770149, 0.003257731040762149, 0.010000000000005\n",
     "adaptive-delta": "scenario = coarsening2d\nn = 8\nhorizon = 0.05\n[policy]\ntau_min = 1e-4\ntau_max = 1e-2\n"
     "alpha = 0\ndelta = 0.5\n[output]\nsnapshots = 0.0, 0.05\n",
     "eps2": "scenario = kissing_bubbles\nn = 16\neps2 = 0.05\nhorizon = 0.1\n[output]\nsnapshots = 0.0, 0.05, 0.1\n",
@@ -97,6 +108,11 @@ ERRORS = {
     "max_n": "scenario = convergence\n[kernels]\nmax_n = 1\n",
     "off-node-snapshot": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
     "[output]\nsnapshots = 0.0, 0.00123\n",
+    # node 5 times (1 + 5e-12), 1.6e-14 from it; converge and kernels run these at the small sizes
+    "off-node-beyond-tol": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
+    "[output]\nsnapshots = 0.0, 0.0032577310407824376\n" + _SMALL,
+    "off-node-unsorted": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
+    "[output]\nsnapshots = 0.0, 0.008, 0.00123\n" + _SMALL,
 }
 
 COMMANDS = ("simulate", "converge", "kernels", "check")
@@ -153,7 +169,7 @@ def main(argv=None):
                     config.write_text(text, encoding="utf-8")
                     os.chdir(root)
                     run(cli.main, name, [command, str(config)], root, config)
-                    if command == "simulate" and (root / "out" / "records.csv").is_file():
+                    if command == "simulate":
                         records = str(root / "out" / "records.csv")
                         run(cli.main, name, ["check", str(config), "--records", records], root, config)
                     os.chdir(here)  # before the directory is removed
