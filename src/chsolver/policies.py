@@ -115,34 +115,31 @@ def run_with_policy(
 ) -> tuple[GsavState, list[StepRecord]]:
     """Advance until time reaches the horizon, landing exactly on each of
     landing_targets, which raises before any step.  Returns (final state,
-    records); the given state is left without its history arrays (see
-    GsavState).  After each step, on_step(state, rec, reached) gets the
-    checkpoints in [start - tol, horizon + tol] that the step reached, each
-    once, as (time, grid values) pairs in time order; step 1 leads with
-    those at the start time and its older level.  The values are the
-    state's own arrays (see GsavState to keep them)."""
+    records); a run continued from the final state takes the steps of one
+    run with this horizon as a checkpoint.  After each step, on_step(state,
+    rec, reached) gets the checkpoints in [start - tol, horizon + tol] that
+    the step reached, each once, as (time, grid values) pairs in time order;
+    step 1 leads with those at the start time and its older level.  The
+    given state is left without its history arrays, and the values are the
+    state's own (see GsavState)."""
     start = state.time
     targets = landing_targets(policy, start, horizon, checkpoints)
     tol = LANDING_RTOL * horizon
     marks = sorted({float(c) for c in checkpoints if start - tol <= c <= horizon + tol})
     done = bisect_right(marks, start + tol)  # marks[:done] lie at the start time
     records: list[StepRecord] = []
-    prev_gamma = state.gamma
     while state.time < horizon - tol:
         target = targets[bisect_right(targets, state.time + tol)]
-        tau = policy.next_step(state.step_index + 1, state.prev_tau, prev_gamma, state.gamma)
+        tau = policy.next_step(state.step_index + 1, state.prev_tau, state.prev_gamma, state.gamma)
         remaining = target - state.time
         landed = tau >= remaining - tol
         if tau > remaining + tol:  # a landing proposal keeps its bits: a mesh replays exactly
             tau = remaining
-        gamma_before = state.gamma
         state, rec = advance(state, tau)
-        if landed:
-            # pin the node exactly so checkpoint comparisons are bitwise
+        if landed:  # pin the node exactly so checkpoint comparisons are bitwise
             state.time = target
             rec = replace(rec, t=target)
         records.append(rec)
-        prev_gamma = gamma_before
         now = bisect_right(marks, state.time + tol)
         if on_step is not None:  # after the run's first step, phi2 holds the start values
             at_start = marks[:done] if len(records) == 1 else []

@@ -108,8 +108,9 @@ class GsavState:
     phi_bar_hat1/2 are the half spectra of the auxiliary (pre-relaxation)
     fields, all the backward-difference stencil reads; phi1/2 are the grid
     values of the relaxed fields, which the extrapolation reads.  prev_tau
-    is the last step size (0 before the first step, which runs backward
-    Euler).
+    and prev_gamma are the last step size and the gamma before it (0 and
+    gamma0 before the first step, which runs backward Euler), so a run
+    continued from a state takes the steps of one run through its time.
 
     advance returns a new state that takes over the given state's history
     arrays and may overwrite the writable ones, so copy them, or mark them
@@ -124,6 +125,7 @@ class GsavState:
     phi1: np.ndarray
     phi2: np.ndarray
     gamma: float
+    prev_gamma: float
     eps: float
     step_index: int = 0
     time: float = 0.0
@@ -149,10 +151,10 @@ def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
 
 
 def init_state(phi0: SpectralField, eps: float, dealias: bool = False) -> GsavState:
-    """State before the first step: both histories hold phi0, gamma = E + 1."""
+    """State before the first step: both histories hold phi0, gamma = prev_gamma = E + 1."""
     u, u_hat = phi0.physical, phi0.coefficients
     gamma0 = energy(phi0.grid, u, u_hat, eps) + 1.0
-    return GsavState(phi0.grid, u_hat, u_hat, u, u, gamma0, eps, dealias=dealias)
+    return GsavState(phi0.grid, u_hat, u_hat, u, u, gamma0, gamma0, eps, dealias=dealias)
 
 
 def _step_ratio(state: GsavState, tau_n: float) -> float:
@@ -317,6 +319,7 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
         phi1=phi_n,
         phi2=phi1,
         gamma=gamma_n,
+        prev_gamma=state.gamma,
         step_index=n,
         time=state.time + tau_n,
         prev_tau=tau_n,

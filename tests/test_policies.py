@@ -1,7 +1,11 @@
 """Tests for step-size policies and the time-marching driver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chsolver import (
     AdaptiveStep,
@@ -9,9 +13,12 @@ from chsolver import (
     Grid,
     MeshExhaustedError,
     PrescribedMesh,
+    RecordTable,
+    Scenario,
     SpectralField,
     TimeMesh,
     init_state,
+    initial_field,
     r_max_root,
     random_mesh,
     run_with_policy,
@@ -211,3 +218,66 @@ class TestDriver:
         state = small_state()
         with pytest.raises(ValueError, match="horizon"):
             run_with_policy(state, FixedStep(0.01), horizon)
+
+
+def assert_resumes_exactly(start, policy, t1, horizon):
+    """Running to t1 and continuing from the returned state to the horizon
+    gives the records and the final state, bit for bit, of one run to the
+    horizon with t1 as a checkpoint."""
+    whole_end, whole = run_with_policy(start(), policy, horizon, checkpoints=(t1,))
+    mid, first = run_with_policy(start(), policy, t1)
+    end, rest = run_with_policy(mid, policy, horizon)
+    assert mid.time == t1
+    assert len(first) + len(rest) == len(whole)
+    assert RecordTable.from_records(first + rest).values.tobytes() == RecordTable.from_records(whole).values.tobytes()
+    assert [rec.n for rec in first + rest] == [rec.n for rec in whole]
+    for name in ("phi_bar_hat1", "phi_bar_hat2", "phi1", "phi2"):
+        assert getattr(end, name).tobytes() == getattr(whole_end, name).tobytes()
+    scalars = ("gamma", "prev_gamma", "prev_tau", "time", "step_index")
+    assert [getattr(end, k) for k in scalars] == [getattr(whole_end, k) for k in scalars]
+
+
+RESUME_H = 0.02
+
+
+@st.composite
+def _resumed_runs(draw):
+    """A policy of each kind and a split time in (0.1 H, 0.9 H), a node of a
+    prescribed mesh; the adaptive controller's energy rate shapes its steps."""
+    kind = draw(st.sampled_from(["fixed", "mesh", "adaptive"]))
+    if kind == "mesh":
+        mesh = random_mesh(RESUME_H, draw(st.integers(8, 24)), draw(st.integers(0, 999)))
+        nodes = [t for t in mesh.times.tolist() if 0.1 * RESUME_H < t < 0.9 * RESUME_H]
+        return PrescribedMesh(mesh), draw(st.sampled_from(nodes))
+    if kind == "fixed":
+        policy = FixedStep(draw(st.floats(RESUME_H / 24, RESUME_H / 4)))
+    else:
+        tau_max = draw(st.floats(RESUME_H / 16, RESUME_H / 4))
+        policy = AdaptiveStep(tau_min=RESUME_H / 50, tau_max=tau_max, alpha=draw(st.floats(1e-3, 1.0)))
+    return policy, draw(st.floats(0.1 * RESUME_H, 0.9 * RESUME_H))
+
+
+class TestResumption:
+    @settings(max_examples=25, deadline=None)
+    @given(_resumed_runs(), st.integers(0, 99))
+    def test_a_resumed_run_takes_the_steps_of_one_run(self, run, seed):
+        policy, t1 = run
+        assert_resumes_exactly(lambda: small_state(seed, n=8), policy, t1, RESUME_H)
+
+    def test_kissing_bubbles_resumes_with_the_controller_running(self):
+        # the kissing_bubbles preset (eps^2 = 0.1, its adaptive policy) at
+        # N = 32 to t = 0.2, split at t = 0.05, where the energy still falls
+        # fast enough that the controller holds the step below tau_max; a
+        # continued run that forgot the gamma before its first step would
+        # see a zero rate there and step tau_max
+        policy = AdaptiveStep(tau_min=1e-4, tau_max=7e-3, alpha=0.01)
+        scenario = Scenario("kissing_bubbles", 2, 32, 2.0 * np.pi, math.sqrt(0.1), 0.2, policy)
+
+        def start():
+            return init_state(initial_field(scenario, Grid(2, 2.0 * np.pi, 32)), scenario.eps)
+
+        _, whole = run_with_policy(start(), policy, 0.2, checkpoints=(0.05,))
+        assert len(whole) == 80
+        join = next(i for i, rec in enumerate(whole) if rec.t == 0.05) + 1
+        assert whole[join].tau < policy.tau_max
+        assert_resumes_exactly(start, policy, 0.05, 0.2)

@@ -7,7 +7,8 @@ over random meshes.  The positivity chain, checked by two substitutions, is
 compared with the matrix products and the loop reference and exercised by
 Monte Carlo over random admissible meshes and over meshes at the edges of
 the ratio condition A1: a sawtooth on the cap, cycles of growth at the cap
-and one deep drop, and drawn mixtures of near-cap and tiny ratios.
+and one deep drop, and drawn mixtures of near-cap and tiny ratios.  Short
+geometric growth just past r_max shows that A1 is sharp.
 """
 
 import math
@@ -631,3 +632,34 @@ class TestMixedRatioMesh:
         for seed in range(20):
             mesh = TimeMesh(mixed_steps(seeded_mixed_draws(seed), 400), delta=0.01)
             assert_residuals_hold(mesh, 400, seed)
+
+
+class TestA1Sharpness:
+    """A1 is sharp on geometric growth: twelve steps at ratio 5.0, just past
+    r_max, already make Theta indefinite, and the same growth at the cap
+    keeps it positive definite.  With y = diag(sqrt(tau)) v, w = B y gives
+    w^T Theta w = y^T B y = v^T T v / 2, where T = diag(sqrt(tau)) (B + B^T)
+    diag(sqrt(tau)) is tridiagonal, depends on the ratios alone and has
+    diagonal 2 (1 + 2 r_k) / (1 + r_k) and off-diagonal
+    -r_{k+1}^{3/2} / (1 + r_{k+1}); v is the eigenvector of its least
+    eigenvalue.  kernel_matrices does not require A1, so Theta comes from it."""
+
+    @staticmethod
+    def least_form(ratio, n=12):
+        """w^T Theta w / sum |w| |Theta| |w| for that w on n steps of growth
+        at ratio."""
+        mesh = TimeMesh(chained_steps(2.0**-17, [ratio] * (n - 1)), delta=0.01)
+        r = mesh.ratios
+        tri = np.diag(2.0 * (1.0 + 2.0 * r) / (1.0 + r))
+        off = -r[1:] ** 1.5 / (1.0 + r[1:])
+        tri += np.diag(off, 1) + np.diag(off, -1)
+        v = np.linalg.eigh(tri)[1][:, 0]
+        w = convolution_matrix(mesh, n) @ (np.sqrt(mesh.steps) * v)
+        theta, _ = kernel_matrices(mesh, n)
+        return float(w @ theta @ w) / float(abs(w) @ abs(theta) @ abs(w))
+
+    def test_growth_past_r_max_loses_positivity(self):
+        assert self.least_form(5.0) < 0.0
+
+    def test_growth_at_the_cap_keeps_it(self):
+        assert self.least_form(CAP) > 0.0

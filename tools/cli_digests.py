@@ -6,7 +6,12 @@ Usage:
 
 PATH is the ``src`` directory of the checkout to run (default: the one next
 to this script), so the same script runs any commit, and ``diff`` of two
-commits' outputs shows every change of behaviour the configs reach.
+commits' outputs shows every change of behaviour the configs reach.  The
+output at this checkout is committed as ``tests/cli_digests.txt``, which
+``tests/test_cli_digests.py`` compares with a fresh run; a change that
+moves any output rewrites it with
+
+    python tools/cli_digests.py > tests/cli_digests.txt
 
 The configs are: every scenario preset at a small n (horizons cut where a
 preset would take thousands of steps), each policy kind, the ``delta``,
@@ -21,7 +26,8 @@ directory that holds only the config file and is the working directory, so
 the default ``outdir`` lands inside it.  After ``simulate``, ``check
 --records`` reads ``out/records.csv``, also where ``simulate`` wrote none,
 so a config that ``simulate`` rejects shows what ``check --records`` makes
-of it.  Every run prints
+of it.  The first line names the python, numpy and scipy versions, whose
+floating-point bits the digests hold.  Then every run prints
 
     <config> <command>: exit <code> files <sha256> stdout <text> stderr <text>
 
@@ -37,11 +43,13 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
-# small converge and kernels sizes, appended to every runnable config
+# small converge and kernels sizes, appended to every runnable config and to
+# the error configs that converge or kernels accept
 _SMALL = "[converge]\nbase_k = 4\nlevels = 2\nref_steps = 16\n[kernels]\nmax_n = 12\n"
 
 RUNS = {
@@ -81,7 +89,7 @@ ERRORS = {
     "bad-int": "scenario = equilibrium\nn = many\n",
     "bad-bool": "scenario = equilibrium\ndealias = maybe\n",
     "bad-floats": "scenario = equilibrium\n[output]\nsnapshots = 0, x\n",
-    "no-scenario": "n = 16\n",
+    "no-scenario": "n = 16\n" + _SMALL,
     "unknown-scenario": "scenario = melting\n",
     "eps-and-eps2": "scenario = equilibrium\neps = 0.1\neps2 = 0.01\n",
     "eps2-nonpositive": "scenario = equilibrium\neps2 = 0\n",
@@ -93,7 +101,7 @@ ERRORS = {
     "eps": "scenario = equilibrium\neps = -1\n",
     "horizon": "scenario = equilibrium\nhorizon = 0\n",
     "record_every": "scenario = equilibrium\n[output]\nrecord_every = 0\n",
-    "snapshot-beyond-horizon": "scenario = equilibrium\n[output]\nsnapshots = 0.0, 5.0\n",
+    "snapshot-beyond-horizon": "scenario = equilibrium\n[output]\nsnapshots = 0.0, 5.0\n" + _SMALL,
     "tau": "scenario = equilibrium\n[policy]\ntau = -1\n",
     "tau_min": "scenario = coarsening2d\n[policy]\ntau_min = 0\n",
     "tau_max": "scenario = coarsening2d\n[policy]\ntau_max = -1\n",
@@ -107,8 +115,8 @@ ERRORS = {
     "converge-keys": "scenario = equilibrium\n[converge]\nlevels = 0\n",
     "max_n": "scenario = convergence\n[kernels]\nmax_n = 1\n",
     "off-node-snapshot": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
-    "[output]\nsnapshots = 0.0, 0.00123\n",
-    # node 5 times (1 + 5e-12), 1.6e-14 from it; converge and kernels run these at the small sizes
+    "[output]\nsnapshots = 0.0, 0.00123\n" + _SMALL,
+    # node 5 times (1 + 5e-12), 1.6e-14 from it
     "off-node-beyond-tol": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
     "[output]\nsnapshots = 0.0, 0.0032577310407824376\n" + _SMALL,
     "off-node-unsorted": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
@@ -122,6 +130,14 @@ def configs():
     """(name, text) of every config, the runnable ones first."""
     yield from ((name, text + _SMALL) for name, text in RUNS.items())
     yield from ((f"error-{name}", text) for name, text in ERRORS.items())
+
+
+def versions() -> str:
+    """The header line: the versions the digests were computed with."""
+    import numpy
+    import scipy
+
+    return f"# python {platform.python_version()} numpy {numpy.__version__} scipy {scipy.__version__}"
 
 
 def digest(root: Path, skip: Path) -> str:
@@ -159,6 +175,7 @@ def main(argv=None):
     if Path(cli.__file__).resolve().parent != src / "chsolver":
         sys.exit(f"imported chsolver from {cli.__file__}, not from {src}")
 
+    print(versions())
     here = os.getcwd()
     try:
         for name, text in configs():
