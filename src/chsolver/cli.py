@@ -34,7 +34,7 @@ import os
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -43,9 +43,9 @@ import numpy as np
 from . import spectral
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
 from .recordio import RecordWriter, read_record_table, write_snapshot
-from .policies import LandingError, landing_targets
-from .scenarios import run_convergence, run_scenario
-from .stepper import energy, validate_records
+from .policies import LandingError, landing_targets, run_with_policy
+from .scenarios import initial_state, run_convergence
+from .stepper import validate_records
 from .timestep import _residuals, kernel_matrices, random_mesh
 
 
@@ -99,31 +99,35 @@ ROW_FLUSH_SECONDS = 1.0
 
 
 class _RunOutput:
-    """run_scenario sink for simulate: writes each snapshot as it is taken,
-    and the kept record rows at most ROW_FLUSH_SECONDS after their step
-    (all of them on close, also when the run fails).  The directory is made
-    and records.csv opened with the first file written, so a run that fails
-    before its first step completes leaves nothing behind."""
+    """simulate's on_step: writes each snapshot as it is taken, and the kept
+    record rows at most ROW_FLUSH_SECONDS after their step (all of them on
+    close, also when the run fails).  Of the records it keeps only the
+    unwritten rows and the first and last, for the summary line.  The
+    directory is made and records.csv opened with the first file written,
+    so a run that fails before its first step completes leaves nothing
+    behind."""
 
     def __init__(self, out: Path, record_every: int):
         self.out, self.every = out, record_every
         self.writer = None
         self.pending = []
-        self.last = None
+        self.first = self.last = None
         self.due = time.monotonic() + ROW_FLUSH_SECONDS
         self.snapshots = 0
 
-    def record(self, rec) -> None:
+    def __call__(self, state, rec, reached) -> None:
+        for t, values in reached:
+            self.out.mkdir(parents=True, exist_ok=True)
+            field = spectral.SpectralField(state.grid, physical=values)
+            write_snapshot(field, self.out / f"snap_{self.snapshots:03d}.bin", t)
+            self.snapshots += 1
+        if self.first is None:
+            self.first = rec
         if rec.n % self.every == 0:
             self.pending.append(rec)
         self.last = rec
         if time.monotonic() >= self.due:
             self._flush()
-
-    def snapshot(self, t: float, field) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
-        write_snapshot(field, self.out / f"snap_{self.snapshots:03d}.bin", t)
-        self.snapshots += 1
 
     def _flush(self) -> None:
         if self.writer is None:
@@ -148,14 +152,16 @@ def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario)
     scenario = build_scenario(cfg)
     out = _outdir(cfg, args.outdir)
-    sink = _RunOutput(out, cfg.record_every)
+    output = _RunOutput(out, cfg.record_every)
     try:
-        records, _ = run_scenario(scenario, sink)
+        run_with_policy(
+            initial_state(scenario), scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=output
+        )
     finally:
-        sink.close()
-    print(f"{scenario.name}: {len(records)} steps to t = {records[-1].t:g}, "
-          f"gamma {records[0].gamma:.6g} -> {records[-1].gamma:.6g}")
-    print(f"wrote {out / 'records.csv'} and {sink.snapshots} snapshots")
+        output.close()
+    first, last = output.first, output.last
+    print(f"{scenario.name}: {last.n} steps to t = {last.t:g}, gamma {first.gamma:.6g} -> {last.gamma:.6g}")
+    print(f"wrote {out / 'records.csv'} and {output.snapshots} snapshots")
     return 0
 
 
@@ -304,17 +310,6 @@ def _cmd_kernels(args) -> int:
     return 0
 
 
-class _InitialField:
-    """run_scenario sink for check: keeps the t = 0 field, drops the rest."""
-
-    field = None
-    record = staticmethod(lambda rec: None)
-
-    def snapshot(self, t: float, field) -> None:
-        if t == 0.0:
-            self.field = field
-
-
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario, check_snapshots=False)
     scenario = build_scenario(cfg)
@@ -325,14 +320,15 @@ def _cmd_check(args) -> int:
         records = read_record_table(args.records)
         problems = validate_records(records, ratio_cap=cap)
     else:
+        state = initial_state(scenario)
+        gamma0, mass0 = state.gamma, spectral.integral(state.grid, state.phi_bar_hat1)
+        records = []
         # the snapshot times are landing targets (beyond the horizon, none), as in simulate
-        sink = _InitialField()
-        records, _ = run_scenario(replace(scenario, snapshot_times=(0.0, *scenario.snapshot_times)), sink)
-        phi0 = sink.field
-        gamma0 = energy(phi0.grid, phi0.physical, phi0.coefficients, scenario.eps) + 1.0
-        problems = validate_records(
-            records, gamma0=gamma0, mass0=phi0.integral(), volume=phi0.grid.volume, ratio_cap=cap
+        run_with_policy(
+            state, scenario.policy, scenario.horizon, scenario.snapshot_times,
+            on_step=lambda st, rec, reached: records.append(rec),
         )
+        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=state.grid.volume, ratio_cap=cap)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)

@@ -185,7 +185,7 @@ def parse_config(
     """Parse a config file; an explicit scenario argument overrides the file,
     and default_scenario applies when neither names one.  With
     check_snapshots=False (for subcommands that write none) the snapshot
-    times are kept but not checked against the horizon."""
+    times must still be finite and nonnegative but may lie beyond the horizon."""
     pairs = _read_pairs(path)
 
     name = scenario if scenario is not None else pairs.get(("run", "scenario"), default_scenario)
@@ -233,7 +233,8 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
     if cfg.seed < 0:
         bad(f"seed must be >= 0, got {cfg.seed}")
-    if check_snapshots and not all(0 <= t <= cfg.horizon * (1 + LANDING_RTOL) for t in cfg.snapshots):
+    top = cfg.horizon * (1 + LANDING_RTOL) if check_snapshots else math.inf
+    if not all(0 <= t <= top and math.isfinite(t) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
     # range-check every policy key that is set, whether or not the kind uses it
     for key in ("tau", "tau_min", "tau_max"):

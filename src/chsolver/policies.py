@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stepper import GsavState, StepRecord, advance
+from .stepper import GsavState, advance
 from .timestep import DELTA, LANDING_RTOL, TimeMesh, r_max_root
 
 
@@ -110,24 +110,22 @@ def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoint
     return [*sorted(set(inner)), float(horizon)]
 
 
-def run_with_policy(
-    state: GsavState, policy: StepPolicy, horizon: float, checkpoints=(), on_step=None
-) -> tuple[GsavState, list[StepRecord]]:
+def run_with_policy(state: GsavState, policy: StepPolicy, horizon: float, checkpoints=(), on_step=None) -> GsavState:
     """Advance until time reaches the horizon, landing exactly on each of
-    landing_targets, which raises before any step.  Returns (final state,
-    records); a run continued from the final state takes the steps of one
-    run with this horizon as a checkpoint.  After each step, on_step(state,
-    rec, reached) gets the checkpoints in [start - tol, horizon + tol] that
-    the step reached, each once, as (time, grid values) pairs in time order;
-    step 1 leads with those at the start time and its older level.  The
-    given state is left without its history arrays, and the values are the
-    state's own (see GsavState)."""
+    landing_targets, which raises before any step.  Returns the final state
+    and keeps no record; a run continued from it takes the steps of one run
+    with this horizon as a checkpoint.  After each step, on_step(state, rec,
+    reached) gets the step's record and the checkpoints in [start - tol,
+    horizon + tol] that the step reached, each once, as (time, grid values)
+    pairs in time order; step 1 leads with those at the start time and its
+    older level.  The given state is left without its history arrays, and
+    the values are the state's own (see GsavState)."""
     start = state.time
     targets = landing_targets(policy, start, horizon, checkpoints)
     tol = LANDING_RTOL * horizon
     marks = sorted({float(c) for c in checkpoints if start - tol <= c <= horizon + tol})
-    done = bisect_right(marks, start + tol)  # marks[:done] lie at the start time
-    records: list[StepRecord] = []
+    done = bisect_right(marks, start + tol)
+    at_start = marks[:done]  # after step 1, phi2 holds the start values
     while state.time < horizon - tol:
         target = targets[bisect_right(targets, state.time + tol)]
         tau = policy.next_step(state.step_index + 1, state.prev_tau, state.prev_gamma, state.gamma)
@@ -139,10 +137,8 @@ def run_with_policy(
         if landed:  # pin the node exactly so checkpoint comparisons are bitwise
             state.time = target
             rec = replace(rec, t=target)
-        records.append(rec)
         now = bisect_right(marks, state.time + tol)
-        if on_step is not None:  # after the run's first step, phi2 holds the start values
-            at_start = marks[:done] if len(records) == 1 else []
+        if on_step is not None:
             on_step(state, rec, [(t, state.phi2) for t in at_start] + [(t, state.phi1) for t in marks[done:now]])
-        done = now
-    return state, records
+        done, at_start = now, []
+    return state

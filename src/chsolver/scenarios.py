@@ -8,7 +8,7 @@ import numpy as np
 
 from .policies import FixedStep, PrescribedMesh, StepPolicy, run_with_policy
 from .spectral import Grid, SpectralField, h1_norm
-from .stepper import energy, init_state
+from .stepper import GsavState, energy, init_state
 from .timestep import random_mesh
 
 
@@ -92,35 +92,27 @@ def initial_field(scenario: Scenario, grid: Grid) -> SpectralField:
     raise ValueError(f"unknown scenario {name!r}")
 
 
-def run_scenario(scenario: Scenario, sink=None):
+def initial_state(scenario: Scenario) -> GsavState:
+    """The state before step 1: the scenario's initial field on its grid."""
+    grid = Grid(scenario.dim, scenario.length, scenario.modes)
+    return init_state(initial_field(scenario, grid), scenario.eps, dealias=scenario.dealias)
+
+
+def run_scenario(scenario: Scenario):
     """Run to the horizon; returns (records, snapshots) where snapshots is a
     list of (time, field) pairs, one for each requested time the run reaches
-    as run_with_policy reports them (time 0 included when requested).
+    as run_with_policy reports them (time 0 included when requested).  It
+    keeps the whole run: to stream one, pass an on_step to run_with_policy."""
+    records, snapshots = [], []
 
-    With a sink, the snapshots are not kept: each record goes to
-    sink.record(rec) and each snapshot to sink.snapshot(time, field) as soon
-    as its step completes, and the returned snapshot list is empty; every
-    record is still returned.  The time-0 snapshot goes out with step 1, so
-    a run the driver rejects before its first step hands the sink nothing.
-    """
-    grid = Grid(scenario.dim, scenario.length, scenario.modes)
-    snapshots = []
-    emit = sink.snapshot if sink is not None else lambda t, phi: snapshots.append((t, phi))
-
-    def capture(st, rec, reached):
-        for t, values in reached:
-            emit(t, SpectralField(grid, physical=values))
-        if sink is not None:
-            sink.record(rec)
+    def collect(state, rec, reached):
+        snapshots.extend((t, SpectralField(state.grid, physical=values)) for t, values in reached)
+        records.append(rec)
 
     # the driver holds the only reference to the initial state, so its
     # arrays are freed once they leave the two-level history
-    _, records = run_with_policy(
-        init_state(initial_field(scenario, grid), scenario.eps, dealias=scenario.dealias),
-        scenario.policy,
-        scenario.horizon,
-        checkpoints=scenario.snapshot_times,
-        on_step=capture,
+    run_with_policy(
+        initial_state(scenario), scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=collect
     )
     return records, snapshots
 

@@ -18,9 +18,9 @@ from chsolver import (
     init_state,
     order_of,
     random_mesh,
-    run_with_policy,
 )
 from chsolver.spectral import forward, h1_norm
+from test_policies import drive
 
 
 def reference_convergence(
@@ -30,7 +30,7 @@ def reference_convergence(
     phi0 = ic_bubble(grid, eps)
 
     ref_state = init_state(phi0, eps, dealias=dealias)
-    ref_state, _ = run_with_policy(ref_state, FixedStep(horizon / ref_steps), horizon)
+    ref_state, _ = drive(ref_state, FixedStep(horizon / ref_steps), horizon)
     phi_ref = SpectralField(grid, physical=ref_state.phi1)
     gamma_ref = energy(grid, phi_ref.physical, phi_ref.coefficients, eps) + 1.0
 
@@ -39,7 +39,7 @@ def reference_convergence(
         k = base_steps * 2**i
         mesh = random_mesh(horizon, k, seed + i)
         state = init_state(phi0, eps, dealias=dealias)
-        state, records = run_with_policy(state, PrescribedMesh(mesh), horizon)
+        state, records = drive(state, PrescribedMesh(mesh), horizon)
         h1_err = h1_norm(grid, forward(state.phi1) - phi_ref.coefficients)
         g_err = abs(state.gamma - gamma_ref)
         tau = float(mesh.steps.max())

@@ -26,11 +26,11 @@ from chsolver import (
     r_max_root,
     random_mesh,
     run_convergence,
-    run_with_policy,
 )
 from chsolver.spectral import forward
 from chsolver.timestep import QUADRATIC_FORM_SLACK
 from dense_reference import dense_advance, half_spectrum, random_state
+from test_policies import drive
 
 
 def report(num, msg):
@@ -107,7 +107,7 @@ class TestAcceptance:
         mass0 = phi0.integral()
         state = init_state(phi0, eps=0.3)
         policy = AdaptiveStep(tau_min=1e-5, tau_max=1e-4, alpha=0.01)
-        state, records = run_with_policy(state, policy, horizon=0.08)
+        state, records = drive(state, policy, horizon=0.08)
         assert len(records) >= 1000
         drift = max(abs(rec.mass - mass0) for rec in records) / grid.volume
         assert drift < 1e-10
@@ -195,8 +195,8 @@ class TestAcceptance:
         phi0 = ic_kissing(grid, eps2=0.1)
 
         policy = AdaptiveStep(tau_min=1e-4, tau_max=7e-3, alpha=0.01)
-        _, rec_a = run_with_policy(init_state(phi0, eps), policy, 1.0, checkpoints=snaps)
-        _, rec_f = run_with_policy(
+        _, rec_a = drive(init_state(phi0, eps), policy, 1.0, checkpoints=snaps)
+        _, rec_f = drive(
             init_state(phi0, eps), FixedStep(1e-4), 1.0, checkpoints=snaps
         )
         assert len(rec_f) >= 3 * len(rec_a)

@@ -112,6 +112,34 @@ class TestSimulate:
         assert seen[:5] == [None, [], [2], [2], [2, 4]]
         assert [r.n for r in read_records(out / "records.csv")] == [2, 4, 6, 8, 10]
 
+    def test_a_run_keeps_no_records(self, tmp_path, capsys, monkeypatch):
+        # 200 steps and one row written: at step 200 the run holds the first
+        # and the last record for the summary line, not one per step
+        import gc
+
+        import chsolver.policies as policies
+
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = equilibrium\nn = 8\nhorizon = 1.0\n[policy]\ntau = 0.005\n[output]\nrecord_every = 1000\n",
+        )
+        real_advance = policies.advance
+        live = []
+
+        def counting_advance(state, tau):
+            if state.step_index + 1 == 200:
+                gc.collect()
+                live.append(sum(isinstance(o, StepRecord) for o in gc.get_objects()) - before)
+            return real_advance(state, tau)
+
+        monkeypatch.setattr(policies, "advance", counting_advance)
+        gc.collect()
+        before = sum(isinstance(o, StepRecord) for o in gc.get_objects())
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("equilibrium: 200 steps to t = 1,")
+        assert len(live) == 1 and live[0] <= 3
+        assert [rec.n for rec in read_records(tmp_path / "out" / "records.csv")] == [200]
+
     def test_scenario_flag_overrides_file(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\nhorizon = 0.05\n")
         out = tmp_path / "out"
@@ -446,12 +474,6 @@ class TestCheck:
         assert main(["check", cfg]) == 0
         assert capsys.readouterr().out == f"check passed: {rows} steps, all guarantees hold\n"
 
-    def test_rerun_keeps_only_the_initial_field(self):
-        sink = cli._InitialField()
-        sink.snapshot(0.0, "phi0")
-        sink.snapshot(0.1, "phi1")
-        assert sink.field == "phi0"
-
     def test_off_node_snapshot_fails_with_and_without_records(self, tmp_path, capsys):
         run = "scenario = convergence\nn = 16\nhorizon = 0.02\n[output]\nsnapshots = "
         out = tmp_path / "out"
@@ -591,8 +613,8 @@ class TestParserReuse:
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--outdir", str(out)]) == 0
         runs = []
-        real_run = cli.run_scenario
-        monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args) or real_run(*args))
+        real_run = cli.run_with_policy
+        monkeypatch.setattr(cli, "run_with_policy", lambda *args, **kw: runs.append(args) or real_run(*args, **kw))
         assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
         assert runs == []
         assert main(["check", cfg]) == 0
@@ -618,6 +640,15 @@ class TestParserReuse:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["simulate", "converge", "kernels", "check"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
+    def test_bad_snapshot_time_is_validation_error(self, tmp_path, capsys, command, bad):
+        cfg = write_cfg(tmp_path, f"scenario = equilibrium\n[output]\nsnapshots = 0.0, {bad}\n")
+        out = [] if command == "check" else ["--outdir", str(tmp_path / "out")]
+        assert main([command, cfg, *out]) == 1
+        assert capsys.readouterr().err == "error: snapshot times must lie in [0, horizon]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -174,6 +174,14 @@ class TestValidation:
         with pytest.raises(ConfigValidationError, match="snapshot times"):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("check_snapshots", [True, False])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1.0"])
+    def test_snapshot_times_must_be_finite_and_nonnegative(self, tmp_path, bad, check_snapshots):
+        # a subcommand that writes no snapshot waives only the upper bound
+        text = f"scenario = equilibrium\n[output]\nsnapshots = 0.0, {bad}\n"
+        with pytest.raises(ConfigValidationError, match=re.escape("snapshot times must lie in [0, horizon]")):
+            parse_config(write(tmp_path, text), check_snapshots=check_snapshots)
+
     def test_unknown_policy_kind(self, tmp_path):
         with pytest.raises(ConfigValidationError, match="unknown policy kind"):
             parse_config(write(tmp_path, "scenario = equilibrium\n[policy]\nkind = magic\n"))

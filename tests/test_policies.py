@@ -26,6 +26,13 @@ from chsolver import (
 from chsolver.policies import LandingError
 
 
+def drive(state, policy, horizon, checkpoints=()):
+    """run_with_policy, returning (final state, the records on_step got)."""
+    records = []
+    state = run_with_policy(state, policy, horizon, checkpoints, on_step=lambda st, rec, reached: records.append(rec))
+    return state, records
+
+
 def small_state(seed=0, n=16, eps=0.8):
     grid = Grid(2, 2.0 * np.pi, n)
     rng = np.random.default_rng(seed)
@@ -122,7 +129,7 @@ class TestAdaptiveStep:
 class TestDriver:
     def test_fixed_run_lands_exactly(self):
         state = small_state()
-        state, records = run_with_policy(state, FixedStep(0.1 / 16), 0.1)
+        state, records = drive(state, FixedStep(0.1 / 16), 0.1)
         assert len(records) == 16
         assert state.time == 0.1
         assert records[-1].t == 0.1
@@ -132,7 +139,7 @@ class TestDriver:
     def test_prescribed_mesh_runs_verbatim(self):
         mesh = random_mesh(0.05, 12, seed=3)
         state = small_state()
-        state, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
+        state, records = drive(state, PrescribedMesh(mesh), mesh.horizon)
         assert len(records) == 12
         assert np.allclose([rec.tau for rec in records], mesh.steps)
         assert state.time == mesh.horizon
@@ -160,14 +167,14 @@ class TestDriver:
 
     def test_prescribed_mesh_accepts_horizon_off_last_node_by_rounding(self):
         mesh = random_mesh(0.05, 12, seed=3)
-        state, records = run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon * (1.0 + 1e-13))
+        state, records = drive(small_state(), PrescribedMesh(mesh), mesh.horizon * (1.0 + 1e-13))
         assert len(records) == 12
 
     def test_prescribed_mesh_accepts_node_checkpoints(self):
         mesh = random_mesh(0.05, 12, seed=3)
         # a node off by rounding, the start and the horizon are all accepted
         marks = (0.0, mesh.times[4] * (1.0 + 1e-15), mesh.times[9], mesh.horizon)
-        state, records = run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=marks)
+        state, records = drive(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=marks)
         assert len(records) == 12
         assert np.allclose([rec.tau for rec in records], mesh.steps, rtol=1e-12)
         assert records[8].t == mesh.times[9]
@@ -175,14 +182,14 @@ class TestDriver:
     def test_checkpoints_are_hit_exactly(self):
         state = small_state()
         marks = (0.033, 0.07)
-        state, records = run_with_policy(state, FixedStep(0.01), 0.1, checkpoints=marks)
+        state, records = drive(state, FixedStep(0.01), 0.1, checkpoints=marks)
         times = {rec.t for rec in records}
         for m in marks:
             assert m in times
 
     def test_long_step_is_shortened_to_horizon(self):
         state = small_state()
-        state, records = run_with_policy(state, FixedStep(1.0), 0.3)
+        state, records = drive(state, FixedStep(1.0), 0.3)
         assert len(records) == 1
         assert records[0].tau == 0.3
         assert state.time == 0.3
@@ -190,14 +197,14 @@ class TestDriver:
     def test_gamma_monotone_through_driver(self):
         state = small_state(seed=5)
         policy = AdaptiveStep(tau_min=1e-4, tau_max=5e-3, alpha=0.1)
-        state, records = run_with_policy(state, policy, 0.05)
+        state, records = drive(state, policy, 0.05)
         gammas = [rec.gamma for rec in records]
         assert all(b <= a for a, b in zip(gammas, gammas[1:]))
 
     def test_adaptive_respects_cap_with_landing(self):
         state = small_state(seed=6)
         policy = AdaptiveStep(tau_min=1e-4, tau_max=5e-3, alpha=0.01)
-        state, records = run_with_policy(state, policy, 0.04, checkpoints=(0.011,))
+        state, records = drive(state, policy, 0.04, checkpoints=(0.011,))
         taus = [rec.tau for rec in records]
         for prev, curr in zip(taus, taus[1:]):
             assert curr <= policy.ratio_cap * prev * (1.0 + 1e-12)
@@ -224,9 +231,9 @@ def assert_resumes_exactly(start, policy, t1, horizon):
     """Running to t1 and continuing from the returned state to the horizon
     gives the records and the final state, bit for bit, of one run to the
     horizon with t1 as a checkpoint."""
-    whole_end, whole = run_with_policy(start(), policy, horizon, checkpoints=(t1,))
-    mid, first = run_with_policy(start(), policy, t1)
-    end, rest = run_with_policy(mid, policy, horizon)
+    whole_end, whole = drive(start(), policy, horizon, checkpoints=(t1,))
+    mid, first = drive(start(), policy, t1)
+    end, rest = drive(mid, policy, horizon)
     assert mid.time == t1
     assert len(first) + len(rest) == len(whole)
     assert RecordTable.from_records(first + rest).values.tobytes() == RecordTable.from_records(whole).values.tobytes()
@@ -276,7 +283,7 @@ class TestResumption:
         def start():
             return init_state(initial_field(scenario, Grid(2, 2.0 * np.pi, 32)), scenario.eps)
 
-        _, whole = run_with_policy(start(), policy, 0.2, checkpoints=(0.05,))
+        _, whole = drive(start(), policy, 0.2, checkpoints=(0.05,))
         assert len(whole) == 80
         join = next(i for i, rec in enumerate(whole) if rec.t == 0.05) + 1
         assert whole[join].tau < policy.tau_max

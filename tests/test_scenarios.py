@@ -31,7 +31,9 @@ from chsolver import (
     random_mesh,
     run_convergence,
     run_scenario,
+    run_with_policy,
 )
+from chsolver.scenarios import initial_state
 from chsolver.timestep import LANDING_RTOL
 
 
@@ -185,15 +187,22 @@ class TestScenarioRuns:
 
 
 class _ListSink:
+    """An on_step that logs each reached checkpoint, with a copy of its grid
+    values when keep is set, then the step's record."""
+
     def __init__(self, keep=True):
         self.keep = keep
         self.events = []
 
-    def record(self, rec):
-        self.events.append(("record", rec.n))
+    def __call__(self, state, rec, reached):
+        for t, values in reached:
+            self.events.append(("snapshot", t, values.copy() if self.keep else None))
+        self.events.append(("record", rec.n, rec))
 
-    def snapshot(self, t, field):
-        self.events.append(("snapshot", t, field.physical.copy() if self.keep else None))
+
+def run_into(sink, sc):
+    """Runs sc with sink as the driver's on_step."""
+    run_with_policy(initial_state(sc), sc.policy, sc.horizon, sc.snapshot_times, on_step=sink)
 
 
 class TestStreamingAndRelease:
@@ -230,9 +239,8 @@ class TestStreamingAndRelease:
     def test_sink_gets_records_and_snapshots_as_they_happen(self, sc, events):
         kept_records, kept = run_scenario(sc)
         sink = _ListSink()
-        records, snapshots = run_scenario(sc, sink)
-        assert snapshots == []
-        assert records == kept_records
+        run_into(sink, sc)
+        assert [e[2] for e in sink.events if e[0] == "record"] == kept_records
         # the time-0 snapshot goes out with step 1; a step's snapshot precedes its record
         assert [e[:2] for e in sink.events] == events
         # the list path keeps each snapshot through later steps, which
@@ -274,13 +282,13 @@ class TestStreamingAndRelease:
             "coarsening2d", 2, 16, 2.0 * np.pi, 0.3, 0.05, FixedStep(0.01), seed=2,
             snapshot_times=times,
         )
-        run_scenario(sc) if sink is None else run_scenario(sc, sink)
+        run_scenario(sc) if sink is None else run_into(sink, sc)
         assert len(refs) == 3
         assert alive == {2: 0}
 
 
 def assert_each_checkpoint_reported_once(sc):
-    """Runs sc into a sink.  Each snapshot time in [-tol, horizon + tol] must
+    """Runs sc into a _ListSink.  Each snapshot time in [-tol, horizon + tol] must
     go out once, in time order, before the record of the first step that
     ends within tol of it or beyond (step 1 for a time within tol of 0), with
     the grid values of that step's state (the initial field for time 0);
@@ -296,7 +304,8 @@ def assert_each_checkpoint_reported_once(sc):
 
     sink = _ListSink()
     with mock.patch.object(policies, "advance", recording_advance):
-        records, _ = run_scenario(sc, sink)
+        run_into(sink, sc)
+    records = [e[2] for e in sink.events if e[0] == "record"]
     marks = sorted({t for t in sc.snapshot_times if -tol <= t <= sc.horizon + tol})
     step = {t: 0 if t <= tol else next(rec.n for rec in records if rec.t >= t - tol) for t in marks}
     expected = []

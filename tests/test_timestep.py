@@ -8,7 +8,8 @@ compared with the matrix products and the loop reference and exercised by
 Monte Carlo over random admissible meshes and over meshes at the edges of
 the ratio condition A1: a sawtooth on the cap, cycles of growth at the cap
 and one deep drop, and drawn mixtures of near-cap and tiny ratios.  Short
-geometric growth just past r_max shows that A1 is sharp.
+geometric growth just past r_max shows that A1 is sharp, and long cycles
+of growth at the cap hold the chain on the direction it is tightest on.
 """
 
 import math
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import chsolver.timestep as ts
 import kernel_reference
@@ -38,9 +40,9 @@ from chsolver import (
     quadratic_form_check,
     r_max_root,
     random_mesh,
-    run_with_policy,
     validate_records,
 )
+from test_policies import drive
 
 R_MAX = 4.864536512317584
 CAP = R_MAX - 0.01
@@ -95,7 +97,7 @@ def assert_run_keeps_guarantees(mesh):
     phi0 = ic_random(grid, 1)
     state = init_state(phi0, 0.3)
     gamma0, mass0 = state.gamma, phi0.integral()
-    _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon)
+    _, records = drive(state, PrescribedMesh(mesh), mesh.horizon)
     # the driver replays the mesh bit for bit, the landing step included
     assert [rec.tau for rec in records] == mesh.steps.tolist()
     problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=CAP)
@@ -614,7 +616,7 @@ class TestMixedRatioMesh:
             assert mesh.satisfies_a1()
             checkpoints = mesh.times[list(nodes)]
             state = init_state(ic_random(grid, 1), 0.3)
-            _, records = run_with_policy(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
+            _, records = drive(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
             assert [rec.tau for rec in records] == mesh.steps.tolist()
             assert records[-1].t == mesh.horizon
             assert validate_records(records, ratio_cap=CAP) == []
@@ -642,7 +644,9 @@ class TestA1Sharpness:
     diag(sqrt(tau)) is tridiagonal, depends on the ratios alone and has
     diagonal 2 (1 + 2 r_k) / (1 + r_k) and off-diagonal
     -r_{k+1}^{3/2} / (1 + r_{k+1}); v is the eigenvector of its least
-    eigenvalue.  kernel_matrices does not require A1, so Theta comes from it."""
+    eigenvalue.  kernel_matrices does not require A1, so Theta comes from it.
+    Long cycles of growth at the cap, with that w, keep the positivity chain
+    within a factor of 15 to 25 of its edge."""
 
     @staticmethod
     def least_form(ratio, n=12):
@@ -663,3 +667,27 @@ class TestA1Sharpness:
 
     def test_growth_at_the_cap_keeps_it(self):
         assert self.least_form(CAP) > 0.0
+
+    @pytest.mark.parametrize("growths,ratio", [(48, 24.6), (192, 15.0)])
+    def test_long_growth_cycles_at_the_cap_keep_the_chain(self, growths, ratio):
+        # about 2,000 steps of cycles of growth at the cap, each cycle
+        # dropping back to its first step, which a power of two puts where
+        # the largest step is at most 1 (for 192 growths the steps span 1e131).
+        # The w of least eigenvalue is the one the chain is tightest on: a
+        # random w gives lhs / rhs of 148 and 45
+        first = 2.0 ** -math.ceil(growths * math.log2(CAP))
+        mesh = TimeMesh(np.tile(chained_steps(first, [CAP] * growths), 2000 // (growths + 1)), delta=0.01)
+        assert mesh.satisfies_a1() and mesh.steps.max() <= 1.0
+        r = mesh.ratios
+        off = -r[1:] ** 1.5 / (1.0 + r[1:])
+        lam, v = eigh_tridiagonal(2.0 * (1.0 + 2.0 * r) / (1.0 + r), off, select="i", select_range=(0, 0))
+        y = np.sqrt(mesh.steps) * v[:, 0]
+        b0, b1 = ts._weight_table(mesh, mesh.count)
+        w = b0 * y
+        w[1:] += b1[1:] * y[:-1]
+        chk = quadratic_form_check(mesh, w)
+        assert chk.passed
+        assert chk.lhs >= chk.rhs >= 0.0
+        # 2 w^T Theta w = v^T T v = lambda_min
+        assert chk.lhs == pytest.approx(lam[0], rel=1e-12, abs=0)
+        assert chk.lhs / chk.rhs == pytest.approx(ratio, rel=0.01)

@@ -19,8 +19,9 @@ preset would take thousands of steps), each policy kind, the ``delta``,
 on an interior snapshot, the landing edge cases (snapshots within the
 landing tolerance, 1e-12 * horizon, of each other, of 0, of the horizon and
 of a random mesh's node; random-mesh snapshots off its nodes, one just
-beyond the tolerance and two out of order), and one config for each parse
-and validation error message.  Each config runs through ``simulate``,
+beyond the tolerance and two out of order), one config for each parse
+and validation error message, and snapshot times that are NaN, infinite or
+negative, which every command must reject.  Each config runs through ``simulate``,
 ``converge``, ``kernels`` and ``check`` in process, each in a new temporary
 directory that holds only the config file and is the working directory, so
 the default ``outdir`` lands inside it.  After ``simulate``, ``check
@@ -102,6 +103,9 @@ ERRORS = {
     "horizon": "scenario = equilibrium\nhorizon = 0\n",
     "record_every": "scenario = equilibrium\n[output]\nrecord_every = 0\n",
     "snapshot-beyond-horizon": "scenario = equilibrium\n[output]\nsnapshots = 0.0, 5.0\n" + _SMALL,
+    "snapshot-nan": "scenario = equilibrium\n[output]\nsnapshots = 0.0, nan\n" + _SMALL,
+    "snapshot-inf": "scenario = equilibrium\n[output]\nsnapshots = 0.0, inf\n" + _SMALL,
+    "snapshot-negative": "scenario = equilibrium\n[output]\nsnapshots = 0.0, -1.0\n" + _SMALL,
     "tau": "scenario = equilibrium\n[policy]\ntau = -1\n",
     "tau_min": "scenario = coarsening2d\n[policy]\ntau_min = 0\n",
     "tau_max": "scenario = coarsening2d\n[policy]\ntau_max = -1\n",
