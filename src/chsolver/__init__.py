@@ -58,7 +58,6 @@ from .recordio import (
     RecordWriter,
     Snapshot,
     SnapshotFormatError,
-    format_record,
     read_record_table,
     read_records,
     read_snapshot,

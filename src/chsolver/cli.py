@@ -16,14 +16,15 @@ Exit codes: 0 success, 1 usage/validation failure, 2 runtime error.
 (``spectral.CORES``): rows 1..max_n are cut into contiguous parts of about
 equal line count, each of at least FORK_MIN_LINES lines.  Each part after
 the first is formatted by a process forked for it (``os.fork``), which
-writes its text to a pipe and leaves through ``os._exit``; the command
-writes the first part, then kernel_residuals.csv, then copies the pipes
-into kernels.csv in part order and reaps every child before it returns.
-A child that fails is a runtime error; a part no process can be forked for
-is formatted by the command itself.  The bytes written do not depend on
-the number of parts.  With one core (``taskset -c 0``), on a smaller file,
-or without ``os.fork``, one process writes every row.  No other command
-starts a process.
+writes its rows into its own unlinked temporary file and leaves through
+``os._exit``; no child waits on the command.  The command writes the first
+part, then kernel_residuals.csv, then waits for each child in part order
+and appends its file to kernels.csv.  A child that fails is a runtime
+error; a part no file or process can be had for is formatted by the
+command itself.  The bytes written do not depend on the number of parts.
+With one core (``taskset -c 0``), on a smaller file, or without
+``os.fork``, one process writes every row.  No other command starts a
+process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import shutil
 import sys
+import tempfile
 import time
 from bisect import bisect_left
 from dataclasses import astuple
@@ -187,12 +190,10 @@ def _cmd_converge(args) -> int:
 # kernels.csv is formatted in up to CORES processes, each part at least this
 # many lines long, so the file is split from 2 * FORK_MIN_LINES lines on.  On
 # a 2-vCPU VM a split pass cost 3-5 ms more than half a serial one (fork,
-# copy-on-write faults, pipe and reap), and won from about 5,500 lines
-# (max_n = 105) on: at max_n = 100 it took 17.4 ms against 15.7 serial, at
-# max_n = 120 18.4 against 21.3 ms (medians of 21 alternating passes).
+# copy-on-write faults, return of the part, reap), and won from about 5,500
+# lines (max_n = 105) on: at max_n = 100 it took 17.4 ms against 15.7 serial,
+# at max_n = 120 18.4 against 21.3 ms (medians of 21 alternating passes).
 FORK_MIN_LINES = 3000
-# the parent copies a forked part into kernels.csv in reads of this many bytes
-PIPE_CHUNK = 1 << 16
 
 
 def _kernel_parts(max_n: int) -> list[range]:
@@ -206,45 +207,30 @@ def _kernel_parts(max_n: int) -> list[range]:
 
 
 def _fork_part(write_rows, rows: range):
-    """Forks a process that formats the row blocks rows of kernels.csv into
-    memory with write_rows, writes them to a pipe and exits; returns
-    (rows, its pid, the read end of its pipe).  Where no pipe or process
-    can be had (EMFILE, EAGAIN, ENOMEM), returns (rows, None, None) and the
-    caller formats the part."""
-    r = w = None
+    """Forks a process that formats the row blocks rows of kernels.csv with
+    write_rows into an unlinked temporary file and exits; returns (rows, its
+    pid, the file).  Where no file or process can be had (EMFILE, EAGAIN,
+    ENOMEM), returns (rows, None, None) and the caller formats the part."""
+    file = None
     try:
-        r, w = os.pipe()
+        file = tempfile.TemporaryFile()
         pid = os.fork()
     except OSError:
-        for fd in (r, w):
-            if fd is not None:
-                os.close(fd)
+        if file is not None:
+            file.close()
         return rows, None, None
     if pid == 0:  # the child leaves through os._exit, never into the caller's stack
         status = 1
         try:
-            os.close(r)
-            text = []
-            write_rows(rows, text.append)
-            with open(w, "wb") as pipe:
-                pipe.write("".join(text).encode())
+            with open(file.fileno(), "w", encoding="utf-8", closefd=False) as text:
+                write_rows(rows, text.write)
             status = 0
-        except BrokenPipeError:
-            pass  # the parent failed and closed the pipe; it reports its own error
         except BaseException as exc:
             message = f"chsolver kernels, rows {rows.start}..{rows.stop - 1}: {type(exc).__name__}: {exc}\n"
             os.write(2, message.encode())
         finally:
             os._exit(status)
-    os.close(w)
-    return rows, pid, r
-
-
-def _reap(rows: range, pid: int) -> None:
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        part = f"rows {rows.start}..{rows.stop - 1}"
-        raise RuntimeError(f"the process formatting kernels.csv {part} exited with {code}")
+    return rows, pid, file
 
 
 def _cmd_kernels(args) -> int:
@@ -265,8 +251,9 @@ def _cmd_kernels(args) -> int:
             write(row_block(n, flat[: 2 * n].tolist()))
 
     first, *rest = _kernel_parts(cfg.max_n)
-    # (rows, pid, pipe read end) of the parts after the first, in file order;
-    # pid and read end are None for a part no process could be forked for
+    # (rows, pid, file) of the parts after the first, in file order, until
+    # each is copied; pid and file are None for a part no process could be
+    # forked for
     parts = []
     try:
         for rows in rest:
@@ -282,27 +269,22 @@ def _cmd_kernels(args) -> int:
                 res_rows = zip(range(1, cfg.max_n + 1), *(c.tolist() for c in columns))
                 rh.write(RESIDUAL_ROW * cfg.max_n % tuple(chain.from_iterable(res_rows)))
             while parts:
-                rows, pid, r = parts[0]
+                rows, pid, file = parts.pop(0)
                 if pid is None:
                     write_rows(rows, fh.write)
-                    del parts[0]
                     continue
-                fh.flush()
-                while chunk := os.read(r, PIPE_CHUNK):
-                    fh.buffer.write(chunk)
-                os.close(r)
-                del parts[0]
-                _reap(rows, pid)
+                with file:
+                    if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                        part = f"rows {rows.start}..{rows.stop - 1}"
+                        raise RuntimeError(f"the process formatting kernels.csv {part} exited with {code}")
+                    fh.flush()
+                    file.seek(0)
+                    shutil.copyfileobj(file, fh.buffer)
     finally:
-        # on failure: a child holds copies of the read ends forked before it,
-        # so every pipe is closed before any child is waited for.  The last
-        # child then gets EPIPE if still writing and exits, which closes its
-        # copies for the one before it, and so on.
-        forked = [(pid, r) for _, pid, r in parts if pid is not None]
-        for _, r in forked:
-            os.close(r)
-        for pid, _ in forked:
-            os.waitpid(pid, 0)
+        for _, pid, file in parts:  # on failure; no child waits on the command
+            if pid is not None:
+                os.waitpid(pid, 0)
+                file.close()
     identities = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping)
     worst = max(float(c.max()) for c in identities)
     print(f"wrote {out / 'kernels.csv'} and {out / 'kernel_residuals.csv'}")

@@ -48,10 +48,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def format_record(record: StepRecord) -> str:
-    return RECORD_ROW[:-1] % _record_values(record)
-
-
 class RecordWriter:
     """Streams records to a CSV file; each write appends one block of rows and flushes."""
 

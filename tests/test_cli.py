@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,7 +279,7 @@ class TestKernels:
 
 
 # kernels.csv at this max_n has 12880 lines, enough for four formatting
-# processes, each writing more than a pipe's 64 KiB buffer
+# processes, each writing more than 64 KiB
 SPLIT_N = 160
 
 
@@ -306,7 +307,7 @@ class Hung(BaseException):
 @contextlib.contextmanager
 def deadline(seconds=60):
     """Turns a command that blocks for good (a child waited for while it
-    writes to a pipe nobody reads) into a Hung error."""
+    waits on the command) into a Hung error."""
 
     def hung(signum, frame):
         raise Hung(f"still running after {seconds} s")
@@ -380,8 +381,8 @@ class TestKernelsOnEveryCore:
 
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_a_failing_part_is_a_runtime_error(self, tmp_path, monkeypatch, capfd, cores):
-        # only the second part fails: the parts after it are still being
-        # written to their pipes when the parent gives up
+        # only the second part fails: the children after it may still be
+        # writing when the parent gives up
         monkeypatch.setattr(spectral, "CORES", cores)
         parts = cli._kernel_parts(SPLIT_N)
         assert len(parts) == cores
@@ -410,7 +411,7 @@ class TestKernelsOnEveryCore:
 
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_a_failing_parent_reaps_its_children(self, tmp_path, monkeypatch, capfd, cores):
-        # each child's part fills its pipe, so it is still writing when the parent fails
+        # each child's part is more than 64 KiB, so it may still be writing when the parent fails
         monkeypatch.setattr(spectral, "CORES", cores)
         assert len(cli._kernel_parts(SPLIT_N)) == cores
 
@@ -424,6 +425,67 @@ class TestKernelsOnEveryCore:
         assert "runtime error: ValueError: residuals failed" in err
         assert "BrokenPipeError" not in err
         assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [{1}, {2}], ids=["second", "third"])
+    def test_a_part_no_file_is_had_for_is_formatted_here(self, tmp_path, monkeypatch, failing):
+        monkeypatch.setattr(spectral, "CORES", 3)
+        cfg = split_cfg(tmp_path)
+        reference = write_reference(tmp_path, cfg)
+        calls, forks, temporary_file, fork = [], [], tempfile.TemporaryFile, os.fork
+
+        def failing_temporary_file(*args, **kwargs):
+            calls.append(None)
+            if len(calls) in failing:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return temporary_file(*args, **kwargs)
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", failing_temporary_file)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        out = tmp_path / "out"
+        with deadline():
+            assert main(["kernels", cfg, "--outdir", str(out)]) == 0
+        assert (len(calls), len(forks)) == (2, 1)
+        assert (out / "kernels.csv").read_bytes() == reference
+        assert_no_child_left()
+
+    def test_passes_leave_only_the_two_csvs(self, tmp_path, monkeypatch, capfd):
+        # a split pass, one whose second part fails and one whose parent
+        # fails: the parts' files have no name, in the temporary directory
+        # or in the output directory
+        monkeypatch.setattr(spectral, "CORES", 3)
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        cfg = split_cfg(tmp_path)
+        second = cli._kernel_parts(SPLIT_N)[1]
+        row_blocks = cli.kernel_row_blocks
+
+        def failing_row_blocks(max_lines):
+            row_block = row_blocks(max_lines)
+            return lambda n, values: row_block(n, values) if n not in second else 1 / 0
+
+        def failing_residuals(*args):
+            raise ValueError("residuals failed")
+
+        for name, code, patch in [
+            ("split", 0, ()),
+            ("failing-part", 2, ("kernel_row_blocks", failing_row_blocks)),
+            ("failing-parent", 2, ("_residuals", failing_residuals)),
+        ]:
+            out = tmp_path / name
+            with monkeypatch.context() as m, deadline():
+                if patch:
+                    m.setattr(cli, *patch)
+                assert main(["kernels", cfg, "--outdir", str(out)]) == code
+            assert {p.name for p in out.iterdir()} <= {"kernels.csv", "kernel_residuals.csv"}
+            assert list(temp.iterdir()) == []
+            assert_no_child_left()
+        err = capfd.readouterr().err
+        assert "ZeroDivisionError" in err and "residuals failed" in err
 
 
 class TestPrescribedMeshCheckpoints:

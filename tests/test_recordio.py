@@ -21,7 +21,6 @@ from chsolver import (
     SnapshotFormatError,
     SpectralField,
     StepRecord,
-    format_record,
     read_record_table,
     read_records,
     read_snapshot,
@@ -81,9 +80,11 @@ class TestRecords:
             w.write(records[2])
         assert read_records(path) == records
 
-    def test_format_uses_17_digits(self):
+    def test_format_uses_17_digits(self, tmp_path):
         rec = sample_records(1)[0]
-        line = format_record(rec)
+        path = tmp_path / "records.csv"
+        write_records([rec], path)
+        line = path.read_text().splitlines()[1]
         assert line.split(",")[3] == format(rec.gamma, ".17g")
 
     def test_bad_header_rejected(self, tmp_path):
@@ -140,7 +141,7 @@ class TestRecordProperties:
         back = read_records(path)
         assert [r.n for r in back] == [r.n for r in records]
         for rec, got in zip(records, back):
-            assert format_record(got) == format_record(rec)
+            assert record_text([got]) == record_text([rec])
             for name in ("t", "tau", "gamma", "energy", "xi", "eta", "mass", "dissipation"):
                 assert same_bits(getattr(rec, name), getattr(got, name))
 
@@ -232,7 +233,7 @@ def record_texts(draw):
     writes them, then blank and padded lines, CRLF line ends, a missing final
     newline, a bad header, and rows with a foreign token, a field too many
     or too few."""
-    lines = [format_record(r) for r in as_records(draw(record_rows))]
+    lines = record_text(as_records(draw(record_rows))).splitlines()
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(["blank", "pad", "token", "short", "long"]))
@@ -286,7 +287,7 @@ class TestColumnarPath:
         assert table.n == [r.n for r in want]
         assert table.values.dtype == np.float64
         assert np.array_equal(table.values.view(np.uint64), bits(want))
-        assert list(map(format_record, read_records(path))) == list(map(format_record, want))
+        assert record_text(read_records(path)) == record_text(want)
         checked = outcome(record_reference.validate_records, want, ratio_cap=CAP)
         assert outcome(validate_records, table, ratio_cap=CAP) == checked
 
@@ -348,6 +349,11 @@ def by_template(template, rows):
     return template * len(rows) % tuple(chain.from_iterable(rows))
 
 
+def record_text(records):
+    """The records' rows as write_records writes them, without the header."""
+    return by_template(RECORD_ROW, [astuple(r) for r in records])
+
+
 class TestRowTemplates:
     """A block of rows formatted by one % template, or by kernels.csv's
     row-block writer, is byte for byte the per-value .17g text, for every
@@ -358,7 +364,7 @@ class TestRowTemplates:
     def test_record_rows(self, tmp_path_factory, rows):
         records = as_records(rows)
         want = per_value_rows([[r.n, *vals] for r, vals in zip(records, rows)], ints=1)
-        assert "".join(format_record(r) + "\n" for r in records) == want
+        assert record_text(records) == want
         path = tmp_path_factory.mktemp("records") / "records.csv"
         with RecordWriter(path) as w:
             w.write(records[0])

@@ -10,6 +10,8 @@ the ratio condition A1: a sawtooth on the cap, cycles of growth at the cap
 and one deep drop, and drawn mixtures of near-cap and tiny ratios.  Short
 geometric growth just past r_max shows that A1 is sharp, and long cycles
 of growth at the cap hold the chain on the direction it is tightest on.
+A bubble run on a mesh whose second step is a thousandth of its first keeps
+H1 order two under refinement: the BDF1 first step costs no order.
 """
 
 import math
@@ -26,6 +28,7 @@ import chsolver.timestep as ts
 import kernel_reference
 from chsolver import (
     A1ViolationError,
+    FixedStep,
     Grid,
     PrescribedMesh,
     SingularKernelError,
@@ -33,15 +36,18 @@ from chsolver import (
     bdf_weights,
     dcc_kernels,
     doc_kernels,
+    ic_bubble,
     ic_random,
     init_state,
     kernel_matrices,
     kernel_residuals,
+    order_of,
     quadratic_form_check,
     r_max_root,
     random_mesh,
     validate_records,
 )
+from chsolver.spectral import forward, h1_norm
 from test_policies import drive
 
 R_MAX = 4.864536512317584
@@ -691,3 +697,27 @@ class TestA1Sharpness:
         # 2 w^T Theta w = v^T T v = lambda_min
         assert chk.lhs == pytest.approx(lam[0], rel=1e-12, abs=0)
         assert chk.lhs / chk.rhs == pytest.approx(ratio, rel=0.01)
+
+
+class TestBDF1Start:
+    """The paper's remark that the BDF1 first step costs no order: a mesh
+    whose second step is 1e-3 times its first, regrown at ratio 4 to the
+    first step's size, keeps H1 order 2 under refinement."""
+
+    def test_a_tiny_second_ratio_keeps_order_two(self):
+        grid, eps, horizon = Grid(2, 2.0 * np.pi, 16), 0.2, 0.1
+        phi0 = ic_bubble(grid, eps)
+        regrowth = np.minimum(1e-3 * 4.0 ** np.arange(6), 1.0)
+        base = np.concatenate([[1.0], regrowth, np.ones(193)])
+        base *= horizon / base.sum()
+        ref, _ = drive(init_state(phi0, eps), FixedStep(horizon / 6400), horizon)
+        errors, taus = [], []
+        for level in range(3):
+            # each step halved level times: every ratio of the base mesh stays
+            mesh = TimeMesh(np.repeat(base / 2**level, 2**level))
+            assert set(mesh.ratios) == set(TimeMesh(base).ratios) | {1.0}
+            state, _ = drive(init_state(phi0, eps), PrescribedMesh(mesh), mesh.horizon)
+            errors.append(h1_norm(grid, forward(state.phi1) - forward(ref.phi1)))
+            taus.append(float(mesh.steps.max()))
+        for k in (1, 2):
+            assert 1.7 <= order_of(errors[k - 1], errors[k], taus[k - 1], taus[k]) <= 2.3

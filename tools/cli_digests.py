@@ -14,21 +14,23 @@ moves any output rewrites it with
     python tools/cli_digests.py > tests/cli_digests.txt
 
 The configs are: every scenario preset at a small n (horizons cut where a
-preset would take thousands of steps), each policy kind, the ``delta``,
-``eps2``, ``dealias`` and ``record_every`` keys, a fixed step that must land
-on an interior snapshot, the landing edge cases (snapshots within the
-landing tolerance, 1e-12 * horizon, of each other, of 0, of the horizon and
-of a random mesh's node; random-mesh snapshots off its nodes, one just
-beyond the tolerance and two out of order), one config for each parse
-and validation error message, and snapshot times that are NaN, infinite or
-negative, which every command must reject.  Each config runs through ``simulate``,
-``converge``, ``kernels`` and ``check`` in process, each in a new temporary
-directory that holds only the config file and is the working directory, so
-the default ``outdir`` lands inside it.  After ``simulate``, ``check
---records`` reads ``out/records.csv``, also where ``simulate`` wrote none,
-so a config that ``simulate`` rejects shows what ``check --records`` makes
-of it.  The first line names the python, numpy and scipy versions, whose
-floating-point bits the digests hold.  Then every run prints
+preset would take thousands of steps), one whose ``kernels`` pass is split
+among processes wherever more than one core is free, each policy kind, the
+``delta``, ``eps2``, ``dealias`` and ``record_every`` keys, a fixed step
+that must land on an interior snapshot, the landing edge cases (snapshots
+within the landing tolerance, 1e-12 * horizon, of each other, of 0, of the
+horizon and of a random mesh's node; random-mesh snapshots off its nodes,
+one just beyond the tolerance and two out of order), one config for each
+parse and validation error message, and snapshot times that are NaN,
+infinite or negative, which every command must reject.  Each config runs
+through ``simulate``, ``converge``, ``kernels`` and ``check`` in process,
+each in a new temporary directory that holds only the config file and is
+the working directory, so the default ``outdir`` lands inside it.  After
+``simulate``, ``check --records`` reads ``out/records.csv``, also where
+``simulate`` wrote none, so a config that ``simulate`` rejects shows what
+``check --records`` makes of it.  The first line names the python, numpy
+and scipy versions, whose floating-point bits the digests hold.  Then every
+run prints
 
     <config> <command>: exit <code> files <sha256> stdout <text> stderr <text>
 
@@ -51,7 +53,8 @@ from pathlib import Path
 
 # small converge and kernels sizes, appended to every runnable config and to
 # the error configs that converge or kernels accept
-_SMALL = "[converge]\nbase_k = 4\nlevels = 2\nref_steps = 16\n[kernels]\nmax_n = 12\n"
+_CONVERGE = "[converge]\nbase_k = 4\nlevels = 2\nref_steps = 16\n"
+_SMALL = _CONVERGE + "[kernels]\nmax_n = 12\n"
 
 RUNS = {
     "convergence": "scenario = convergence\nn = 8\n[policy]\ncount = 20\n",
@@ -79,6 +82,13 @@ RUNS = {
     "record_every = 7\n",
     "dim3-kissing": "scenario = kissing_bubbles\nn = 8\ndim = 3\nhorizon = 0.01\n[output]\nsnapshots = 0.0\n",
     "dim3-convergence": "scenario = convergence\nn = 8\ndim = 3\n",
+}
+
+# runnable configs with their own sizes: max_n = 160 gives kernels.csv 12,880
+# lines, so kernels splits it among processes wherever more than one core
+# is free (cli.FORK_MIN_LINES)
+SIZED = {
+    "kernels-split": "scenario = convergence\nn = 8\n[policy]\ncount = 20\n" + _CONVERGE + "[kernels]\nmax_n = 160\n",
 }
 
 ERRORS = {
@@ -133,6 +143,7 @@ COMMANDS = ("simulate", "converge", "kernels", "check")
 def configs():
     """(name, text) of every config, the runnable ones first."""
     yield from ((name, text + _SMALL) for name, text in RUNS.items())
+    yield from SIZED.items()
     yield from ((f"error-{name}", text) for name, text in ERRORS.items())
 
 
