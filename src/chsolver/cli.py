@@ -36,6 +36,7 @@ import shutil
 import sys
 import tempfile
 import time
+from array import array
 from bisect import bisect_left
 from dataclasses import astuple
 from itertools import accumulate, chain
@@ -48,7 +49,7 @@ from .config import ConfigParseError, ConfigValidationError, build_scenario, par
 from .recordio import RecordWriter, read_record_table, write_snapshot
 from .policies import LandingError, landing_targets, run_with_policy
 from .scenarios import initial_state, run_convergence
-from .stepper import validate_records
+from .stepper import RECORD_COLUMNS, RecordTable, _record_values, validate_records
 from .timestep import _residuals, kernel_matrices, random_mesh
 
 
@@ -304,12 +305,16 @@ def _cmd_check(args) -> int:
     else:
         state = initial_state(scenario)
         gamma0, mass0 = state.gamma, spectral.integral(state.grid, state.phi_bar_hat1)
-        records = []
+        # each step's n and its 8 values (64 bytes), not its StepRecord (about 440)
+        steps, values = [], array("d")
+
+        def keep(st, rec, reached):
+            steps.append(rec.n)
+            values.extend(_record_values(rec))
+
         # the snapshot times are landing targets (beyond the horizon, none), as in simulate
-        run_with_policy(
-            state, scenario.policy, scenario.horizon, scenario.snapshot_times,
-            on_step=lambda st, rec, reached: records.append(rec),
-        )
+        run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=keep)
+        records = RecordTable(steps, np.frombuffer(values).reshape(len(steps), len(RECORD_COLUMNS)))
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=state.grid.volume, ratio_cap=cap)
     if problems:
         for p in problems:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .policies import AdaptiveStep, FixedStep, PrescribedMesh, StepPolicy
 from .scenarios import Scenario
-from .timestep import DELTA, LANDING_RTOL, r_max_root, random_mesh
+from .timestep import DELTA, a1_cap, landing_tol, random_mesh
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,7 +233,7 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
     if cfg.seed < 0:
         bad(f"seed must be >= 0, got {cfg.seed}")
-    top = cfg.horizon * (1 + LANDING_RTOL) if check_snapshots else math.inf
+    top = cfg.horizon + landing_tol(cfg.horizon) if check_snapshots else math.inf
     if not all(0 <= t <= top and math.isfinite(t) for t in cfg.snapshots):
         bad("snapshot times must lie in [0, horizon]")
     # range-check every policy key that is set, whether or not the kind uses it
@@ -245,8 +245,10 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         bad(f"count must be >= 2, got {cfg.count}")
     if cfg.alpha is not None and cfg.alpha < 0:
         bad(f"alpha must be nonnegative, got {cfg.alpha}")
-    if not 0 < cfg.delta < r_max_root() - 1.0:
-        bad(f"delta must lie in (0, r_max - 1), got {cfg.delta}")
+    try:
+        a1_cap(cfg.delta)
+    except ValueError as exc:
+        bad(str(exc))
     if cfg.policy_kind == "fixed":
         if cfg.tau is None:
             bad("fixed policy needs tau > 0")
@@ -269,8 +271,7 @@ def build_policy(cfg: SimConfig) -> StepPolicy:
         return FixedStep(cfg.tau)
     if cfg.policy_kind == "random":
         return PrescribedMesh(random_mesh(cfg.horizon, cfg.count, cfg.seed))
-    cap = r_max_root() - cfg.delta
-    return AdaptiveStep(tau_min=cfg.tau_min, tau_max=cfg.tau_max, alpha=cfg.alpha, ratio_cap=cap)
+    return AdaptiveStep(tau_min=cfg.tau_min, tau_max=cfg.tau_max, alpha=cfg.alpha, ratio_cap=a1_cap(cfg.delta))
 
 
 def build_scenario(cfg: SimConfig) -> Scenario:

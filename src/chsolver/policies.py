@@ -3,7 +3,7 @@
 A policy proposes the next step size from (step index, last step, last two
 gamma values).  The driver alone applies the landing rule: it shortens a
 proposal that overshoots the next checkpoint or the horizon, keeps one
-within LANDING_RTOL * horizon and sets the clock to the target.  It never
+within landing_tol(horizon) and sets the clock to the target.  It never
 lengthens a proposal, but shortening step n raises the ratio of step n + 1,
 which nothing caps under a policy without ratio_cap (ROADMAP item 1).
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .stepper import GsavState, advance
-from .timestep import DELTA, LANDING_RTOL, TimeMesh, r_max_root
+from .timestep import TimeMesh, a1_cap, landing_tol, r_max_root
 
 
 class MeshExhaustedError(IndexError):
@@ -67,13 +67,13 @@ class AdaptiveStep(StepPolicy):
     Proposes tau = tau_max / sqrt(1 + alpha * |dE|^2) with
     dE = (gamma_n - gamma_{n-1}) / tau_n, then clamps into
     [tau_min, min(tau_max, ratio_cap * prev_tau)].  The first step is
-    tau_min.  ratio_cap defaults to r_max - DELTA.
+    tau_min.  ratio_cap defaults to a1_cap().
     """
 
     tau_min: float
     tau_max: float
     alpha: float
-    ratio_cap: float = r_max_root() - DELTA
+    ratio_cap: float = a1_cap()
 
     def __post_init__(self):
         if not 0 < self.tau_min <= self.tau_max < math.inf:
@@ -93,13 +93,13 @@ class AdaptiveStep(StepPolicy):
 
 def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoints) -> list[float]:
     """The times a run from start lands on: the checkpoints inside (start +
-    tol, horizon - tol), sorted, then the horizon; tol = LANDING_RTOL *
-    horizon.  Under a PrescribedMesh, LandingError names the first of them
-    (in the given order) that is no node, or a horizon beyond the last node,
-    both within tol: landing off a node shifts every later one."""
+    tol, horizon - tol), sorted, then the horizon; tol = landing_tol(horizon).
+    Under a PrescribedMesh, LandingError names the first of them (in the
+    given order) that is no node, or a horizon beyond the last node, both
+    within tol: landing off a node shifts every later one."""
     if not start < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {start}")
-    tol = LANDING_RTOL * horizon
+    tol = landing_tol(horizon)
     inner = [float(c) for c in checkpoints if start + tol < c < horizon - tol]
     if isinstance(policy, PrescribedMesh):
         for c in inner:
@@ -122,7 +122,7 @@ def run_with_policy(state: GsavState, policy: StepPolicy, horizon: float, checkp
     the values are the state's own (see GsavState)."""
     start = state.time
     targets = landing_targets(policy, start, horizon, checkpoints)
-    tol = LANDING_RTOL * horizon
+    tol = landing_tol(horizon)
     marks = sorted({float(c) for c in checkpoints if start - tol <= c <= horizon + tol})
     done = bisect_right(marks, start + tol)
     at_start = marks[:done]  # after step 1, phi2 holds the start values

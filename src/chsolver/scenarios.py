@@ -8,7 +8,7 @@ import numpy as np
 
 from .policies import FixedStep, PrescribedMesh, StepPolicy, run_with_policy
 from .spectral import Grid, SpectralField, h1_norm
-from .stepper import GsavState, energy, init_state
+from .stepper import SAV_C, GsavState, energy, init_state
 from .timestep import random_mesh
 
 
@@ -153,7 +153,7 @@ def run_convergence(scenario: Scenario, base_steps: int, levels: int, ref_steps:
     the reference uses ref_steps uniform steps of the same scheme on the
     same grid from the same initial field, so the spatial error cancels in
     the comparison.  Errors: H1 norm of phi - phi_ref at the horizon, and
-    |gamma - (E(phi_ref)+1)|.  Orders are NaN on the first row and where
+    |gamma - (E(phi_ref) + SAV_C)|.  Orders are NaN on the first row and where
     an error is exactly zero.
     """
     if base_steps < 2 or levels < 1 or ref_steps <= 0:
@@ -169,7 +169,7 @@ def run_convergence(scenario: Scenario, base_steps: int, levels: int, ref_steps:
 
     _, phi_ref = final(FixedStep(horizon / ref_steps))
     grid = phi_ref.grid
-    gamma_ref = energy(grid, phi_ref.physical, phi_ref.coefficients, scenario.eps) + 1.0
+    gamma_ref = energy(grid, phi_ref.physical, phi_ref.coefficients, scenario.eps) + SAV_C
 
     rows: list[ConvergenceRow] = []
     for i in range(levels):

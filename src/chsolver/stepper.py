@@ -3,7 +3,7 @@
 The phase field obeys d(phi)/dt = lap(mu), mu = -lap(phi) + f(phi) with
 f(u) = (u^3 - u)/eps^2 on a periodic box.  Each step advances an auxiliary
 field phi_bar implicitly in its linear part and explicitly (extrapolated)
-in f, then contracts a scalar gamma that shadows E + 1, where
+in f, then contracts a scalar gamma that shadows E + C, C = SAV_C = 1, where
 
     E[u] = 1/2 ||grad u||^2 + 1/(4 eps^2) ||u^2 - 1||^2.
 
@@ -13,10 +13,10 @@ Substeps, in order:
      per Fourier mode, where f_hat transforms f((1+r) phi1 - r phi2)
      (the D2 history is the auxiliary field, the extrapolated history the
      relaxed one);
-  2. gamma_n = gamma_{n-1} / (1 + tau * ||grad mu||^2 / (E(phi_bar) + 1))
+  2. gamma_n = gamma_{n-1} / (1 + tau * ||grad mu||^2 / (E(phi_bar) + C))
      with mu_hat = |k|^2 pb_hat + f_hat, which makes
      gamma_{n-1} - gamma_n = tau * xi * ||grad mu||^2 exact;
-  3. xi = gamma_n / (E(phi_bar) + 1), eta = xi (2 - xi),
+  3. xi = gamma_n / (E(phi_bar) + C), eta = xi (2 - xi),
      phi_n = eta * phi_bar.
 
 gamma is positive and non-increasing for every step size, and the mode-0
@@ -74,7 +74,11 @@ from .spectral import (
     slab_map,
     slab_sum,
 )
-from .timestep import LANDING_RTOL, bdf_weights
+from .timestep import bdf_weights, landing_tol
+
+
+# the constant C of the scalar gamma, which shadows E + C
+SAV_C = 1.0
 
 
 class NonfiniteFieldError(FloatingPointError):
@@ -151,9 +155,9 @@ def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
 
 
 def init_state(phi0: SpectralField, eps: float, dealias: bool = False) -> GsavState:
-    """State before the first step: both histories hold phi0, gamma = prev_gamma = E + 1."""
+    """State before the first step: both histories hold phi0, gamma = prev_gamma = E + SAV_C."""
     u, u_hat = phi0.physical, phi0.coefficients
-    gamma0 = energy(phi0.grid, u, u_hat, eps) + 1.0
+    gamma0 = energy(phi0.grid, u, u_hat, eps) + SAV_C
     return GsavState(phi0.grid, u_hat, u_hat, u, u, gamma0, gamma0, eps, dealias=dealias)
 
 
@@ -245,7 +249,7 @@ def linear_solve(state: GsavState, tau_n: float) -> np.ndarray:
 
 
 def _contracted(gamma_prev: float, tau_n: float, gm: float, e_bar: float) -> float:
-    return gamma_prev / (1.0 + tau_n * gm / (e_bar + 1.0))
+    return gamma_prev / (1.0 + tau_n * gm / (e_bar + SAV_C))
 
 
 def gamma_update(
@@ -266,7 +270,7 @@ def gamma_update(
 def relax(pb: np.ndarray, gamma_n: float, e_bar: float) -> tuple[float, float, np.ndarray]:
     """(xi, eta, pb) for the auxiliary grid values pb, which are scaled by
     eta in place (substep 3)."""
-    xi = gamma_n / (e_bar + 1.0)
+    xi = gamma_n / (e_bar + SAV_C)
     eta = xi * (2.0 - xi)
     pb *= eta
     return xi, eta, pb
@@ -363,8 +367,8 @@ def validate_records(
     finiteness, and optionally the step-ratio cap, which a step after a
     non-positive one (itself reported) is not held to.  The clock starts at
     0 and each t must exceed the previous finite row's; a row whose n
-    follows that row's must also advance it by its tau, within LANDING_RTOL
-    * the largest finite t, unless its tau is not positive or that row's
+    follows that row's must also advance it by its tau, within landing_tol
+    of the largest finite t, unless its tau is not positive or that row's
     clock was reported.  A nonfinite row is reported alone, and the next
     row is checked against the last finite one (the first finite row
     against gamma0, if given).  The checks run on whole columns; messages
@@ -380,7 +384,7 @@ def validate_records(
     m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
     finite = np.isfinite(values).all(axis=1)
     rows = finite.nonzero()[0]
-    kept = values.take(rows, axis=0)
+    kept = values if rows.size == len(values) else values.take(rows, axis=0)  # no copy of a finite table
     t, tau, gamma, _, xi, _, mass, dissipation = kept.T
     # each finite row's predecessor: the previous finite row's t, tau and
     # gamma, or the clock's start, no step and gamma0 before the first; a
@@ -389,7 +393,7 @@ def validate_records(
     with np.errstate(all="ignore"):
         prev_t, prev_tau, prev_gamma = np.concatenate(([first], kept[:-1, :3])).T
         dt = t - prev_t
-        slipped = abs(dt - tau) > LANDING_RTOL * t.max(initial=0.0)
+        slipped = abs(dt - tau) > landing_tol(t.max(initial=0.0))
         if slipped.any():  # a row after a gap is not held to its step
             slipped &= np.diff(np.take(table.n, rows), prepend=0) == 1
         checks = [

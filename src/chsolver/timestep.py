@@ -32,10 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 
-# the A1 margin: a step ratio is admissible up to r_max - DELTA
+# the A1 margin: a step ratio is admissible up to a1_cap(DELTA)
 DELTA = 0.01
-# a run lands on a target time t when it comes within LANDING_RTOL * horizon
-# of it, and the clock is then set to t exactly
+# the landing tolerance relative to the horizon (see landing_tol)
 LANDING_RTOL = 1e-12
 
 
@@ -61,12 +60,26 @@ def r_max_root() -> float:
     return x
 
 
+def a1_cap(delta: float = DELTA) -> float:
+    """The largest admissible step ratio, r_max - delta, for a margin delta
+    in (0, r_max - 1), so that the cap exceeds 1."""
+    if not 0 < delta < r_max_root() - 1.0:
+        raise ValueError(f"delta must lie in (0, r_max - 1), got {delta}")
+    return r_max_root() - delta
+
+
+def landing_tol(horizon: float) -> float:
+    """How close a run up to horizon must come to a target time to land on
+    it; the clock is then set to the target exactly."""
+    return LANDING_RTOL * horizon
+
+
 @dataclass(frozen=True)
 class TimeMesh:
     """Step sizes tau_1..tau_K over [0, horizon], indexed 1-based.
 
     delta is the ratio margin: the mesh is admissible when every ratio
-    r_k = tau_k/tau_{k-1} satisfies 0 < r_k <= r_max - delta.
+    r_k = tau_k/tau_{k-1} satisfies 0 < r_k <= a1_cap(delta).
     """
 
     steps: np.ndarray
@@ -78,8 +91,7 @@ class TimeMesh:
             raise ValueError("steps must be a nonempty 1d sequence")
         if not np.all(np.isfinite(steps)) or not np.all(steps > 0):
             raise ValueError("all steps must be finite and positive")
-        if not 0 < self.delta < r_max_root():
-            raise ValueError(f"delta must lie in (0, r_max), got {self.delta}")
+        a1_cap(self.delta)  # raises on a margin outside (0, r_max - 1)
         steps.setflags(write=False)
         object.__setattr__(self, "steps", steps)
 
@@ -123,13 +135,12 @@ class TimeMesh:
         return float(self.steps[n - 1])
 
     def satisfies_a1(self) -> bool:
-        return bool(self.max_ratio <= r_max_root() - self.delta)
+        return bool(self.max_ratio <= a1_cap(self.delta))
 
     def require_a1(self) -> None:
         if not self.satisfies_a1():
             raise A1ViolationError(
-                f"max step ratio {self.max_ratio:.6f} exceeds r_max - delta = "
-                f"{r_max_root() - self.delta:.6f}"
+                f"max step ratio {self.max_ratio:.6f} exceeds r_max - delta = {a1_cap(self.delta):.6f}"
             )
 
 

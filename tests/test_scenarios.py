@@ -1,5 +1,6 @@
 """Tests for benchmark initial data, scenario runs and the convergence
-harness plumbing."""
+harness plumbing, and the health of each preset's first steps at its
+default size."""
 
 from dataclasses import astuple
 from unittest import mock
@@ -22,12 +23,15 @@ from chsolver import (
     PrescribedMesh,
     Scenario,
     TimeMesh,
+    advance,
+    build_scenario,
     ic_bubble,
     ic_equilibrium,
     ic_kissing,
     ic_random,
     initial_field,
     order_of,
+    parse_config,
     random_mesh,
     run_convergence,
     run_scenario,
@@ -184,6 +188,45 @@ class TestScenarioRuns:
         records, _ = run_scenario(sc)
         assert len(records) == 5
         assert all(np.isfinite(rec.gamma) for rec in records)
+
+
+# the largest |1 - xi| a preset may reach in its first steps: beyond it the
+# written field eta * phi_bar is far from the auxiliary one
+XI_DEV_BOUND = 0.05
+COLLAPSES = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="under the paper's scalar the noisy initial data of a coarsening preset at its default size "
+    "drives xi far above 1 and eta = xi (2 - xi) below 1 or below 0 (ROADMAP item 17)",
+)
+
+
+class TestDefaultSizeHealth:
+    """Each preset at its own n, with its own policy, for its first steps."""
+
+    @pytest.mark.parametrize(
+        "name,steps",
+        [
+            pytest.param("coarsening2d", 100, marks=COLLAPSES),
+            pytest.param("coarsening3d", 20, marks=COLLAPSES),
+            ("kissing_bubbles", 100),
+            ("convergence", 100),
+            ("equilibrium", 10),
+        ],
+    )
+    def test_xi_stays_near_one(self, tmp_path, name, steps):
+        # measured max |1 - xi|: coarsening2d 11.1 (min eta -122.3), coarsening3d
+        # 0.576, kissing_bubbles 0.0051, convergence 0.0098, equilibrium 0
+        config = tmp_path / "preset.cfg"
+        config.write_text(f"scenario = {name}\n")
+        sc = build_scenario(parse_config(str(config)))
+        state, xi_dev = initial_state(sc), 0.0
+        for _ in range(steps):
+            tau = sc.policy.next_step(state.step_index + 1, state.prev_tau, state.prev_gamma, state.gamma)
+            state, rec = advance(state, tau)
+            xi_dev = max(xi_dev, abs(1.0 - rec.xi))
+        assert state.time <= sc.horizon
+        assert xi_dev < XI_DEV_BOUND
 
 
 class _ListSink:

@@ -232,6 +232,9 @@ class TestTimeMesh:
             TimeMesh([1.0], delta=0.0)
         with pytest.raises(ValueError, match="delta"):
             TimeMesh([1.0], delta=5.0)
+        # the config's range and message: a margin must leave a cap above 1
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, r_max - 1\), got 4\.0$"):
+            TimeMesh([1.0], delta=4.0)
 
     def test_ratio_condition(self):
         ok = TimeMesh([1.0, 4.0])

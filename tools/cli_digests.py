@@ -14,15 +14,16 @@ moves any output rewrites it with
     python tools/cli_digests.py > tests/cli_digests.txt
 
 The configs are: every scenario preset at a small n (horizons cut where a
-preset would take thousands of steps), one whose ``kernels`` pass is split
-among processes wherever more than one core is free, each policy kind, the
-``delta``, ``eps2``, ``dealias`` and ``record_every`` keys, a fixed step
-that must land on an interior snapshot, the landing edge cases (snapshots
-within the landing tolerance, 1e-12 * horizon, of each other, of 0, of the
-horizon and of a random mesh's node; random-mesh snapshots off its nodes,
-one just beyond the tolerance and two out of order), one config for each
-parse and validation error message, and snapshot times that are NaN,
-infinite or negative, which every command must reject.  Each config runs
+preset would take thousands of steps), coarsening2d at its default n, one
+whose ``kernels`` pass is split among processes wherever more than one core
+is free, each policy kind, the ``delta``, ``eps2``, ``dealias`` and
+``record_every`` keys, a fixed step that must land on an interior snapshot,
+the landing edge cases (snapshots within the landing tolerance,
+1e-12 * horizon, of each other, of 0, of the horizon and of a random mesh's
+node; random-mesh snapshots off its nodes, one just beyond the tolerance
+and two out of order), one config for each parse and validation error
+message, and snapshot times that are NaN, infinite or negative, which every
+command must reject.  Each config runs
 through ``simulate``, ``converge``, ``kernels`` and ``check`` in process,
 each in a new temporary directory that holds only the config file and is
 the working directory, so the default ``outdir`` lands inside it.  After
@@ -60,6 +61,8 @@ RUNS = {
     "convergence": "scenario = convergence\nn = 8\n[policy]\ncount = 20\n",
     "kissing_bubbles": "scenario = kissing_bubbles\nn = 16\nhorizon = 0.2\n[output]\nsnapshots = 0.0, 0.1, 0.2\n",
     "coarsening2d": "scenario = coarsening2d\nn = 16\nhorizon = 0.002\n[output]\nsnapshots = 0.0, 0.001, 0.002\n",
+    # the default n = 128, where the paper's scalar collapses the written field (ROADMAP item 17)
+    "coarsening2d-default-n": "scenario = coarsening2d\nhorizon = 0.001\n[output]\nsnapshots = 0.0, 0.001\n",
     "coarsening3d": "scenario = coarsening3d\nn = 8\nhorizon = 0.001\n[output]\nsnapshots = 0.0, 0.0005, 0.001\n",
     "equilibrium": "scenario = equilibrium\nn = 8\n",
     "fixed": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = fixed\ntau = 0.003\n"

@@ -1,4 +1,4 @@
-"""Milliseconds per solver step, kernels pass, quadratic-form check, snapshot and record I/O, and cold start.
+"""Milliseconds per solver step and its phases, kernels pass, quadratic-form check, snapshot and record I/O, and cold start.
 
 Usage:
 
@@ -27,6 +27,13 @@ REPEATS timed runs after the warm-up below.
   processes are started before this script imports numpy: a process
   inherits its parent's resident size as its starting ru_maxrss, which
   must stay below the probe's own.
+- phases: on the same grids and steps, the median ms of each phase of
+  ``advance`` over REPEATS steps, first at ``spectral.CORES`` and then with
+  ``spectral.CORES = 1``, each after one untimed step.  A phase is timed by
+  wrapping the ``stepper`` module name that ``advance`` calls for it (see
+  PHASES), for the length of the table only; extrapolation + cubic is
+  ``_extrapolated_nonlinearity`` less the ``forward`` it calls.  A phase
+  whose name the commit's ``stepper`` lacks reads "n/a".
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory, once with
@@ -81,6 +88,15 @@ IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
 RESIDENT_STEPS = 4
+# the phases of advance: (column label, the stepper names timed for it)
+PHASES = (
+    ("extrap+cubic", ("_extrapolated_nonlinearity", "forward")),
+    ("forward", ("forward",)),
+    ("solve+|grad mu|^2", ("_solve",)),
+    ("inverse", ("inverse",)),
+    ("energy", ("energy",)),
+    ("relax", ("relax",)),
+)
 
 # run in a fresh interpreter: the kernels arguments on the command line;
 # prints the peak RSS (KiB on Linux) of this process and of its largest child
@@ -190,6 +206,63 @@ def advance_table(rss):
         faults = median_faults(step)
         peak = median_peak_bytes(step) / (8 * n**dim)
         print(f"{dim}d N={n:<4d} {ms:10.2f}  {floor:10.2f}  {faults:14.0f}  {peak:10.2f}  {rss[dim, n]:9.2f}")
+
+
+def phase_table():
+    import numpy as np
+
+    from chsolver import Grid, advance, ic_random, init_state, spectral, stepper
+
+    names = {name for _, timed in PHASES for name in timed if hasattr(stepper, name)}
+    spent = dict.fromkeys(names, 0.0)
+
+    def timer(name, fn):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        return timed
+
+    def phase_ms(timed):
+        if not all(name in spent for name in timed):
+            return None
+        head, *inside = timed  # a phase's first name less the ones it calls
+        return 1e3 * (spent[head] - sum(spent[name] for name in inside))
+
+    cores = getattr(spectral, "CORES", 1)
+    widths = [max(len(label), 7) for label, _ in PHASES]
+    header = "  ".join(f"{label:>{w}s}" for (label, _), w in zip(PHASES, widths))
+    print(f"{'ms per phase of advance':24s} {header}     step")
+    originals = {name: getattr(stepper, name) for name in names}
+    try:
+        for name, fn in originals.items():
+            setattr(stepper, name, timer(name, fn))
+        for dim, n in GRIDS:
+            grid = Grid(dim, 2.0 * np.pi, n)
+            state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
+            state, _ = advance(state, 1e-6)
+            for pass_cores in dict.fromkeys((cores, 1)):  # once where CORES is 1
+                spectral.CORES = pass_cores
+                state, _ = advance(state, 1e-6)
+                steps, phases = [], [[] for _ in PHASES]
+                for _ in range(REPEATS):
+                    spent.update(dict.fromkeys(spent, 0.0))
+                    start = time.perf_counter()
+                    state, _ = advance(state, 1e-6)
+                    steps.append(1e3 * (time.perf_counter() - start))
+                    for ms, (_, timed) in zip(phases, PHASES):
+                        ms.append(phase_ms(timed))
+                cells = ("n/a" if None in ms else f"{statistics.median(ms):.2f}" for ms in phases)
+                label = f"{dim}d N={n} (CORES = {pass_cores})"
+                row = "  ".join(f"{c:>{w}s}" for c, w in zip(cells, widths))
+                print(f"{label:24s} {row}  {statistics.median(steps):7.2f}")
+    finally:
+        spectral.CORES = cores
+        for name, fn in originals.items():
+            setattr(stepper, name, fn)
 
 
 def _kernels_cfg(tmp: str) -> Path:
@@ -366,6 +439,7 @@ def main(argv=None):
     kernels = kernels_peaks(args.src)
     sys.path.insert(0, args.src)
     advance_table(rss)
+    phase_table()
     kernels_table(kernels)
     io_table()
     cold_start_table(args.src)
