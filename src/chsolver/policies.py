@@ -1,11 +1,11 @@
 """Step-size policies and the driver loop.
 
 A policy proposes the next step size from (step index, last step, last two
-gamma values).  The driver alone applies the landing rule: it shortens a
-proposal that overshoots the next checkpoint or the horizon, keeps one
-within landing_tol(horizon) and sets the clock to the target.  It never
-lengthens a proposal, but shortening step n raises the ratio of step n + 1,
-which nothing caps under a policy without ratio_cap (ROADMAP item 1).
+gamma values).  The driver alone applies the step rules.  It clamps each
+proposal after the first to ratio_cap times the last step, so every ratio
+obeys A1 whatever the policy, and then shortens a proposal that overshoots
+the next checkpoint or the horizon, keeps one within landing_tol(horizon)
+and sets the clock to the target.  A shortened step lowers the next cap.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ class LandingError(ValueError):
 
 
 class StepPolicy:
-    """Proposes step sizes; ratio_cap is the largest step ratio the policy
-    ever proposes (None when it promises no cap)."""
+    """Proposes step sizes; ratio_cap is the largest step ratio the driver
+    lets a run take under the policy."""
 
-    ratio_cap: float | None = None
+    ratio_cap: float = a1_cap()
 
     def next_step(self, n: int, prev_tau: float, prev_gamma: float, curr_gamma: float) -> float:
         raise NotImplementedError
@@ -54,6 +54,10 @@ class FixedStep(StepPolicy):
 class PrescribedMesh(StepPolicy):
     mesh: TimeMesh
 
+    @property
+    def ratio_cap(self) -> float:
+        return a1_cap(self.mesh.delta)
+
     def next_step(self, n, prev_tau, prev_gamma, curr_gamma):
         if n > self.mesh.count:
             raise MeshExhaustedError(f"mesh has {self.mesh.count} steps, step {n} requested")
@@ -65,9 +69,8 @@ class AdaptiveStep(StepPolicy):
     """Energy-rate controller.
 
     Proposes tau = tau_max / sqrt(1 + alpha * |dE|^2) with
-    dE = (gamma_n - gamma_{n-1}) / tau_n, then clamps into
-    [tau_min, min(tau_max, ratio_cap * prev_tau)].  The first step is
-    tau_min.  ratio_cap defaults to a1_cap().
+    dE = (gamma_n - gamma_{n-1}) / tau_n, clamped into [tau_min, tau_max];
+    the first step is tau_min.  The driver applies ratio_cap (a1_cap()).
     """
 
     tau_min: float
@@ -88,20 +91,22 @@ class AdaptiveStep(StepPolicy):
             return self.tau_min
         rate = (curr_gamma - prev_gamma) / prev_tau
         proposal = self.tau_max / math.sqrt(1.0 + self.alpha * rate**2)
-        return min(max(proposal, self.tau_min), self.tau_max, self.ratio_cap * prev_tau)
+        return min(max(proposal, self.tau_min), self.tau_max)
 
 
 def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoints) -> list[float]:
     """The times a run from start lands on: the checkpoints inside (start +
     tol, horizon - tol), sorted, then the horizon; tol = landing_tol(horizon).
-    Under a PrescribedMesh, LandingError names the first of them (in the
-    given order) that is no node, or a horizon beyond the last node, both
-    within tol: landing off a node shifts every later one."""
+    Under a PrescribedMesh, A1ViolationError rejects a mesh the driver would
+    clamp, and LandingError names the first of them (in the given order) that
+    is no node, or a horizon beyond the last node, both within tol: landing
+    off a node shifts every later one."""
     if not start < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {start}")
     tol = landing_tol(horizon)
     inner = [float(c) for c in checkpoints if start + tol < c < horizon - tol]
     if isinstance(policy, PrescribedMesh):
+        policy.mesh.require_a1()
         for c in inner:
             if np.abs(policy.mesh.times - c).min() > tol:
                 raise LandingError(f"checkpoint {c!r} is not a node of the prescribed mesh")
@@ -129,6 +134,8 @@ def run_with_policy(state: GsavState, policy: StepPolicy, horizon: float, checkp
     while state.time < horizon - tol:
         target = targets[bisect_right(targets, state.time + tol)]
         tau = policy.next_step(state.step_index + 1, state.prev_tau, state.prev_gamma, state.gamma)
+        if state.step_index:  # A1: the one clamp of a step ratio
+            tau = min(tau, policy.ratio_cap * state.prev_tau)
         remaining = target - state.time
         landed = tau >= remaining - tol
         if tau > remaining + tol:  # a landing proposal keeps its bits: a mesh replays exactly

@@ -364,15 +364,15 @@ def validate_records(
     Returns a list of human-readable violations (empty when clean), in row
     order: the clock, tau, gamma and xi positive, gamma non-increasing, the
     per-step identity gamma_{n-1} - gamma_n = dissipation, constant mass,
-    finiteness, and optionally the step-ratio cap, which a step after a
-    non-positive one (itself reported) is not held to.  The clock starts at
-    0 and each t must exceed the previous finite row's; a row whose n
-    follows that row's must also advance it by its tau, within landing_tol
-    of the largest finite t, unless its tau is not positive or that row's
-    clock was reported.  A nonfinite row is reported alone, and the next
-    row is checked against the last finite one (the first finite row
-    against gamma0, if given).  The checks run on whole columns; messages
-    are built for the flagged rows only.
+    finiteness, and optionally the step-ratio cap, which holds a row whose n
+    follows the previous finite row's, unless that row's step is not
+    positive (itself reported).  The clock starts at 0 and each t must
+    exceed the previous finite row's; a row whose n follows that row's must
+    also advance it by its tau, within landing_tol of the largest finite t,
+    unless its tau is not positive or that row's clock was reported.  A
+    nonfinite row is reported alone, and the next row is checked against the
+    last finite one (the first finite row against gamma0, if given).  The
+    checks run on whole columns; messages are built for the flagged rows.
     """
     table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
     if not table:
@@ -394,8 +394,10 @@ def validate_records(
         prev_t, prev_tau, prev_gamma = np.concatenate(([first], kept[:-1, :3])).T
         dt = t - prev_t
         slipped = abs(dt - tau) > landing_tol(t.max(initial=0.0))
-        if slipped.any():  # a row after a gap is not held to its step
-            slipped &= np.diff(np.take(table.n, rows), prepend=0) == 1
+        over_cap = tau > (math.inf if ratio_cap is None else ratio_cap) * prev_tau * (1.0 + 1e-12)
+        if slipped.any() or over_cap.any():  # a row after a gap is held to neither its step nor the cap
+            follows = np.diff(np.take(table.n, rows), prepend=0) == 1
+            slipped, over_cap = slipped & follows, over_cap & follows
         checks = [
             dt <= 0,
             slipped,
@@ -404,9 +406,8 @@ def validate_records(
             gamma > prev_gamma + 1e-13 * g_scale,
             abs(prev_gamma - gamma - dissipation) > 1e-12 * prev_gamma,
             abs(mass - m_anchor) > 1e-10 * m_scale,
+            over_cap,
         ]
-        if ratio_cap is not None:
-            checks.append(tau > ratio_cap * prev_tau * (1.0 + 1e-12))
     hit = ~finite
     hit[rows] = np.logical_or.reduce(checks)
     problems = []
@@ -417,7 +418,7 @@ def validate_records(
             problems.append(f"step {n}: nonfinite record values")
             continue
         j = int(rows.searchsorted(i))  # the row's position among the finite rows
-        stalled, slip, _, increased, unbalanced, drifted, *over_cap = (c[j] for c in checks)
+        stalled, slip, _, increased, unbalanced, drifted, capped = (c[j] for c in checks)
         now, step, g, x = t[j].item(), tau[j].item(), gamma[j].item(), xi[j].item()
         m, d = mass[j].item(), dissipation[j].item()
         prev, prev_step = prev_gamma[j].item(), prev_tau[j].item()
@@ -440,6 +441,6 @@ def validate_records(
             problems.append(f"step {n}: gamma drop {prev - g!r} != dissipation {d!r}")
         if drifted:
             problems.append(f"step {n}: mass drifted from {m_anchor!r} to {m!r}")
-        if any(over_cap) and prev_step > 0:
+        if capped and prev_step > 0:
             problems.append(f"step {n}: ratio {step / prev_step:.4f} exceeds cap {ratio_cap:.4f}")
     return problems

@@ -78,8 +78,8 @@ def landing_tol(horizon: float) -> float:
 class TimeMesh:
     """Step sizes tau_1..tau_K over [0, horizon], indexed 1-based.
 
-    delta is the ratio margin: the mesh is admissible when every ratio
-    r_k = tau_k/tau_{k-1} satisfies 0 < r_k <= a1_cap(delta).
+    delta is the ratio margin: the mesh is admissible, and replays unclamped,
+    when every step obeys the driver's clamp tau_k <= a1_cap(delta) * tau_{k-1}.
     """
 
     steps: np.ndarray
@@ -135,7 +135,7 @@ class TimeMesh:
         return float(self.steps[n - 1])
 
     def satisfies_a1(self) -> bool:
-        return bool(self.max_ratio <= a1_cap(self.delta))
+        return bool((self.steps[1:] <= a1_cap(self.delta) * self.steps[:-1]).all())
 
     def require_a1(self) -> None:
         if not self.satisfies_a1():

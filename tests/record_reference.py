@@ -83,8 +83,9 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
                 )
         if abs(rec.mass - m_anchor) > 1e-10 * m_scale:
             problems.append(f"step {rec.n}: mass drifted from {m_anchor!r} to {rec.mass!r}")
-        # the ratio to a non-positive step is not defined; that step is reported
-        if ratio_cap is not None and prev_tau is not None and prev_tau > 0:
+        # the ratio to a non-positive step is not defined; that step is reported.
+        # A row after a gap has no step before it in the file
+        if ratio_cap is not None and prev_tau is not None and prev_tau > 0 and rec.n == prev_n + 1:
             if rec.tau > ratio_cap * prev_tau * (1.0 + 1e-12):
                 problems.append(
                     f"step {rec.n}: ratio {rec.tau / prev_tau:.4f} exceeds cap {ratio_cap:.4f}"

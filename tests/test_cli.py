@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import math
 import os
 import signal
 import subprocess
@@ -488,6 +489,19 @@ class TestKernelsOnEveryCore:
         assert "ZeroDivisionError" in err and "residuals failed" in err
 
 
+# a fixed step of 0.01 that must land on a snapshot at 0.0301
+LANDING_CFG = """
+scenario = coarsening2d
+n = 16
+horizon = 0.05
+[policy]
+kind = fixed
+tau = 0.01
+[output]
+snapshots = 0.0, 0.0301
+"""
+
+
 class TestPrescribedMeshCheckpoints:
     def test_off_node_snapshot_fails_before_writing(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -545,6 +559,33 @@ class TestCheck:
             capsys.readouterr()
             assert main(argv) == 1
             assert capsys.readouterr().err == "error: checkpoint 0.0101 is not a node of the prescribed mesh\n"
+
+    def test_fixed_step_landing_between_its_steps_passes(self, tmp_path, capsys):
+        # the step to the snapshot at 0.0301 is 1e-4; the next three regrow by the cap
+        cfg = write_cfg(tmp_path, LANDING_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        taus = [rec.tau for rec in read_records(out / "records.csv")]
+        assert taus[4:6] == pytest.approx([4.8545e-4, 2.3566e-3], rel=1e-4)
+        capsys.readouterr()
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+        assert main(["check", cfg]) == 0
+        assert capsys.readouterr().out == "check passed: 8 steps, all guarantees hold\n" * 2
+
+    def test_uncapped_landing_rows_fail(self, tmp_path, capsys, monkeypatch):
+        # an infinite cap writes the rows of a driver that capped no fixed
+        # step: 0.01 right after the 1e-4 landing step, a ratio of 100
+        cfg = write_cfg(tmp_path, LANDING_CFG)
+        out = tmp_path / "out"
+        monkeypatch.setattr(chsolver.FixedStep, "ratio_cap", math.inf)
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "step 5: ratio 100.0000 exceeds cap 4.8545",
+            "check failed: 1 violation(s) over 6 steps",
+        ]
 
     def test_corrupted_stream_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")

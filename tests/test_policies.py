@@ -22,8 +22,10 @@ from chsolver import (
     r_max_root,
     random_mesh,
     run_with_policy,
+    validate_records,
 )
-from chsolver.policies import LandingError
+from chsolver.policies import LandingError, landing_targets
+from chsolver.timestep import A1ViolationError, a1_cap
 
 
 def drive(state, policy, horizon, checkpoints=()):
@@ -68,11 +70,19 @@ class TestPrescribedMesh:
 
 
 class TestRatioCap:
-    def test_only_adaptive_policy_carries_a_cap(self):
-        assert FixedStep(0.1).ratio_cap is None
-        assert PrescribedMesh(TimeMesh([0.1, 0.2])).ratio_cap is None
+    def test_every_policy_carries_a_cap_the_driver_applies(self):
+        assert FixedStep(0.1).ratio_cap == a1_cap()
+        assert PrescribedMesh(TimeMesh([0.1, 0.2], delta=0.5)).ratio_cap == a1_cap(0.5)
         assert AdaptiveStep(tau_min=1e-4, tau_max=1e-2, alpha=0.5).ratio_cap == r_max_root() - 0.01
         assert AdaptiveStep(tau_min=1e-4, tau_max=1e-2, alpha=0.5, ratio_cap=2.0).ratio_cap == 2.0
+        # the landing step before 0.0301 is 1e-4; the fixed step regrows from
+        # it by the cap, not straight back to 0.01 (a ratio of 100)
+        _, records = drive(small_state(), FixedStep(0.01), 0.05, checkpoints=(0.0301,))
+        taus = [rec.tau for rec in records]
+        cap = a1_cap()
+        assert len(taus) == 8 and np.isclose(taus[3], 1e-4)
+        assert taus[4:6] == [cap * taus[3], cap * cap * taus[3]]
+        assert all(b <= cap * a for a, b in zip(taus, taus[1:]))
 
 
 class TestAdaptiveStep:
@@ -82,7 +92,7 @@ class TestAdaptiveStep:
 
     def test_flat_energy_pushes_to_maximum(self):
         policy = AdaptiveStep(tau_min=1e-4, tau_max=1e-2, alpha=0.5)
-        # no gamma change: proposal is tau_max, limited by the ratio cap
+        # no gamma change: proposal is tau_max (the driver applies the cap)
         tau = policy.next_step(2, 5e-3, 2.0, 2.0)
         assert tau == 1e-2
 
@@ -100,15 +110,23 @@ class TestAdaptiveStep:
         assert policy.next_step(2, 1e-2, 2.0, 1.0) == 1e-3
 
     def test_ratio_cap_limits_growth(self):
+        # flat energy proposes tau_max; the driver grows each step by the cap
         policy = AdaptiveStep(tau_min=1e-5, tau_max=1.0, alpha=0.0)
         cap = policy.ratio_cap
         assert np.isclose(cap, r_max_root() - 0.01)
-        tau = policy.next_step(2, 1e-3, 2.0, 2.0)
-        assert np.isclose(tau, cap * 1e-3)
+        assert policy.next_step(2, 1e-3, 2.0, 2.0) == 1.0
+        _, records = drive(small_state(n=8), policy, 0.01)
+        taus = [rec.tau for rec in records]
+        assert taus[0] == 1e-5
+        assert all(b == cap * a for a, b in zip(taus[:-1], taus[1:-1]))
+        assert taus[-1] <= cap * taus[-2]
 
     def test_custom_cap(self):
         policy = AdaptiveStep(tau_min=1e-5, tau_max=1.0, alpha=0.0, ratio_cap=2.0)
-        assert policy.next_step(2, 0.1, 1.0, 1.0) == pytest.approx(0.2)
+        _, records = drive(small_state(n=8), policy, 0.01)
+        taus = [rec.tau for rec in records]
+        assert taus[:4] == [1e-5, 2e-5, 4e-5, 8e-5]
+        assert all(b <= 2.0 * a for a, b in zip(taus, taus[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="tau_min <= tau_max"):
@@ -179,6 +197,28 @@ class TestDriver:
         assert np.allclose([rec.tau for rec in records], mesh.steps, rtol=1e-12)
         assert records[8].t == mesh.times[9]
 
+    def test_prescribed_mesh_at_the_cap_replays_bit_for_bit(self):
+        # each step is cap times the last, as the driver's clamp computes it
+        cap = a1_cap()
+        steps = [1e-4]
+        for _ in range(7):
+            steps.append(cap * steps[-1])
+        mesh = TimeMesh(steps)
+        assert mesh.satisfies_a1()
+        _, records = drive(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=(mesh.times[4],))
+        assert [rec.tau for rec in records] == steps
+
+    def test_prescribed_mesh_beyond_the_cap_is_rejected_before_stepping(self, monkeypatch):
+        import chsolver.policies as policies
+
+        calls = []
+        monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
+        # one ulp above cap * tau_1
+        mesh = TimeMesh([1e-4, math.nextafter(a1_cap() * 1e-4, math.inf)])
+        with pytest.raises(A1ViolationError, match="exceeds"):
+            run_with_policy(small_state(), PrescribedMesh(mesh), mesh.horizon)
+        assert calls == []
+
     def test_checkpoints_are_hit_exactly(self):
         state = small_state()
         marks = (0.033, 0.07)
@@ -225,6 +265,40 @@ class TestDriver:
         state = small_state()
         with pytest.raises(ValueError, match="horizon"):
             run_with_policy(state, FixedStep(0.01), horizon)
+
+
+@st.composite
+def _capped_runs(draw):
+    """A policy of each kind, a horizon and up to four interior checkpoints,
+    nodes of a prescribed mesh and otherwise multiples of horizon / 1000,
+    so that no two lie within the landing tolerance of each other."""
+    horizon = draw(st.floats(0.005, 0.05))
+    kind = draw(st.sampled_from(["fixed", "mesh", "adaptive"]))
+    if kind == "mesh":
+        mesh = random_mesh(horizon, draw(st.integers(3, 24)), draw(st.integers(0, 999)))
+        marks = draw(st.lists(st.sampled_from(mesh.times[1:-1].tolist()), max_size=4))
+        return PrescribedMesh(mesh), mesh.horizon, marks
+    if kind == "fixed":
+        policy = FixedStep(draw(st.floats(horizon / 24, horizon)))
+    else:
+        tau_max = draw(st.floats(horizon / 16, horizon / 2))
+        cap = draw(st.floats(1.5, a1_cap()))
+        policy = AdaptiveStep(tau_min=horizon / 200, tau_max=tau_max, alpha=draw(st.floats(0.0, 1.0)), ratio_cap=cap)
+    marks = draw(st.lists(st.integers(1, 999), max_size=4))
+    return policy, horizon, [k * horizon / 1000 for k in marks]
+
+
+class TestDriverKeepsA1:
+    @settings(max_examples=25, deadline=None)
+    @given(_capped_runs(), st.integers(0, 99))
+    def test_every_run_lands_on_its_targets_within_the_cap(self, run, seed):
+        policy, horizon, marks = run
+        end, records = drive(small_state(seed, n=8), policy, horizon, checkpoints=marks)
+        assert end.time == horizon
+        assert set(landing_targets(policy, 0.0, horizon, marks)) <= {rec.t for rec in records}
+        taus = [rec.tau for rec in records]
+        assert all(b <= policy.ratio_cap * a for a, b in zip(taus, taus[1:]))
+        assert validate_records(records, ratio_cap=policy.ratio_cap) == []
 
 
 def assert_resumes_exactly(start, policy, t1, horizon):

@@ -397,6 +397,18 @@ class TestRecordValidation:
         problems = validate_records(records, ratio_cap=4.85)
         assert any("exceeds cap" in p for p in problems)
 
+    def test_ratio_cap_skips_a_row_after_a_gap(self):
+        # step 9 follows step 4 in a thinned file: their ratio bounds no step
+        # the run took; the same row as step 5 is held to the cap
+        records, gamma0, mass0, volume = self.make_records()
+        jump = replace(records[8], tau=records[3].tau * 6.0)
+
+        def over_cap(rows):
+            return [p for p in validate_records(rows, ratio_cap=4.85) if "exceeds cap" in p]
+
+        assert over_cap(records[:4] + [jump] + records[9:]) == []
+        assert over_cap(records[:4] + [replace(jump, n=5)]) == ["step 5: ratio 6.0000 exceeds cap 4.8500"]
+
     def test_nonpositive_step_detected(self):
         records, gamma0, mass0, volume = self.make_records()
         records[4] = replace(records[4], tau=-records[4].tau)

@@ -17,8 +17,8 @@ The configs are: every scenario preset at a small n (horizons cut where a
 preset would take thousands of steps), coarsening2d at its default n, one
 whose ``kernels`` pass is split among processes wherever more than one core
 is free, each policy kind, the ``delta``, ``eps2``, ``dealias`` and
-``record_every`` keys, a fixed step that must land on an interior snapshot,
-the landing edge cases (snapshots within the landing tolerance,
+``record_every`` keys, a fixed step that must land on an interior snapshot
+and the same run thinned to every fourth row, the landing edge cases (snapshots within the landing tolerance,
 1e-12 * horizon, of each other, of 0, of the horizon and of a random mesh's
 node; random-mesh snapshots off its nodes, one just beyond the tolerance
 and two out of order), one config for each parse and validation error
@@ -69,6 +69,9 @@ RUNS = {
     "[output]\nsnapshots = 0.0, 0.005\n",
     "fixed-landing": "scenario = coarsening2d\nn = 16\nhorizon = 0.05\n[policy]\nkind = fixed\ntau = 0.01\n"
     "[output]\nsnapshots = 0.0, 0.0301\n",
+    # every fourth row of fixed-landing: no row follows its step 4, so the cap holds none
+    "fixed-landing-thinned": "scenario = coarsening2d\nn = 16\nhorizon = 0.05\n[policy]\nkind = fixed\ntau = 0.01\n"
+    "[output]\nsnapshots = 0.0, 0.0301\nrecord_every = 4\n",
     "random": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
     "[output]\nsnapshots = 0.0, 0.01\n",
     # tol = 1e-14: pairs 5e-15 to 1e-14 apart around 0, an interior time and the horizon
