@@ -122,8 +122,7 @@ class _RunOutput:
     def __call__(self, state, rec, reached) -> None:
         for t, values in reached:
             self.out.mkdir(parents=True, exist_ok=True)
-            field = spectral.SpectralField(state.grid, physical=values)
-            write_snapshot(field, self.out / f"snap_{self.snapshots:03d}.bin", t)
+            write_snapshot(state.grid, values, self.out / f"snap_{self.snapshots:03d}.bin", t)
             self.snapshots += 1
         if self.first is None:
             self.first = rec

@@ -139,15 +139,17 @@ class Snapshot:
         return SpectralField(Grid(self.dim, self.length, self.modes), physical=self.values)
 
 
-def write_snapshot(field: SpectralField, path, time: float) -> None:
-    g = field.grid
+def write_snapshot(grid: Grid, values: np.ndarray, path, time: float) -> None:
+    """Write the grid values of a field on grid, at time, to path."""
+    if values.shape != grid.shape:
+        raise ValueError(f"values of shape {values.shape} do not match grid {grid.shape}")
     header = (
-        f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} dim={g.dim} N={g.modes} "
-        f"L={_fmt(g.length)} t={_fmt(time)}\n"
+        f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} dim={grid.dim} N={grid.modes} "
+        f"L={_fmt(grid.length)} t={_fmt(time)}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(field.physical, dtype="<f8").data)
+        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def _parse_header(line: bytes) -> tuple[int, int, float, float]:

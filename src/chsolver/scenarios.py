@@ -93,9 +93,16 @@ def initial_field(scenario: Scenario, grid: Grid) -> SpectralField:
 
 
 def initial_state(scenario: Scenario) -> GsavState:
-    """The state before step 1: the scenario's initial field on its grid."""
+    """The state before step 1: the scenario's initial field on its grid.
+    The state is the only holder of the field's arrays, so it gets them
+    writable, and step 2 recycles their buffers as every later step
+    recycles its oldest level's (see GsavState)."""
     grid = Grid(scenario.dim, scenario.length, scenario.modes)
-    return init_state(initial_field(scenario, grid), scenario.eps, dealias=scenario.dealias)
+    state = init_state(initial_field(scenario, grid), scenario.eps, dealias=scenario.dealias)
+    # both history slots share these two arrays, which the field marked read-only
+    state.phi1.setflags(write=True)
+    state.phi_bar_hat1.setflags(write=True)
+    return state
 
 
 def run_scenario(scenario: Scenario):

@@ -25,7 +25,13 @@ spectrum therefore weight the half spectrum by 1 on those two planes and by
 which agrees with the physical-space quadrature h^dim * sum_j u_j^2 exactly.
 Norms and integrals are functions of a grid and a half spectrum
 (``parseval_sum``, ``h1_norm``, ``integral``); ``SpectralField`` only wraps
-read-only grid values, for initial fields and snapshots.
+read-only grid values, for initial fields a caller passes to the stepper
+and for snapshots a run keeps.
+
+A grid keeps no array of the half spectrum's size.  |k|^2 = kx^2 + ky^2
+(+ kz^2) is separable, so a Grid caches each axis's squared wavenumbers
+(``axis_k_squared``) and builds |k|^2 for the rows of one slab when a pass
+asks for them (``k_squared_rows``).
 
 scipy.fft is imported at the first transform, not with this module, so a
 command that transforms nothing (``kernels``, ``check --records``) never
@@ -113,17 +119,29 @@ class Grid:
         return k
 
     @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 on the half-spectrum mode grid."""
+    def axis_k_squared(self) -> tuple[np.ndarray, ...]:
+        """The squared wavenumbers of each axis, shaped to broadcast along
+        that axis of the half spectrum (the last axis has m = 0..N/2 only)."""
         last = 2.0 * np.pi * np.fft.rfftfreq(self.modes, d=self.spacing)
-        k2 = np.zeros(self.spectral_shape)
+        squares = []
         for axis in range(self.dim):
             k = last if axis == self.dim - 1 else self.wavenumbers
             shape = [1] * self.dim
             shape[axis] = k.size
-            k2 += (k**2).reshape(shape)
-        k2.setflags(write=False)
-        return k2
+            k2 = (k**2).reshape(shape)
+            k2.setflags(write=False)
+            squares.append(k2)
+        return tuple(squares)
+
+    def k_squared_rows(self, s: slice) -> np.ndarray:
+        """|k|^2 on the rows s (along axis 0) of the half-spectrum mode grid,
+        as a new array.  The axes' squares are added in axis order, so each
+        value has the bits of ((0 + kx^2) + ky^2) + kz^2 (adding 0 is exact)."""
+        first, *rest = self.axis_k_squared
+        rows = first[s]
+        for k2 in rest:
+            rows = rows + k2
+        return rows
 
     def coordinates(self) -> list[np.ndarray]:
         """Meshgrid arrays of the collocation points, one array per direction."""
@@ -241,12 +259,14 @@ def parseval_terms(coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
     return float(2.0 * sq.sum() - sq[..., 0].sum() - sq[..., -1].sum())
 
 
-def parseval_sum(grid: Grid, coef: np.ndarray, symbol: np.ndarray | None = None) -> float:
+def parseval_sum(grid: Grid, coef: np.ndarray, symbol=None) -> float:
     """|Omega| * sum over the full spectrum of symbol_k |u_hat_k|^2, from the
-    half spectrum coef (symbol defaults to 1 and must be even in k)."""
+    half spectrum coef.  symbol, if given, maps a slab s to its values on
+    coef[s] (grid.k_squared_rows for |k|^2); it defaults to 1 and must be
+    even in k."""
 
     def terms(s):
-        return parseval_terms(coef[s], None if symbol is None else symbol[s])
+        return parseval_terms(coef[s], None if symbol is None else symbol(s))
 
     return grid.volume * slab_sum(terms, coef.shape)
 
@@ -300,7 +320,7 @@ def integral(grid: Grid, coef: np.ndarray) -> float:
 
 def h1_norm(grid: Grid, coef: np.ndarray) -> float:
     """sqrt(||u||_L2^2 + ||grad u||_L2^2) of the field with half spectrum coef."""
-    return math.sqrt(parseval_sum(grid, coef) + parseval_sum(grid, coef, grid.k_squared))
+    return math.sqrt(parseval_sum(grid, coef) + parseval_sum(grid, coef, grid.k_squared_rows))
 
 
 class SpectralField:

@@ -33,23 +33,27 @@ scalars in slab order.  On arrays of more than spectral.PARALLEL_ELEMENTS
 transforms; smaller steps stay on the calling thread.  The passes are:
 
   - the extrapolation and the cubic, written into the rfftn input f;
-  - the solve, written into the new history array pb_hat, with the
-    ||grad mu||^2 sum of each slab taken as soon as it is solved, so f_hat
-    is freed before the irfftn;
-  - the well energy and both Parseval sums.
+  - the solve, written into the new history array pb_hat, on |k|^2 built
+    for the slab's rows (Grid.k_squared_rows), with the slab's shares of
+    ||grad mu||^2 and of the gradient energy ||grad phi_bar||^2 taken as
+    soon as it is solved, so f_hat is freed before the irfftn;
+  - the well energy, by quadrature of the irfftn's output.
 
 advance hands the given state's history over to the state it returns and
 recycles the oldest level's buffers for the new level: f is written into
 phi2's buffer, which the given state lets go of once f is transformed,
 and pb_hat into phi_bar_hat2's, each slab read before it is overwritten.
-A read-only history array (the level init_state shares between both
-slots, a snapshot taken of a level) is never written; a new array is
-taken in its place.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
-the output pb are full-size, besides the transform's own buffer, and
-relax scales pb in place into phi_n.  advance calls energy and relax; the
-public linear_solve and gamma_update run the same slab helpers as its
-fused solve and write no array of the state they are given, so composing
-the four substeps reproduces advance bit for bit.
+A history array that is read-only (the level init_state makes of a
+caller's field, a snapshot a caller froze) or that both levels share (the
+initial level, at step 1) is never written; a new array is taken in its
+place.  scenarios.initial_state hands over its initial level writable, so
+step 2 recycles it.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
+the output pb are full-size, besides the transform's own buffer and
+slab-sized temporaries (no |k|^2 table is kept), and relax scales pb in
+place into phi_n.  advance calls relax, and sums the energy as energy
+does; the public linear_solve, gamma_update and energy run the same slab
+helpers as its fused solve and write no array of the state they are
+given, so composing the four substeps reproduces advance bit for bit.
 """
 
 from __future__ import annotations
@@ -118,9 +122,11 @@ class GsavState:
 
     advance returns a new state that takes over the given state's history
     arrays and may overwrite the writable ones, so copy them, or mark them
-    read-only, to keep them past the next step.  The given state keeps its
-    scalars (time, gamma, ...) but is left holding None in place of its
-    arrays, also when the step raised, so it cannot be stepped again.
+    read-only, to keep them past the next step.  That holds for the
+    initial level too when it is writable, as scenarios.initial_state
+    makes it: step 2 recycles it.  The given state keeps its scalars
+    (time, gamma, ...) but is left holding None in place of its arrays,
+    also when the step raised, so it cannot be stepped again.
     """
 
     grid: Grid
@@ -137,11 +143,8 @@ class GsavState:
     dealias: bool = False
 
 
-def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
-    """Ginzburg-Landau energy of the field with grid values u and half spectrum
-    u_hat: gradient part from u_hat, double-well part by quadrature of u."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def _well_energy(grid: Grid, u: np.ndarray, eps: float) -> float:
+    """1/(4 eps^2) ||u^2 - 1||^2 by quadrature of the grid values u."""
 
     def well_terms(s):
         u_s = u[s]
@@ -150,8 +153,15 @@ def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
         w *= w
         return float(w.sum())
 
-    well = slab_sum(well_terms, u.shape) * grid.cell_volume / (4.0 * eps**2)
-    return 0.5 * parseval_sum(grid, u_hat, grid.k_squared) + well
+    return slab_sum(well_terms, u.shape) * grid.cell_volume / (4.0 * eps**2)
+
+
+def energy(grid: Grid, u: np.ndarray, u_hat: np.ndarray, eps: float) -> float:
+    """Ginzburg-Landau energy of the field with grid values u and half spectrum
+    u_hat: gradient part from u_hat, double-well part by quadrature of u."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return 0.5 * parseval_sum(grid, u_hat, grid.k_squared_rows) + _well_energy(grid, u, eps)
 
 
 def init_state(phi0: SpectralField, eps: float, dealias: bool = False) -> GsavState:
@@ -210,21 +220,23 @@ def _grad_mu_terms(k2: np.ndarray, pb_hat: np.ndarray, f_hat: np.ndarray) -> flo
 
 def _solve(
     state: GsavState, tau_n: float, f_hat: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """(pb_hat, ||grad mu||^2): the half spectrum of the auxiliary field and
-    the dissipation rate of substep 2, summed slab by slab as each slab of
-    pb_hat is solved.  pb_hat is out if given (which may be phi_bar_hat2
-    itself: each slab of it is read before it is written), else a new
-    array."""
+) -> tuple[np.ndarray, float, float]:
+    """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2): the half spectrum of the
+    auxiliary field, the dissipation rate of substep 2 and the gradient
+    part of the auxiliary field's energy, both summed slab by slab as each
+    slab of pb_hat is solved, on the |k|^2 rows built for that slab, and
+    added in slab order (the float parseval_sum gives).  pb_hat is out if
+    given (which may be phi_bar_hat2 itself: each slab of it is read before
+    it is written), else a new array."""
     r = _step_ratio(state, tau_n)
     b0, b1 = bdf_weights(tau_n, r)
     grid = state.grid
-    c1, c2, k2 = state.phi_bar_hat1, state.phi_bar_hat2, grid.k_squared
+    c1, c2 = state.phi_bar_hat1, state.phi_bar_hat2
     zero = (0,) * grid.dim
     pb_hat = np.empty_like(c1) if out is None else out
 
     def solve_slab(s):
-        c1_s, k2_s, f_s = c1[s], k2[s], f_hat[s]
+        c1_s, k2_s, f_s = c1[s], grid.k_squared_rows(s), f_hat[s]
         # (b0 c1 - b1 (c1 - c2) - |k|^2 f_hat) / (b0 + |k|^4)
         out = np.subtract(c1_s, c2[s], out=pb_hat[s])
         out *= -b1
@@ -237,10 +249,13 @@ def _solve(
             # the mode-0 equation reduces to pb_hat_0 = c1_0; dividing by b0
             # would move a constant field by an ulp per step
             out[zero] = c1[zero]
-        return _grad_mu_terms(k2_s, out, f_s)
+        return _grad_mu_terms(k2_s, out, f_s), parseval_terms(out, k2_s)
 
-    gm = slab_sum(solve_slab, pb_hat.shape)
-    return pb_hat, grid.volume * gm
+    gm = grad = 0.0
+    for gm_s, grad_s in slab_map(solve_slab, pb_hat.shape):  # in slab order, as slab_sum adds
+        gm += gm_s
+        grad += grad_s
+    return pb_hat, grid.volume * gm, grid.volume * grad
 
 
 def linear_solve(state: GsavState, tau_n: float) -> np.ndarray:
@@ -262,8 +277,9 @@ def gamma_update(
     mu = -lap(phi_bar) + f is summed in coefficient space, slab by slab as
     advance sums it while solving.
     """
-    k2 = grid.k_squared
-    gm = grid.volume * slab_sum(lambda s: _grad_mu_terms(k2[s], pb_hat[s], f_hat[s]), pb_hat.shape)
+    gm = grid.volume * slab_sum(
+        lambda s: _grad_mu_terms(grid.k_squared_rows(s), pb_hat[s], f_hat[s]), pb_hat.shape
+    )
     return _contracted(gamma_prev, tau_n, gm, e_bar), gm
 
 
@@ -295,11 +311,11 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     f_hat = _extrapolated_nonlinearity(state, tau_n, _spare(state.phi2, phi1))
     # the oldest grid level is dead once f is transformed; freed before the irfftn
     state.phi1 = state.phi2 = None
-    pb_hat, gm = _solve(state, tau_n, f_hat, _spare(state.phi_bar_hat2, c1))
+    pb_hat, gm, grad = _solve(state, tau_n, f_hat, _spare(state.phi_bar_hat2, c1))
     state.phi_bar_hat1 = state.phi_bar_hat2 = None
     del f_hat  # freed before the inverse transform allocates its output
     pb = inverse(pb_hat, grid.shape)
-    e_bar = energy(grid, pb, pb_hat, state.eps)
+    e_bar = 0.5 * grad + _well_energy(grid, pb, state.eps)  # energy(grid, pb, pb_hat, eps), bit for bit
     # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
     if not (np.isfinite(e_bar) and np.isfinite(gm)):
         raise NonfiniteFieldError(f"nonfinite field after step {n}")

@@ -58,7 +58,7 @@ def test_initial_field_feeds_init_state_and_snapshots(tmp_path, text):
     assert state.dealias == scn.dealias and np.isfinite(state.gamma)
     mass0 = phi0.integral()
     assert isinstance(mass0, float) and np.isfinite(mass0)
-    recordio.write_snapshot(phi0, tmp_path / "snap.bin", 0.0)
+    recordio.write_snapshot(grid, phi0.physical, tmp_path / "snap.bin", 0.0)
     assert recordio.read_snapshot(tmp_path / "snap.bin").as_field().integral() == mass0
 
 

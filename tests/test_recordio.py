@@ -19,7 +19,6 @@ from chsolver import (
     RecordWriter,
     Snapshot,
     SnapshotFormatError,
-    SpectralField,
     StepRecord,
     read_record_table,
     read_records,
@@ -400,28 +399,28 @@ class TestSnapshots:
     def test_round_trip_is_bit_exact(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 16)
         rng = np.random.default_rng(1)
-        field = SpectralField(grid, physical=rng.normal(size=grid.shape))
+        values = rng.normal(size=grid.shape)
         path = tmp_path / "snap.bin"
-        write_snapshot(field, path, time=0.625)
+        write_snapshot(grid, values, path, time=0.625)
         snap = read_snapshot(path)
         assert isinstance(snap, Snapshot)
         assert (snap.dim, snap.modes, snap.time) == (2, 16, 0.625)
         assert snap.length == grid.length
-        assert np.array_equal(snap.values, field.physical)
-        assert np.array_equal(snap.as_field().physical, field.physical)
+        assert np.array_equal(snap.values, values)
+        assert np.array_equal(snap.as_field().physical, values)
 
     def test_3d_round_trip(self, tmp_path):
         grid = Grid(3, 1.0, 4)
         rng = np.random.default_rng(2)
-        field = SpectralField(grid, physical=rng.normal(size=grid.shape))
+        values = rng.normal(size=grid.shape)
         path = tmp_path / "snap.bin"
-        write_snapshot(field, path, time=0.0)
-        assert np.array_equal(read_snapshot(path).values, field.physical)
+        write_snapshot(grid, values, path, time=0.0)
+        assert np.array_equal(read_snapshot(path).values, values)
 
     def test_header_is_single_ascii_line(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField(grid, physical=np.ones(grid.shape)), path, time=2.0)
+        write_snapshot(grid, np.ones(grid.shape), path, time=2.0)
         header = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
         assert header.startswith("CHSNAP v1 dim=2 N=8 ")
         assert "t=2" in header
@@ -435,7 +434,7 @@ class TestSnapshots:
     def test_truncated_payload(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField(grid, physical=np.ones(grid.shape)), path, time=0.0)
+        write_snapshot(grid, np.ones(grid.shape), path, time=0.0)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(SnapshotFormatError, match="expected"):
@@ -444,7 +443,7 @@ class TestSnapshots:
     def test_trailing_garbage(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField(grid, physical=np.ones(grid.shape)), path, time=0.0)
+        write_snapshot(grid, np.ones(grid.shape), path, time=0.0)
         with open(path, "ab") as fh:
             fh.write(b"extra")
         with pytest.raises(SnapshotFormatError, match="expected"):
@@ -494,7 +493,7 @@ class TestSnapshots:
     def test_values_own_a_writeable_contiguous_array(self, tmp_path):
         grid = Grid(3, 1.0, 8)
         path = tmp_path / "snap.bin"
-        write_snapshot(SpectralField(grid, physical=np.full(grid.shape, 0.5)), path, time=0.0)
+        write_snapshot(grid, np.full(grid.shape, 0.5), path, time=0.0)
         values = read_snapshot(path).values
         assert values.flags.c_contiguous and values.flags.writeable
         assert values.dtype == np.dtype("<f8")

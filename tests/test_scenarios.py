@@ -33,6 +33,7 @@ from chsolver import (
     order_of,
     parse_config,
     random_mesh,
+    read_snapshot,
     run_convergence,
     run_scenario,
     run_with_policy,
@@ -297,26 +298,33 @@ class TestStreamingAndRelease:
     @pytest.mark.parametrize("times,sink", [((), None), ((0.0, 0.04), _ListSink(keep=False))])
     def test_initial_state_is_released_after_step_two(self, monkeypatch, times, sink):
         # once the two-level history has moved past the initial field,
-        # nothing in the run may keep its arrays alive
+        # nothing in the run may keep its arrays alive: a buffer step 2
+        # recycled lives on only as one of the state's own history arrays
         import gc
         import weakref
 
         import chsolver.policies as policies
         import chsolver.scenarios as scenarios
 
-        refs, alive = [], {}
+        array_refs, state_refs, alive = [], [], {}
         real_init, real_advance = scenarios.init_state, policies.advance
 
         def tracked_init(*args, **kwargs):
             state = real_init(*args, **kwargs)
-            refs.extend(weakref.ref(a) for a in (state.phi1, state.phi_bar_hat1))
-            refs.append(weakref.ref(state))
+            array_refs.extend(weakref.ref(a) for a in (state.phi1, state.phi_bar_hat1))
+            state_refs.append(weakref.ref(state))
             return state
 
         def checked_advance(state, tau):
             if state.step_index == 2:
                 gc.collect()
-                alive[2] = sum(r() is not None for r in refs)
+                history = (state.phi1, state.phi2, state.phi_bar_hat1, state.phi_bar_hat2)
+                held = [r() for r in array_refs]
+                alive[2] = (
+                    [a is not None and not any(a is h for h in history) for a in held],
+                    [r() is not None for r in state_refs],
+                )
+                del held
             return real_advance(state, tau)
 
         monkeypatch.setattr(scenarios, "init_state", tracked_init)
@@ -326,8 +334,48 @@ class TestStreamingAndRelease:
             snapshot_times=times,
         )
         run_scenario(sc) if sink is None else run_into(sink, sc)
-        assert len(refs) == 3
-        assert alive == {2: 0}
+        assert len(array_refs) == 2 and len(state_refs) == 1
+        assert alive == {2: ([False, False], [False])}
+
+    def test_step_two_recycles_the_initial_level(self, monkeypatch, tmp_path):
+        # simulate writes the time-0 snapshot with step 1 and then lets the
+        # initial level go: step 2 takes its buffers for f and pb_hat, and
+        # the snapshot keeps the initial values
+        import chsolver.cli as cli
+        import chsolver.stepper as stepper
+
+        held, shared = {}, []
+
+        def capture(scenario):
+            state = initial_state(scenario)
+            held.update(u=state.phi1, c=state.phi_bar_hat1, u0=state.phi1.copy())
+            return state
+
+        def watched_forward(f):
+            shared.append(("f", np.shares_memory(f, held["u"])))
+            return real_forward(f)
+
+        def watched_advance(state, tau):
+            state, rec = real_advance(state, tau)
+            shared.append(("pb_hat", np.shares_memory(state.phi_bar_hat1, held["c"])))
+            return state, rec
+
+        real_forward, real_advance = stepper.forward, policies.advance
+        monkeypatch.setattr(cli, "initial_state", capture)
+        monkeypatch.setattr(stepper, "forward", watched_forward)
+        monkeypatch.setattr(policies, "advance", watched_advance)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "scenario = coarsening2d\nn = 16\nhorizon = 0.003\n[policy]\nkind = fixed\ntau = 0.001\n"
+            "[output]\nsnapshots = 0.0, 0.003\n"
+        )
+        assert cli.main(["simulate", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+        # steps 1, 2, 3: only step 2 writes into the initial level
+        assert shared == [("f", False), ("pb_hat", False), ("f", True), ("pb_hat", True),
+                          ("f", False), ("pb_hat", False)]
+        assert not np.array_equal(held["u"], held["u0"])
+        snap = read_snapshot(tmp_path / "out" / "snap_000.bin")
+        assert snap.time == 0.0 and snap.values.tobytes() == held["u0"].tobytes()
 
 
 def assert_each_checkpoint_reported_once(sc):

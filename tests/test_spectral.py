@@ -40,7 +40,7 @@ def trig_field(grid, fn):
 def apply_symbol(grid, u, power):
     """Grid values of (-|k|^2)^power applied in coefficient space, as the
     stepper applies it."""
-    return inverse((-grid.k_squared) ** power * forward(u), grid.shape)
+    return inverse((-grid.k_squared_rows(slice(None))) ** power * forward(u), grid.shape)
 
 
 def nonlinearity(grid, u, eps, dealias=False):
@@ -87,14 +87,33 @@ class TestGrid:
     def test_k_squared_broadcast(self):
         grid = Grid(2, 2.0 * np.pi, 8)
         k = grid.wavenumbers
-        assert grid.k_squared.shape == grid.spectral_shape == (8, 5)
-        assert np.allclose(grid.k_squared, half_spectrum(grid, k[:, None] ** 2 + k[None, :] ** 2))
+        k2 = grid.k_squared_rows(slice(None))
+        assert k2.shape == grid.spectral_shape == (8, 5)
+        assert np.allclose(k2, half_spectrum(grid, k[:, None] ** 2 + k[None, :] ** 2))
 
     def test_k_squared_3d(self):
         grid = Grid(3, 2.0 * np.pi, 4)
         k = grid.wavenumbers
         expected = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
-        assert np.allclose(grid.k_squared, half_spectrum(grid, expected))
+        assert np.allclose(grid.k_squared_rows(slice(None)), half_spectrum(grid, expected))
+
+    @pytest.mark.parametrize("length", [2.0 * np.pi, 3.7])
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (2, 256), (3, 8), (3, 48)])
+    def test_k_squared_rows_keep_the_table_bits(self, dim, modes, length):
+        # the rows of every slab, stacked, against the full table as it was
+        # built before: zeros plus each axis's squared wavenumbers, in axis order
+        grid = Grid(dim, length, modes)
+        table = np.zeros(grid.spectral_shape)
+        last = 2.0 * np.pi * np.fft.rfftfreq(modes, d=grid.spacing)
+        for axis in range(dim):
+            k = last if axis == dim - 1 else grid.wavenumbers
+            shape = [1] * dim
+            shape[axis] = k.size
+            table += (k**2).reshape(shape)
+        parts = slabs(grid.spectral_shape)
+        assert len(parts) == (1 if modes in (16, 8) else 2)
+        rows = np.concatenate([grid.k_squared_rows(s) for s in parts])
+        assert rows.shape == table.shape and rows.tobytes() == table.tobytes()
 
     def test_coordinates_cover_half_open_box(self):
         grid = Grid(2, 1.0, 8)
@@ -201,7 +220,7 @@ class TestOperators:
 
     def test_laplacian_annihilates_constants(self):
         grid = Grid(2, 2.0 * np.pi, 16)
-        lap = -grid.k_squared * forward(np.full(grid.shape, 2.0))
+        lap = -grid.k_squared_rows(slice(None)) * forward(np.full(grid.shape, 2.0))
         assert np.abs(lap).max() == 0.0
 
     def test_laplacian_agrees_with_stencil_to_second_order(self):
@@ -293,7 +312,7 @@ class TestNormsAndQuadrature:
         coef = forward(trig_field(grid, lambda x, y: np.cos(x)))
         two_pi_sq = 2.0 * np.pi**2
         assert np.isclose(parseval_sum(grid, coef), two_pi_sq)
-        assert np.isclose(parseval_sum(grid, coef, grid.k_squared), two_pi_sq)
+        assert np.isclose(parseval_sum(grid, coef, grid.k_squared_rows), two_pi_sq)
         assert np.isclose(h1_norm(grid, coef), 2.0 * np.pi)
 
     def test_parseval_matches_quadrature(self):
@@ -312,7 +331,7 @@ class TestNormsAndQuadrature:
         dx = 1j * k[:, None] * coef
         dy = 1j * k[None, :] * coef
         total = grid.volume * float(np.sum(np.abs(dx) ** 2 + np.abs(dy) ** 2))
-        assert np.isclose(parseval_sum(grid, forward(u), grid.k_squared), total, rtol=1e-12)
+        assert np.isclose(parseval_sum(grid, forward(u), grid.k_squared_rows), total, rtol=1e-12)
 
     def test_integral_and_mean(self):
         grid = Grid(2, 2.0 * np.pi, 16)
@@ -352,7 +371,7 @@ class TestNormsAndQuadrature:
 
         grad_full = grid.volume * np.sum(k2 * np.abs(full) ** 2)
         grad_quad = h * sum(np.sum(np.abs(np.fft.ifftn(1j * ka * full) * u.size) ** 2) for ka in k)
-        grad = parseval_sum(grid, coef, grid.k_squared)
+        grad = parseval_sum(grid, coef, grid.k_squared_rows)
         assert np.isclose(grad, grad_quad, rtol=1e-12, atol=0)
         assert np.isclose(grad, grad_full, rtol=1e-12, atol=0)
         assert np.isclose(h1_norm(grid, coef) ** 2, l2_full + grad_full, rtol=1e-12, atol=0)

@@ -33,7 +33,7 @@ from chsolver import (
     relax,
     validate_records,
 )
-from chsolver.spectral import cubic, forward, inverse
+from chsolver.spectral import cubic, forward, h1_norm, inverse
 from chsolver.stepper import _extrapolated_nonlinearity
 from dense_reference import dense_advance, half_spectrum, random_state
 
@@ -144,7 +144,7 @@ class TestSingleStep:
         f_hat = _extrapolated_nonlinearity(state, tau)
         assert np.array_equal(f_hat, forward(cubic(state.phi1, 0.8)))
         c0 = state.phi_bar_hat1
-        k2 = grid.k_squared
+        k2 = grid.k_squared_rows(slice(None))
         expected = (c0 / tau - k2 * f_hat) / (1.0 / tau + k2**2)
         assert np.allclose(linear_solve(state, tau), expected, atol=1e-13)
         new_state, _ = advance(state, tau)
@@ -453,6 +453,23 @@ class TestWorkingSet:
         assert np.allclose(sliced.phi1, whole.phi1, rtol=1e-14, atol=1e-14)
         for name in ("gamma", "energy", "xi", "eta", "mass", "dissipation"):
             assert getattr(sliced_rec, name) == pytest.approx(getattr(whole_rec, name), rel=1e-14)
+
+    def test_grid_holds_no_half_spectrum_array(self):
+        # |k|^2 is built for one slab at a time: after a multi-slab 3d run
+        # and the public substeps and norms, the grid has cached nothing of
+        # the half spectrum's size
+        grid = Grid(3, 2.0 * np.pi, 48)
+        assert len(spectral.slabs(grid.spectral_shape)) == 2
+        state = init_state(rough_field(grid, 16), 0.6)
+        for _ in range(2):
+            state, _ = advance(state, 0.01)
+        f_hat = _extrapolated_nonlinearity(state, 0.01)
+        pb_hat = linear_solve(state, 0.01)
+        gamma_update(grid, state.gamma, 0.01, pb_hat, f_hat, 1.0)
+        h1_norm(grid, pb_hat)
+        cached = [v for value in vars(grid).values() for v in (value if isinstance(value, tuple) else (value,))]
+        assert any(isinstance(v, np.ndarray) for v in cached)  # the wavenumbers are kept
+        assert not [v.shape for v in cached if isinstance(v, np.ndarray) and v.size >= pb_hat.size]
 
     @staticmethod
     def peak_of_step(monkeypatch, cores):

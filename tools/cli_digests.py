@@ -14,7 +14,8 @@ moves any output rewrites it with
     python tools/cli_digests.py > tests/cli_digests.txt
 
 The configs are: every scenario preset at a small n (horizons cut where a
-preset would take thousands of steps), coarsening2d at its default n, one
+preset would take thousands of steps), coarsening2d at its default n,
+coarsening3d at n = 48, whose pointwise passes run over two slabs, one
 whose ``kernels`` pass is split among processes wherever more than one core
 is free, each policy kind, the ``delta``, ``eps2``, ``dealias`` and
 ``record_every`` keys, a fixed step that must land on an interior snapshot
@@ -64,6 +65,9 @@ RUNS = {
     # the default n = 128, where the paper's scalar collapses the written field (ROADMAP item 17)
     "coarsening2d-default-n": "scenario = coarsening2d\nhorizon = 0.001\n[output]\nsnapshots = 0.0, 0.001\n",
     "coarsening3d": "scenario = coarsening3d\nn = 8\nhorizon = 0.001\n[output]\nsnapshots = 0.0, 0.0005, 0.001\n",
+    # n = 48: the half spectrum, 48 x 48 x 25, is cut into two slabs along axis 0 (spectral.SLAB_ELEMENTS)
+    "coarsening3d-slabs": "scenario = coarsening3d\nn = 48\nhorizon = 3e-4\n[policy]\nkind = fixed\ntau = 1e-4\n"
+    "[output]\nsnapshots = 0.0, 3e-4\n",
     "equilibrium": "scenario = equilibrium\nn = 8\n",
     "fixed": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = fixed\ntau = 0.003\n"
     "[output]\nsnapshots = 0.0, 0.005\n",

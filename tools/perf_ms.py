@@ -20,10 +20,11 @@ REPEATS timed runs after the warm-up below.
   tracemalloc sees inside one step above what was allocated at its entry,
   in units of one float64 grid array.  tracemalloc sees numpy's arrays but
   not the transforms' internal buffers, so the last column is the resident
-  peak: in a fresh process per grid, the growth of ru_maxrss over the first
-  RESIDENT_STEPS steps above its value once init_state has returned, also
-  in grid arrays.  It counts everything resident, the history arrays and
-  the buffer the irfftn allocates inside pocketfft included.  These
+  peak: in a fresh process per grid, the growth of ru_maxrss over
+  init_state and the first RESIDENT_STEPS steps above its value once the
+  initial field is built, also in grid arrays.  It counts everything
+  resident, the history arrays, whatever init_state builds and the buffer
+  the irfftn allocates inside pocketfft included.  These
   processes are started before this script imports numpy: a process
   inherits its parent's resident size as its starting ru_maxrss, which
   must stay below the probe's own.
@@ -32,8 +33,10 @@ REPEATS timed runs after the warm-up below.
   ``spectral.CORES = 1``, each after one untimed step.  A phase is timed by
   wrapping the ``stepper`` module name that ``advance`` calls for it (see
   PHASES), for the length of the table only; extrapolation + cubic is
-  ``_extrapolated_nonlinearity`` less the ``forward`` it calls.  A phase
-  whose name the commit's ``stepper`` lacks reads "n/a".
+  ``_extrapolated_nonlinearity`` less the ``forward`` it calls.  The
+  solve phase also sums the gradient part of the energy; the well energy
+  is timed on its own.  A phase whose name the commit's ``stepper`` lacks
+  reads "n/a".
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory, once with
@@ -65,7 +68,10 @@ REPEATS timed runs after the warm-up below.
 - cold start: the wall time of a fresh interpreter, from spawn to exit, for
   bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
   max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
-  difference between rows is what each layer imports and runs.
+  difference between rows is what each layer imports and runs.  Then the
+  median and range of the peak RSS (ru_maxrss) of COLD_PEAK_RUNS fresh
+  ``simulate`` processes on the coarsen3d benchmark config (COARSEN3D_CFG),
+  started like the resident probes above.
 """
 
 import argparse
@@ -88,37 +94,44 @@ IO_ROWS = 10_000
 SEED = 5
 REPEATS = 7
 RESIDENT_STEPS = 4
+COLD_PEAK_RUNS = 3
+# the coarsen3d workload's config in benchmark/workloads.py, at seed 1
+COARSEN3D_CFG = (
+    "scenario = coarsening3d\nn = 128\nhorizon = 1e-7\nseed = 1\n"
+    "[policy]\ntau_min = 1e-8\n[output]\nsnapshots = 0.0, 1e-7\n"
+)
 # the phases of advance: (column label, the stepper names timed for it)
 PHASES = (
     ("extrap+cubic", ("_extrapolated_nonlinearity", "forward")),
     ("forward", ("forward",)),
     ("solve+|grad mu|^2", ("_solve",)),
     ("inverse", ("inverse",)),
-    ("energy", ("energy",)),
+    ("well energy", ("_well_energy",)),
     ("relax", ("relax",)),
 )
 
-# run in a fresh interpreter: the kernels arguments on the command line;
+# run in a fresh interpreter: chsolver's arguments on the command line;
 # prints the peak RSS (KiB on Linux) of this process and of its largest child
-_KERNELS_CHILD = """
+_CLI_CHILD = """
 import contextlib, io, resource, sys
 from chsolver.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     if main(sys.argv[1:]) != 0:
-        raise SystemExit("chsolver kernels failed")
+        raise SystemExit("chsolver " + sys.argv[1] + " failed")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 # run in a fresh interpreter: dim, N and the step count on the command line;
-# prints the growth of ru_maxrss (KiB on Linux) over the steps
+# prints the growth of ru_maxrss (KiB on Linux) over init_state and the steps
 _RESIDENT_CHILD = """
 import resource, sys
 import numpy as np
 from chsolver import Grid, advance, ic_random, init_state
 dim, n, steps = map(int, sys.argv[1:])
 grid = Grid(dim, 2.0 * np.pi, n)
-state = init_state(ic_random(grid, seed=0), eps=4.0 * grid.spacing)
+phi0 = ic_random(grid, seed=0)
 entry = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+state = init_state(phi0, eps=4.0 * grid.spacing)
 for _ in range(steps):
     state, _ = advance(state, 1e-6)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - entry)
@@ -274,9 +287,20 @@ def _kernels_cfg(tmp: str) -> Path:
 def kernels_peaks(src):
     """(peak RSS of a fresh kernels pass, of its largest child), in MB."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-c", _KERNELS_CHILD, "kernels", str(_kernels_cfg(tmp)), "--outdir", tmp + "/out"]
+        argv = [sys.executable, "-c", _CLI_CHILD, "kernels", str(_kernels_cfg(tmp)), "--outdir", tmp + "/out"]
         kib = subprocess.run(argv, env=_env(src), check=True, capture_output=True).stdout.split()
     return [int(k) / 1024 for k in kib]
+
+
+def simulate_peaks(src):
+    """The peak RSS of COLD_PEAK_RUNS fresh simulate processes on the
+    coarsen3d benchmark config, in MB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "coarsen3d.cfg"
+        cfg.write_text(COARSEN3D_CFG)
+        argv = [sys.executable, "-c", _CLI_CHILD, "simulate", str(cfg), "--outdir", tmp + "/out"]
+        runs = (subprocess.run(argv, env=_env(src), check=True, capture_output=True) for _ in range(COLD_PEAK_RUNS))
+        return [int(run.stdout.split()[0]) / 1024 for run in runs]
 
 
 def kernels_table(peaks):
@@ -339,6 +363,8 @@ def kernels_table(peaks):
 
 
 def io_table():
+    import inspect
+
     import numpy as np
 
     from chsolver import (
@@ -358,11 +384,15 @@ def io_table():
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Grid(3, 2.0 * np.pi, 128)
-        field = SpectralField(grid, physical=np.random.default_rng(SEED).standard_normal(grid.shape))
+        values = np.random.default_rng(SEED).standard_normal(grid.shape)
         snap = Path(tmp) / "snap.bin"
+        if "grid" in inspect.signature(write_snapshot).parameters:
+            args = (grid, values, snap)
+        else:  # commits whose write_snapshot takes a SpectralField
+            args = (SpectralField(grid, physical=values), snap)
         print(f"{'I/O':38s} {'ms':>10s}  faults/call  ({snap.name}: 3d N=128, {8 * 128**3 / 1e6:.1f} MB)")
         for label, fn in (
-            ("write_snapshot", lambda: write_snapshot(field, snap, time=0.0)),
+            ("write_snapshot", lambda: write_snapshot(*args, time=0.0)),
             ("read_snapshot", lambda: read_snapshot(snap)),
         ):
             fn()
@@ -409,7 +439,7 @@ def io_table():
             print(f"{label + f' ({IO_ROWS} rows)':38s} {median_ms(fn):10.3f}")
 
 
-def cold_start_table(src):
+def cold_start_table(src, simulate_mb):
     with tempfile.TemporaryDirectory() as tmp:
         kernels_cfg = Path(tmp) / "kernels.cfg"
         kernels_cfg.write_text(f"scenario = convergence\nseed = {SEED}\n[kernels]\nmax_n = 30\n")
@@ -429,6 +459,10 @@ def cold_start_table(src):
                 lambda: subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
             )
             print(f"cold start, {label + ':':31s} {ms:7.1f} ms")
+    print(
+        f"cold start, chsolver simulate (coarsen3d benchmark config): peak RSS {statistics.median(simulate_mb):.1f} MB"
+        f" (median of {len(simulate_mb)}, {min(simulate_mb):.1f}-{max(simulate_mb):.1f})"
+    )
 
 
 def main(argv=None):
@@ -437,12 +471,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     rss = resident_peaks(args.src)
     kernels = kernels_peaks(args.src)
+    simulate_mb = simulate_peaks(args.src)
     sys.path.insert(0, args.src)
     advance_table(rss)
     phase_table()
     kernels_table(kernels)
     io_table()
-    cold_start_table(args.src)
+    cold_start_table(args.src, simulate_mb)
 
 
 if __name__ == "__main__":
