@@ -135,8 +135,7 @@ class Grid:
 
     def k_squared_rows(self, s: slice) -> np.ndarray:
         """|k|^2 on the rows s (along axis 0) of the half-spectrum mode grid,
-        as a new array.  The axes' squares are added in axis order, so each
-        value has the bits of ((0 + kx^2) + ky^2) + kz^2 (adding 0 is exact)."""
+        as a new array, with the axes' squares added in axis order."""
         first, *rest = self.axis_k_squared
         rows = first[s]
         for k2 in rest:

@@ -417,6 +417,12 @@ class TestSnapshots:
         write_snapshot(grid, values, path, time=0.0)
         assert np.array_equal(read_snapshot(path).values, values)
 
+    def test_values_of_another_shape_rejected(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        with pytest.raises(ValueError, match="do not match grid"):
+            write_snapshot(Grid(2, 1.0, 8), np.ones((8, 4)), path, time=0.0)
+        assert not path.exists()
+
     def test_header_is_single_ascii_line(self, tmp_path):
         grid = Grid(2, 2.0 * np.pi, 8)
         path = tmp_path / "snap.bin"
