@@ -19,6 +19,7 @@ from .timestep import (
 from .stepper import (
     GsavState,
     NonfiniteFieldError,
+    RecordCheck,
     RecordTable,
     StepRecord,
     advance,

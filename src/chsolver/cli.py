@@ -36,7 +36,6 @@ import shutil
 import sys
 import tempfile
 import time
-from array import array
 from bisect import bisect_left
 from dataclasses import astuple
 from itertools import accumulate, chain
@@ -49,8 +48,8 @@ from .config import ConfigParseError, ConfigValidationError, build_scenario, par
 from .recordio import RecordWriter, read_record_table, write_snapshot
 from .policies import LandingError, landing_targets, run_with_policy
 from .scenarios import initial_state, run_convergence
-from .stepper import RECORD_COLUMNS, RecordTable, _record_values, validate_records
-from .timestep import _residuals, kernel_matrices, random_mesh
+from .stepper import RecordCheck, record_values, validate_records
+from .timestep import _residuals, kernel_matrices, landing_tol, random_mesh
 
 
 @functools.cache  # built once per process: parse_args keeps no state between calls
@@ -299,28 +298,26 @@ def _cmd_check(args) -> int:
     if args.records is not None:
         # an off-node snapshot fails here as it does in simulate
         landing_targets(scenario.policy, 0.0, scenario.horizon, scenario.snapshot_times)
-        records = read_record_table(args.records)
-        problems = validate_records(records, ratio_cap=cap)
+        table = read_record_table(args.records)
+        problems, steps = validate_records(table, ratio_cap=cap), len(table.n)
     else:
         state = initial_state(scenario)
-        gamma0, mass0 = state.gamma, spectral.integral(state.grid, state.phi_bar_hat1)
-        # each step's n and its 8 values (64 bytes), not its StepRecord (about 440)
-        steps, values = [], array("d")
+        mass0 = spectral.integral(state.grid, state.phi_bar_hat1)
+        # checks each record as it is made and keeps none; the tol validate_records takes, the last t being the horizon
+        check = RecordCheck(landing_tol(scenario.horizon), state.gamma, mass0, state.grid.volume, cap)
 
-        def keep(st, rec, reached):
-            steps.append(rec.n)
-            values.extend(_record_values(rec))
+        def feed(st, rec, reached):
+            check.feed((rec.n,), (record_values(rec),))
 
         # the snapshot times are landing targets (beyond the horizon, none), as in simulate
-        run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=keep)
-        records = RecordTable(steps, np.frombuffer(values).reshape(len(steps), len(RECORD_COLUMNS)))
-        problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=state.grid.volume, ratio_cap=cap)
+        run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=feed)
+        problems, steps = check.result(), check.rows
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
-        print(f"check failed: {len(problems)} violation(s) over {len(records)} steps", file=sys.stderr)
+        print(f"check failed: {len(problems)} violation(s) over {steps} steps", file=sys.stderr)
         return 1
-    print(f"check passed: {len(records)} steps, all guarantees hold")
+    print(f"check passed: {steps} steps, all guarantees hold")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Records: header ``n,t,tau,gamma,energy,xi,eta,mass,dissipation``, one row
 per step, floats printed with 17 significant digits so parsing them back
-is bit-exact.
+is bit-exact.  ``read_record_table`` parses them without numpy, into the
+``RecordTable`` that ``stepper.validate_records`` folds over row by row.
 
 Snapshots: one ASCII header line
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
@@ -80,7 +82,7 @@ def write_records(records, path) -> None:
 
 
 def read_record_table(path) -> RecordTable:
-    """The records CSV at path as columns, read in one ``read``: n by
+    """The records CSV at path as a table, read in one ``read``: n by
     ``int``, every other value by ``float``, as the StepRecord fields would
     be, with blank lines skipped.  A malformed row raises ValueError
     ("line N: ...") for the first such line of the file."""
@@ -93,14 +95,13 @@ def read_record_table(path) -> RecordTable:
     rows = [line for line in map(str.strip, body.split("\n")) if line]
     if set(map(str.count, rows, repeat(","))) <= {width - 1}:  # every row has width fields
         fields = ",".join(rows).split(",") if rows else []
+        del rows  # the lines go before the floats are made, which take about as much memory
         try:
             n = list(map(int, fields[::width]))
             del fields[::width]
-            values = np.fromiter(map(float, fields), np.float64, len(fields))
+            return RecordTable(n, array("d", list(map(float, fields))))
         except ValueError:
             pass
-        else:
-            return RecordTable(n, values.reshape(len(rows), width - 1))
     raise _row_error(body)
 
 
@@ -124,7 +125,7 @@ def _row_error(body: str) -> ValueError:
 
 def read_records(path) -> list[StepRecord]:
     table = read_record_table(path)
-    return list(map(StepRecord, table.n, *table.values.T.tolist()))
+    return [StepRecord(n, *row) for n, row in zip(table.n, table.rows())]
 
 
 @dataclass(frozen=True)

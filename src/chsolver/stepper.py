@@ -54,13 +54,19 @@ place into phi_n.  advance calls relax, and sums the energy as energy
 does; the public linear_solve, gamma_update and energy run the same slab
 helpers as its fused solve and write no array of the state they are
 given, so composing the four substeps reproduces advance bit for bit.
+
+A step returns its scalars as a StepRecord.  RecordCheck checks a stream
+of them as a fold over its rows in Python floats, carrying only the
+previous finite row and the anchors, so `check` holds no record.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
 from itertools import chain
+from math import isfinite, isnan
 from operator import attrgetter
 
 import numpy as np
@@ -106,7 +112,7 @@ class StepRecord:
 
 # the float fields of a StepRecord, the columns after n
 RECORD_COLUMNS = tuple(f.name for f in fields(StepRecord))[1:]
-_record_values = attrgetter(*RECORD_COLUMNS)
+record_values = attrgetter(*RECORD_COLUMNS)
 
 
 @dataclass(eq=False)
@@ -349,114 +355,108 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
 
 @dataclass(frozen=True)
 class RecordTable:
-    """A record stream as columns: the step indices n, and a rows x 8
-    float64 array of the other StepRecord fields, in RECORD_COLUMNS order."""
+    """A record stream: the step indices n, and the RECORD_COLUMNS values of
+    every row, row after row, as one flat float array."""
 
     n: list[int]
-    values: np.ndarray
+    values: array
 
-    def __len__(self) -> int:
-        return len(self.n)
+    def rows(self):
+        """The rows' values, each as a tuple of len(RECORD_COLUMNS) floats."""
+        return zip(*[iter(self.values)] * len(RECORD_COLUMNS))
 
     @classmethod
     def from_records(cls, records) -> RecordTable:
         """The table of a sequence of StepRecords."""
-        width = len(RECORD_COLUMNS)
-        flat = chain.from_iterable(map(_record_values, records))
-        values = np.fromiter(flat, np.float64, width * len(records))
-        return cls([rec.n for rec in records], values.reshape(len(records), width))
+        return cls([rec.n for rec in records], array("d", chain.from_iterable(map(record_values, records))))
 
 
-def validate_records(
-    records,
-    gamma0: float | None = None,
-    mass0: float | None = None,
-    volume: float | None = None,
-    ratio_cap: float | None = None,
-) -> list[str]:
-    """Check a record stream, a RecordTable or a sequence of StepRecords,
-    against the scheme's guarantees.
+class RecordCheck:
+    """The scheme's guarantees on a record stream, as a fold over its rows.
 
-    Returns a list of human-readable violations (empty when clean), in row
-    order: the clock, tau, gamma and xi positive, gamma non-increasing, the
-    per-step identity gamma_{n-1} - gamma_n = dissipation, constant mass,
-    finiteness, and optionally the step-ratio cap, which holds a row whose n
-    follows the previous finite row's, unless that row's step is not
-    positive (itself reported).  The clock starts at 0 and each t must
-    exceed the previous finite row's; a row whose n follows that row's must
-    also advance it by its tau, within landing_tol of the largest finite t,
-    unless its tau is not positive or that row's clock was reported.  A
-    nonfinite row is reported alone, and the next row is checked against the
-    last finite one (the first finite row against gamma0, if given).  The
-    checks run on whole columns; messages are built for the flagged rows.
+    feed takes the rows in order, in blocks of any length; the violations
+    (problems, in row order) do not depend on where the blocks split.  The
+    fold carries only the previous finite row's n, t, tau and gamma,
+    whether that row's clock was reported, and the anchors: gamma0 and
+    mass0, or where not given the first finite row's gamma and mass.
+    Each rule and its message is the README's (records.csv): the clock,
+    held to tol, tau, gamma and xi positive, gamma non-increasing, the
+    identity gamma_{n-1} - gamma_n = dissipation, constant mass, and the
+    step ratio cap; a nonfinite row is reported alone and skipped.
     """
+
+    def __init__(self, tol, gamma0=None, mass0=None, volume=None, ratio_cap=None):
+        self.tol, self.gamma0, self.mass0, self.volume = tol, gamma0, mass0, volume
+        self.ratio_cap = math.inf if ratio_cap is None else ratio_cap
+        self.problems: list[str] = []
+        self.rows = 0
+        self.anchors = None  # gamma scale, mass anchor and mass scale, set at the first finite row
+        # the previous finite row's n, t, tau, gamma and whether its clock held
+        self.prev = (0, 0.0, math.nan, math.nan if gamma0 is None else gamma0, True)
+
+    def feed(self, steps, rows) -> None:
+        """Check the next rows: the sequence steps of their n, and rows of
+        their values in RECORD_COLUMNS order."""
+        report, tol, cap = self.problems.append, self.tol, self.ratio_cap
+        prev_n, prev_t, prev_tau, prev_gamma, held = self.prev
+        if anchors := self.anchors:
+            g_scale, m_anchor, m_scale = anchors
+        for n, row in zip(steps, rows):
+            # a sum of finite values is finite unless it overflows
+            if not isfinite(sum(row)) and not all(map(isfinite, row)):
+                report(f"step {n}: nonfinite record values")
+                continue
+            t, tau, gamma, _, xi, _, mass, dissipation = row
+            if anchors is None:
+                m_anchor = mass if self.mass0 is None else self.mass0
+                m_scale = max(abs(m_anchor), 1.0) if self.volume is None else self.volume
+                g_scale = gamma if self.gamma0 is None else self.gamma0
+                anchors = (g_scale, m_anchor, m_scale)
+            follows = n == prev_n + 1
+            if t <= prev_t:
+                since = "not positive" if isnan(prev_tau) else f"does not exceed the previous t = {prev_t!r}"
+                report(f"step {n}: t = {t!r} {since}")
+                held = False
+            elif held and follows and tau > 0 and abs(t - prev_t - tau) > tol:
+                report(f"step {n}: t advanced by {t - prev_t!r} != tau = {tau!r}")
+                held = False
+            else:
+                held = True
+            if tau <= 0:
+                report(f"step {n}: tau = {tau} not positive")
+            if gamma <= 0:
+                report(f"step {n}: gamma = {gamma} not positive")
+            if xi <= 0:
+                report(f"step {n}: xi = {xi} not positive")
+            if gamma > prev_gamma + 1e-13 * g_scale:
+                report(f"step {n}: gamma increased from {prev_gamma!r} to {gamma!r}")
+            if abs(prev_gamma - gamma - dissipation) > 1e-12 * prev_gamma:
+                report(f"step {n}: gamma drop {prev_gamma - gamma!r} != dissipation {dissipation!r}")
+            if abs(mass - m_anchor) > 1e-10 * m_scale:
+                report(f"step {n}: mass drifted from {m_anchor!r} to {mass!r}")
+            # a row after a gap has no step before it in the stream
+            if follows and prev_tau > 0 and tau > cap * prev_tau * (1.0 + 1e-12):
+                report(f"step {n}: ratio {tau / prev_tau:.4f} exceeds cap {cap:.4f}")
+            prev_n, prev_t, prev_tau, prev_gamma = n, t, tau, gamma
+        self.rows += len(steps)
+        self.prev = prev_n, prev_t, prev_tau, prev_gamma, held
+        self.anchors = anchors
+
+    def result(self) -> list[str]:
+        """The violations found so far, or ["no records"] before any row."""
+        return self.problems if self.rows else ["no records"]
+
+
+def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=None) -> list[str]:
+    """The violations of a whole record stream, a RecordTable or a sequence
+    of StepRecords: RecordCheck fed every row, with the clock held to
+    landing_tol of the largest finite t.  Empty when clean."""
     table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
-    if not table:
-        return ["no records"]
     values = table.values
-    row0 = dict(zip(RECORD_COLUMNS, values[0].tolist()))
-    g_scale = gamma0 if gamma0 is not None else row0["gamma"]
-    m_anchor = mass0 if mass0 is not None else row0["mass"]
-    m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
-    finite = np.isfinite(values).all(axis=1)
-    rows = finite.nonzero()[0]
-    kept = values if rows.size == len(values) else values.take(rows, axis=0)  # no copy of a finite table
-    t, tau, gamma, _, xi, _, mass, dissipation = kept.T
-    # each finite row's predecessor: the previous finite row's t, tau and
-    # gamma, or the clock's start, no step and gamma0 before the first; a
-    # nan there fails every comparison
-    first = (0.0, math.nan, math.nan if gamma0 is None else gamma0)
-    with np.errstate(all="ignore"):
-        prev_t, prev_tau, prev_gamma = np.concatenate(([first], kept[:-1, :3])).T
-        dt = t - prev_t
-        slipped = abs(dt - tau) > landing_tol(t.max(initial=0.0))
-        over_cap = tau > (math.inf if ratio_cap is None else ratio_cap) * prev_tau * (1.0 + 1e-12)
-        if slipped.any() or over_cap.any():  # a row after a gap is held to neither its step nor the cap
-            follows = np.diff(np.take(table.n, rows), prepend=0) == 1
-            slipped, over_cap = slipped & follows, over_cap & follows
-        checks = [
-            dt <= 0,
-            slipped,
-            # tau, gamma and xi positive, as one comparison
-            np.minimum(np.minimum(tau, gamma), xi) <= 0,
-            gamma > prev_gamma + 1e-13 * g_scale,
-            abs(prev_gamma - gamma - dissipation) > 1e-12 * prev_gamma,
-            abs(mass - m_anchor) > 1e-10 * m_scale,
-            over_cap,
-        ]
-    hit = ~finite
-    hit[rows] = np.logical_or.reduce(checks)
-    problems = []
-    clock_off = -2  # the position among the finite rows of the last one whose clock was reported
-    for i in hit.nonzero()[0].tolist():
-        n = table.n[i]
-        if not finite[i]:
-            problems.append(f"step {n}: nonfinite record values")
-            continue
-        j = int(rows.searchsorted(i))  # the row's position among the finite rows
-        stalled, slip, _, increased, unbalanced, drifted, capped = (c[j] for c in checks)
-        now, step, g, x = t[j].item(), tau[j].item(), gamma[j].item(), xi[j].item()
-        m, d = mass[j].item(), dissipation[j].item()
-        prev, prev_step = prev_gamma[j].item(), prev_tau[j].item()
-        if stalled:
-            since = "not positive" if j == 0 else f"does not exceed the previous t = {prev_t[j].item()!r}"
-            problems.append(f"step {n}: t = {now!r} {since}")
-            clock_off = j
-        elif slip and step > 0 and clock_off != j - 1:
-            problems.append(f"step {n}: t advanced by {dt[j].item()!r} != tau = {step!r}")
-            clock_off = j
-        if step <= 0:
-            problems.append(f"step {n}: tau = {step} not positive")
-        if g <= 0:
-            problems.append(f"step {n}: gamma = {g} not positive")
-        if x <= 0:
-            problems.append(f"step {n}: xi = {x} not positive")
-        if increased:
-            problems.append(f"step {n}: gamma increased from {prev!r} to {g!r}")
-        if unbalanced:
-            problems.append(f"step {n}: gamma drop {prev - g!r} != dissipation {d!r}")
-        if drifted:
-            problems.append(f"step {n}: mass drifted from {m_anchor!r} to {m!r}")
-        if capped and prev_step > 0:
-            problems.append(f"step {n}: ratio {step / prev_step:.4f} exceeds cap {ratio_cap:.4f}")
-    return problems
+    if isfinite(sum(values)):
+        last = max(values[:: len(RECORD_COLUMNS)], default=0.0)
+    else:
+        last = max((row[0] for row in table.rows() if all(map(isfinite, row))), default=0.0)
+    check = RecordCheck(landing_tol(max(last, 0.0)), gamma0, mass0, volume, ratio_cap)
+    check.feed(table.n, table.rows())
+    return check.result()

@@ -2,10 +2,11 @@
 
 ``read_records`` parses a records CSV line by line into ``StepRecord``s,
 and ``validate_records`` checks the guarantees one record at a time
-against the previous finite record.  The library parses the whole file at
-once into a ``RecordTable`` and checks its columns with array masks; the
-tests require the same table, bit for bit, and the same messages in the
-same order.
+against the previous finite record, all rows in one call.  The library
+parses the whole file at once into a ``RecordTable`` and checks it with
+``RecordCheck``, a fold that may be fed the rows in blocks; the tests
+require the same table, bit for bit, and the same messages in the same
+order, however the rows are split.
 """
 
 import math
@@ -43,8 +44,11 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
     problems: list[str] = []
     if not records:
         return ["no records"]
-    g_scale = gamma0 if gamma0 is not None else records[0].gamma
-    m_anchor = mass0 if mass0 is not None else records[0].mass
+    # anchors not given come from the first finite record: a nan there
+    # would fail every later comparison against it
+    first = next((rec for rec in records if _finite(rec)), records[0])
+    g_scale = gamma0 if gamma0 is not None else first.gamma
+    m_anchor = mass0 if mass0 is not None else first.mass
     m_scale = volume if volume is not None else max(abs(m_anchor), 1.0)
     tol = LANDING_RTOL * max([0.0] + [rec.t for rec in records if _finite(rec)])
     prev_gamma = gamma0

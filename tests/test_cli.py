@@ -2,12 +2,14 @@
 
 import contextlib
 import errno
+import io
 import math
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -621,7 +623,7 @@ class TestCheck:
         main(["simulate", cfg, "--outdir", str(out)])
         assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
 
-    def test_stream_is_checked_as_columns(self, tmp_path, monkeypatch):
+    def test_stream_is_checked_without_step_records(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--outdir", str(out)]) == 0
@@ -635,6 +637,42 @@ class TestCheck:
         monkeypatch.setattr(StepRecord, "__init__", counted)
         assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
         assert built == []
+
+    def test_anchors_come_from_the_first_finite_row(self, tmp_path, capsys):
+        # with no gamma0 or mass0 the anchors are step 2's: anchored on step
+        # 1's nan gamma, step 3's increase would pass unseen, and its mass
+        # would anchor the mass drift check
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")
+        rows = [(1, math.nan, 0.25, 0.0), (2, 2.0, 0.5, 0.0), (3, 9.0, 0.5, -7.0)]
+        bad = tmp_path / "bad.csv"
+        write_records([StepRecord(n, n * 0.01, 0.01, g, 1.0, 1.0, 1.0, m, d) for n, g, m, d in rows], bad)
+        assert main(["check", cfg, "--records", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "step 1: nonfinite record values",
+            "step 3: gamma increased from 2.0 to 9.0",
+            "check failed: 2 violation(s) over 3 steps",
+        ]
+
+    def test_rerun_peak_does_not_grow_with_the_steps(self, tmp_path):
+        # the rerun feeds each step's record to the check and keeps none:
+        # keeping them grew the peak by about 170 bytes a step
+        def peak(steps):
+            cfg = write_cfg(
+                tmp_path,
+                f"scenario = coarsening2d\nn = 8\nhorizon = {steps}e-6\n"
+                "[policy]\nkind = fixed\ntau = 1e-6\n[output]\nsnapshots =\n",
+            )
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(["check", cfg]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert out.getvalue() == f"check passed: {steps} steps, all guarantees hold\n"
+
+        peak(4)  # imports and caches
+        assert peak(400) < peak(40) + 8192
 
     def test_preset_snapshots_beyond_a_short_horizon_are_ignored(self, tmp_path, capsys):
         # coarsening2d presets snapshots up to t = 3; check writes none

@@ -4,7 +4,7 @@ rejection of malformed inputs."""
 import math
 import struct
 from dataclasses import astuple
-from itertools import chain, product
+from itertools import chain, pairwise, product
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ import record_reference
 from chsolver import (
     RECORD_FIELDS,
     Grid,
+    RecordCheck,
     RecordTable,
     RecordWriter,
     Snapshot,
@@ -254,9 +255,9 @@ def record_texts(draw):
     return newline.join([header, *lines]) + draw(st.sampled_from([newline, ""]))
 
 
-class TestColumnarPath:
-    """The bulk parse and the column checks against the per-row reference
-    in record_reference.py."""
+class TestRowFold:
+    """The bulk parse and the row fold against the per-row reference in
+    record_reference.py."""
 
     @pytest.mark.parametrize("anchors", list(product((False, True), repeat=4)), ids=str)
     @settings(max_examples=40, deadline=None)
@@ -273,6 +274,37 @@ class TestColumnarPath:
         assert outcome(validate_records, records, **kwargs) == want
         assert outcome(validate_records, RecordTable.from_records(records), **kwargs) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(stream=faulty_streams(), cuts=st.lists(st.integers(0, 12), max_size=4), data=st.data())
+    def test_fold_in_any_blocks_matches_one_call(self, stream, cuts, data):
+        # the anchors given or left to the first finite row, as check --records leaves them
+        gamma0, mass0, records = stream
+        kwargs = {"ratio_cap": CAP}
+        if data.draw(st.booleans(), label="anchored"):
+            kwargs.update(gamma0=gamma0, mass0=mass0, volume=4.0 * math.pi**2)
+        want = record_reference.validate_records(records, **kwargs)
+        assert validate_records(records, **kwargs) == want
+        table = RecordTable.from_records(records)
+        rows = list(table.rows())
+        finite_t = [row[0] for row in rows if all(map(math.isfinite, row))]
+
+        def fed(bounds):
+            check = RecordCheck(LANDING_RTOL * max([0.0] + finite_t), **kwargs)
+            for a, b in pairwise(bounds):
+                check.feed(table.n[a:b], rows[a:b])
+            assert check.rows == len(records)
+            return check.result()
+
+        assert fed([0, *sorted(c for c in cuts if c < len(records)), len(records)]) == want
+        assert fed(range(len(records) + 1)) == want  # one row a block
+
+    def test_anchors_skip_a_nonfinite_first_row(self):
+        rows = [[0.01, 0.01, math.nan, 1.0, 1.0, 1.0, 0.25, 0.0], [0.02, 0.01, 2.0, 1.0, 1.0, 1.0, 0.5, 0.0],
+                [0.03, 0.01, 9.0, 1.0, 1.0, 1.0, 0.5, -7.0]]
+        want = ["step 1: nonfinite record values", "step 3: gamma increased from 2.0 to 9.0"]
+        assert record_reference.validate_records(as_records(rows), ratio_cap=CAP) == want
+        assert validate_records(as_records(rows), ratio_cap=CAP) == want
+
     @settings(max_examples=150, deadline=None)
     @given(text=record_texts())
     def test_parse_matches_the_reference(self, tmp_path_factory, text):
@@ -284,8 +316,8 @@ class TestColumnarPath:
             assert table == want
             return
         assert table.n == [r.n for r in want]
-        assert table.values.dtype == np.float64
-        assert np.array_equal(table.values.view(np.uint64), bits(want))
+        assert table.values.typecode == "d"
+        assert np.array_equal(np.frombuffer(table.values, np.uint64).reshape(-1, 8), bits(want))
         assert record_text(read_records(path)) == record_text(want)
         checked = outcome(record_reference.validate_records, want, ratio_cap=CAP)
         assert outcome(validate_records, table, ratio_cap=CAP) == checked

@@ -1,4 +1,4 @@
-"""Milliseconds per solver step and its phases, kernels pass, quadratic-form check, snapshot and record I/O, and cold start.
+"""Milliseconds per solver step and its phases, kernels pass, quadratic-form check, snapshot and record I/O, check's memory, and cold start.
 
 Usage:
 
@@ -61,10 +61,15 @@ REPEATS timed runs after the warm-up below.
   rows that obeys every guarantee, so every row goes through every check,
   and on the first row of that stream alone: the fixed cost of one warm
   in-process call (argument parsing, config, scenario and file handling).
-  The stream's parse and check follow apart: ``read_records`` and
-  ``validate_records`` on its StepRecords, and, where the commit has
-  ``read_record_table``, the table parse and the check of the table, the
-  two halves of ``check --records``.
+  The stream's parse and check follow apart: ``read_record_table`` and
+  ``validate_records`` on its table, the two halves of ``check
+  --records`` (the check is the row fold, or the column check on commits
+  before it), and ``read_records``, which builds one StepRecord per row.
+- check: in fresh processes, started like the resident probes above, the
+  peak RSS of ``check CONFIG`` at 10^4 and 10^5 steps of CHECK_CFG
+  (coarsening2d, N = 8, a fixed step of 1e-6, no snapshots), and the wall
+  time and peak RSS of one ``check --records`` call on the 10^5-row
+  records.csv that ``simulate`` writes for the same config.
 - cold start: the wall time of a fresh interpreter, from spawn to exit, for
   bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
   max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
@@ -100,6 +105,12 @@ COARSEN3D_CFG = (
     "scenario = coarsening3d\nn = 128\nhorizon = 1e-7\nseed = 1\n"
     "[policy]\ntau_min = 1e-8\n[output]\nsnapshots = 0.0, 1e-7\n"
 )
+# a run of tiny steps whose record stream is long: horizon = STEPS * 1e-6
+CHECK_CFG = (
+    "scenario = coarsening2d\nn = 8\nhorizon = {steps}e-6\n"
+    "[policy]\nkind = fixed\ntau = 1e-6\n[output]\nsnapshots =\n"
+)
+CHECK_STEPS = (10_000, 100_000)
 # the phases of advance: (column label, the stepper names timed for it)
 PHASES = (
     ("extrap+cubic", ("_extrapolated_nonlinearity", "forward")),
@@ -111,14 +122,17 @@ PHASES = (
 )
 
 # run in a fresh interpreter: chsolver's arguments on the command line;
-# prints the peak RSS (KiB on Linux) of this process and of its largest child
+# prints the peak RSS (KiB on Linux) of this process and of its largest
+# child, and the seconds the command took
 _CLI_CHILD = """
-import contextlib, io, resource, sys
+import contextlib, io, resource, sys, time
 from chsolver.cli import main
+start = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):
     if main(sys.argv[1:]) != 0:
         raise SystemExit("chsolver " + sys.argv[1] + " failed")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+seconds = time.perf_counter() - start
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, seconds)
 """
 
 # run in a fresh interpreter: dim, N and the step count on the command line;
@@ -285,12 +299,18 @@ def _kernels_cfg(tmp: str) -> Path:
     return cfg
 
 
+def cli_child(src, *args):
+    """(peak RSS of a fresh process running chsolver with args, of its
+    largest child, in MB; the seconds the command took)."""
+    argv = [sys.executable, "-c", _CLI_CHILD, *args]
+    self_kib, child_kib, seconds = subprocess.run(argv, env=_env(src), check=True, capture_output=True).stdout.split()
+    return int(self_kib) / 1024, int(child_kib) / 1024, float(seconds)
+
+
 def kernels_peaks(src):
     """(peak RSS of a fresh kernels pass, of its largest child), in MB."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-c", _CLI_CHILD, "kernels", str(_kernels_cfg(tmp)), "--outdir", tmp + "/out"]
-        kib = subprocess.run(argv, env=_env(src), check=True, capture_output=True).stdout.split()
-    return [int(k) / 1024 for k in kib]
+        return cli_child(src, "kernels", str(_kernels_cfg(tmp)), "--outdir", tmp + "/out")[:2]
 
 
 def simulate_peaks(src):
@@ -299,9 +319,22 @@ def simulate_peaks(src):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "coarsen3d.cfg"
         cfg.write_text(COARSEN3D_CFG)
-        argv = [sys.executable, "-c", _CLI_CHILD, "simulate", str(cfg), "--outdir", tmp + "/out"]
-        runs = [subprocess.run(argv, env=_env(src), check=True, capture_output=True) for _ in range(COLD_PEAK_RUNS)]
-        return [int(run.stdout.split()[0]) / 1024 for run in runs]
+        return [cli_child(src, "simulate", str(cfg), "--outdir", tmp + "/out")[0] for _ in range(COLD_PEAK_RUNS)]
+
+
+def check_figures(src):
+    """[(steps, peak RSS of a fresh check CONFIG in MB)] for CHECK_STEPS,
+    and (seconds, peak RSS in MB) of a fresh check --records on the
+    records.csv simulate writes at the last of them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        peaks = []
+        for steps in CHECK_STEPS:
+            cfg = Path(tmp) / f"check{steps}.cfg"
+            cfg.write_text(CHECK_CFG.format(steps=steps))
+            peaks.append((steps, cli_child(src, "check", str(cfg))[0]))
+        cli_child(src, "simulate", str(cfg), "--outdir", tmp + "/out")
+        mb, _, seconds = cli_child(src, "check", str(cfg), "--records", tmp + "/out/records.csv")
+    return peaks, (seconds, mb)
 
 
 def kernels_table(peaks):
@@ -374,9 +407,9 @@ def io_table():
         StepRecord,
         build_scenario,
         parse_config,
+        read_record_table,
         read_records,
         read_snapshot,
-        recordio,
         validate_records,
         write_records,
         write_snapshot,
@@ -420,24 +453,25 @@ def io_table():
             check()
             print(f"{'check --records (' + label + ')':38s} {median_ms(check):10.3f}")
 
-        # the parse and the guarantee check of the IO_ROWS stream apart, on
-        # StepRecords; and, on commits that have it, on the table check --records uses
+        # the parse and the guarantee check of the IO_ROWS stream apart, as
+        # check --records runs them, and the StepRecord reader
         cap = build_scenario(parse_config(cfg)).policy.ratio_cap
-        stream = read_records(records)
-        parts = [
+        table = read_record_table(records)
+        if validate_records(table, ratio_cap=cap):
+            raise RuntimeError("validate_records flags the generated stream")
+        for label, fn in (
+            ("read_record_table", lambda: read_record_table(records)),
+            ("validate_records (table)", lambda: validate_records(table, ratio_cap=cap)),
             ("read_records", lambda: read_records(records)),
-            ("validate_records", lambda: validate_records(stream, ratio_cap=cap)),
-        ]
-        if hasattr(recordio, "read_record_table"):
-            table = recordio.read_record_table(records)
-            parts += [
-                ("read_record_table", lambda: recordio.read_record_table(records)),
-                ("validate_records (table)", lambda: validate_records(table, ratio_cap=cap)),
-            ]
-        for label, fn in parts:
-            if label.startswith("validate") and fn():
-                raise RuntimeError(f"{label} flags the generated stream")
+        ):
             print(f"{label + f' ({IO_ROWS} rows)':38s} {median_ms(fn):10.3f}")
+
+
+def check_table(figures):
+    peaks, (seconds, mb) = figures
+    for steps, peak in peaks:
+        print(f"fresh check CONFIG ({steps} steps): peak RSS {peak:.1f} MB")
+    print(f"fresh check --records ({peaks[-1][0]} rows): {seconds:.3f} s, peak RSS {mb:.1f} MB")
 
 
 def cold_start_table(src, simulate_mb):
@@ -473,11 +507,13 @@ def main(argv=None):
     rss = resident_peaks(args.src)
     kernels = kernels_peaks(args.src)
     simulate_mb = simulate_peaks(args.src)
+    check = check_figures(args.src)
     sys.path.insert(0, args.src)
     advance_table(rss)
     phase_table()
     kernels_table(kernels)
     io_table()
+    check_table(check)
     cold_start_table(args.src, simulate_mb)
 
 
