@@ -666,10 +666,11 @@ class TestCheck:
             try:
                 with contextlib.redirect_stdout(io.StringIO()) as out:
                     assert main(["check", cfg]) == 0
-                return tracemalloc.get_traced_memory()[1]
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                assert out.getvalue() == f"check passed: {steps} steps, all guarantees hold\n"
+            assert out.getvalue() == f"check passed: {steps} steps, all guarantees hold\n"
+            return peak
 
         peak(4)  # imports and caches
         assert peak(400) < peak(40) + 8192

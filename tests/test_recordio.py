@@ -299,8 +299,13 @@ class TestRowFold:
         assert fed(range(len(records) + 1)) == want  # one row a block
 
     def test_anchors_skip_a_nonfinite_first_row(self):
-        rows = [[0.01, 0.01, math.nan, 1.0, 1.0, 1.0, 0.25, 0.0], [0.02, 0.01, 2.0, 1.0, 1.0, 1.0, 0.5, 0.0],
-                [0.03, 0.01, 9.0, 1.0, 1.0, 1.0, 0.5, -7.0]]
+        # t, tau, gamma, energy, xi, eta, mass, dissipation: tests/test_cli.py's
+        # check --records case, on validate_records and the reference
+        rows = [
+            [0.01, 0.01, math.nan, 1.0, 1.0, 1.0, 0.25, 0.0],
+            [0.02, 0.01, 2.0, 1.0, 1.0, 1.0, 0.5, 0.0],
+            [0.03, 0.01, 9.0, 1.0, 1.0, 1.0, 0.5, -7.0],
+        ]
         want = ["step 1: nonfinite record values", "step 3: gamma increased from 2.0 to 9.0"]
         assert record_reference.validate_records(as_records(rows), ratio_cap=CAP) == want
         assert validate_records(as_records(rows), ratio_cap=CAP) == want
