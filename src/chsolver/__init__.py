@@ -20,7 +20,6 @@ from .stepper import (
     GsavState,
     NonfiniteFieldError,
     RecordCheck,
-    RecordTable,
     StepRecord,
     advance,
     energy,
@@ -59,7 +58,7 @@ from .recordio import (
     RecordWriter,
     Snapshot,
     SnapshotFormatError,
-    read_record_table,
+    read_record_blocks,
     read_records,
     read_snapshot,
     write_records,

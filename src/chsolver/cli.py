@@ -45,10 +45,10 @@ import numpy as np
 
 from . import spectral
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
-from .recordio import RecordWriter, read_record_table, write_snapshot
+from .recordio import RecordWriter, read_record_blocks, write_snapshot
 from .policies import LandingError, landing_targets, run_with_policy
 from .scenarios import initial_state, run_convergence
-from .stepper import RecordCheck, record_values, validate_records
+from .stepper import RecordCheck, record_values
 from .timestep import _residuals, kernel_matrices, landing_tol, random_mesh
 
 
@@ -294,24 +294,28 @@ def _cmd_kernels(args) -> int:
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario, check_snapshots=False)
     scenario = build_scenario(cfg)
-    cap = scenario.policy.ratio_cap
-    if args.records is not None:
+    if args.records is None:
+        state = initial_state(scenario)
+        # step 1 is checked against the initial state
+        anchors = (state.gamma, spectral.integral(state.grid, state.phi_bar_hat1), state.grid.volume)
+    else:
         # an off-node snapshot fails here as it does in simulate
         landing_targets(scenario.policy, 0.0, scenario.horizon, scenario.snapshot_times)
-        table = read_record_table(args.records)
-        problems, steps = validate_records(table, ratio_cap=cap), len(table.n)
-    else:
-        state = initial_state(scenario)
-        mass0 = spectral.integral(state.grid, state.phi_bar_hat1)
-        # checks each record as it is made and keeps none; the tol validate_records takes, the last t being the horizon
-        check = RecordCheck(landing_tol(scenario.horizon), state.gamma, mass0, state.grid.volume, cap)
+        anchors = ()  # the first finite row's
+    # the clock is held to the tol the driver lands with; checks each record
+    # as it is read or made and keeps none
+    check = RecordCheck(landing_tol(scenario.horizon), *anchors, ratio_cap=scenario.policy.ratio_cap)
+    if args.records is None:
 
         def feed(st, rec, reached):
             check.feed((rec.n,), (record_values(rec),))
 
         # the snapshot times are landing targets (beyond the horizon, none), as in simulate
         run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=feed)
-        problems, steps = check.result(), check.rows
+    else:
+        for steps, rows in read_record_blocks(args.records):
+            check.feed(steps, rows)
+    problems, steps = check.result(), check.rows
     if problems:
         for p in problems:
             print(p, file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Records: header ``n,t,tau,gamma,energy,xi,eta,mass,dissipation``, one row
 per step, floats printed with 17 significant digits so parsing them back
-is bit-exact.  ``read_record_table`` parses them without numpy, into the
-``RecordTable`` that ``stepper.validate_records`` folds over row by row.
+is bit-exact.  ``read_record_blocks`` parses them without numpy, block by
+block of whole lines, into the rows that ``stepper.RecordCheck`` folds
+over, so a reader holds one block of the file at a time.
 
 Snapshots: one ASCII header line
 
@@ -32,12 +33,16 @@ from operator import attrgetter
 import numpy as np
 
 from .spectral import Grid, SpectralField
-from .stepper import RECORD_COLUMNS, RecordTable, StepRecord
+from .stepper import RECORD_COLUMNS, StepRecord
 
 RECORD_FIELDS = ("n", *RECORD_COLUMNS)
 # one row as a % template ('%.17g' % x is format(x, '.17g')) and the values it takes
 RECORD_ROW = "%d" + ",%.17g" * (len(RECORD_FIELDS) - 1) + "\n"
 _record_values = attrgetter(*RECORD_FIELDS)
+# read_record_blocks parses records.csv this many characters at a time (and
+# the rest of the last line), about 6,000 rows of a run's records, so
+# check --records holds one block of the file at once
+RECORD_BLOCK_CHARS = 1 << 20
 SNAPSHOT_MAGIC = "CHSNAP"
 SNAPSHOT_VERSION = "v1"
 
@@ -81,35 +86,47 @@ def write_records(records, path) -> None:
         w.write_block(records)
 
 
-def read_record_table(path) -> RecordTable:
-    """The records CSV at path as a table, read in one ``read``: n by
-    ``int``, every other value by ``float``, as the StepRecord fields would
-    be, with blank lines skipped.  A malformed row raises ValueError
-    ("line N: ...") for the first such line of the file."""
+def read_record_blocks(path):
+    """The rows of the records CSV at path, as (n list, rows) per block of
+    about RECORD_BLOCK_CHARS characters of whole lines: n by ``int``, rows
+    an iterator of tuples of the RECORD_COLUMNS values, each by ``float``,
+    as the StepRecord fields would be, with blank lines skipped.  A
+    malformed row raises ValueError ("line N: ...", N counted over the
+    whole file) for the first such line of the file, when its block is
+    read."""
     with open(path, "r", encoding="utf-8") as fh:
-        header, _, body = fh.read().partition("\n")
-    header = header.strip()
-    if header.split(",") != list(RECORD_FIELDS):
-        raise ValueError(f"unexpected record header {header!r}")
+        header = fh.readline().strip()
+        if header.split(",") != list(RECORD_FIELDS):
+            raise ValueError(f"unexpected record header {header!r}")
+        lineno = 2
+        while text := fh.read(RECORD_BLOCK_CHARS):
+            lines = (text + fh.readline()).split("\n")  # whole lines: the rest of the last one
+            n, values = _parse_block(lines, lineno)
+            yield n, zip(*[iter(values)] * len(RECORD_COLUMNS))
+            lineno += len(lines) - 1
+
+
+def _parse_block(lines, lineno) -> tuple[list[int], array]:
+    """The n of the rows among lines, the file's lines from line lineno on,
+    and their other values, row after row."""
     width = len(RECORD_FIELDS)
-    rows = [line for line in map(str.strip, body.split("\n")) if line]
+    rows = [line for line in map(str.strip, lines) if line]
     if set(map(str.count, rows, repeat(","))) <= {width - 1}:  # every row has width fields
         fields = ",".join(rows).split(",") if rows else []
-        del rows  # the lines go before the floats are made, which take about as much memory
         try:
             n = list(map(int, fields[::width]))
             del fields[::width]
-            return RecordTable(n, array("d", list(map(float, fields))))
+            return n, array("d", list(map(float, fields)))
         except ValueError:
             pass
-    raise _row_error(body)
+    raise _row_error(lines, lineno)
 
 
-def _row_error(body: str) -> ValueError:
-    """The error of the first malformed row of body, the lines after the
-    header."""
+def _row_error(lines, lineno) -> ValueError:
+    """The error of the first malformed row of lines, the file's lines from
+    line lineno on."""
     width = len(RECORD_FIELDS)
-    for lineno, line in enumerate(body.split("\n"), start=2):
+    for lineno, line in enumerate(lines, start=lineno):
         parts = line.strip().split(",")
         if parts == [""]:
             continue
@@ -124,8 +141,7 @@ def _row_error(body: str) -> ValueError:
 
 
 def read_records(path) -> list[StepRecord]:
-    table = read_record_table(path)
-    return [StepRecord(n, *row) for n, row in zip(table.n, table.rows())]
+    return [StepRecord(n, *row) for steps, rows in read_record_blocks(path) for n, row in zip(steps, rows)]
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,15 @@ given, so composing the four substeps reproduces advance bit for bit.
 
 A step returns its scalars as a StepRecord.  RecordCheck checks a stream
 of them as a fold over its rows in Python floats, carrying only the
-previous finite row and the anchors, so `check` holds no record.
+previous finite row and the anchors, so `check` holds no record: it feeds
+the fold each step's record as the rerun makes it, or records.csv block
+by block as recordio.read_record_blocks parses it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 from math import isfinite, isnan
 from operator import attrgetter
 
@@ -353,24 +353,6 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     return new_state, record
 
 
-@dataclass(frozen=True)
-class RecordTable:
-    """A record stream: the step indices n, and the RECORD_COLUMNS values of
-    every row, row after row, as one flat float array."""
-
-    n: list[int]
-    values: array
-
-    def rows(self):
-        """The rows' values, each as a tuple of len(RECORD_COLUMNS) floats."""
-        return zip(*[iter(self.values)] * len(RECORD_COLUMNS))
-
-    @classmethod
-    def from_records(cls, records) -> RecordTable:
-        """The table of a sequence of StepRecords."""
-        return cls([rec.n for rec in records], array("d", chain.from_iterable(map(record_values, records))))
-
-
 class RecordCheck:
     """The scheme's guarantees on a record stream, as a fold over its rows.
 
@@ -448,15 +430,11 @@ class RecordCheck:
 
 
 def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=None) -> list[str]:
-    """The violations of a whole record stream, a RecordTable or a sequence
-    of StepRecords: RecordCheck fed every row, with the clock held to
-    landing_tol of the largest finite t.  Empty when clean."""
-    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
-    values = table.values
-    if isfinite(sum(values)):
-        last = max(values[:: len(RECORD_COLUMNS)], default=0.0)
-    else:
-        last = max((row[0] for row in table.rows() if all(map(isfinite, row))), default=0.0)
-    check = RecordCheck(landing_tol(max(last, 0.0)), gamma0, mass0, volume, ratio_cap)
-    check.feed(table.n, table.rows())
+    """The violations of a sequence of StepRecords: RecordCheck fed every
+    row, with the clock held to landing_tol of the largest finite t.  Empty
+    when clean."""
+    rows = list(map(record_values, records))
+    tol = landing_tol(max([0.0, *(row[0] for row in rows if all(map(isfinite, row)))]))
+    check = RecordCheck(tol, gamma0, mass0, volume, ratio_cap)
+    check.feed([rec.n for rec in records], rows)
     return check.result()

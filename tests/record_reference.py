@@ -3,10 +3,11 @@
 ``read_records`` parses a records CSV line by line into ``StepRecord``s,
 and ``validate_records`` checks the guarantees one record at a time
 against the previous finite record, all rows in one call.  The library
-parses the whole file at once into a ``RecordTable`` and checks it with
-``RecordCheck``, a fold that may be fed the rows in blocks; the tests
-require the same table, bit for bit, and the same messages in the same
-order, however the rows are split.
+parses the file in blocks of whole lines (``read_record_blocks``) and
+checks the rows with ``RecordCheck``, a fold that may be fed them in
+blocks; the tests require the same values, bit for bit, the same errors
+with the same line numbers, and the same messages in the same order,
+however the file and the rows are split.
 """
 
 import math

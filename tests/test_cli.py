@@ -18,7 +18,7 @@ import pytest
 
 import chsolver
 import kernel_reference
-from chsolver import StepRecord, cli, read_records, read_snapshot, spectral, write_records
+from chsolver import StepRecord, cli, read_records, read_snapshot, recordio, spectral, write_records
 from chsolver.cli import main
 
 
@@ -674,6 +674,39 @@ class TestCheck:
 
         peak(4)  # imports and caches
         assert peak(400) < peak(40) + 8192
+
+    def test_records_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        # check --records parses records.csv block by block and keeps no
+        # block it has checked, so the peak moves only with the rows a block
+        # holds (323 to 338 here); reading the whole file grew it by about
+        # 280 KB a block
+        block = 1 << 15
+        monkeypatch.setattr(recordio, "RECORD_BLOCK_CHARS", block, raising=False)
+        cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 8\n")
+
+        # a clean stream: gamma falls by its dissipation, tau and mass are constant
+        rows, gamma = [], 1.0
+        for n in range(1, 10 * block // 64):
+            prev, gamma = gamma, gamma - 1e-6
+            rows.append(StepRecord(n, n * 1e-6, 1e-6, gamma, 0.5, 1.0, 1.0, 0.0, prev - gamma))
+        write_records(rows, tmp_path / "all.csv")
+        row_chars = (tmp_path / "all.csv").stat().st_size / len(rows)
+
+        def peak(blocks):
+            path = tmp_path / f"records{blocks}.csv"
+            write_records(rows[: int(blocks * block / row_chars)], path)
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(["check", cfg, "--records", str(path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.getvalue() == f"check passed: {int(blocks * block / row_chars)} steps, all guarantees hold\n"
+            return peak
+
+        peak(1)  # imports and caches
+        assert peak(10) < peak(2) + 2 * block
 
     def test_preset_snapshots_beyond_a_short_horizon_are_ignored(self, tmp_path, capsys):
         # coarsening2d presets snapshots up to t = 3; check writes none

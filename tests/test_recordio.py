@@ -1,14 +1,17 @@
 """Tests for the record CSV and snapshot formats: bit-exact round trips and
 rejection of malformed inputs."""
 
+import contextlib
+import io
 import math
 import struct
 from dataclasses import astuple
 from itertools import chain, pairwise, product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import record_reference
@@ -16,21 +19,22 @@ from chsolver import (
     RECORD_FIELDS,
     Grid,
     RecordCheck,
-    RecordTable,
     RecordWriter,
     Snapshot,
     SnapshotFormatError,
     StepRecord,
-    read_record_table,
+    read_record_blocks,
     read_records,
     read_snapshot,
     validate_records,
     write_records,
     write_snapshot,
 )
-from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_row_blocks
+from chsolver import recordio
+from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_row_blocks, main
 from chsolver.recordio import RECORD_ROW
-from chsolver.timestep import LANDING_RTOL
+from chsolver.stepper import record_values
+from chsolver.timestep import LANDING_RTOL, a1_cap
 
 
 def sample_records(count=12, seed=0):
@@ -256,7 +260,7 @@ def record_texts(draw):
 
 
 class TestRowFold:
-    """The bulk parse and the row fold against the per-row reference in
+    """The block parse and the row fold against the per-row reference in
     record_reference.py."""
 
     @pytest.mark.parametrize("anchors", list(product((False, True), repeat=4)), ids=str)
@@ -272,7 +276,6 @@ class TestRowFold:
         }
         want = outcome(record_reference.validate_records, records, **kwargs)
         assert outcome(validate_records, records, **kwargs) == want
-        assert outcome(validate_records, RecordTable.from_records(records), **kwargs) == want
 
     @settings(max_examples=100, deadline=None)
     @given(stream=faulty_streams(), cuts=st.lists(st.integers(0, 12), max_size=4), data=st.data())
@@ -284,19 +287,41 @@ class TestRowFold:
             kwargs.update(gamma0=gamma0, mass0=mass0, volume=4.0 * math.pi**2)
         want = record_reference.validate_records(records, **kwargs)
         assert validate_records(records, **kwargs) == want
-        table = RecordTable.from_records(records)
-        rows = list(table.rows())
+        steps = [rec.n for rec in records]
+        rows = list(map(record_values, records))
         finite_t = [row[0] for row in rows if all(map(math.isfinite, row))]
 
         def fed(bounds):
             check = RecordCheck(LANDING_RTOL * max([0.0] + finite_t), **kwargs)
             for a, b in pairwise(bounds):
-                check.feed(table.n[a:b], rows[a:b])
+                check.feed(steps[a:b], rows[a:b])
             assert check.rows == len(records)
             return check.result()
 
         assert fed([0, *sorted(c for c in cuts if c < len(records)), len(records)]) == want
         assert fed(range(len(records) + 1)) == want  # one row a block
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=faulty_streams(), size=st.integers(1, 2000))
+    def test_check_records_matches_the_reference(self, tmp_path_factory, stream, size):
+        # check --records holds the clock to landing_tol of the config's
+        # horizon, here the stream's largest finite t, and the fixed step's cap
+        _, _, records = stream
+        last = max([0.0] + [r.t for r in records if all(map(math.isfinite, astuple(r)[1:]))])
+        assume(last > 0.0)
+        tmp = tmp_path_factory.mktemp("check")
+        path, cfg = tmp / "records.csv", tmp / "check.cfg"
+        write_records(records, path)
+        cfg.write_text(f"scenario = equilibrium\nn = 8\nhorizon = {last!r}\n")
+        want = record_reference.validate_records(records, ratio_cap=a1_cap())
+        assert validate_records(records, ratio_cap=a1_cap()) == want
+        err = io.StringIO()
+        with mock.patch.object(recordio, "RECORD_BLOCK_CHARS", size), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["check", str(cfg), "--records", str(path)])
+        assert code == (1 if want else 0)
+        summary = [f"check failed: {len(want)} violation(s) over {len(records)} steps"] if want else []
+        assert err.getvalue().splitlines() == want + summary
 
     def test_anchors_skip_a_nonfinite_first_row(self):
         # t, tau, gamma, energy, xi, eta, mass, dissipation: tests/test_cli.py's
@@ -311,21 +336,34 @@ class TestRowFold:
         assert validate_records(as_records(rows), ratio_cap=CAP) == want
 
     @settings(max_examples=150, deadline=None)
-    @given(text=record_texts())
-    def test_parse_matches_the_reference(self, tmp_path_factory, text):
+    @given(text=record_texts(), data=st.data())
+    def test_parse_matches_the_reference(self, tmp_path_factory, text, data):
+        # blocks of one line up to the whole file, parsed and fed to the fold as check --records feeds it
         path = tmp_path_factory.mktemp("records") / "records.csv"
         path.write_bytes(text.encode("utf-8"))
         want = outcome(record_reference.read_records, path)
-        table = outcome(read_record_table, path)
+        finite_t = [r.t for r in want if all(map(math.isfinite, astuple(r)[1:]))] if isinstance(want, list) else []
+        check = RecordCheck(LANDING_RTOL * max([0.0] + finite_t), ratio_cap=CAP)
+
+        def parse():
+            blocks = []
+            for steps, rows in read_record_blocks(path):
+                blocks.append((steps, list(rows)))
+                check.feed(*blocks[-1])
+            return blocks
+
+        with mock.patch.object(recordio, "RECORD_BLOCK_CHARS", data.draw(st.integers(1, len(text) + 1))):
+            blocks = outcome(parse)
+            read = outcome(read_records, path)
         if not isinstance(want, list):
-            assert table == want
+            assert blocks == read == want
             return
-        assert table.n == [r.n for r in want]
-        assert table.values.typecode == "d"
-        assert np.array_equal(np.frombuffer(table.values, np.uint64).reshape(-1, 8), bits(want))
-        assert record_text(read_records(path)) == record_text(want)
-        checked = outcome(record_reference.validate_records, want, ratio_cap=CAP)
-        assert outcome(validate_records, table, ratio_cap=CAP) == checked
+        assert [n for steps, _ in blocks for n in steps] == [r.n for r in read] == [r.n for r in want]
+        values = [value for _, rows in blocks for row in rows for value in row]
+        assert np.array_equal(np.array(values, dtype=np.float64).view(np.uint64).reshape(-1, 8), bits(want))
+        assert np.array_equal(bits(read), bits(want))
+        assert record_text(read) == record_text(want)
+        assert check.result() == record_reference.validate_records(want, ratio_cap=CAP)
 
 
 HEADER = ",".join(RECORD_FIELDS) + "\n"
@@ -358,9 +396,10 @@ class TestRowErrors:
         path = tmp_path / "records.csv"
         path.write_text(text)
         assert outcome(record_reference.read_records, path) == (ValueError, message)
-        with pytest.raises(ValueError) as info:
-            read_record_table(path)
-        assert str(info.value) == message
+        for size in (1, 40, len(text)):  # one line a block, and the whole file in one
+            with mock.patch.object(recordio, "RECORD_BLOCK_CHARS", size):
+                assert outcome(list, read_record_blocks(path)) == (ValueError, message)
+                assert outcome(read_records, path) == (ValueError, message)
 
     @pytest.mark.parametrize(
         "text",
@@ -371,7 +410,7 @@ class TestRowErrors:
         path = tmp_path / "records.csv"
         path.write_text(text)
         assert read_records(path) == record_reference.read_records(path)
-        assert read_record_table(path).n == [1, 2]
+        assert [n for steps, _ in read_record_blocks(path) for n in steps] == [1, 2]
 
 
 def per_value_rows(rows, ints):
