@@ -362,7 +362,7 @@ class RecordCheck:
     whether that row's clock was reported, and the anchors: gamma0 and
     mass0, or where not given the first finite row's gamma and mass.
     Each rule and its message is the README's (records.csv): the clock,
-    held to tol, tau, gamma and xi positive, gamma non-increasing, the
+    held to tol, tau, gamma, xi and eta positive, gamma non-increasing, the
     identity gamma_{n-1} - gamma_n = dissipation, constant mass, and the
     step ratio cap; a nonfinite row is reported alone and skipped.
     """
@@ -388,7 +388,7 @@ class RecordCheck:
             if not isfinite(sum(row)) and not all(map(isfinite, row)):
                 report(f"step {n}: nonfinite record values")
                 continue
-            t, tau, gamma, _, xi, _, mass, dissipation = row
+            t, tau, gamma, _, xi, eta, mass, dissipation = row
             if anchors is None:
                 m_anchor = mass if self.mass0 is None else self.mass0
                 m_scale = max(abs(m_anchor), 1.0) if self.volume is None else self.volume
@@ -410,6 +410,8 @@ class RecordCheck:
                 report(f"step {n}: gamma = {gamma} not positive")
             if xi <= 0:
                 report(f"step {n}: xi = {xi} not positive")
+            if eta <= 0:
+                report(f"step {n}: eta = {eta} not positive")
             if gamma > prev_gamma + 1e-13 * g_scale:
                 report(f"step {n}: gamma increased from {prev_gamma!r} to {gamma!r}")
             if abs(prev_gamma - gamma - dissipation) > 1e-12 * prev_gamma:

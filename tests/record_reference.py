@@ -76,6 +76,8 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
             problems.append(f"step {rec.n}: gamma = {rec.gamma} not positive")
         if rec.xi <= 0:
             problems.append(f"step {rec.n}: xi = {rec.xi} not positive")
+        if rec.eta <= 0:
+            problems.append(f"step {rec.n}: eta = {rec.eta} not positive")
         if prev_gamma is not None:
             if rec.gamma > prev_gamma + 1e-13 * g_scale:
                 problems.append(
@@ -97,3 +99,13 @@ def validate_records(records, gamma0=None, mass0=None, volume=None, ratio_cap=No
                 )
         prev_t, prev_n, held, prev_gamma, prev_tau = rec.t, rec.n, clock_ok, rec.gamma, rec.tau
     return problems
+
+
+def eta_problems(records) -> list[str]:
+    """The eta rule's messages alone: the rows whose eta = xi (2 - xi) is not
+    positive, steps at which the scalar lagged the energy so far (xi >= 2)
+    that the written field is the auxiliary one times a non-positive factor.
+    Steps as long as some tests take on rough fields do this; every other
+    guarantee holds on them."""
+    return [f"step {rec.n}: eta = {rec.eta} not positive" for rec in records if rec.eta <= 0]
+

@@ -675,6 +675,19 @@ class TestCheck:
         peak(4)  # imports and caches
         assert peak(400) < peak(40) + 8192
 
+    def test_collapsed_step_fails_both_forms(self, tmp_path, capsys):
+        # coarsening2d at its default n = 128: step 1 gives xi = 12.1, so the
+        # written field is eta = xi (2 - xi) = -122.3 times the auxiliary one
+        cfg = write_cfg(tmp_path, "scenario = coarsening2d\nhorizon = 1e-5\n[output]\nsnapshots =\n")
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        for argv in (["check", cfg], ["check", cfg, "--records", str(tmp_path / "out" / "records.csv")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "step 1: eta = -122.3049896378687 not positive",
+                "check failed: 1 violation(s) over 1 steps",
+            ]
+
     def test_records_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
         # check --records parses records.csv block by block and keeps no
         # block it has checked, so the peak moves only with the rows a block
@@ -739,9 +752,10 @@ class TestStepAndClockChecks:
             (0, "t", lambda v: 0.0, "t = 0.0 not positive"),
             (0, "t", lambda v: -1.0, "t = -1.0 not positive"),
             (-1, "t", lambda v: v + 1.0, "t advanced by "),
+            (50, "eta", lambda v: -v, "eta = -"),
         ],
         ids=["negative-last-step", "clock-back-to-zero", "zero-step", "first-clock-at-zero",
-             "first-clock-negative", "last-clock-ahead"],
+             "first-clock-negative", "last-clock-ahead", "negative-eta"],
     )
     def test_edit_fails_with_one_named_violation(self, run, tmp_path, capsys, row, field, edit, message):
         cfg, records = run

@@ -27,6 +27,7 @@ from chsolver import (
 )
 from chsolver.policies import LandingError, landing_targets
 from chsolver.stepper import record_values
+from record_reference import eta_problems
 from chsolver.timestep import A1ViolationError, a1_cap
 
 
@@ -185,6 +186,21 @@ class TestDriver:
             run_with_policy(small_state(), PrescribedMesh(mesh), 0.1)
         assert calls == []
 
+    def test_prescribed_mesh_rejects_a_step_within_the_landing_tol(self, monkeypatch):
+        # step 3 is 1e-14 against tol = 1e-12 * 0.3231: run, step 2 landed on
+        # node 3's time, the checkpoint there was reported with node 2's field,
+        # and every later record's t was 1e-14 ahead of its node
+        import chsolver.policies as policies
+
+        calls = []
+        monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
+        growth = [1e-14 * 4.8**k for k in range(1, 19)]
+        mesh = TimeMesh([0.05, 0.05, 1e-14, *growth, 0.05, 0.05, 0.05, 0.05])
+        assert mesh.count == 25
+        with pytest.raises(LandingError, match=r"^mesh step 3 \(1e-14\) is not longer than the landing tolerance"):
+            run_with_policy(small_state(n=8), PrescribedMesh(mesh), mesh.horizon, checkpoints=(float(mesh.times[3]),))
+        assert calls == []
+
     def test_prescribed_mesh_accepts_horizon_off_last_node_by_rounding(self):
         mesh = random_mesh(0.05, 12, seed=3)
         state, records = drive(small_state(), PrescribedMesh(mesh), mesh.horizon * (1.0 + 1e-13))
@@ -300,7 +316,8 @@ class TestDriverKeepsA1:
         assert set(landing_targets(policy, 0.0, horizon, marks)) <= {rec.t for rec in records}
         taus = [rec.tau for rec in records]
         assert all(b <= policy.ratio_cap * a for a, b in zip(taus, taus[1:]))
-        assert validate_records(records, ratio_cap=policy.ratio_cap) == []
+        # a step as long as the horizon can collapse this rough field (eta <= 0)
+        assert validate_records(records, ratio_cap=policy.ratio_cap) == eta_problems(records)
 
 
 def record_bits(records) -> bytes:

@@ -199,12 +199,12 @@ def faulty_streams(draw):
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, count - 1))
         row = rows[i]
-        kinds = ["nonfinite", "tau", "gamma", "xi", "clock", "shift", "increase", "identity", "mass", "ratio", "any"]
+        kinds = ["nonfinite", "tau", "gamma", "xi", "eta", "clock", "shift", "increase", "identity", "mass", "ratio", "any"]
         kind = draw(st.sampled_from(kinds))
         if kind == "nonfinite":
             row[draw(st.integers(0, 7))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        elif kind in ("tau", "gamma", "xi"):
-            column = {"tau": 1, "gamma": 2, "xi": 4}[kind]
+        elif kind in ("tau", "gamma", "xi", "eta"):
+            column = {"tau": 1, "gamma": 2, "xi": 4, "eta": 5}[kind]
             row[column] = draw(st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0))
         elif kind == "clock":
             # at or before the previous row's t, or just after it

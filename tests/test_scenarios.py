@@ -444,17 +444,20 @@ class TestCheckpointReporting:
             Scenario("coarsening2d", 2, 8, 2.0 * np.pi, 0.3, H, policy, seed=3, snapshot_times=times)
         )
 
-    def test_a_step_shorter_than_tol_reports_its_checkpoint_once(self):
+    def test_a_step_shorter_than_tol_is_rejected_before_step_one(self):
         # step 40 of this mesh is shorter than tol, so steps 39 and 40 both
-        # end within tol of node 40; its snapshot goes out with step 39 only
+        # end within tol of node 40: step 39 would land on node 40, with its
+        # snapshot, and every later clock would run 5e-13 ahead of its node
         steps = mixed_steps(seeded_mixed_draws(32), 60)
         mesh = TimeMesh(np.append(steps, steps[-1] * CAP), delta=0.01)
         assert mesh.steps[39] < LANDING_RTOL * mesh.horizon
         times = tuple(mesh.times[[20, 40, 59]].tolist())
-        assert_each_checkpoint_reported_once(
-            Scenario("coarsening2d", 2, 16, 2.0 * np.pi, 0.3, mesh.horizon, PrescribedMesh(mesh), seed=1,
-                     snapshot_times=times)
-        )
+        sc = Scenario("coarsening2d", 2, 16, 2.0 * np.pi, 0.3, mesh.horizon, PrescribedMesh(mesh), seed=1,
+                      snapshot_times=times)
+        sink = _ListSink()
+        with pytest.raises(policies.LandingError, match=f"^mesh step 40 \\({mesh.tau(40)!r}\\) is not longer than"):
+            run_into(sink, sc)
+        assert sink.events == []
 
 
 class TestOrderComputation:

@@ -36,6 +36,7 @@ from chsolver import (
 from chsolver.spectral import cubic, forward, h1_norm, inverse
 from chsolver.stepper import _extrapolated_nonlinearity
 from dense_reference import dense_advance, half_spectrum, random_state
+from record_reference import eta_problems
 
 
 def rough_field(grid, seed, lo=-1.0, hi=1.0):
@@ -352,6 +353,7 @@ class TestDenseOracle:
 
 class TestRecordValidation:
     def make_records(self, steps=20):
+        # step 1 on this rough field gives eta = -12.7, the one row the eta rule reports
         grid = Grid(2, 2.0 * np.pi, 16)
         phi0 = rough_field(grid, 11)
         state = init_state(phi0, 0.8)
@@ -365,7 +367,8 @@ class TestRecordValidation:
 
     def test_clean_run_passes(self):
         records, gamma0, mass0, volume = self.make_records()
-        assert validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume) == []
+        assert [rec.n for rec in records if rec.eta <= 0] == [1]
+        assert validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume) == eta_problems(records)
 
     def test_gamma_increase_detected(self):
         records, gamma0, mass0, volume = self.make_records()
@@ -413,13 +416,15 @@ class TestRecordValidation:
         records, gamma0, mass0, volume = self.make_records()
         records[4] = replace(records[4], tau=-records[4].tau)
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume, ratio_cap=4.85)
-        assert problems == [f"step 5: tau = {records[4].tau} not positive"]
+        assert problems == eta_problems(records) + [f"step 5: tau = {records[4].tau} not positive"]
 
     def test_clock_that_stands_still_detected(self):
         records, gamma0, mass0, volume = self.make_records()
         records[6] = replace(records[6], t=records[5].t)
         problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=volume)
-        assert problems == [f"step 7: t = {records[5].t!r} does not exceed the previous t = {records[5].t!r}"]
+        assert problems == eta_problems(records) + [
+            f"step 7: t = {records[5].t!r} does not exceed the previous t = {records[5].t!r}"
+        ]
 
     def test_empty_stream_flagged(self):
         assert validate_records([]) == ["no records"]

@@ -47,7 +47,10 @@ from chsolver import (
     random_mesh,
     validate_records,
 )
+from chsolver.policies import LandingError
 from chsolver.spectral import forward, h1_norm
+from chsolver.timestep import landing_tol
+from record_reference import eta_problems
 from test_policies import drive
 
 R_MAX = 4.864536512317584
@@ -98,7 +101,9 @@ def assert_residuals_hold(mesh, n, seed):
 
 def assert_run_keeps_guarantees(mesh):
     """A coarsening2d N=32 run on the mesh: gamma never increases, the
-    per-step identity and mass hold, and no ratio exceeds CAP."""
+    per-step identity and mass hold, and no ratio exceeds CAP.  The check
+    reports nothing else than the steps that collapse the field (eta <= 0),
+    each of them."""
     grid = Grid(2, 2.0 * np.pi, 32)
     phi0 = ic_random(grid, 1)
     state = init_state(phi0, 0.3)
@@ -107,7 +112,7 @@ def assert_run_keeps_guarantees(mesh):
     # the driver replays the mesh bit for bit, the landing step included
     assert [rec.tau for rec in records] == mesh.steps.tolist()
     problems = validate_records(records, gamma0=gamma0, mass0=mass0, volume=grid.volume, ratio_cap=CAP)
-    assert problems == []
+    assert problems == eta_problems(records)
 
 
 def convolution_matrix(mesh, n):
@@ -618,21 +623,33 @@ class TestMixedRatioMesh:
     def test_prescribed_mesh_is_replayed_exactly(self, nodes):
         # a last step on the cap: a driver that stretched a landing step to the
         # rounded distance left to the horizon took its ratio above the cap
+        # a mesh with a step no longer than the landing tol is rejected before step 1
         grid = Grid(2, 2.0 * np.pi, 16)
+        rejected = []
         for seed in range(40):
             steps = mixed_steps(seeded_mixed_draws(seed), 60)
             mesh = TimeMesh(np.append(steps, steps[-1] * CAP), delta=0.01)
             assert mesh.satisfies_a1()
             checkpoints = mesh.times[list(nodes)]
             state = init_state(ic_random(grid, 1), 0.3)
+            if mesh.steps.min() <= landing_tol(mesh.horizon):
+                with pytest.raises(LandingError, match="is not longer than the landing tolerance"):
+                    drive(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
+                rejected.append(seed)
+                continue
             _, records = drive(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
             assert [rec.tau for rec in records] == mesh.steps.tolist()
             assert records[-1].t == mesh.horizon
-            assert validate_records(records, ratio_cap=CAP) == []
+            assert validate_records(records, ratio_cap=CAP) == eta_problems(records)
+        assert rejected == [3, 5, 10, 14, 17, 32, 36]
 
     def test_coarsening2d_run_keeps_the_guarantees(self):
-        for seed in range(3):
+        for seed in (0, 2):
             assert_run_keeps_guarantees(TimeMesh(mixed_steps(seeded_mixed_draws(seed), 400), delta=0.01))
+        # seed 1's shortest step is 0.9997e-12 times its horizon, within the landing tol
+        mesh = TimeMesh(mixed_steps(seeded_mixed_draws(1), 400), delta=0.01)
+        with pytest.raises(LandingError, match="is not longer than the landing tolerance"):
+            assert_run_keeps_guarantees(mesh)
 
     @pytest.mark.xfail(
         strict=True,
