@@ -61,15 +61,16 @@ REPEATS timed runs after the warm-up below.
   rows that obeys every guarantee, so every row goes through every check,
   and on the first row of that stream alone: the fixed cost of one warm
   in-process call (argument parsing, config, scenario and file handling).
-  The stream's parse and check follow apart: ``read_record_table`` and
-  ``validate_records`` on its table, the two halves of ``check
-  --records`` (the check is the row fold, or the column check on commits
-  before it), and ``read_records``, which builds one StepRecord per row.
+  The stream's parse and check follow apart, the two halves of ``check
+  --records``: ``read_record_blocks`` parsing every block, and the row
+  fold (``RecordCheck.feed``) on the parsed blocks, as ``check --records``
+  builds it ("n/a" on commits without them); then ``read_records``, which
+  builds one StepRecord per row.
 - check: in fresh processes, started like the resident probes above, the
   peak RSS of ``check CONFIG`` at 10^4 and 10^5 steps of CHECK_CFG
   (coarsening2d, N = 8, a fixed step of 1e-6, no snapshots), and the wall
-  time and peak RSS of one ``check --records`` call on the 10^5-row
-  records.csv that ``simulate`` writes for the same config.
+  time and peak RSS of one ``check --records`` call on the 10^4- and
+  10^5-row records.csv that ``simulate`` writes for the same configs.
 - cold start: the wall time of a fresh interpreter, from spawn to exit, for
   bare ``python -c pass``, ``import chsolver``, the ``kernels`` subcommand at
   max_n = 30 and ``simulate`` on a short 2d N = 32 kissing_bubbles run; the
@@ -323,18 +324,19 @@ def simulate_peaks(src):
 
 
 def check_figures(src):
-    """[(steps, peak RSS of a fresh check CONFIG in MB)] for CHECK_STEPS,
-    and (seconds, peak RSS in MB) of a fresh check --records on the
-    records.csv simulate writes at the last of them."""
+    """[(steps, peak RSS of a fresh check CONFIG in MB, seconds and peak RSS
+    in MB of a fresh check --records on the records.csv simulate writes)]
+    for CHECK_STEPS."""
+    figures = []
     with tempfile.TemporaryDirectory() as tmp:
-        peaks = []
         for steps in CHECK_STEPS:
             cfg = Path(tmp) / f"check{steps}.cfg"
             cfg.write_text(CHECK_CFG.format(steps=steps))
-            peaks.append((steps, cli_child(src, "check", str(cfg))[0]))
-        cli_child(src, "simulate", str(cfg), "--outdir", tmp + "/out")
-        mb, _, seconds = cli_child(src, "check", str(cfg), "--records", tmp + "/out/records.csv")
-    return peaks, (seconds, mb)
+            out = f"{tmp}/out{steps}"
+            cli_child(src, "simulate", str(cfg), "--outdir", out)
+            mb, _, seconds = cli_child(src, "check", str(cfg), "--records", out + "/records.csv")
+            figures.append((steps, cli_child(src, "check", str(cfg))[0], seconds, mb))
+    return figures
 
 
 def kernels_table(peaks):
@@ -407,14 +409,15 @@ def io_table():
         StepRecord,
         build_scenario,
         parse_config,
-        read_record_table,
         read_records,
         read_snapshot,
-        validate_records,
+        recordio,
+        stepper,
         write_records,
         write_snapshot,
     )
     from chsolver.cli import main as cli_main
+    from chsolver.timestep import landing_tol
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Grid(3, 2.0 * np.pi, 128)
@@ -432,11 +435,12 @@ def io_table():
             fn()
             print(f"{label:38s} {median_ms(fn):10.2f}  {median_faults(fn):11.0f}")
 
-        # gamma falls by exactly the dissipation each step; mass and tau are constant
+        # gamma falls by exactly the dissipation each step; mass and tau are
+        # constant, and xi = eta = 1
         rows, gamma = [], 1.0
         for n in range(1, IO_ROWS + 1):
             prev, gamma = gamma, gamma - 1e-5
-            rows.append(StepRecord(n, n * 1e-6, 1e-6, gamma, gamma - 1.0, 1.0, 0.0, 0.0, prev - gamma))
+            rows.append(StepRecord(n, n * 1e-6, 1e-6, gamma, gamma - 1.0, 1.0, 1.0, 0.0, prev - gamma))
         records, one_row = Path(tmp) / "records.csv", Path(tmp) / "one_row.csv"
         write_records(rows, records)
         write_records(rows[:1], one_row)
@@ -455,23 +459,35 @@ def io_table():
 
         # the parse and the guarantee check of the IO_ROWS stream apart, as
         # check --records runs them, and the StepRecord reader
-        cap = build_scenario(parse_config(cfg)).policy.ratio_cap
-        table = read_record_table(records)
-        if validate_records(table, ratio_cap=cap):
-            raise RuntimeError("validate_records flags the generated stream")
-        for label, fn in (
-            ("read_record_table", lambda: read_record_table(records)),
-            ("validate_records (table)", lambda: validate_records(table, ratio_cap=cap)),
-            ("read_records", lambda: read_records(records)),
-        ):
-            print(f"{label + f' ({IO_ROWS} rows)':38s} {median_ms(fn):10.3f}")
+        scenario = build_scenario(parse_config(cfg))
+        read_blocks = getattr(recordio, "read_record_blocks", None)
+        fns = {"read_record_blocks": None, "RecordCheck.feed": None}
+        if read_blocks is not None:
+            blocks = [(steps, list(rows)) for steps, rows in read_blocks(records)]
+
+            def parse():
+                for _ in read_blocks(records):
+                    pass
+
+            def fold():
+                check = stepper.RecordCheck(landing_tol(scenario.horizon), ratio_cap=scenario.policy.ratio_cap)
+                for steps, rows in blocks:
+                    check.feed(steps, rows)
+                return check.result()
+
+            if fold():
+                raise RuntimeError("RecordCheck flags the generated stream")
+            fns = {"read_record_blocks": parse, "RecordCheck.feed": fold}
+        fns["read_records"] = lambda: read_records(records)
+        for label, fn in fns.items():
+            ms = "n/a" if fn is None else f"{median_ms(fn):.3f}"
+            print(f"{label + f' ({IO_ROWS} rows)':38s} {ms:>10s}")
 
 
 def check_table(figures):
-    peaks, (seconds, mb) = figures
-    for steps, peak in peaks:
+    for steps, peak, seconds, mb in figures:
         print(f"fresh check CONFIG ({steps} steps): peak RSS {peak:.1f} MB")
-    print(f"fresh check --records ({peaks[-1][0]} rows): {seconds:.3f} s, peak RSS {mb:.1f} MB")
+        print(f"fresh check --records ({steps} rows): {seconds:.3f} s, peak RSS {mb:.1f} MB")
 
 
 def cold_start_table(src, simulate_mb):
