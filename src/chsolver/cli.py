@@ -294,27 +294,21 @@ def _cmd_kernels(args) -> int:
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, scenario=args.scenario, check_snapshots=False)
     scenario = build_scenario(cfg)
-    if args.records is None:
+    # an off-node snapshot or a mesh step within tol fails here, as in simulate
+    landing_targets(scenario.policy, 0.0, scenario.horizon, scenario.snapshot_times)
+    anchors = ()  # those of the first finite row
+    if args.records is None:  # step 1 is checked against the initial state
         state = initial_state(scenario)
-        # step 1 is checked against the initial state
         anchors = (state.gamma, spectral.integral(state.grid, state.phi_bar_hat1), state.grid.volume)
-    else:
-        # an off-node snapshot fails here as it does in simulate
-        landing_targets(scenario.policy, 0.0, scenario.horizon, scenario.snapshot_times)
-        anchors = ()  # the first finite row's
-    # the clock is held to the tol the driver lands with; checks each record
-    # as it is read or made and keeps none
+    # the clock is held to the tol the driver lands with; no record is kept
     check = RecordCheck(landing_tol(scenario.horizon), *anchors, ratio_cap=scenario.policy.ratio_cap)
     if args.records is None:
-
-        def feed(st, rec, reached):
-            check.feed((rec.n,), (record_values(rec),))
-
         # the snapshot times are landing targets (beyond the horizon, none), as in simulate
-        run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=feed)
+        run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times,
+                        on_step=lambda st, rec, reached: check.feed((rec.n,), (record_values(rec),)))
     else:
-        for steps, rows in read_record_blocks(args.records):
-            check.feed(steps, rows)
+        for block in read_record_blocks(args.records):
+            check.feed(*block)
     problems, steps = check.result(), check.rows
     if problems:
         for p in problems:

@@ -98,20 +98,18 @@ def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoint
     """The times a run from start lands on: the checkpoints inside (start +
     tol, horizon - tol), sorted, then the horizon; tol = landing_tol(horizon).
     Under a PrescribedMesh, A1ViolationError rejects a mesh the driver would
-    clamp, and LandingError names its first step no longer than tol (whose
-    start lies within tol of its end node, so the driver would land there a
-    step early), the first of the checkpoints (in the given order) that is no
-    node, or a horizon beyond the last node, both within tol: landing off a
-    node shifts every later one."""
+    clamp, and LandingError names its first step no longer than tol (the
+    driver would land at its end a step early), the first of them (in the
+    given order) that is no node, or a horizon beyond the last node, both
+    within tol: landing off a node shifts every later one."""
     if not start < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {start}")
     tol = landing_tol(horizon)
     inner = [float(c) for c in checkpoints if start + tol < c < horizon - tol]
     if isinstance(policy, PrescribedMesh):
         policy.mesh.require_a1()
-        short = policy.mesh.steps <= tol
-        if short.any():
-            k = int(short.argmax()) + 1
+        if (policy.mesh.steps <= tol).any():
+            k = int(np.argmax(policy.mesh.steps <= tol)) + 1
             raise LandingError(f"mesh step {k} ({policy.mesh.tau(k)!r}) is not longer than the landing tolerance {tol!r}")
         for c in inner:
             if np.abs(policy.mesh.times - c).min() > tol:
