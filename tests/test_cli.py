@@ -696,7 +696,6 @@ class TestCheck:
         block = 1 << 15
         monkeypatch.setattr(recordio, "RECORD_BLOCK_CHARS", block, raising=False)
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 8\n")
-
         # a clean stream: gamma falls by its dissipation, tau and mass are constant
         rows, gamma = [], 1.0
         for n in range(1, 10 * block // 64):
@@ -706,8 +705,8 @@ class TestCheck:
         row_chars = (tmp_path / "all.csv").stat().st_size / len(rows)
 
         def peak(blocks):
-            path = tmp_path / f"records{blocks}.csv"
-            write_records(rows[: int(blocks * block / row_chars)], path)
+            path, count = tmp_path / f"records{blocks}.csv", int(blocks * block / row_chars)
+            write_records(rows[:count], path)
             tracemalloc.start()
             try:
                 with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -715,7 +714,7 @@ class TestCheck:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert out.getvalue() == f"check passed: {int(blocks * block / row_chars)} steps, all guarantees hold\n"
+            assert out.getvalue() == f"check passed: {count} steps, all guarantees hold\n"
             return peak
 
         peak(1)  # imports and caches
