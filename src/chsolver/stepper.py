@@ -50,10 +50,11 @@ place.  scenarios.initial_state hands over its initial level writable, so
 step 2 recycles it.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
 the output pb are full-size, besides the transform's own buffer and
 slab-sized temporaries (no |k|^2 table is kept), and relax scales pb in
-place into phi_n.  advance calls relax, and sums the energy as energy
-does; the public linear_solve, gamma_update and energy run the same slab
-helpers as its fused solve and write no array of the state they are
-given, so composing the four substeps reproduces advance bit for bit.
+place into phi_n.  One step follows one path: advance contracts the
+||grad mu||^2 its solve summed with gamma_update and relaxes with relax,
+and sums the energy as energy does.  linear_solve returns that solve's
+sums whole and, like energy, writes no array of the state it is given, so
+linear_solve, energy, gamma_update and relax compose to advance bit for bit.
 
 A step returns its scalars as a StepRecord.  RecordCheck checks a stream
 of them as a fold over its rows in Python floats, carrying only the
@@ -216,14 +217,6 @@ def _extrapolated_nonlinearity(
     return forward(f)
 
 
-def _grad_mu_terms(k2: np.ndarray, pb_hat: np.ndarray, f_hat: np.ndarray) -> float:
-    """||grad mu||^2 / |Omega| over rows of the half spectrum, for
-    mu_hat = |k|^2 pb_hat + f_hat."""
-    mu_hat = k2 * pb_hat
-    mu_hat += f_hat
-    return parseval_terms(mu_hat, k2)
-
-
 def _solve(
     state: GsavState, tau_n: float, f_hat: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
@@ -255,7 +248,9 @@ def _solve(
             # the mode-0 equation reduces to pb_hat_0 = c1_0; dividing by b0
             # would move a constant field by an ulp per step
             out[zero] = c1[zero]
-        return _grad_mu_terms(k2_s, out, f_s), parseval_terms(out, k2_s)
+        mu_hat = k2_s * out  # mu_hat = |k|^2 pb_hat + f_hat
+        mu_hat += f_s
+        return parseval_terms(mu_hat, k2_s), parseval_terms(out, k2_s)
 
     gm = grad = 0.0
     for gm_s, grad_s in slab_map(solve_slab, pb_hat.shape):  # in slab order, as slab_sum adds
@@ -264,29 +259,16 @@ def _solve(
     return pb_hat, grid.volume * gm, grid.volume * grad
 
 
-def linear_solve(state: GsavState, tau_n: float) -> np.ndarray:
-    """Half spectrum of the auxiliary field after the implicit solve (substep 1)."""
-    return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))[0]
+def linear_solve(state: GsavState, tau_n: float) -> tuple[np.ndarray, float, float]:
+    """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2) of the implicit solve
+    (substep 1), as _solve sums them."""
+    return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))
 
 
-def _contracted(gamma_prev: float, tau_n: float, gm: float, e_bar: float) -> float:
-    return gamma_prev / (1.0 + tau_n * gm / (e_bar + SAV_C))
-
-
-def gamma_update(
-    grid: Grid, gamma_prev: float, tau_n: float, pb_hat: np.ndarray, f_hat: np.ndarray, e_bar: float
-) -> tuple[float, float]:
-    """(gamma_n, ||grad mu||^2) from the closed-form contraction (substep 2).
-
-    pb_hat and e_bar are the auxiliary field's half spectrum and energy,
-    f_hat the nonlinearity the solve used; ||grad mu||^2 for
-    mu = -lap(phi_bar) + f is summed in coefficient space, slab by slab as
-    advance sums it while solving.
-    """
-    gm = grid.volume * slab_sum(
-        lambda s: _grad_mu_terms(grid.k_squared_rows(s), pb_hat[s], f_hat[s]), pb_hat.shape
-    )
-    return _contracted(gamma_prev, tau_n, gm, e_bar), gm
+def gamma_update(gamma_prev: float, tau_n: float, grad_mu_sq: float, e_bar: float) -> float:
+    """gamma_n from the closed-form contraction (substep 2), for the
+    ||grad mu||^2 and the energy e_bar of the auxiliary field."""
+    return gamma_prev / (1.0 + tau_n * grad_mu_sq / (e_bar + SAV_C))
 
 
 def relax(pb: np.ndarray, gamma_n: float, e_bar: float) -> tuple[float, float, np.ndarray]:
@@ -325,7 +307,7 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
     if not (np.isfinite(e_bar) and np.isfinite(gm)):
         raise NonfiniteFieldError(f"nonfinite field after step {n}")
-    gamma_n = _contracted(state.gamma, tau_n, gm, e_bar)
+    gamma_n = gamma_update(state.gamma, tau_n, gm, e_bar)
     xi, eta, phi_n = relax(pb, gamma_n, e_bar)
     record = StepRecord(
         n=n,

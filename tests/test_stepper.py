@@ -147,7 +147,7 @@ class TestSingleStep:
         c0 = state.phi_bar_hat1
         k2 = grid.k_squared_rows(slice(None))
         expected = (c0 / tau - k2 * f_hat) / (1.0 / tau + k2**2)
-        assert np.allclose(linear_solve(state, tau), expected, atol=1e-13)
+        assert np.allclose(linear_solve(state, tau)[0], expected, atol=1e-13)
         new_state, _ = advance(state, tau)
         assert np.allclose(new_state.phi_bar_hat1, expected, atol=1e-13)
 
@@ -180,11 +180,10 @@ class TestSingleStep:
         state, _ = advance(state, 0.02)
         tau = 0.03
         # advance runs exactly these substeps, so the match is bitwise
-        pb_hat = linear_solve(state, tau)
+        pb_hat, grad_mu_sq, _ = linear_solve(state, tau)
         pb = inverse(pb_hat, grid.shape)
         e_bar = energy(grid, pb, pb_hat, state.eps)
-        f_term = _extrapolated_nonlinearity(state, tau)
-        gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
+        gamma_n = gamma_update(state.gamma, tau, grad_mu_sq, e_bar)
         xi, eta, phi_n = relax(pb, gamma_n, e_bar)
         before = copy.copy(state)  # advance takes the given state's arrays
         new_state, rec = advance(state, tau)
@@ -198,6 +197,24 @@ class TestSingleStep:
         assert np.array_equal(new_state.phi1, phi_n)
         assert new_state.phi_bar_hat2 is before.phi_bar_hat1
         assert new_state.phi2 is before.phi1
+
+    def test_advance_runs_each_substep_once(self, monkeypatch):
+        # one step, one path: one solve, one contraction of the ||grad mu||^2
+        # it summed and one relaxation; no second sum through linear_solve or energy
+        import chsolver.stepper as stepper
+
+        grid = Grid(2, 2.0 * np.pi, 16)
+        state, _ = advance(init_state(rough_field(grid, 3), 0.6), 0.02)
+        calls = []
+        for name in ("_solve", "gamma_update", "relax", "linear_solve", "energy"):
+
+            def counted(*args, _orig=getattr(stepper, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(stepper, name, counted)
+        advance(state, 0.03)
+        assert sorted(calls) == ["_solve", "gamma_update", "relax"]
 
     def test_relaxation_algebra(self):
         # eta = xi (2 - xi), i.e. 1 - eta = (1 - xi)^2
@@ -330,15 +347,15 @@ class TestDenseOracle:
         state = random_state(grid, eps=0.6 + 0.1 * seed, seed=seed)
         tau = 0.012 + 0.003 * seed
         ref = dense_advance(state, tau)
-        pb_hat = linear_solve(state, tau)
+        # the ||grad mu||^2 advance contracts, as its solve sums it
+        pb_hat, grad_mu_sq, _ = linear_solve(state, tau)
         assert np.abs(pb_hat - half_spectrum(grid, ref["phi_bar_hat"])).max() < 1e-12
+        assert np.isclose(grad_mu_sq, ref["grad_mu_sq"], rtol=1e-12)
         pb = inverse(pb_hat, grid.shape)
         e_bar = energy(grid, pb, pb_hat, state.eps)
         assert np.isclose(e_bar, ref["energy"], rtol=1e-12)
-        f_term = _extrapolated_nonlinearity(state, tau)
-        gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
+        gamma_n = gamma_update(state.gamma, tau, grad_mu_sq, e_bar)
         assert np.isclose(gamma_n, ref["gamma"], rtol=1e-12)
-        assert np.isclose(grad_mu_sq, ref["grad_mu_sq"], rtol=1e-12)
         xi, eta, phi_n = relax(pb, gamma_n, e_bar)
         assert np.isclose(xi, ref["xi"], rtol=1e-12)
         assert np.isclose(eta, ref["eta"], rtol=1e-12)
@@ -468,9 +485,8 @@ class TestWorkingSet:
         state = init_state(rough_field(grid, 16), 0.6)
         for _ in range(2):
             state, _ = advance(state, 0.01)
-        f_hat = _extrapolated_nonlinearity(state, 0.01)
-        pb_hat = linear_solve(state, 0.01)
-        gamma_update(grid, state.gamma, 0.01, pb_hat, f_hat, 1.0)
+        pb_hat, _, _ = linear_solve(state, 0.01)
+        energy(grid, inverse(pb_hat, grid.shape), pb_hat, state.eps)
         h1_norm(grid, pb_hat)
         cached = [v for value in vars(grid).values() for v in (value if isinstance(value, tuple) else (value,))]
         assert any(isinstance(v, np.ndarray) for v in cached)  # the wavenumbers are kept
@@ -605,12 +621,10 @@ class TestInPlace:
         assert all(a.flags.writeable for a in arrays.values())
         values = {name: a.copy() for name, a in arrays.items()}
         tau = 0.013
-        pb_hat = linear_solve(state, tau)
-        f_hat = _extrapolated_nonlinearity(state, tau)
+        pb_hat, grad_mu_sq, _ = linear_solve(state, tau)
         pb = inverse(pb_hat, grid.shape)
         e_bar = energy(grid, pb, pb_hat, state.eps)
-        gamma_n, _ = gamma_update(grid, state.gamma, tau, pb_hat, f_hat, e_bar)
-        relax(pb, gamma_n, e_bar)
+        relax(pb, gamma_update(state.gamma, tau, grad_mu_sq, e_bar), e_bar)
         for name, a in arrays.items():
             assert getattr(state, name) is a
             assert np.array_equal(a, values[name]), name
@@ -652,11 +666,10 @@ class TestThreads:
     def test_substeps_compose_to_advance_on_several_cores(self, monkeypatch):
         state, _ = self.run(monkeypatch, 2)
         grid, tau = state.grid, 0.011
-        pb_hat = linear_solve(state, tau)
+        pb_hat, grad_mu_sq, _ = linear_solve(state, tau)
         pb = inverse(pb_hat, grid.shape)
         e_bar = energy(grid, pb, pb_hat, state.eps)
-        f_term = _extrapolated_nonlinearity(state, tau)
-        gamma_n, grad_mu_sq = gamma_update(grid, state.gamma, tau, pb_hat, f_term, e_bar)
+        gamma_n = gamma_update(state.gamma, tau, grad_mu_sq, e_bar)
         xi, eta, phi_n = relax(pb, gamma_n, e_bar)
         new_state, rec = advance(state, tau)
         assert np.array_equal(new_state.phi_bar_hat1, pb_hat)
