@@ -11,6 +11,8 @@ Subcommands (each takes a config file path):
              with --records) and verify the scheme's guarantees
 
 Exit codes: 0 success, 1 usage/validation failure, 2 runtime error.
+``simulate`` stops with exit 2 at the first step whose eta is not positive
+(CollapsedFieldError), before it writes that step's row or snapshots.
 
 ``kernels`` formats kernels.csv on every core the process may run on
 (``spectral.CORES``): rows 1..max_n are cut into contiguous parts of about
@@ -101,30 +103,41 @@ def _outdir(cfg, override) -> Path:
 ROW_FLUSH_SECONDS = 1.0
 
 
+class CollapsedFieldError(ArithmeticError):
+    """A step's eta = xi (2 - xi) is not positive: the written field
+    eta * phi_bar would vanish or change sign."""
+
+
 class _RunOutput:
     """simulate's on_step: writes each snapshot as it is taken, and the kept
     record rows at most ROW_FLUSH_SECONDS after their step (all of them on
     close, also when the run fails).  Of the records it keeps only the
-    unwritten rows and the first and last, for the summary line.  The
-    directory is made and records.csv opened with the first file written,
-    so a run that fails before its first step completes leaves nothing
-    behind."""
+    unwritten rows and the last, and of the rest max |1 - xi|, for the
+    summary line.  The first step with eta <= 0 raises CollapsedFieldError
+    before any of its files is written.  The directory is made and
+    records.csv opened with the first file written, so a run that fails
+    before its first step completes leaves nothing behind."""
 
     def __init__(self, out: Path, record_every: int):
         self.out, self.every = out, record_every
         self.writer = None
         self.pending = []
-        self.first = self.last = None
+        self.last = None
+        self.xi_dev = 0.0
         self.due = time.monotonic() + ROW_FLUSH_SECONDS
         self.snapshots = 0
 
     def __call__(self, state, rec, reached) -> None:
+        if rec.eta <= 0:
+            raise CollapsedFieldError(
+                f"step {rec.n}: xi = {rec.xi!r} gives eta = {rec.eta!r} <= 0, so the written field "
+                "would vanish or change sign; rerun at a smaller n (or with shorter steps)"
+            )
         for t, values in reached:
             self.out.mkdir(parents=True, exist_ok=True)
             write_snapshot(state.grid, values, self.out / f"snap_{self.snapshots:03d}.bin", t)
             self.snapshots += 1
-        if self.first is None:
-            self.first = rec
+        self.xi_dev = max(self.xi_dev, abs(1.0 - rec.xi))
         if rec.n % self.every == 0:
             self.pending.append(rec)
         self.last = rec
@@ -155,14 +168,17 @@ def _cmd_simulate(args) -> int:
     scenario = build_scenario(cfg)
     out = _outdir(cfg, args.outdir)
     output = _RunOutput(out, cfg.record_every)
+    state = initial_state(scenario)
+    gamma0 = state.gamma  # advance leaves the given state its scalars, not its arrays
     try:
-        run_with_policy(
-            initial_state(scenario), scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=output
-        )
+        run_with_policy(state, scenario.policy, scenario.horizon, scenario.snapshot_times, on_step=output)
     finally:
         output.close()
-    first, last = output.first, output.last
-    print(f"{scenario.name}: {last.n} steps to t = {last.t:g}, gamma {first.gamma:.6g} -> {last.gamma:.6g}")
+    last = output.last
+    print(
+        f"{scenario.name}: {last.n} steps to t = {last.t:g}, gamma {gamma0:.6g} -> {last.gamma:.6g}, "
+        f"max |1 - xi| {output.xi_dev:.3g}"
+    )
     print(f"wrote {out / 'records.csv'} and {output.snapshots} snapshots")
     return 0
 

@@ -241,6 +241,13 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         value = getattr(cfg, key)
         if value is not None and value <= 0:
             bad(f"{key} must be positive, got {value}")
+    # a step within the landing tolerance would land before it is taken, and
+    # the run would need horizon / tau of them
+    tol = landing_tol(cfg.horizon)
+    for key in ("tau", "tau_min"):
+        value = getattr(cfg, key)
+        if value is not None and value <= tol:
+            bad(f"{key} = {value!r} is not longer than the landing tolerance {tol!r}")
     if cfg.count is not None and cfg.count < 2:
         bad(f"count must be >= 2, got {cfg.count}")
     if cfg.alpha is not None and cfg.alpha < 0:

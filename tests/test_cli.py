@@ -95,6 +95,58 @@ class TestSimulate:
         assert "injected failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stops_at_a_step_whose_eta_is_not_positive(self, tmp_path, capsys):
+        # coarsening2d at its default n = 128: step 1 gives xi = 12.1 and
+        # eta = xi (2 - xi) = -122.3, and the run stops before it writes a file
+        cfg = write_cfg(tmp_path, "scenario = coarsening2d\nhorizon = 0.001\n[output]\nsnapshots = 0.0, 0.001\n")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "runtime error: CollapsedFieldError: step 1: xi = 12.104277988139017 gives eta = -122.3049896378687 <= 0"
+        )
+        assert "smaller n" in captured.err
+        assert not out.exists()
+
+    def test_an_underflowed_scalar_stops_the_run_and_keeps_its_prefix(self, tmp_path, capsys):
+        # tau = 1e299: gamma is 1.6e-264 after step 1, and step 2 takes it,
+        # xi and eta to 0; step 1's row and the t = 0 snapshot stay
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = convergence\nn = 8\nhorizon = 1e300\n[policy]\nkind = fixed\ntau = 1e299\n"
+            "[output]\nsnapshots = 0.0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 2
+        assert "CollapsedFieldError: step 2: xi = 0.0 gives eta = 0.0 <= 0" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["records.csv", "snap_000.bin"]
+        assert [rec.n for rec in read_records(out / "records.csv")] == [1]
+        assert read_snapshot(out / "snap_000.bin").time == 0.0
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+        capsys.readouterr()
+        # the rerun reports every step and does not stop
+        assert main(["check", cfg]) == 1
+        assert capsys.readouterr().err.endswith("check failed: 28 violation(s) over 10 steps\n")
+
+    def test_summary_starts_from_gamma0(self, tmp_path, capsys):
+        # gamma0 = E0 + 1 of the initial state, not step 1's gamma, and max |1 - xi|
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = fixed\ntau = 0.003\n"
+            "[output]\nsnapshots =\n",
+        )
+        scenario = chsolver.build_scenario(chsolver.parse_config(cfg))
+        gamma0 = chsolver.scenarios.initial_state(scenario).gamma
+        records, _ = chsolver.run_scenario(scenario)
+        xi_dev = max(abs(1.0 - rec.xi) for rec in records)
+        assert records[0].gamma != gamma0
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"coarsening2d: 4 steps to t = 0.01, gamma {gamma0:.6g} -> {records[-1].gamma:.6g}, "
+            f"max |1 - xi| {xi_dev:.3g}"
+        )
+
     def test_rows_reach_the_file_within_the_flush_interval(self, tmp_path, monkeypatch):
         # with no interval every kept row is on disk before the next step starts
         import chsolver.cli as cli
@@ -117,8 +169,8 @@ class TestSimulate:
         assert [r.n for r in read_records(out / "records.csv")] == [2, 4, 6, 8, 10]
 
     def test_a_run_keeps_no_records(self, tmp_path, capsys, monkeypatch):
-        # 200 steps and one row written: at step 200 the run holds the first
-        # and the last record for the summary line, not one per step
+        # 200 steps and one row written: at step 200 the run holds the last
+        # record for the summary line, not one per step
         import gc
 
         import chsolver.policies as policies
@@ -152,6 +204,14 @@ class TestSimulate:
 
 
 class TestConverge:
+    def test_runs_through_a_collapsed_scalar(self, tmp_path, capsys):
+        # the stop rule is simulate's: converge reports xi_dev and goes on
+        cfg = write_cfg(tmp_path, "scenario = coarsening2d\nhorizon = 1e-4\n[converge]\nbase_k = 4\nlevels = 2\nref_steps = 8\n")
+        assert main(["converge", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert max(float(row.split(",")[-1]) for row in rows) > 1.0
+
     def test_writes_table(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -677,11 +737,13 @@ class TestCheck:
 
     def test_collapsed_step_fails_both_forms(self, tmp_path, capsys):
         # coarsening2d at its default n = 128: step 1 gives xi = 12.1, so the
-        # written field is eta = xi (2 - xi) = -122.3 times the auxiliary one
+        # written field is eta = xi (2 - xi) = -122.3 times the auxiliary one;
+        # simulate stops there and writes nothing, so the row is written here
         cfg = write_cfg(tmp_path, "scenario = coarsening2d\nhorizon = 1e-5\n[output]\nsnapshots =\n")
-        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
-        capsys.readouterr()
-        for argv in (["check", cfg], ["check", cfg, "--records", str(tmp_path / "out" / "records.csv")]):
+        records, _ = chsolver.run_scenario(chsolver.build_scenario(chsolver.parse_config(cfg)))
+        path = tmp_path / "records.csv"
+        write_records(records, path)
+        for argv in (["check", cfg], ["check", cfg, "--records", str(path)]):
             assert main(argv) == 1
             assert capsys.readouterr().err.splitlines() == [
                 "step 1: eta = -122.3049896378687 not positive",
@@ -875,6 +937,17 @@ class TestExitCodes:
         assert main([command, cfg]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("policy", ["kind = fixed\ntau = 1e-16\n", "kind = adaptive\ntau_min = 1e-15\n"])
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_step_within_the_landing_tolerance_is_validation_error(self, tmp_path, capsys, monkeypatch, command, policy):
+        # horizon 1e-3: landing_tol is 1e-15, and a fixed 1e-16 would take 10^13 steps
+        cfg = write_cfg(tmp_path, f"scenario = coarsening2d\nn = 8\nhorizon = 1e-3\n[policy]\n{policy}[output]\nsnapshots =\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([command, cfg]) == 1
+        key, value = policy.splitlines()[1].split(" = ")
+        assert capsys.readouterr().err == f"error: {key} = {value} is not longer than the landing tolerance 1e-15\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_check_takes_no_outdir(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = equilibrium\nn = 16\n")

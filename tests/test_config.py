@@ -236,6 +236,20 @@ class TestValidation:
         with pytest.raises(ConfigValidationError, match=match):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("kind", ["fixed", "random", "adaptive"])
+    @pytest.mark.parametrize("key", ["tau", "tau_min"])
+    def test_step_floor_under_every_kind(self, tmp_path, kind, key):
+        # horizon 1: landing_tol is 1e-12, and a step no longer than it is
+        # rejected even where the kind ignores the key
+        def text(value):
+            keys = {"kind": kind, "tau": "0.01", "count": "10", key: value}
+            return "scenario = kissing_bubbles\n[policy]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+        message = f"{key} = 1e-12 is not longer than the landing tolerance 1e-12"
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            parse_config(write(tmp_path, text("1e-12")))
+        assert getattr(parse_config(write(tmp_path, text("2e-12"))), key) == 2e-12
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_kernels_need_two_rows(self, tmp_path, value):
         # random_mesh, which the kernels command draws its mesh from, needs two steps

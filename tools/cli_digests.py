@@ -19,12 +19,14 @@ coarsening3d at n = 48, whose pointwise passes run over two slabs, one
 whose ``kernels`` pass is split among processes wherever more than one core
 is free, each policy kind, the ``delta``, ``eps2``, ``dealias`` and
 ``record_every`` keys, a fixed step that must land on an interior snapshot
-and the same run thinned to every fourth row, the landing edge cases (snapshots within the landing tolerance,
-1e-12 * horizon, of each other, of 0, of the horizon and of a random mesh's
-node; random-mesh snapshots off its nodes, one just beyond the tolerance
-and two out of order), one config for each parse and validation error
-message, and snapshot times that are NaN, infinite or negative, which every
-command must reject.  Each config runs
+and the same run thinned to every fourth row, a step so long that gamma
+underflows to 0, the landing edge cases (snapshots within the landing
+tolerance, 1e-12 * horizon, of each other, of 0, of the horizon and of a
+random mesh's node; random-mesh snapshots off its nodes, one just beyond the
+tolerance and two out of order), one config for each parse and validation
+error message (a fixed step within the landing tolerance among them), and
+snapshot times that are NaN, infinite or negative, which every command must
+reject.  Each config runs
 through ``simulate``, ``converge``, ``kernels`` and ``check`` in process,
 each in a new temporary directory that holds only the config file and is
 the working directory, so the default ``outdir`` lands inside it.  After
@@ -37,6 +39,7 @@ run prints
     <config> <command>: exit <code> files <sha256> stdout <text> stderr <text>
 
 with stdout and stderr as JSON strings, the directory masked as ``<dir>``,
+each warning raised appended to stderr as ``<category>: <message>``,
 and the sha256 over the relative path of every directory and the relative
 path and bytes of every file written, in path order ("-" when nothing was
 written).
@@ -51,6 +54,7 @@ import os
 import platform
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 # small converge and kernels sizes, appended to every runnable config and to
@@ -92,6 +96,8 @@ RUNS = {
     "record_every = 7\n",
     "dim3-kissing": "scenario = kissing_bubbles\nn = 8\ndim = 3\nhorizon = 0.01\n[output]\nsnapshots = 0.0\n",
     "dim3-convergence": "scenario = convergence\nn = 8\ndim = 3\n",
+    # gamma underflows: 1.6e-264 after step 1, and 0 with xi and eta from step 2 on
+    "underflow": "scenario = convergence\nn = 8\nhorizon = 1e300\n[policy]\nkind = fixed\ntau = 1e299\n",
 }
 
 # runnable configs with their own sizes: max_n = 160 gives kernels.csv 12,880
@@ -136,6 +142,8 @@ ERRORS = {
     "random-needs-count": "scenario = kissing_bubbles\n[policy]\nkind = random\n",
     "adaptive-needs-keys": "scenario = equilibrium\n[policy]\nkind = adaptive\n",
     "tau-order": "scenario = coarsening2d\n[policy]\ntau_min = 1e-3\ntau_max = 1e-4\n",
+    # landing_tol(1e-3) = 1e-15: a run of 10^13 steps
+    "step-floor": "scenario = convergence\nn = 8\nhorizon = 1e-3\n[policy]\nkind = fixed\ntau = 1e-16\n" + _SMALL,
     "converge-keys": "scenario = equilibrium\n[converge]\nlevels = 0\n",
     "max_n": "scenario = convergence\n[kernels]\nmax_n = 1\n",
     "off-node-snapshot": "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = random\ncount = 12\n"
@@ -178,15 +186,20 @@ def digest(root: Path, skip: Path) -> str:
 
 def run(main, name: str, argv: list[str], root: Path, config: Path) -> None:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(argv)
+    # each warning the run raised, after its stderr, without its source
+    # line: the same whatever the checkout's path, the warnings earlier runs
+    # raised or a test runner's capture of them
+    stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
 
     def masked(text):
         return text.replace(str(root), "<dir>")
 
     label = masked(" ".join(argv[:1] + argv[2:]))
     print(f"{name} {label}: exit {rc} files {digest(root, config)} "
-          f"stdout {json.dumps(masked(out.getvalue()))} stderr {json.dumps(masked(err.getvalue()))}")
+          f"stdout {json.dumps(masked(out.getvalue()))} stderr {json.dumps(masked(stderr))}")
 
 
 def main(argv=None):
