@@ -13,6 +13,14 @@ Subcommands (each takes a config file path):
 Exit codes: 0 success, 1 usage/validation failure, 2 runtime error.
 ``simulate`` stops with exit 2 at the first step whose eta is not positive
 (CollapsedFieldError), before it writes that step's row or snapshots.
+``kernels`` exits 1, as ``check`` does on a violation, when a residual of
+kernel_residuals.csv is not finite: it writes both files, prints the worst
+identity residual (nan if any is), and names the first such row on stderr.
+
+kernels.csv's text of p is formatted once per value that changes: down a
+column p stops changing in floating point once theta has decayed, so each
+row reuses the text of the row above from the first column whose bits
+differ to the diagonal (``kernel_rows``).
 
 ``kernels`` formats kernels.csv on every core the process may run on
 (``spectral.CORES``): rows 1..max_n are cut into contiguous parts of about
@@ -69,27 +77,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# kernel_residuals.csv's columns after n, the fields of timestep.KernelResiduals
+RESIDUAL_COLUMNS = ("doc_orthogonality", "dcc_identity", "dcc_sum", "dcc_bound_margin", "telescoping")
 # rows of the converge and residuals CSVs ('%.17g' % x is format(x, '.17g')):
 # a block of rows is one template repeated per row on one flat tuple of values
 CONVERGENCE_ROW = "%d" + ",%.17g" * 7 + "\n"
-RESIDUAL_ROW = "%d" + ",%.17g" * 5 + "\n"
+RESIDUAL_ROW = "%d" + ",%.17g" * len(RESIDUAL_COLUMNS) + "\n"
 
 
-def kernel_row_blocks(max_lines: int):
-    """The writer of kernels.csv's row blocks, for blocks of up to max_lines
-    lines: a function (n, values) -> the lines "n,m,a,b" for m = 0, 1, ...,
-    one per pair (a, b) of the flat sequence values, a and b printed with
-    '%.17g'.  The lines' template is built once, with n as "@" and m as
-    text; a call cuts it to the block's length, puts n in with one replace
-    and formats only the values."""
-    lines = [f"@,{m},%.17g,%.17g\n" for m in range(max_lines)]
+def kernel_p_changes(p) -> list[int]:
+    """For each row i (from 0) of the lower-triangular matrix p, the first
+    column j < i whose value differs from the one a row above in its bits,
+    or i, the diagonal, where none does; 0 for row 0.  Bits, not ==, so that
+    0.0 and -0.0, whose texts differ, count as a change."""
+    bits = p.view(np.uint64)
+    n = len(p)
+    changed = (bits[1:] != bits[:-1]) | np.triu(np.ones((n - 1, n), dtype=bool), 1)
+    return [0, *changed.argmax(axis=1).tolist()]
+
+
+def kernel_rows(theta, p):
+    """The writer of kernels.csv's rows for the n x n lower-triangular kernel
+    matrices theta and p: a function (rows, write) that passes write the
+    block of lines "n,m,a,b" of each row n of the range rows, m = 0, 1, ...,
+    n - 1, with a = theta[n-1, n-1-m] and b = p[n-1, n-1-m] printed with
+    '%.17g'.  Down a column p stops changing once theta has decayed, so the
+    function keeps the text of the last row's p values, one per column, and
+    formats a row's p only from its first changed column (kernel_p_changes)
+    to the diagonal; the first row of a call is formatted whole.  The lines'
+    template is built once, with n as "@", m as text and b as "%s"; a row
+    cuts it to its length, puts n in with one replace and formats theta and
+    the texts of p."""
+    lines = [f"@,{m},%.17g,%s\n" for m in range(len(p))]
     template = "".join(lines)
     ends = list(accumulate(map(len, lines)))
+    p_template = "%.17g," * len(p)  # 6 characters a value; no text holds a comma
+    first = kernel_p_changes(p)
 
-    def row_block(n: int, values) -> str:
-        return template[: ends[len(values) // 2 - 1]].replace("@", str(n)) % tuple(values)
+    def write_rows(rows: range, write) -> None:
+        texts = [""] * rows[-1]  # the text of p in each column, of the row last formatted
+        for n in rows:
+            j = first[n - 1] if n > rows.start else 0
+            texts[j:n] = (p_template[: 6 * (n - j) - 1] % tuple(p[n - 1, j:n].tolist())).split(",")
+            values = [None] * (2 * n)
+            values[::2] = theta[n - 1, n - 1 :: -1].tolist()
+            values[1::2] = texts[n - 1 :: -1]
+            write(template[: ends[n - 1]].replace("@", str(n)) % tuple(values))
 
-    return row_block
+    return write_rows
 
 
 def _outdir(cfg, override) -> Path:
@@ -208,6 +243,12 @@ def _cmd_converge(args) -> int:
 # copy-on-write faults, return of the part, reap), and won from about 5,500
 # lines (max_n = 105) on: at max_n = 100 it took 17.4 ms against 15.7 serial,
 # at max_n = 120 18.4 against 21.3 ms (medians of 21 alternating passes).
+# Since p's text is reused down a column the first part, whose short rows
+# reuse little, costs more than its share; the split, timed with a lower
+# threshold on a faster host, lost at max_n = 80 (6.4-6.7 against 6.2-6.4 ms
+# serial) and won at 100 (7.9-8.7 against 8.4-9.1) and 120 (9.9-10.1 against
+# 11.2-11.5; medians of 41 alternating passes): the break-even lies between
+# max_n = 80 and 100, still below the threshold's 110.
 FORK_MIN_LINES = 3000
 
 
@@ -254,16 +295,7 @@ def _cmd_kernels(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mesh = random_mesh(cfg.horizon, cfg.max_n, cfg.seed)
     theta, p = kernel_matrices(mesh, cfg.max_n)
-    row_block = kernel_row_blocks(cfg.max_n)
-
-    def write_rows(rows: range, write) -> None:
-        # row n's (theta_m, p_m) pairs, m = 0..n-1, interleaved in the first n rows
-        pairs = np.empty((rows[-1], 2))
-        flat = pairs.reshape(-1)
-        for n in rows:
-            pairs[:n, 0] = theta[n - 1, n - 1 :: -1]
-            pairs[:n, 1] = p[n - 1, n - 1 :: -1]
-            write(row_block(n, flat[: 2 * n].tolist()))
+    write_rows = kernel_rows(theta, p)
 
     first, *rest = _kernel_parts(cfg.max_n)
     # (rows, pid, file) of the parts after the first, in file order, until
@@ -278,9 +310,9 @@ def _cmd_kernels(args) -> int:
             write_rows(first, fh.write)
             # the residuals are computed while the children format
             res = _residuals(mesh, theta, p)
-            columns = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.dcc_bound_margin, res.telescoping)
+            columns = [getattr(res, name) for name in RESIDUAL_COLUMNS]
             with open(out / "kernel_residuals.csv", "w", encoding="utf-8") as rh:
-                rh.write("n,doc_orthogonality,dcc_identity,dcc_sum,dcc_bound_margin,telescoping\n")
+                rh.write(",".join(("n", *RESIDUAL_COLUMNS)) + "\n")
                 res_rows = zip(range(1, cfg.max_n + 1), *(c.tolist() for c in columns))
                 rh.write(RESIDUAL_ROW * cfg.max_n % tuple(chain.from_iterable(res_rows)))
             while parts:
@@ -301,9 +333,17 @@ def _cmd_kernels(args) -> int:
                 os.waitpid(pid, 0)
                 file.close()
     identities = (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping)
-    worst = max(float(c.max()) for c in identities)
+    worst = float(np.max(identities))  # nan if any is; max() of the columns' maxima may drop it
     print(f"wrote {out / 'kernels.csv'} and {out / 'kernel_residuals.csv'}")
     print(f"worst identity residual over n <= {cfg.max_n}: {worst:.3e}")
+    nonfinite = ~np.isfinite(columns)
+    if nonfinite.any():
+        bad_rows = nonfinite.any(axis=0)
+        row = int(bad_rows.argmax())
+        k = int(nonfinite[:, row].argmax())
+        print(f"row {row + 1}: {RESIDUAL_COLUMNS[k]} = {float(columns[k][row])!r} not finite", file=sys.stderr)
+        print(f"kernels failed: {int(bad_rows.sum())} of {cfg.max_n} rows hold a nonfinite residual", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chsolver
 import kernel_reference
@@ -341,6 +343,136 @@ class TestKernels:
         assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+    def test_a_nonfinite_residual_fails_and_names_its_row(self, tmp_path, capsys):
+        # horizon 1e300: the telescoping check squares the mesh times to inf,
+        # so its residual is nan in every row; both files are still written
+        cfg = write_cfg(tmp_path, "scenario = convergence\nhorizon = 1e300\n[kernels]\nmax_n = 12\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["kernels", cfg, "--outdir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("worst identity residual over n <= 12: nan\n")
+        assert captured.err == (
+            "row 1: telescoping = nan not finite\nkernels failed: 12 of 12 rows hold a nonfinite residual\n"
+        )
+        assert len((out / "kernels.csv").read_text().splitlines()) == 1 + 12 * 13 // 2
+        assert len((out / "kernel_residuals.csv").read_text().splitlines()) == 13
+
+    def test_a_later_nonfinite_residual_is_the_first_named(self, tmp_path, capsys, monkeypatch):
+        # an inf in row 5 of one column and a nan in row 7 of another: the
+        # worst is nan whatever the column order, and row 5 is named
+        residuals = cli._residuals
+
+        def spoiled_residuals(*args):
+            res = residuals(*args)
+            res.dcc_sum[4] = math.inf
+            res.doc_orthogonality[6] = math.nan
+            return res
+
+        monkeypatch.setattr(cli, "_residuals", spoiled_residuals)
+        cfg = write_cfg(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 12\n")
+        assert main(["kernels", cfg, "--outdir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("worst identity residual over n <= 12: nan\n")
+        assert captured.err == "row 5: dcc_sum = inf not finite\nkernels failed: 2 of 12 rows hold a nonfinite residual\n"
+
+
+def lower(rows):
+    """The square lower-triangular float64 matrix of the given rows, row i
+    holding i + 1 values."""
+    out = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        out[i, : i + 1] = row
+    return out
+
+
+def parted_kernels_csv(theta, p, starts):
+    """kernels.csv as the command writes it, with a new writer call (a
+    part) from each row in starts."""
+    bounds = [1, *starts, len(p) + 1]
+    text = ["n,offset,theta,p\n"]
+    write_rows = cli.kernel_rows(theta, p)
+    for a, b in zip(bounds, bounds[1:]):
+        write_rows(range(a, b), text.append)
+    return "".join(text).encode()
+
+
+def reference_kernels_csv(tmp_path, theta, p):
+    kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
+    return (tmp_path / "reference.csv").read_bytes()
+
+
+# p matrices built to break a cache of p's text: each row's p, with the
+# theta beside it its negation
+NAN, INF = math.nan, math.inf
+REUSE_CASES = {
+    "one-row": [[0.5]],
+    "two-rows": [[0.5], [0.5, 0.25]],
+    "zero-then-negative-zero": [[0.0], [0.0, 1.0], [-0.0, 1.0, 2.0], [-0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0]],
+    "nan-and-infinities": [[NAN], [NAN, INF], [NAN, -INF, 1.0], [NAN, -INF, 1.0, -NAN], [1.0, -INF, INF, -NAN, NAN]],
+    "changes-after-a-run": [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [1.5, 2.0, 3.0, 4.0, 5.0],
+                            [1.5, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]],
+    "change-mid-row": [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 2.5, 3.0, 4.0], [1.0, 2.5, 3.0, 4.0, 5.0],
+                       [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
+}
+# every way of cutting up to seven rows into parts
+PART_STARTS = [(), (2,), (3,), (5,), (2, 3), (3, 5), (2, 4, 6), (2, 3, 4, 5, 6, 7)]
+
+reuse_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 5e-324, NAN, -NAN, INF, -INF])
+
+
+class TestKernelRows:
+    """kernels.csv's row writer, which keeps the text of p a column shares
+    with the row above, gives the bytes of the per-row reference writer on
+    any matrices and any cut into parts."""
+
+    @pytest.mark.parametrize("starts", PART_STARTS, ids=str)
+    @pytest.mark.parametrize("case", REUSE_CASES)
+    def test_matches_the_reference_writer(self, tmp_path, case, starts):
+        p = lower(REUSE_CASES[case])
+        starts = [s for s in starts if s <= len(p)]
+        assert parted_kernels_csv(-p, p, starts) == reference_kernels_csv(tmp_path, -p, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_matches_the_reference_writer_on_drawn_matrices(self, tmp_path_factory, data, n):
+        # a column keeps its value, or takes another, from row to row
+        rows = [data.draw(st.lists(reuse_values, min_size=1, max_size=1))]
+        for i in range(1, n):
+            keep = data.draw(st.lists(st.booleans(), min_size=i, max_size=i))
+            drawn = data.draw(st.lists(reuse_values, min_size=i + 1, max_size=i + 1))
+            rows.append([a if k else b for a, b, k in zip(rows[-1], drawn, keep)] + drawn[i:])
+        p = lower(rows)
+        theta = lower([data.draw(st.lists(reuse_values, min_size=i, max_size=i)) for i in range(1, n + 1)])
+        starts = sorted(data.draw(st.sets(st.integers(2, n), max_size=3))) if n > 1 else []
+        tmp_path = tmp_path_factory.mktemp("kernels")
+        assert parted_kernels_csv(theta, p, starts) == reference_kernels_csv(tmp_path, theta, p)
+
+    def test_matches_the_reference_writer_on_a_mesh(self, tmp_path):
+        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(0.1, 160, 6), 160)
+        assert parted_kernels_csv(theta, p, [50, 51, 120]) == reference_kernels_csv(tmp_path, theta, p)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_most_p_texts_are_reused(self, seed):
+        # the p values the writer formats, counted where it takes them out of p
+        formatted = []
+
+        class Counted(np.ndarray):
+            def tolist(self):
+                formatted.append(self.size)
+                return super().tolist()
+
+        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(0.1, 400, seed), 400)
+        write_rows = cli.kernel_rows(theta, p.view(Counted))
+        formatted.clear()
+        lines = []
+        write_rows(range(1, 401), lines.append)
+        values = 400 * 401 // 2
+        assert len(formatted) == 400
+        assert sum(formatted) == values - sum(cli.kernel_p_changes(p))
+        assert sum(formatted) <= 0.2 * values
+
+
 # kernels.csv at this max_n has 12880 lines, enough for four formatting
 # processes, each writing more than 64 KiB
 SPLIT_N = 160
@@ -450,19 +582,19 @@ class TestKernelsOnEveryCore:
         parts = cli._kernel_parts(SPLIT_N)
         assert len(parts) == cores
         second = parts[1]
-        row_blocks = cli.kernel_row_blocks
+        kernel_rows = cli.kernel_rows
 
-        def failing_row_blocks(max_lines):
-            row_block = row_blocks(max_lines)
+        def failing_kernel_rows(theta, p):
+            write_rows = kernel_rows(theta, p)
 
-            def failing(n, values):
-                if n in second:
+            def failing(rows, write):
+                if rows == second:
                     raise ValueError("a row of the second part")
-                return row_block(n, values)
+                write_rows(rows, write)
 
             return failing
 
-        monkeypatch.setattr(cli, "kernel_row_blocks", failing_row_blocks)
+        monkeypatch.setattr(cli, "kernel_rows", failing_kernel_rows)
         with deadline():
             assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
         err = capfd.readouterr().err
@@ -525,18 +657,18 @@ class TestKernelsOnEveryCore:
         monkeypatch.setattr(tempfile, "tempdir", str(temp))
         cfg = split_cfg(tmp_path)
         second = cli._kernel_parts(SPLIT_N)[1]
-        row_blocks = cli.kernel_row_blocks
+        kernel_rows = cli.kernel_rows
 
-        def failing_row_blocks(max_lines):
-            row_block = row_blocks(max_lines)
-            return lambda n, values: row_block(n, values) if n not in second else 1 / 0
+        def failing_kernel_rows(theta, p):
+            write_rows = kernel_rows(theta, p)
+            return lambda rows, write: write_rows(rows, write) if rows != second else 1 / 0
 
         def failing_residuals(*args):
             raise ValueError("residuals failed")
 
         for name, code, patch in [
             ("split", 0, ()),
-            ("failing-part", 2, ("kernel_row_blocks", failing_row_blocks)),
+            ("failing-part", 2, ("kernel_rows", failing_kernel_rows)),
             ("failing-parent", 2, ("_residuals", failing_residuals)),
         ]:
             out = tmp_path / name

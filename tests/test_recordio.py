@@ -31,7 +31,7 @@ from chsolver import (
     write_snapshot,
 )
 from chsolver import recordio
-from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_row_blocks, main
+from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_rows, main
 from chsolver.recordio import RECORD_ROW
 from chsolver.stepper import record_values
 from chsolver.timestep import LANDING_RTOL, a1_cap
@@ -448,15 +448,19 @@ class TestRowTemplates:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 10**6),
         pairs=st.lists(st.tuples(any_float, any_float), min_size=1, max_size=40),
         spare=st.integers(0, 10),
     )
-    def test_kernel_rows(self, n, pairs, spare):
-        # kernels.csv's writer, built for longer blocks than this one, cuts its template
-        row_block = kernel_row_blocks(len(pairs) + spare)
+    def test_kernel_rows(self, pairs, spare):
+        # kernels.csv's writer on row n of matrices with more rows than n:
+        # line m of row n holds column n - 1 - m
+        n = len(pairs)
+        theta, p = np.zeros((2, n + spare, n + spare))
+        theta[n - 1, n - 1 :: -1], p[n - 1, n - 1 :: -1] = np.array(pairs).T
+        text = []
+        kernel_rows(theta, p)(range(n, n + 1), text.append)
         rows = [(n, m, a, b) for m, (a, b) in enumerate(pairs)]
-        assert row_block(n, list(chain.from_iterable(pairs))) == per_value_rows(rows, ints=2)
+        assert "".join(text) == per_value_rows(rows, ints=2)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.lists(any_float, min_size=5, max_size=5), min_size=1, max_size=20))

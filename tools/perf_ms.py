@@ -44,9 +44,14 @@ REPEATS timed runs after the warm-up below.
   split among that many processes).  Beside them stands the pass's
   ``.17g`` floor: the median time to format its 2 * n(n+1)/2 kernel values
   alone in one process, as one tuple of floats through one ``"%.17g"``
-  template, with no separators, indices or file.  The two passes and the
-  floor are timed in turn, one call of each per round, so all three
-  medians see the same host phase; each pass is also given over the floor.
+  template, with no separators, indices or file.  The writer formats p in a
+  column only where it changed from the row above
+  (``cli.kernel_p_changes``) and reuses the text elsewhere; the share of p
+  texts a serial pass reuses is printed, and so is a second floor, the
+  same ``.17g`` time of only the values a serial pass still formats (all of
+  theta and the changed p).  The two passes and the two floors are timed in
+  turn, one call of each per round, so all four medians see the same host
+  phase; each pass is also given over each floor.
   The peak RSS of one pass at the host's CORES comes from a fresh
   interpreter, started like the resident probes above before this script
   imports numpy: its own
@@ -342,7 +347,7 @@ def check_figures(src):
 def kernels_table(peaks):
     import numpy as np
 
-    from chsolver import kernel_matrices, parse_config, quadratic_form_check, random_mesh, spectral
+    from chsolver import cli, kernel_matrices, parse_config, quadratic_form_check, random_mesh, spectral
     from chsolver.cli import main as cli_main
 
     # commits before spectral.CORES ran the pass in one process
@@ -378,17 +383,29 @@ def kernels_table(peaks):
         lower = np.tril_indices(MAX_N)
         values = tuple(theta[lower].tolist() + p[lower].tolist())
         template = "%.17g" * len(values)
+        # the p values a serial pass formats: each row's from its first changed
+        # column on (all of them on commits that reuse no text of p)
+        changes = getattr(cli, "kernel_p_changes", lambda p: [0] * len(p))(p)
+        fresh = [v for i, j in enumerate(changes) for v in p[i, j : i + 1].tolist()]
+        fresh_values = tuple(theta[lower].tolist() + fresh)
+        fresh_template = "%.17g" * len(fresh_values)
 
         serial, split = kernels_pass(1), kernels_pass(cores)
         serial()
         split()
         form = form_check(MAX_N)
-        serial_ms, split_ms, floor_ms = alternating_medians(serial, split, lambda: template % values)
+        serial_ms, split_ms, floor_ms, fresh_ms = alternating_medians(
+            serial, split, lambda: template % values, lambda: fresh_template % fresh_values
+        )
         print(f"kernels pass (max_n = {MAX_N}), CORES = 1: {serial_ms:9.1f} ms")
         print(f"kernels pass (max_n = {MAX_N}), CORES = {cores}: {split_ms:9.1f} ms")
+        print(f"p texts reused (serial pass):          {1 - len(fresh) / len(lower[0]):9.1%}")
         print(f".17g floor ({len(values)} values):      {floor_ms:9.1f} ms")
+        print(f".17g floor, formatted ({len(fresh_values)} values): {fresh_ms:9.1f} ms")
         print(f"kernels pass / .17g floor, CORES = 1:  {serial_ms / floor_ms:9.2f}")
         print(f"kernels pass / .17g floor, CORES = {cores}:  {split_ms / floor_ms:9.2f}")
+        print(f"kernels pass / formatted floor, CORES = 1:  {serial_ms / fresh_ms:9.2f}")
+        print(f"kernels pass / formatted floor, CORES = {cores}:  {split_ms / fresh_ms:9.2f}")
         print(f"kernels peak RSS, CORES = {cores}: {peaks[0]:.1f} MB, largest forked process {peaks[1]:.1f} MB")
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
         form = form_check(FORM_N)
