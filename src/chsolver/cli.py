@@ -244,11 +244,11 @@ def _cmd_converge(args) -> int:
 # lines (max_n = 105) on: at max_n = 100 it took 17.4 ms against 15.7 serial,
 # at max_n = 120 18.4 against 21.3 ms (medians of 21 alternating passes).
 # Since p's text is reused down a column the first part, whose short rows
-# reuse little, costs more than its share; the split, timed with a lower
-# threshold on a faster host, lost at max_n = 80 (6.4-6.7 against 6.2-6.4 ms
-# serial) and won at 100 (7.9-8.7 against 8.4-9.1) and 120 (9.9-10.1 against
-# 11.2-11.5; medians of 41 alternating passes): the break-even lies between
-# max_n = 80 and 100, still below the threshold's 110.
+# reuse little, costs more than its share.  Timed again on the same VM, less
+# busy, with the threshold lowered, the split lost at max_n = 80 (6.4-6.7
+# against 6.2-6.4 ms serial) and won at 100 (7.9-8.7 against 8.4-9.1) and
+# 120 (9.9-10.1 against 11.2-11.5; medians of 41 alternating passes): the
+# break-even lies between max_n = 80 and 100, still below the threshold's 110.
 FORK_MIN_LINES = 3000
 
 

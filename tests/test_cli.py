@@ -342,7 +342,6 @@ class TestKernels:
         kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
         assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-
     def test_a_nonfinite_residual_fails_and_names_its_row(self, tmp_path, capsys):
         # horizon 1e300: the telescoping check squares the mesh times to inf,
         # so its residual is nan in every row; both files are still written
@@ -402,8 +401,7 @@ def reference_kernels_csv(tmp_path, theta, p):
     return (tmp_path / "reference.csv").read_bytes()
 
 
-# p matrices built to break a cache of p's text: each row's p, with the
-# theta beside it its negation
+# the rows of p matrices built to break a cache of p's text (theta is -p)
 NAN, INF = math.nan, math.inf
 REUSE_CASES = {
     "one-row": [[0.5]],
@@ -415,7 +413,7 @@ REUSE_CASES = {
     "change-mid-row": [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 2.5, 3.0, 4.0], [1.0, 2.5, 3.0, 4.0, 5.0],
                        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
 }
-# every way of cutting up to seven rows into parts
+# parts' first rows (those beyond a case's last row are dropped)
 PART_STARTS = [(), (2,), (3,), (5,), (2, 3), (3, 5), (2, 4, 6), (2, 3, 4, 5, 6, 7)]
 
 reuse_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 5e-324, NAN, -NAN, INF, -INF])
