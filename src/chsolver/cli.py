@@ -47,7 +47,7 @@ import sys
 import tempfile
 import time
 from bisect import bisect_left
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -57,9 +57,9 @@ from . import spectral
 from .config import ConfigParseError, ConfigValidationError, build_scenario, parse_config
 from .recordio import RecordWriter, read_record_blocks, write_snapshot
 from .policies import LandingError, landing_targets, run_with_policy
-from .scenarios import initial_state, run_convergence
+from .scenarios import ConvergenceRow, initial_state, run_convergence
 from .stepper import RecordCheck, record_values
-from .timestep import _residuals, kernel_matrices, landing_tol, random_mesh
+from .timestep import KernelResiduals, _residuals, kernel_matrices, landing_tol, random_mesh
 
 
 @functools.cache  # built once per process: parse_args keeps no state between calls
@@ -78,22 +78,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # kernel_residuals.csv's columns after n, the fields of timestep.KernelResiduals
-RESIDUAL_COLUMNS = ("doc_orthogonality", "dcc_identity", "dcc_sum", "dcc_bound_margin", "telescoping")
+RESIDUAL_COLUMNS = tuple(f.name for f in fields(KernelResiduals))
 # rows of the converge and residuals CSVs ('%.17g' % x is format(x, '.17g')):
-# a block of rows is one template repeated per row on one flat tuple of values
-CONVERGENCE_ROW = "%d" + ",%.17g" * 7 + "\n"
+# a block of rows is one template repeated per row on one flat tuple of values;
+# a ConvergenceRow is its int steps, then floats
+CONVERGENCE_ROW = "%d" + ",%.17g" * (len(fields(ConvergenceRow)) - 1) + "\n"
 RESIDUAL_ROW = "%d" + ",%.17g" * len(RESIDUAL_COLUMNS) + "\n"
 
 
 def kernel_p_changes(p) -> list[int]:
     """For each row i (from 0) of the lower-triangular matrix p, the first
-    column j < i whose value differs from the one a row above in its bits,
-    or i, the diagonal, where none does; 0 for row 0.  Bits, not ==, so that
-    0.0 and -0.0, whose texts differ, count as a change."""
+    column j <= i whose value differs from the one a row above in its bits,
+    or 0, and the row is formatted whole, where none does; 0 for row 0.
+    Bits, not ==, so that 0.0 and -0.0, whose texts differ, count as a
+    change.  Above the diagonal both rows hold 0.0, so no column j > i is
+    found, and the diagonal 1/b0 differs from the 0.0 above it unless it is
+    0.0 itself."""
     bits = p.view(np.uint64)
-    n = len(p)
-    changed = (bits[1:] != bits[:-1]) | np.triu(np.ones((n - 1, n), dtype=bool), 1)
-    return [0, *changed.argmax(axis=1).tolist()]
+    return [0, *(bits[1:] != bits[:-1]).argmax(axis=1).tolist()]
 
 
 def kernel_rows(theta, p):

@@ -229,6 +229,15 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
     for key in ("length", "eps", "horizon"):
         if getattr(cfg, key) <= 0:
             bad(f"{key} must be positive, got {getattr(cfg, key)}")
+    # the cubic's weight 1/eps^2 and the double-well's 1/(4 eps^2), as the
+    # stepper computes them: beyond the float range eps**2 overflows, or a
+    # weight is zero or infinite and the first step's field is not finite
+    try:
+        weights = (1.0 / cfg.eps**2, 1.0 / (4.0 * cfg.eps**2))
+    except (OverflowError, ZeroDivisionError):
+        weights = (math.inf,)
+    if not all(0 < w < math.inf for w in weights):
+        bad(f"eps = {cfg.eps!r} is out of range: 1/eps^2 and 1/(4 eps^2) must be positive finite floats")
     if cfg.record_every < 1:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
     if cfg.seed < 0:

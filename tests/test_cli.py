@@ -412,6 +412,8 @@ REUSE_CASES = {
                             [1.5, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]],
     "change-mid-row": [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 2.5, 3.0, 4.0], [1.0, 2.5, 3.0, 4.0, 5.0],
                        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
+    # rows 2 and 3 hold the bits of the row above, up to their 0.0 diagonals
+    "same-as-the-row-above": [[1.0], [1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 2.0]],
 }
 # parts' first rows (those beyond a case's last row are dropped)
 PART_STARTS = [(), (2,), (3,), (5,), (2, 3), (3, 5), (2, 4, 6), (2, 3, 4, 5, 6, 7)]
@@ -430,6 +432,11 @@ class TestKernelRows:
         p = lower(REUSE_CASES[case])
         starts = [s for s in starts if s <= len(p)]
         assert parted_kernels_csv(-p, p, starts) == reference_kernels_csv(tmp_path, -p, p)
+
+    def test_a_row_without_a_change_is_formatted_whole(self):
+        # only a 0.0 diagonal, under the 0.0 above the row above's diagonal, can match
+        assert cli.kernel_p_changes(lower(REUSE_CASES["same-as-the-row-above"])) == [0, 0, 0, 3]
+        assert cli.kernel_p_changes(lower(REUSE_CASES["change-mid-row"])) == [0, 1, 2, 1, 4, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 9))

@@ -250,6 +250,28 @@ class TestValidation:
             parse_config(write(tmp_path, text("1e-12")))
         assert getattr(parse_config(write(tmp_path, text("2e-12"))), key) == 2e-12
 
+    @pytest.mark.parametrize(
+        "key,value,eps",
+        [
+            ("eps", "1e200", "1e+200"),  # eps**2 overflows
+            ("eps", "1e154", "1e+154"),  # 1/(4 eps^2) is 0.0
+            ("eps", "1e-155", "1e-155"),  # 1/eps^2 is inf
+            ("eps", "1e-200", "1e-200"),  # eps**2 is 0.0
+            ("eps2", "1e-320", "9.99994433575849e-161"),
+        ],
+    )
+    def test_eps_range_at_each_end(self, tmp_path, key, value, eps):
+        # the cubic's weight 1/eps^2 and the double-well's 1/(4 eps^2) must
+        # be positive finite floats
+        text = f"scenario = kissing_bubbles\n{key} = {value}\n"
+        message = f"eps = {eps} is out of range: 1/eps^2 and 1/(4 eps^2) must be positive finite floats"
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("value", [1e153, 1e-154])
+    def test_eps_range_keeps_its_last_floats(self, tmp_path, value):
+        assert parse_config(write(tmp_path, f"scenario = kissing_bubbles\neps = {value!r}\n")).eps == value
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_kernels_need_two_rows(self, tmp_path, value):
         # random_mesh, which the kernels command draws its mesh from, needs two steps

@@ -2,7 +2,7 @@
 harness plumbing, and the health of each preset's first steps at its
 default size."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -39,6 +39,7 @@ from chsolver import (
     run_with_policy,
 )
 from chsolver.scenarios import initial_state
+from chsolver.spectral import h1_norm
 from chsolver.timestep import LANDING_RTOL
 
 
@@ -508,3 +509,38 @@ class TestConvergenceHarness:
         scenario = Scenario("equilibrium", 2, 16, 2.0 * np.pi, 1.0, 0.02, FixedStep(0.02))
         rows = run_convergence(scenario, base_steps=4, levels=1, ref_steps=10)
         assert rows[0].h1_error < 1e-12
+
+
+def halved(steps, j):
+    """steps with each step cut into 2**j equal ones: every ratio between
+    the original steps is kept, and the new ones inside a step are 1."""
+    return TimeMesh(np.repeat(np.asarray(steps) / 2**j, 2**j))
+
+
+class TestOrderOnTheDriversMesh:
+    """Second order on a mesh the driver emits: the steps of an adaptive
+    run, replayed as a PrescribedMesh and refined by halving every step."""
+
+    def test_kissing_bubbles_adaptive_mesh(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("scenario = kissing_bubbles\nn = 32\nhorizon = 0.05\n[output]\nsnapshots =\n")
+        scenario = build_scenario(parse_config(str(config)))
+        records, _ = run_scenario(scenario)
+        steps = [rec.tau for rec in records]
+        assert len(steps) == 44
+        assert 1.2 < max(b / a for a, b in zip(steps, steps[1:])) < 1.25
+
+        def final(j):
+            mesh = halved(steps, j)
+            policy, horizon = PrescribedMesh(mesh), mesh.horizon
+            _, [(_, phi)] = run_scenario(replace(scenario, policy=policy, horizon=horizon, snapshot_times=(horizon,)))
+            return phi, mesh.steps.max()
+
+        reference, _ = final(6)
+        errors, taus = [], []
+        for j in range(4):
+            phi, tau = final(j)
+            errors.append(h1_norm(phi.grid, phi.coefficients - reference.coefficients))
+            taus.append(tau)
+        assert errors == sorted(errors, reverse=True)
+        assert 1.7 <= order_of(errors[-2], errors[-1], taus[-2], taus[-1]) <= 2.3

@@ -47,9 +47,8 @@ from chsolver import (
     random_mesh,
     validate_records,
 )
-from chsolver.policies import LandingError
 from chsolver.spectral import forward, h1_norm
-from chsolver.timestep import landing_tol
+from chsolver.timestep import LANDING_RTOL, landing_tol
 from record_reference import eta_problems
 from test_policies import drive
 
@@ -570,26 +569,36 @@ class TestGrowthDropMesh:
         assert_run_keeps_guarantees(self.mesh(24))
 
 
-def mixed_steps(draws, count):
+def mixed_steps(draws, count, floor=1e-12):
     """count steps, the first 1, then ratios taken cyclically from draws,
     triples (near-cap ratio, ratio in [1e-5, 1e-2], take the small one).
-    The choice is flipped where it would take the running step below 1e-12
-    or above 1.  The flipped choice stays inside: a step above 1/CAP times
-    a ratio of at least 1e-5 exceeds 1e-12, and a step below 1e-7 times CAP
-    stays below 1.  So the steps span at most twelve decades.  A power-of-two
-    scale, which keeps every ratio's bits, then brings the horizon to at
-    most 1."""
+    The choice is flipped where it would take the running step below floor
+    or above 1.  The flipped choice stays inside for any floor up to
+    1e-5 / CAP: a step above 1/CAP times a ratio of at least 1e-5 exceeds
+    it, and a step below floor / 1e-5 times CAP stays below 1.  So the steps
+    span at most -log10(floor) decades, and the shortest is at least floor
+    times the largest, so at least floor / count times the horizon.  A
+    power-of-two scale, which keeps every ratio's bits, then brings the
+    horizon to at most 1."""
+    assert floor <= 1e-5 / CAP
     tau, ratios = 1.0, []
     for i in range(count - 1):
         near, small, take_small = draws[i % len(draws)]
-        if take_small and tau * small < 1e-12 or not take_small and tau * near > 1.0:
+        if take_small and tau * small < floor or not take_small and tau * near > 1.0:
             take_small = not take_small
         r = small if take_small else near
         tau *= r
-        assert 1e-12 <= tau <= 1.0
+        assert floor <= tau <= 1.0
         ratios.append(r)
     steps = chained_steps(1.0, ratios)
     return steps * 2.0 ** -math.ceil(math.log2(steps.sum()))
+
+
+def landing_floor(count):
+    """A floor for mixed_steps that keeps every step of a count-step mesh
+    longer than its landing tolerance, which is LANDING_RTOL times a horizon
+    of at most count times the largest step."""
+    return 2.0 * count * LANDING_RTOL
 
 
 def seeded_mixed_draws(seed):
@@ -622,33 +631,27 @@ class TestMixedRatioMesh:
     @pytest.mark.parametrize("nodes", [(), (20, 40, 59)], ids=["horizon", "checkpoints"])
     def test_prescribed_mesh_is_replayed_exactly(self, nodes):
         # a last step on the cap: a driver that stretched a landing step to the
-        # rounded distance left to the horizon took its ratio above the cap
-        # a mesh with a step no longer than the landing tol is rejected before step 1
+        # rounded distance left to the horizon took its ratio above the cap.
+        # The floor keeps every step longer than the landing tol, which would
+        # reject the mesh before step 1 (test_policies covers that rejection).
         grid = Grid(2, 2.0 * np.pi, 16)
-        rejected = []
         for seed in range(40):
-            steps = mixed_steps(seeded_mixed_draws(seed), 60)
+            # 60 steps of at most the largest, then one of at most CAP times it
+            steps = mixed_steps(seeded_mixed_draws(seed), 60, floor=landing_floor(60 + CAP))
             mesh = TimeMesh(np.append(steps, steps[-1] * CAP), delta=0.01)
             assert mesh.satisfies_a1()
+            assert mesh.steps.min() > landing_tol(mesh.horizon)
             checkpoints = mesh.times[list(nodes)]
             state = init_state(ic_random(grid, 1), 0.3)
-            if mesh.steps.min() <= landing_tol(mesh.horizon):
-                with pytest.raises(LandingError, match="is not longer than the landing tolerance"):
-                    drive(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
-                rejected.append(seed)
-                continue
             _, records = drive(state, PrescribedMesh(mesh), mesh.horizon, checkpoints=checkpoints)
             assert [rec.tau for rec in records] == mesh.steps.tolist()
             assert records[-1].t == mesh.horizon
             assert validate_records(records, ratio_cap=CAP) == eta_problems(records)
-        assert rejected == [3, 5, 10, 14, 17, 32, 36]
 
     def test_coarsening2d_run_keeps_the_guarantees(self):
-        for seed in (0, 2):
-            assert_run_keeps_guarantees(TimeMesh(mixed_steps(seeded_mixed_draws(seed), 400), delta=0.01))
-        # seed 1's shortest step is 0.9997e-12 times its horizon, within the landing tol
-        mesh = TimeMesh(mixed_steps(seeded_mixed_draws(1), 400), delta=0.01)
-        with pytest.raises(LandingError, match="is not longer than the landing tolerance"):
+        for seed in (0, 1, 2):
+            mesh = TimeMesh(mixed_steps(seeded_mixed_draws(seed), 400, floor=landing_floor(400)), delta=0.01)
+            assert mesh.steps.min() > landing_tol(mesh.horizon)
             assert_run_keeps_guarantees(mesh)
 
     @pytest.mark.xfail(

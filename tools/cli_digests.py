@@ -126,6 +126,8 @@ ERRORS = {
     "odd-n": "scenario = equilibrium\nn = 15\n",
     "length": "scenario = equilibrium\nlength = 0\n",
     "eps": "scenario = equilibrium\neps = -1\n",
+    # eps**2 overflows: the cubic's weight 1/eps^2 is 0 and the double-well's not a float
+    "eps-range": "scenario = equilibrium\neps = 1e200\n",
     "horizon": "scenario = equilibrium\nhorizon = 0\n",
     "record_every": "scenario = equilibrium\n[output]\nrecord_every = 0\n",
     "snapshot-beyond-horizon": "scenario = equilibrium\n[output]\nsnapshots = 0.0, 5.0\n" + _SMALL,

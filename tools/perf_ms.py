@@ -56,7 +56,15 @@ REPEATS timed runs after the warm-up below.
   interpreter, started like the resident probes above before this script
   imports numpy: its own
   (``RUSAGE_SELF``) and its largest forked process's (``RUSAGE_CHILDREN``),
-  which the benchmark's ``peak_rss_mb`` does not count.  The quadratic form is checked on random_mesh(1, n, SEED) with standard
+  which the benchmark's ``peak_rss_mb`` does not count.  Then the split
+  pass's timeline at the host's CORES: the median ms from the pass's start
+  at which each part's rows are written (the command's first, each forked
+  process's after it), ``_residuals`` returns and each ``os.waitpid`` on a
+  forked process returns, timed by wrapping ``cli.kernel_rows``,
+  ``cli._residuals`` and ``os.waitpid`` for the table only ("n/a" on
+  commits without ``cli.kernel_rows``).  A wait that returns at once, just
+  after the residuals are written, means the forked processes finished
+  first.  The quadratic form is checked on random_mesh(1, n, SEED) with standard
   normal weights, at n = MAX_N and n = FORM_N, the latter with the
   tracemalloc peak of one check.  Each is run once untimed first.
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
@@ -407,12 +415,80 @@ def kernels_table(peaks):
         print(f"kernels pass / formatted floor, CORES = 1:  {serial_ms / fresh_ms:9.2f}")
         print(f"kernels pass / formatted floor, CORES = {cores}:  {split_ms / fresh_ms:9.2f}")
         print(f"kernels peak RSS, CORES = {cores}: {peaks[0]:.1f} MB, largest forked process {peaks[1]:.1f} MB")
+        kernels_timeline(kernels_pass(cores), cores)
         print(f"quadratic_form_check (n = {MAX_N}):    {median_ms(form):9.2f} ms")
         form = form_check(FORM_N)
         print(
             f"quadratic_form_check (n = {FORM_N}): {median_ms(form):9.2f} ms,"
             f" tracemalloc peak {single_peak_bytes(form) / 1e6:.1f} MB"
         )
+
+
+def kernels_timeline(run, cores):
+    """The split pass's timeline: over REPEATS passes run at CORES, the
+    median ms from the pass's start at which each part's rows are written,
+    ``_residuals`` returns and each ``os.waitpid`` returns.  The ``cli``
+    names ``kernel_rows`` and ``_residuals`` and ``os.waitpid`` are wrapped
+    for the table only.  A part's writer, in a forked process or in the
+    command, puts its end time into a shared anonymous mapping, which the
+    forked processes inherit; perf_counter is one monotonic clock for all
+    of them."""
+    import mmap
+    import struct
+
+    from chsolver import cli
+
+    if not hasattr(cli, "kernel_rows"):  # commits before the module-level writer
+        print("kernels split timeline: n/a")
+        return
+    parts = cli._kernel_parts(MAX_N)  # at the host's CORES, as run passes them
+    starts = [rows.start for rows in parts]
+    ends = mmap.mmap(-1, 8 * len(parts))
+    returned, waits = [], []  # the times _residuals and each os.waitpid returned, this pass
+    originals = (cli.kernel_rows, cli._residuals, os.waitpid)
+
+    def kernel_rows(theta, p):
+        write_rows = originals[0](theta, p)
+
+        def timed(rows, write):
+            write_rows(rows, write)
+            struct.pack_into("d", ends, 8 * starts.index(rows.start), time.perf_counter())
+
+        return timed
+
+    def residuals(*args):
+        try:
+            return originals[1](*args)
+        finally:
+            returned.append(time.perf_counter())
+
+    def waitpid(pid, options):
+        try:
+            return originals[2](pid, options)
+        finally:
+            waits.append(time.perf_counter())
+
+    rounds = []
+    cli.kernel_rows, cli._residuals, os.waitpid = kernel_rows, residuals, waitpid
+    try:
+        for _ in range(REPEATS):
+            returned.clear()
+            waits.clear()
+            start = time.perf_counter()
+            run()
+            stop = time.perf_counter()
+            times = [*struct.unpack_from(f"{len(parts)}d", ends), *returned, *waits, stop]
+            rounds.append([1e3 * (t - start) for t in times])
+    finally:
+        cli.kernel_rows, cli._residuals, os.waitpid = originals
+        ends.close()
+    ms = iter(statistics.median(column) for column in zip(*rounds))
+    labels = [f"part {k + 1}, rows {rows.start}..{rows.stop - 1}, written by "
+              + ("the command" if k == 0 else "a forked process") for k, rows in enumerate(parts)]
+    labels += ["_residuals returned", *(f"waitpid on part {k} returned" for k in range(2, len(waits) + 2))]
+    print(f"kernels split timeline (CORES = {cores}; ms from the pass's start, medians of {REPEATS} passes):")
+    for label in [*labels, "pass returned"]:
+        print(f"  {label + ':':52s} {next(ms):7.1f}")
 
 
 def io_table():
