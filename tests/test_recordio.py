@@ -305,14 +305,15 @@ class TestRowFold:
     @given(stream=faulty_streams(), size=st.integers(1, 2000))
     def test_check_records_matches_the_reference(self, tmp_path_factory, stream, size):
         # check --records holds the clock to landing_tol of the config's
-        # horizon, here the stream's largest finite t, and the fixed step's cap
+        # horizon, here the stream's largest finite t, and the fixed step's cap;
+        # the step is the horizon, which no horizon puts within landing_tol
         _, _, records = stream
         last = max([0.0] + [r.t for r in records if all(map(math.isfinite, astuple(r)[1:]))])
         assume(last > 0.0)
         tmp = tmp_path_factory.mktemp("check")
         path, cfg = tmp / "records.csv", tmp / "check.cfg"
         write_records(records, path)
-        cfg.write_text(f"scenario = equilibrium\nn = 8\nhorizon = {last!r}\n")
+        cfg.write_text(f"scenario = equilibrium\nn = 8\nhorizon = {last!r}\n[policy]\ntau = {last!r}\n")
         want = record_reference.validate_records(records, ratio_cap=a1_cap())
         assert validate_records(records, ratio_cap=a1_cap()) == want
         err = io.StringIO()
