@@ -312,7 +312,9 @@ def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
     deviation of the row sum of P from t_n, the row maximum of P less
     2 max tau (the bound p <= 2 max tau), and the telescoping residual of
     sum_j theta^{(n)}_{n-j} D2 u^j = u^n - u^{n-1}.  values is the scalar
-    sequence u^0..u^n; by default the quadratic sequence u^j = t_j^2.
+    sequence u^0..u^n; by default the quadratic sequence u^j = (t_j / t_n)^2,
+    scaled to [0, 1] so that it neither overflows nor underflows at any
+    horizon.
     """
     mesh._check_index(n)
     return _residuals(mesh, *kernel_matrices(mesh, n), values)
@@ -321,7 +323,7 @@ def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
 def _residuals(mesh: TimeMesh, theta: np.ndarray, p: np.ndarray, values=None) -> KernelResiduals:
     # kernel_residuals on the matrices kernel_matrices(mesh, n) already built
     n = theta.shape[0]
-    u = mesh.times[: n + 1] ** 2 if values is None else np.asarray(values, dtype=np.float64)
+    u = (mesh.times[: n + 1] / mesh.times[n]) ** 2 if values is None else np.asarray(values, dtype=np.float64)
     if u.shape != (n + 1,):
         raise ValueError(f"need n+1 = {n + 1} sequence values, got {u.size}")
     b0, b1 = _weight_table(mesh, n)

@@ -66,7 +66,7 @@ def dcc_row(mesh, n):
 
 def residual_row(mesh, n, values=None):
     """(doc_orthogonality, dcc_identity, dcc_sum, dcc_bound_margin,
-    telescoping) at row n; values defaults to u^j = t_j^2."""
+    telescoping) at row n; values defaults to u^j = (t_j / t_n)^2."""
     b0, b1 = weight_table(mesh, n)
     theta = doc_row(mesh, n)
     p = dcc_row(mesh, n)
@@ -83,7 +83,7 @@ def residual_row(mesh, n, values=None):
     bound_margin = float(p.max()) - 2.0 * float(mesh.steps.max())
 
     if values is None:
-        values = [mesh.times[j] ** 2 for j in range(0, n + 1)]
+        values = [(mesh.times[j] / mesh.times[n]) ** 2 for j in range(0, n + 1)]
     d2 = []
     for j in range(1, n + 1):
         d = b0[j] * (values[j] - values[j - 1])

@@ -149,6 +149,34 @@ class TestSimulate:
             f"max |1 - xi| {xi_dev:.3g}"
         )
 
+    def test_a_tiny_eta_warns_and_exits_0(self, tmp_path, capsys):
+        # tau = 1e150: gamma falls to 7.7e-232 and eta to 1.3e-233, still
+        # positive, so the run finishes; max |1 - xi| = 1 is above XI_WARN
+        cfg = write_cfg(
+            tmp_path,
+            "scenario = convergence\nn = 8\nhorizon = 1e151\n[policy]\nkind = fixed\ntau = 1e150\n"
+            "[output]\nsnapshots =\n",
+        )
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].endswith("max |1 - xi| 1")
+        assert captured.err == (
+            "warning: max |1 - xi| 1 exceeds 0.1, so the written field is far from the scheme's auxiliary field; "
+            "rerun at a smaller n (or with shorter steps)\n"
+        )
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_the_warning_bound_is_strict(self, tmp_path, capsys, monkeypatch, above):
+        # the bound set at this run's own max |1 - xi|, and just below it
+        cfg = write_cfg(tmp_path, "scenario = kissing_bubbles\nn = 16\nhorizon = 0.05\n[output]\nsnapshots =\n")
+        records, _ = chsolver.run_scenario(chsolver.build_scenario(chsolver.parse_config(cfg)))
+        xi_dev = max(abs(1.0 - rec.xi) for rec in records)
+        assert 0.0 < xi_dev < cli.XI_WARN
+        monkeypatch.setattr(cli, "XI_WARN", math.nextafter(xi_dev, 0.0) if above else xi_dev)
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: max |1 - xi| {xi_dev:.3g} exceeds ") if above else err == ""
+
     def test_rows_reach_the_file_within_the_flush_interval(self, tmp_path, monkeypatch):
         # with no interval every kept row is on disk before the next step starts
         import chsolver.cli as cli
@@ -343,16 +371,16 @@ class TestKernels:
         assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_a_nonfinite_residual_fails_and_names_its_row(self, tmp_path, capsys):
-        # horizon 1e300: the telescoping check squares the mesh times to inf,
-        # so its residual is nan in every row; both files are still written
-        cfg = write_cfg(tmp_path, "scenario = convergence\nhorizon = 1e300\n[kernels]\nmax_n = 12\n")
+        # a subnormal horizon: the BDF2 weights 1/tau overflow to inf, so
+        # every residual is nan in every row; both files are still written
+        cfg = write_cfg(tmp_path, "scenario = convergence\nhorizon = 1e-310\n[kernels]\nmax_n = 12\n")
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["kernels", cfg, "--outdir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out.endswith("worst identity residual over n <= 12: nan\n")
         assert captured.err == (
-            "row 1: telescoping = nan not finite\nkernels failed: 12 of 12 rows hold a nonfinite residual\n"
+            "row 1: doc_orthogonality = nan not finite\nkernels failed: 12 of 12 rows hold a nonfinite residual\n"
         )
         assert len((out / "kernels.csv").read_text().splitlines()) == 1 + 12 * 13 // 2
         assert len((out / "kernel_residuals.csv").read_text().splitlines()) == 13

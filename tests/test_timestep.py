@@ -88,7 +88,7 @@ def assert_form_matches(mesh, w):
 
 def assert_residuals_hold(mesh, n, seed):
     """The bounds of TestKernels.test_residuals_are_tiny, for the default
-    sequence t_j^2 and for standard normal values."""
+    sequence (t_j / t_n)^2 and for standard normal values."""
     values = np.random.default_rng(seed).normal(size=n + 1)
     for res in (kernel_residuals(mesh, n), kernel_residuals(mesh, n, values=values)):
         assert res.doc_orthogonality.max() < 1e-13
@@ -336,6 +336,15 @@ class TestKernels:
         mesh = random_mesh(1.0, 25, seed=17)
         res = kernel_residuals(mesh, 25)
         assert res.telescoping.max() < 1e-13
+
+    @pytest.mark.parametrize("horizon", [1e-300, 1e300])
+    def test_default_sequence_holds_at_any_horizon(self, horizon):
+        # t_j^2 itself overflows above a horizon of about 1e154 and underflows
+        # below about 1e-154
+        mesh = random_mesh(horizon, 12, seed=17)
+        with np.errstate(all="raise"):
+            res = kernel_residuals(mesh, 12)
+        assert res.telescoping.max() < 1e-16
 
     def test_residuals_length_check(self):
         mesh = random_mesh(1.0, 10, seed=18)

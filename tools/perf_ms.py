@@ -5,8 +5,9 @@ Usage:
     python tools/perf_ms.py [--src PATH]
 
 PATH is the ``src`` directory of the checkout to time (default: the one next
-to this script), so the same script times any commit.  Every median is over
-REPEATS timed runs after the warm-up below.
+to this script), so the same script times the parent and the change.  Every
+table times the given tree through one path: a timed name the tree lacks
+raises.  Every median is over REPEATS timed runs after the warm-up below.
 
 - advance: on each grid of the ROADMAP baseline table and on 3d N=48 and
   N=96, either side of ``spectral.PARALLEL_ELEMENTS``, the stepper starts
@@ -35,8 +36,7 @@ REPEATS timed runs after the warm-up below.
   PHASES), for the length of the table only; extrapolation + cubic is
   ``_extrapolated_nonlinearity`` less the ``forward`` it calls.  The
   solve phase also sums the gradient part of the energy; the well energy
-  is timed on its own.  A phase whose name the commit's ``stepper`` lacks
-  reads "n/a".
+  is timed on its own.
 - kernels: one pass is the ``kernels`` subcommand at max_n = MAX_N
   (convergence scenario, seed SEED), writing kernels.csv and
   kernel_residuals.csv into a temporary directory, once with
@@ -61,12 +61,11 @@ REPEATS timed runs after the warm-up below.
   at which each part's rows are written (the command's first, each forked
   process's after it), ``_residuals`` returns and each ``os.waitpid`` on a
   forked process returns, timed by wrapping ``cli.kernel_rows``,
-  ``cli._residuals`` and ``os.waitpid`` for the table only ("n/a" on
-  commits without ``cli.kernel_rows``).  A wait that returns at once, just
-  after the residuals are written, means the forked processes finished
-  first.  The quadratic form is checked on random_mesh(1, n, SEED) with standard
-  normal weights, at n = MAX_N and n = FORM_N, the latter with the
-  tracemalloc peak of one check.  Each is run once untimed first.
+  ``cli._residuals`` and ``os.waitpid`` for the table only.  A wait that
+  returns at once, just after the residuals are written, means the forked
+  processes finished first.  The quadratic form is checked on
+  random_mesh(1, n, SEED) with standard normal weights, at n = MAX_N and
+  n = FORM_N, the latter with the tracemalloc peak of one check.  Each is run once untimed first.
 - I/O: ``write_snapshot`` and ``read_snapshot`` of a 3d N = 128 field of
   standard normal values (seed SEED), each run once untimed first, with the
   median minor page faults of one call; and ``check --records`` (the
@@ -77,8 +76,7 @@ REPEATS timed runs after the warm-up below.
   The stream's parse and check follow apart, the two halves of ``check
   --records``: ``read_record_blocks`` parsing every block, and the row
   fold (``RecordCheck.feed``) on the parsed blocks, as ``check --records``
-  builds it ("n/a" on commits without them); then ``read_records``, which
-  builds one StepRecord per row.
+  builds it; then ``read_records``, which builds one StepRecord per row.
 - check: in fresh processes, started like the resident probes above, the
   peak RSS of ``check CONFIG`` at 10^4 and 10^5 steps of CHECK_CFG
   (coarsening2d, N = 8, a fixed step of 1e-6, no snapshots), and the wall
@@ -227,10 +225,8 @@ def advance_table(rss):
 
     from chsolver import Grid, advance, ic_random, init_state, spectral
 
-    # commits before spectral.CORES ran every step on one core
-    cores = getattr(spectral, "CORES", 1)
     print(
-        f"grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array  rss/array  (CORES = {cores})"
+        f"grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array  rss/array  (CORES = {spectral.CORES})"
     )
     for dim, n in GRIDS:
         grid = Grid(dim, 2.0 * np.pi, n)
@@ -255,7 +251,7 @@ def phase_table():
 
     from chsolver import Grid, advance, ic_random, init_state, spectral, stepper
 
-    names = {name for _, timed in PHASES for name in timed if hasattr(stepper, name)}
+    names = {name for _, timed in PHASES for name in timed}
     spent = dict.fromkeys(names, 0.0)
 
     def timer(name, fn):
@@ -269,12 +265,10 @@ def phase_table():
         return timed
 
     def phase_ms(timed):
-        if not all(name in spent for name in timed):
-            return None
         head, *inside = timed  # a phase's first name less the ones it calls
         return 1e3 * (spent[head] - sum(spent[name] for name in inside))
 
-    cores = getattr(spectral, "CORES", 1)
+    cores = spectral.CORES
     widths = [max(len(label), 7) for label, _ in PHASES]
     header = "  ".join(f"{label:>{w}s}" for (label, _), w in zip(PHASES, widths))
     print(f"{'ms per phase of advance':24s} {header}     step")
@@ -297,7 +291,7 @@ def phase_table():
                     steps.append(1e3 * (time.perf_counter() - start))
                     for ms, (_, timed) in zip(phases, PHASES):
                         ms.append(phase_ms(timed))
-                cells = ("n/a" if None in ms else f"{statistics.median(ms):.2f}" for ms in phases)
+                cells = (f"{statistics.median(ms):.2f}" for ms in phases)
                 label = f"{dim}d N={n} (CORES = {pass_cores})"
                 row = "  ".join(f"{c:>{w}s}" for c, w in zip(cells, widths))
                 print(f"{label:24s} {row}  {statistics.median(steps):7.2f}")
@@ -358,8 +352,7 @@ def kernels_table(peaks):
     from chsolver import cli, kernel_matrices, parse_config, quadratic_form_check, random_mesh, spectral
     from chsolver.cli import main as cli_main
 
-    # commits before spectral.CORES ran the pass in one process
-    cores = getattr(spectral, "CORES", 1)
+    cores = spectral.CORES
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _kernels_cfg(tmp)
         argv = ["kernels", str(cfg), "--outdir", str(Path(tmp) / "out")]
@@ -391,10 +384,8 @@ def kernels_table(peaks):
         lower = np.tril_indices(MAX_N)
         values = tuple(theta[lower].tolist() + p[lower].tolist())
         template = "%.17g" * len(values)
-        # the p values a serial pass formats: each row's from its first changed
-        # column on (all of them on commits that reuse no text of p)
-        changes = getattr(cli, "kernel_p_changes", lambda p: [0] * len(p))(p)
-        fresh = [v for i, j in enumerate(changes) for v in p[i, j : i + 1].tolist()]
+        # the p values a serial pass formats: each row's from its first changed column on
+        fresh = [v for i, j in enumerate(cli.kernel_p_changes(p)) for v in p[i, j : i + 1].tolist()]
         fresh_values = tuple(theta[lower].tolist() + fresh)
         fresh_template = "%.17g" * len(fresh_values)
 
@@ -438,9 +429,6 @@ def kernels_timeline(run, cores):
 
     from chsolver import cli
 
-    if not hasattr(cli, "kernel_rows"):  # commits before the module-level writer
-        print("kernels split timeline: n/a")
-        return
     parts = cli._kernel_parts(MAX_N)  # at the host's CORES, as run passes them
     starts = [rows.start for rows in parts]
     ends = mmap.mmap(-1, 8 * len(parts))
@@ -492,13 +480,10 @@ def kernels_timeline(run, cores):
 
 
 def io_table():
-    import inspect
-
     import numpy as np
 
     from chsolver import (
         Grid,
-        SpectralField,
         StepRecord,
         build_scenario,
         parse_config,
@@ -516,13 +501,9 @@ def io_table():
         grid = Grid(3, 2.0 * np.pi, 128)
         values = np.random.default_rng(SEED).standard_normal(grid.shape)
         snap = Path(tmp) / "snap.bin"
-        if "grid" in inspect.signature(write_snapshot).parameters:
-            args = (grid, values, snap)
-        else:  # commits whose write_snapshot takes a SpectralField
-            args = (SpectralField(grid, physical=values), snap)
         print(f"{'I/O':38s} {'ms':>10s}  faults/call  ({snap.name}: 3d N=128, {8 * 128**3 / 1e6:.1f} MB)")
         for label, fn in (
-            ("write_snapshot", lambda: write_snapshot(*args, time=0.0)),
+            ("write_snapshot", lambda: write_snapshot(grid, values, snap, time=0.0)),
             ("read_snapshot", lambda: read_snapshot(snap)),
         ):
             fn()
@@ -553,28 +534,26 @@ def io_table():
         # the parse and the guarantee check of the IO_ROWS stream apart, as
         # check --records runs them, and the StepRecord reader
         scenario = build_scenario(parse_config(cfg))
-        read_blocks = getattr(recordio, "read_record_blocks", None)
-        fns = {"read_record_blocks": None, "RecordCheck.feed": None}
-        if read_blocks is not None:
-            blocks = [(steps, list(rows)) for steps, rows in read_blocks(records)]
+        blocks = [(steps, list(rows)) for steps, rows in recordio.read_record_blocks(records)]
 
-            def parse():
-                for _ in read_blocks(records):
-                    pass
+        def parse():
+            for _ in recordio.read_record_blocks(records):
+                pass
 
-            def fold():
-                check = stepper.RecordCheck(landing_tol(scenario.horizon), ratio_cap=scenario.policy.ratio_cap)
-                for steps, rows in blocks:
-                    check.feed(steps, rows)
-                return check.result()
+        def fold():
+            check = stepper.RecordCheck(landing_tol(scenario.horizon), ratio_cap=scenario.policy.ratio_cap)
+            for steps, rows in blocks:
+                check.feed(steps, rows)
+            return check.result()
 
-            if fold():
-                raise RuntimeError("RecordCheck flags the generated stream")
-            fns = {"read_record_blocks": parse, "RecordCheck.feed": fold}
-        fns["read_records"] = lambda: read_records(records)
-        for label, fn in fns.items():
-            ms = "n/a" if fn is None else f"{median_ms(fn):.3f}"
-            print(f"{label + f' ({IO_ROWS} rows)':38s} {ms:>10s}")
+        if fold():
+            raise RuntimeError("RecordCheck flags the generated stream")
+        for label, fn in (
+            ("read_record_blocks", parse),
+            ("RecordCheck.feed", fold),
+            ("read_records", lambda: read_records(records)),
+        ):
+            print(f"{label + f' ({IO_ROWS} rows)':38s} {median_ms(fn):10.3f}")
 
 
 def check_table(figures):
