@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .policies import AdaptiveStep, FixedStep, PrescribedMesh, StepPolicy
 from .scenarios import Scenario
-from .timestep import DELTA, a1_cap, landing_tol, random_mesh
+from .timestep import DELTA, a1_cap, bdf_weights, landing_tol, r_max_root, random_mesh
 
 TWO_PI = 2.0 * math.pi
 
@@ -238,6 +238,15 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
         weights = (math.inf,)
     if not all(0 < w < math.inf for w in weights):
         bad(f"eps = {cfg.eps!r} is out of range: 1/eps^2 and 1/(4 eps^2) must be positive finite floats")
+    # the BDF2 weights grow as the step shrinks and its ratio grows: where
+    # those of a step of the landing tolerance at ratio r_max overflow, a
+    # step's field or a kernel row may not be finite
+    tol = landing_tol(cfg.horizon)
+    if not (tol > 0 and all(map(math.isfinite, bdf_weights(tol, r_max_root())))):
+        bad(
+            f"horizon = {cfg.horizon!r} is out of range: the BDF2 weights of a step of the landing "
+            f"tolerance {tol!r} at ratio r_max must be finite floats"
+        )
     if cfg.record_every < 1:
         bad(f"record_every must be >= 1, got {cfg.record_every}")
     if cfg.seed < 0:
@@ -252,7 +261,6 @@ def _validate(cfg: SimConfig, check_snapshots: bool) -> None:
             bad(f"{key} must be positive, got {value}")
     # a step within the landing tolerance would land before it is taken, and
     # the run would need horizon / tau of them
-    tol = landing_tol(cfg.horizon)
     for key in ("tau", "tau_min"):
         value = getattr(cfg, key)
         if value is not None and value <= tol:

@@ -178,23 +178,23 @@ def init_state(phi0: SpectralField, eps: float, dealias: bool = False) -> GsavSt
     return GsavState(phi0.grid, u_hat, u_hat, u, u, gamma0, gamma0, eps, dealias=dealias)
 
 
-def _step_ratio(state: GsavState, tau_n: float) -> float:
-    if not 0 < tau_n < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau_n}")
-    return 0.0 if state.step_index == 0 else tau_n / state.prev_tau
+def _step_scalars(state: GsavState, tau_n: float) -> tuple[float, float, float]:
+    """(r, b0, b1) of the step tau_n from state: the step ratio (0 at the
+    first step, which runs backward Euler) and the BDF2 weights, derived
+    once per step; bdf_weights rejects a tau_n that is not positive and
+    finite."""
+    r = 0.0 if state.step_index == 0 else tau_n / state.prev_tau
+    return (r, *bdf_weights(tau_n, r))
 
 
-def _extrapolated_nonlinearity(
-    state: GsavState, tau_n: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def _extrapolated_nonlinearity(state: GsavState, r: float, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients of f(B phi^{n-1}), where
     B u = (1+r) u^{n-1} - r u^{n-2} = u^{n-1} + r (u^{n-1} - u^{n-2})
-    and B u^0 = u^0.  B phi and f(B phi) are formed slab by slab into the
-    transform's input, out if given (which may be phi2 itself: each slab of
-    it is read before it is written), else a new array; the dealiased cubic
-    needs all of B phi at once, so there the input holds B phi (u^0 itself
-    on the first step)."""
-    r = _step_ratio(state, tau_n)
+    for the step ratio r, and B u^0 = u^0.  B phi and f(B phi) are formed
+    slab by slab into the transform's input, out if given (which may be
+    phi2 itself: each slab of it is read before it is written), else a new
+    array; the dealiased cubic needs all of B phi at once, so there the
+    input holds B phi (u^0 itself on the first step)."""
     grid, eps, u1, u2 = state.grid, state.eps, state.phi1, state.phi2
 
     def extrapolated(s, into=None):
@@ -218,17 +218,16 @@ def _extrapolated_nonlinearity(
 
 
 def _solve(
-    state: GsavState, tau_n: float, f_hat: np.ndarray, out: np.ndarray | None = None
+    state: GsavState, b0: float, b1: float, f_hat: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
-    """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2): the half spectrum of the
-    auxiliary field, the dissipation rate of substep 2 and the gradient
-    part of the auxiliary field's energy, both summed slab by slab as each
-    slab of pb_hat is solved, on the |k|^2 rows built for that slab, and
-    added in slab order (the float parseval_sum gives).  pb_hat is out if
-    given (which may be phi_bar_hat2 itself: each slab of it is read before
-    it is written), else a new array."""
-    r = _step_ratio(state, tau_n)
-    b0, b1 = bdf_weights(tau_n, r)
+    """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2) for the BDF2 weights b0
+    and b1: the half spectrum of the auxiliary field, the dissipation rate
+    of substep 2 and the gradient part of the auxiliary field's energy,
+    both summed slab by slab as each slab of pb_hat is solved, on the |k|^2
+    rows built for that slab, and added in slab order (the float
+    parseval_sum gives).  pb_hat is out if given (which may be phi_bar_hat2
+    itself: each slab of it is read before it is written), else a new
+    array."""
     grid = state.grid
     c1, c2 = state.phi_bar_hat1, state.phi_bar_hat2
     zero = (0,) * grid.dim
@@ -262,7 +261,8 @@ def _solve(
 def linear_solve(state: GsavState, tau_n: float) -> tuple[np.ndarray, float, float]:
     """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2) of the implicit solve
     (substep 1), as _solve sums them."""
-    return _solve(state, tau_n, _extrapolated_nonlinearity(state, tau_n))
+    r, b0, b1 = _step_scalars(state, tau_n)
+    return _solve(state, b0, b1, _extrapolated_nonlinearity(state, r))
 
 
 def gamma_update(gamma_prev: float, tau_n: float, grad_mu_sq: float, e_bar: float) -> float:
@@ -296,10 +296,11 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     grid = state.grid
     n = state.step_index + 1
     phi1, c1 = state.phi1, state.phi_bar_hat1
-    f_hat = _extrapolated_nonlinearity(state, tau_n, _spare(state.phi2, phi1))
+    r, b0, b1 = _step_scalars(state, tau_n)
+    f_hat = _extrapolated_nonlinearity(state, r, _spare(state.phi2, phi1))
     # the oldest grid level is dead once f is transformed; freed before the irfftn
     state.phi1 = state.phi2 = None
-    pb_hat, gm, grad = _solve(state, tau_n, f_hat, _spare(state.phi_bar_hat2, c1))
+    pb_hat, gm, grad = _solve(state, b0, b1, f_hat, _spare(state.phi_bar_hat2, c1))
     state.phi_bar_hat1 = state.phi_bar_hat2 = None
     del f_hat  # freed before the inverse transform allocates its output
     pb = inverse(pb_hat, grid.shape)

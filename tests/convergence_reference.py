@@ -7,19 +7,11 @@ run_scenario.  chsolver.run_convergence must reproduce its rows exactly.
 
 import numpy as np
 
-from chsolver import (
-    ConvergenceRow,
-    FixedStep,
-    Grid,
-    PrescribedMesh,
-    SpectralField,
-    energy,
-    ic_bubble,
-    init_state,
-    order_of,
-    random_mesh,
-)
-from chsolver.spectral import forward, h1_norm
+from chsolver.policies import FixedStep, PrescribedMesh
+from chsolver.scenarios import ConvergenceRow, ic_bubble, order_of
+from chsolver.spectral import Grid, SpectralField, forward, h1_norm
+from chsolver.stepper import energy, init_state
+from chsolver.timestep import random_mesh
 from test_policies import drive
 
 

@@ -9,8 +9,8 @@ and only meant for small grids.
 
 import numpy as np
 
-from chsolver import SpectralField, bdf_weights
-from chsolver.spectral import inverse
+from chsolver.spectral import SpectralField, inverse
+from chsolver.timestep import bdf_weights
 
 
 def dft_matrices(grid):
@@ -92,7 +92,7 @@ def half_spectrum(grid, full):
 def random_state(grid, eps, seed, scale=0.5):
     """Init-style state from a rough random field, plus one warmup step so
     the two history levels differ."""
-    from chsolver import advance, init_state
+    from chsolver.stepper import advance, init_state
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(-scale, scale, grid.shape)

@@ -18,7 +18,7 @@ from itertools import chain, repeat
 import numpy as np
 
 import chsolver.timestep as ts
-from chsolver import bdf_weights
+from chsolver.timestep import bdf_weights
 
 
 def bdf2_apply(mesh, values):

@@ -13,7 +13,8 @@ however the file and the rows are split.
 import math
 from dataclasses import astuple
 
-from chsolver import RECORD_FIELDS, StepRecord
+from chsolver.recordio import RECORD_FIELDS
+from chsolver.stepper import StepRecord
 from chsolver.timestep import LANDING_RTOL
 
 

@@ -10,25 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from chsolver import (
-    AdaptiveStep,
-    FixedStep,
-    Grid,
-    Scenario,
-    SpectralField,
+from chsolver.policies import AdaptiveStep, FixedStep
+from chsolver.scenarios import Scenario, ic_kissing, ic_random, run_convergence
+from chsolver.spectral import Grid, SpectralField, forward
+from chsolver.stepper import advance, init_state
+from chsolver.timestep import (
+    QUADRATIC_FORM_SLACK,
     TimeMesh,
-    advance,
-    ic_kissing,
-    ic_random,
-    init_state,
     kernel_residuals,
     quadratic_form_check,
     r_max_root,
     random_mesh,
-    run_convergence,
 )
-from chsolver.spectral import forward
-from chsolver.timestep import QUADRATIC_FORM_SLACK
 from dense_reference import dense_advance, half_spectrum, random_state
 from test_policies import drive
 

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,14 @@ from hypothesis import strategies as st
 
 import chsolver
 import kernel_reference
-from chsolver import StepRecord, cli, read_records, read_snapshot, recordio, spectral, write_records
+from chsolver import cli, recordio, spectral
 from chsolver.cli import main
+from chsolver.config import build_scenario, parse_config
+from chsolver.policies import FixedStep
+from chsolver.recordio import read_records, read_snapshot, write_records
+from chsolver.scenarios import initial_state, run_scenario
+from chsolver.stepper import StepRecord
+from chsolver.timestep import dcc_kernels, doc_kernels, kernel_matrices, random_mesh
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -138,9 +144,9 @@ class TestSimulate:
             "scenario = coarsening2d\nn = 8\nhorizon = 0.01\n[policy]\nkind = fixed\ntau = 0.003\n"
             "[output]\nsnapshots =\n",
         )
-        scenario = chsolver.build_scenario(chsolver.parse_config(cfg))
-        gamma0 = chsolver.scenarios.initial_state(scenario).gamma
-        records, _ = chsolver.run_scenario(scenario)
+        scenario = build_scenario(parse_config(cfg))
+        gamma0 = initial_state(scenario).gamma
+        records, _ = run_scenario(scenario)
         xi_dev = max(abs(1.0 - rec.xi) for rec in records)
         assert records[0].gamma != gamma0
         assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
@@ -169,7 +175,7 @@ class TestSimulate:
     def test_the_warning_bound_is_strict(self, tmp_path, capsys, monkeypatch, above):
         # the bound set at this run's own max |1 - xi|, and just below it
         cfg = write_cfg(tmp_path, "scenario = kissing_bubbles\nn = 16\nhorizon = 0.05\n[output]\nsnapshots =\n")
-        records, _ = chsolver.run_scenario(chsolver.build_scenario(chsolver.parse_config(cfg)))
+        records, _ = run_scenario(build_scenario(parse_config(cfg)))
         xi_dev = max(abs(1.0 - rec.xi) for rec in records)
         assert 0.0 < xi_dev < cli.XI_WARN
         monkeypatch.setattr(cli, "XI_WARN", math.nextafter(xi_dev, 0.0) if above else xi_dev)
@@ -348,13 +354,13 @@ class TestKernels:
         cfg = write_cfg(tmp_path, "scenario = convergence\nseed = 3\n[kernels]\nmax_n = 30\n")
         out = tmp_path / "out"
         assert main(["kernels", cfg, "--outdir", str(out)]) == 0
-        parsed = chsolver.parse_config(cfg)
-        mesh = chsolver.random_mesh(parsed.horizon, 30, parsed.seed)
+        parsed = parse_config(cfg)
+        mesh = random_mesh(parsed.horizon, 30, parsed.seed)
         lines = (out / "kernels.csv").read_text().splitlines()[1:]
         rows = [line.split(",") for line in lines]
         for n in range(1, 31):
             block = slice(n * (n - 1) // 2, n * (n + 1) // 2)
-            theta, p = chsolver.doc_kernels(mesh, n).tolist(), chsolver.dcc_kernels(mesh, n).tolist()
+            theta, p = doc_kernels(mesh, n).tolist(), dcc_kernels(mesh, n).tolist()
             assert [(int(r[0]), int(r[1])) for r in rows[block]] == [(n, m) for m in range(n)]
             assert [float(r[2]) for r in rows[block]] == theta
             assert [float(r[3]) for r in rows[block]] == p
@@ -365,18 +371,25 @@ class TestKernels:
         cfg = write_cfg(tmp_path, "scenario = convergence\nseed = 2\n[kernels]\nmax_n = 100\n")
         out = tmp_path / "out"
         assert main(["kernels", cfg, "--outdir", str(out)]) == 0
-        parsed = chsolver.parse_config(cfg)
-        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, 100, parsed.seed), 100)
+        parsed = parse_config(cfg)
+        theta, p = kernel_matrices(random_mesh(parsed.horizon, 100, parsed.seed), 100)
         kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
         assert (out / "kernels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    def test_a_nonfinite_residual_fails_and_names_its_row(self, tmp_path, capsys):
-        # a subnormal horizon: the BDF2 weights 1/tau overflow to inf, so
-        # every residual is nan in every row; both files are still written
-        cfg = write_cfg(tmp_path, "scenario = convergence\nhorizon = 1e-310\n[kernels]\nmax_n = 12\n")
+    def test_a_nonfinite_residual_fails_and_names_its_row(self, tmp_path, capsys, monkeypatch):
+        # every residual nan in every row; both files are still written
+        residuals = cli._residuals
+
+        def nan_residuals(*args):
+            res = residuals(*args)
+            for field in fields(res):
+                getattr(res, field.name)[:] = math.nan
+            return res
+
+        monkeypatch.setattr(cli, "_residuals", nan_residuals)
+        cfg = write_cfg(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 12\n")
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["kernels", cfg, "--outdir", str(out)]) == 1
+        assert main(["kernels", cfg, "--outdir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out.endswith("worst identity residual over n <= 12: nan\n")
         assert captured.err == (
@@ -482,7 +495,7 @@ class TestKernelRows:
         assert parted_kernels_csv(theta, p, starts) == reference_kernels_csv(tmp_path, theta, p)
 
     def test_matches_the_reference_writer_on_a_mesh(self, tmp_path):
-        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(0.1, 160, 6), 160)
+        theta, p = kernel_matrices(random_mesh(0.1, 160, 6), 160)
         assert parted_kernels_csv(theta, p, [50, 51, 120]) == reference_kernels_csv(tmp_path, theta, p)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -495,7 +508,7 @@ class TestKernelRows:
                 formatted.append(self.size)
                 return super().tolist()
 
-        theta, p = chsolver.kernel_matrices(chsolver.random_mesh(0.1, 400, seed), 400)
+        theta, p = kernel_matrices(random_mesh(0.1, 400, seed), 400)
         write_rows = cli.kernel_rows(theta, p.view(Counted))
         formatted.clear()
         lines = []
@@ -517,8 +530,8 @@ def split_cfg(tmp_path):
 
 
 def write_reference(tmp_path, cfg):
-    parsed = chsolver.parse_config(cfg)
-    theta, p = chsolver.kernel_matrices(chsolver.random_mesh(parsed.horizon, SPLIT_N, parsed.seed), SPLIT_N)
+    parsed = parse_config(cfg)
+    theta, p = kernel_matrices(random_mesh(parsed.horizon, SPLIT_N, parsed.seed), SPLIT_N)
     kernel_reference.write_kernels_csv(tmp_path / "reference.csv", theta, p)
     return (tmp_path / "reference.csv").read_bytes()
 
@@ -804,7 +817,7 @@ class TestCheck:
         # step: 0.01 right after the 1e-4 landing step, a ratio of 100
         cfg = write_cfg(tmp_path, LANDING_CFG)
         out = tmp_path / "out"
-        monkeypatch.setattr(chsolver.FixedStep, "ratio_cap", math.inf)
+        monkeypatch.setattr(FixedStep, "ratio_cap", math.inf)
         assert main(["simulate", cfg, "--outdir", str(out)]) == 0
         monkeypatch.undo()
         capsys.readouterr()
@@ -905,7 +918,7 @@ class TestCheck:
         # written field is eta = xi (2 - xi) = -122.3 times the auxiliary one;
         # simulate stops there and writes nothing, so the row is written here
         cfg = write_cfg(tmp_path, "scenario = coarsening2d\nhorizon = 1e-5\n[output]\nsnapshots =\n")
-        records, _ = chsolver.run_scenario(chsolver.build_scenario(chsolver.parse_config(cfg)))
+        records, _ = run_scenario(build_scenario(parse_config(cfg)))
         path = tmp_path / "records.csv"
         write_records(records, path)
         for argv in (["check", cfg], ["check", cfg, "--records", str(path)]):

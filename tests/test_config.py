@@ -8,20 +8,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chsolver import (
-    AdaptiveStep,
-    SimConfig,
+from chsolver import config
+from chsolver.config import (
+    SCENARIO_NAMES,
     ConfigParseError,
     ConfigValidationError,
-    FixedStep,
-    PrescribedMesh,
-    SCENARIO_NAMES,
+    SimConfig,
     build_policy,
     build_scenario,
     parse_config,
-    r_max_root,
 )
-from chsolver import config
+from chsolver.policies import AdaptiveStep, FixedStep, PrescribedMesh
+from chsolver.timestep import r_max_root
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -271,6 +269,21 @@ class TestValidation:
     @pytest.mark.parametrize("value", [1e153, 1e-154])
     def test_eps_range_keeps_its_last_floats(self, tmp_path, value):
         assert parse_config(write(tmp_path, f"scenario = kissing_bubbles\neps = {value!r}\n")).eps == value
+
+    @pytest.mark.parametrize("horizon", [1e-310, 1e-300, 5e-324])
+    def test_horizon_too_small_for_finite_bdf_weights(self, tmp_path, horizon):
+        # landing_tol(horizon) is 1e-322, 1e-312 and 0.0: the weights of a
+        # step that short at ratio r_max are not finite
+        tol = config.landing_tol(horizon)
+        message = (
+            f"horizon = {horizon!r} is out of range: the BDF2 weights of a step of the landing "
+            f"tolerance {tol!r} at ratio r_max must be finite floats"
+        )
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            parse_config(write(tmp_path, f"scenario = convergence\nhorizon = {horizon!r}\n"))
+
+    def test_smallest_horizon_with_finite_bdf_weights_parses(self, tmp_path):
+        assert parse_config(write(tmp_path, "scenario = convergence\nhorizon = 2.5e-296\n")).horizon == 2.5e-296
 
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_kernels_need_two_rows(self, tmp_path, value):

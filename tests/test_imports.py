@@ -2,13 +2,19 @@
 is transformed, scipy.optimize never, no scipy import at module level, no
 thread pool (concurrent.futures.thread) anywhere, no thread at all on
 grids below the parallel threshold, and for kernels neither a thread nor
-multiprocessing, also where it forks."""
+multiprocessing, also where it forks.  The package binds only the README's
+quick-start names, a bare import loads only the modules behind them, and
+the quick start runs as written."""
 
 import ast
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -19,9 +25,9 @@ from chsolver.cli import FORK_MIN_LINES, main
 PACKAGE = Path(chsolver.__file__).resolve().parent
 
 # Imports the package (or runs the CLI on the given arguments) in a fresh
-# interpreter and prints the exit code, the scipy, concurrent and
-# multiprocessing modules then loaded, and the number of threads started
-# meanwhile.
+# interpreter and prints the exit code, the scipy, concurrent,
+# multiprocessing and chsolver modules then loaded, and the number of
+# threads started meanwhile.
 PROBE = """
 import json, sys, threading
 started = []
@@ -36,14 +42,14 @@ if sys.argv[1:]:
 else:
     import chsolver
     code = 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing", "chsolver"))
 print(json.dumps([code, loaded, len(started)]))
 """
 
 
 def fresh(*argv):
-    """(exit code, loaded scipy, concurrent and multiprocessing modules,
-    threads started) of PROBE in a new interpreter."""
+    """(exit code, loaded scipy, concurrent, multiprocessing and chsolver
+    modules, threads started) of PROBE in a new interpreter."""
     # the child imports the same package as this suite, however it was put on sys.path
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -72,6 +78,42 @@ def test_import_loads_no_scipy_fft_or_optimize():
     assert "scipy.fft" not in loaded
     assert "scipy.optimize" not in loaded
     assert "concurrent.futures" not in loaded
+
+
+def test_import_loads_only_the_modules_behind_the_quick_start():
+    _, loaded, _ = fresh()
+    assert "chsolver.stepper" in loaded
+    assert not loaded & {"chsolver.config", "chsolver.recordio", "chsolver.cli"}
+
+
+QUICK_START = {"AdaptiveStep", "Grid", "ic_random", "init_state", "run_with_policy"}
+
+
+def test_package_binds_only_the_quick_start_names():
+    # every other name is imported from its module; submodules are bound
+    # as the package loads them
+    public = {
+        name for name, value in vars(chsolver).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == QUICK_START
+    assert chsolver.__version__ == "0.1.0"
+
+
+def test_readme_quick_start_runs():
+    # the README's code on a 16^2 grid to t = 1e-3, with its checkpoint halfway
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    for old, new in (("modes=128", "modes=16"), ("horizon=1.0, checkpoints=(0.5, 1.0)", "horizon=1e-3, checkpoints=(5e-4, 1e-3)")):
+        assert code.count(old) == 1
+        code = code.replace(old, new)
+    assert "from chsolver import AdaptiveStep, Grid, ic_random, init_state, run_with_policy" in code
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), namespace)
+    last, records = namespace["last"], namespace["records"]
+    assert last.t == 1e-3 and [rec.n for rec in records] == list(range(1, len(records) + 1))
+    assert namespace["phase"].shape == (16, 16)
+    assert out.getvalue() == f"{last.t} {last.gamma} {last.energy} {last.mass}\n"
 
 
 def test_kernels_leaves_scipy_fft_unloaded(tmp_path):

@@ -9,26 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chsolver import (
+from chsolver.policies import (
     AdaptiveStep,
     FixedStep,
-    Grid,
+    LandingError,
     MeshExhaustedError,
     PrescribedMesh,
-    Scenario,
-    SpectralField,
-    TimeMesh,
-    init_state,
-    initial_field,
-    r_max_root,
-    random_mesh,
+    landing_targets,
     run_with_policy,
-    validate_records,
 )
-from chsolver.policies import LandingError, landing_targets
-from chsolver.stepper import record_values
+from chsolver.scenarios import Scenario, initial_field
+from chsolver.spectral import Grid, SpectralField
+from chsolver.stepper import init_state, record_values, validate_records
+from chsolver.timestep import A1ViolationError, TimeMesh, a1_cap, r_max_root, random_mesh
 from record_reference import eta_problems
-from chsolver.timestep import A1ViolationError, a1_cap
 
 
 def drive(state, policy, horizon, checkpoints=()):

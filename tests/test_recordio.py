@@ -15,25 +15,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import record_reference
-from chsolver import (
+from chsolver import recordio
+from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_rows, main
+from chsolver.recordio import (
     RECORD_FIELDS,
-    Grid,
-    RecordCheck,
+    RECORD_ROW,
     RecordWriter,
     Snapshot,
     SnapshotFormatError,
-    StepRecord,
     read_record_blocks,
     read_records,
     read_snapshot,
-    validate_records,
     write_records,
     write_snapshot,
 )
-from chsolver import recordio
-from chsolver.cli import CONVERGENCE_ROW, RESIDUAL_ROW, kernel_rows, main
-from chsolver.recordio import RECORD_ROW
-from chsolver.stepper import record_values
+from chsolver.spectral import Grid
+from chsolver.stepper import RecordCheck, StepRecord, record_values, validate_records
 from chsolver.timestep import LANDING_RTOL, a1_cap
 
 

@@ -11,36 +11,29 @@ from convergence_reference import reference_convergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
-from test_timestep import CAP, mixed_steps, seeded_mixed_draws
+from test_timestep import CAP, chained_steps, mixed_steps, seeded_mixed_draws
 
 import chsolver.policies as policies
-from chsolver import (
-    AdaptiveStep,
+from chsolver.config import build_scenario, parse_config
+from chsolver.policies import AdaptiveStep, FixedStep, PrescribedMesh, run_with_policy
+from chsolver.recordio import read_snapshot
+from chsolver.scenarios import (
     DegenerateRatioError,
     DimMismatchError,
-    FixedStep,
-    Grid,
-    PrescribedMesh,
     Scenario,
-    TimeMesh,
-    advance,
-    build_scenario,
     ic_bubble,
     ic_equilibrium,
     ic_kissing,
     ic_random,
     initial_field,
+    initial_state,
     order_of,
-    parse_config,
-    random_mesh,
-    read_snapshot,
     run_convergence,
     run_scenario,
-    run_with_policy,
 )
-from chsolver.scenarios import initial_state
-from chsolver.spectral import h1_norm
-from chsolver.timestep import LANDING_RTOL
+from chsolver.spectral import Grid, h1_norm
+from chsolver.stepper import advance
+from chsolver.timestep import LANDING_RTOL, TimeMesh, random_mesh
 
 
 def bubble(modes, eps, horizon, seed=0, dealias=False):
@@ -517,6 +510,25 @@ def halved(steps, j):
     return TimeMesh(np.repeat(np.asarray(steps) / 2**j, 2**j))
 
 
+def halving_errors(scenario, steps, levels):
+    """The H1 errors at the horizon of scenario replayed on steps halved j
+    times, for each j in levels, against j = 6, and each mesh's largest step."""
+
+    def final(j):
+        mesh = halved(steps, j)
+        policy, horizon = PrescribedMesh(mesh), mesh.horizon
+        _, [(_, phi)] = run_scenario(replace(scenario, policy=policy, horizon=horizon, snapshot_times=(horizon,)))
+        return phi, mesh.steps.max()
+
+    reference, _ = final(6)
+    errors, taus = [], []
+    for j in levels:
+        phi, tau = final(j)
+        errors.append(h1_norm(phi.grid, phi.coefficients - reference.coefficients))
+        taus.append(tau)
+    return errors, taus
+
+
 class TestOrderOnTheDriversMesh:
     """Second order on a mesh the driver emits: the steps of an adaptive
     run, replayed as a PrescribedMesh and refined by halving every step."""
@@ -529,18 +541,34 @@ class TestOrderOnTheDriversMesh:
         steps = [rec.tau for rec in records]
         assert len(steps) == 44
         assert 1.2 < max(b / a for a, b in zip(steps, steps[1:])) < 1.25
+        errors, taus = halving_errors(scenario, steps, range(4))
+        assert errors == sorted(errors, reverse=True)
+        assert 1.7 <= order_of(errors[-2], errors[-1], taus[-2], taus[-1]) <= 2.3
 
-        def final(j):
-            mesh = halved(steps, j)
-            policy, horizon = PrescribedMesh(mesh), mesh.horizon
-            _, [(_, phi)] = run_scenario(replace(scenario, policy=policy, horizon=horizon, snapshot_times=(horizon,)))
-            return phi, mesh.steps.max()
 
-        reference, _ = final(6)
-        errors, taus = [], []
-        for j in range(4):
-            phi, tau = final(j)
-            errors.append(h1_norm(phi.grid, phi.coefficients - reference.coefficients))
-            taus.append(tau)
+def periodic_steps(ratios, periods, horizon):
+    """periods repeats of the step ratios, the first step's dropped, scaled
+    to horizon, each step rounded down where needed so that no ratio
+    exceeds its pattern's (test_timestep.chained_steps)."""
+    ratios = (list(ratios) * periods)[1:]
+    return chained_steps(horizon / chained_steps(1.0, ratios).sum(), ratios)
+
+
+class TestOrderOnTheA1EdgeFamilies:
+    """Second order on test_timestep's A1-edge families, replayed on the
+    convergence bubble to t = 0.05 and refined by halving every step: 30
+    periods of the sawtooth's ratios CAP and 1/CAP, and 12 of the
+    growth-drop cycle's four ratios CAP and one drop CAP^-4.  The unrefined
+    meshes (j = 0) are pre-asymptotic, with H1 errors 6.66 and 0.40, so the
+    levels are j = 1..3."""
+
+    @pytest.mark.parametrize(
+        "ratios,periods", [([1.0 / CAP, CAP], 30), ([CAP**-4, CAP, CAP, CAP, CAP], 12)], ids=["sawtooth", "growth-drop"]
+    )
+    def test_h1_order(self, ratios, periods):
+        steps = periodic_steps(ratios, periods, 0.05)
+        mesh = TimeMesh(steps)  # its steps on the cap, within rounding
+        assert mesh.satisfies_a1() and mesh.max_ratio > CAP * (1 - 1e-12)
+        errors, taus = halving_errors(bubble(modes=16, eps=0.2, horizon=0.05), steps, range(1, 4))
         assert errors == sorted(errors, reverse=True)
         assert 1.7 <= order_of(errors[-2], errors[-1], taus[-2], taus[-1]) <= 2.3

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chsolver.spectral as spectral
-from chsolver import Grid, SpectralField, energy
 from chsolver.spectral import (
+    Grid,
+    SpectralField,
     cubic,
     dealiased_cubic,
     forward,
@@ -29,6 +30,7 @@ from chsolver.spectral import (
     slab_map,
     slabs,
 )
+from chsolver.stepper import energy
 from dealias_reference import dealiased_cubic_full
 from dense_reference import full_k_squared, half_spectrum
 

@@ -19,22 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chsolver.spectral as spectral
-from chsolver import (
-    Grid,
+from chsolver.spectral import Grid, SpectralField, cubic, forward, h1_norm, inverse
+from chsolver.stepper import (
     NonfiniteFieldError,
-    SpectralField,
+    _extrapolated_nonlinearity,
     advance,
     energy,
     gamma_update,
     init_state,
     linear_solve,
-    r_max_root,
-    random_mesh,
     relax,
     validate_records,
 )
-from chsolver.spectral import cubic, forward, h1_norm, inverse
-from chsolver.stepper import _extrapolated_nonlinearity
+from chsolver.timestep import r_max_root, random_mesh
 from dense_reference import dense_advance, half_spectrum, random_state
 from record_reference import eta_problems
 
@@ -142,7 +139,7 @@ class TestSingleStep:
         grid = Grid(2, 2.0 * np.pi, 16)
         state = init_state(rough_field(grid, 2), 0.8)
         tau = 0.05
-        f_hat = _extrapolated_nonlinearity(state, tau)
+        f_hat = _extrapolated_nonlinearity(state, 0.0)  # the first step's ratio
         assert np.array_equal(f_hat, forward(cubic(state.phi1, 0.8)))
         c0 = state.phi_bar_hat1
         k2 = grid.k_squared_rows(slice(None))
@@ -199,14 +196,15 @@ class TestSingleStep:
         assert new_state.phi2 is before.phi1
 
     def test_advance_runs_each_substep_once(self, monkeypatch):
-        # one step, one path: one solve, one contraction of the ||grad mu||^2
-        # it summed and one relaxation; no second sum through linear_solve or energy
+        # one step, one path: the step ratio and BDF2 weights derived once,
+        # one solve, one contraction of the ||grad mu||^2 it summed and one
+        # relaxation; no second sum through linear_solve or energy
         import chsolver.stepper as stepper
 
         grid = Grid(2, 2.0 * np.pi, 16)
         state, _ = advance(init_state(rough_field(grid, 3), 0.6), 0.02)
         calls = []
-        for name in ("_solve", "gamma_update", "relax", "linear_solve", "energy"):
+        for name in ("_step_scalars", "bdf_weights", "_solve", "gamma_update", "relax", "linear_solve", "energy"):
 
             def counted(*args, _orig=getattr(stepper, name), _name=name, **kwargs):
                 calls.append(_name)
@@ -214,7 +212,7 @@ class TestSingleStep:
 
             monkeypatch.setattr(stepper, name, counted)
         advance(state, 0.03)
-        assert sorted(calls) == ["_solve", "gamma_update", "relax"]
+        assert sorted(calls) == ["_solve", "_step_scalars", "bdf_weights", "gamma_update", "relax"]
 
     def test_relaxation_algebra(self):
         # eta = xi (2 - xi), i.e. 1 - eta = (1 - xi)^2
@@ -736,7 +734,8 @@ def test_coarsening3d_preset_step_starts_no_thread(monkeypatch, tmp_path):
     # stay on the calling thread even with several cores
     from scipy import fft
 
-    from chsolver import build_scenario, initial_field, parse_config
+    from chsolver.config import build_scenario, parse_config
+    from chsolver.scenarios import initial_field
 
     monkeypatch.setattr(spectral, "CORES", 2)
     started, workers = [], []

@@ -26,29 +26,25 @@ from scipy.linalg import eigh_tridiagonal
 
 import chsolver.timestep as ts
 import kernel_reference
-from chsolver import (
+from chsolver.policies import FixedStep, PrescribedMesh
+from chsolver.scenarios import ic_bubble, ic_random, order_of
+from chsolver.spectral import Grid, forward, h1_norm
+from chsolver.stepper import init_state, validate_records
+from chsolver.timestep import (
+    LANDING_RTOL,
     A1ViolationError,
-    FixedStep,
-    Grid,
-    PrescribedMesh,
     SingularKernelError,
     TimeMesh,
     bdf_weights,
     dcc_kernels,
     doc_kernels,
-    ic_bubble,
-    ic_random,
-    init_state,
     kernel_matrices,
     kernel_residuals,
-    order_of,
+    landing_tol,
     quadratic_form_check,
     r_max_root,
     random_mesh,
-    validate_records,
 )
-from chsolver.spectral import forward, h1_norm
-from chsolver.timestep import LANDING_RTOL, landing_tol
 from record_reference import eta_problems
 from test_policies import drive
 

@@ -24,7 +24,8 @@ underflows to 0, the landing edge cases (snapshots within the landing
 tolerance, 1e-12 * horizon, of each other, of 0, of the horizon and of a
 random mesh's node; random-mesh snapshots off its nodes, one just beyond the
 tolerance and two out of order), one config for each parse and validation
-error message (a fixed step within the landing tolerance among them), and
+error message (a fixed step within the landing tolerance and a horizon
+whose landing tolerance overflows the BDF2 weights among them), and
 snapshot times that are NaN, infinite or negative, which every command must
 reject.  Each config runs
 through ``simulate``, ``converge``, ``kernels`` and ``check`` in process,
@@ -129,6 +130,8 @@ ERRORS = {
     # eps**2 overflows: the cubic's weight 1/eps^2 is 0 and the double-well's not a float
     "eps-range": "scenario = equilibrium\neps = 1e200\n",
     "horizon": "scenario = equilibrium\nhorizon = 0\n",
+    # landing_tol = 1e-322: the BDF2 weights of a step that short overflow
+    "tiny-horizon": "scenario = convergence\nn = 8\nhorizon = 1e-310\n" + _SMALL,
     "record_every": "scenario = equilibrium\n[output]\nrecord_every = 0\n",
     "snapshot-beyond-horizon": "scenario = equilibrium\n[output]\nsnapshots = 0.0, 5.0\n" + _SMALL,
     "snapshot-nan": "scenario = equilibrium\n[output]\nsnapshots = 0.0, nan\n" + _SMALL,

@@ -153,7 +153,9 @@ _RESIDENT_CHILD = """
 import resource, sys
 import numpy as np
 import scipy.fft  # imported by the first transform: not counted
-from chsolver import Grid, advance, ic_random, init_state
+from chsolver.scenarios import ic_random
+from chsolver.spectral import Grid
+from chsolver.stepper import advance, init_state
 dim, n, steps = map(int, sys.argv[1:])
 grid = Grid(dim, 2.0 * np.pi, n)
 phi0 = ic_random(grid, seed=0)
@@ -223,7 +225,10 @@ def resident_peaks(src):
 def advance_table(rss):
     import numpy as np
 
-    from chsolver import Grid, advance, ic_random, init_state, spectral
+    from chsolver import spectral
+    from chsolver.scenarios import ic_random
+    from chsolver.spectral import Grid
+    from chsolver.stepper import advance, init_state
 
     print(
         f"grid      ms/advance  ms/(rfftn+irfftn)  faults/advance  peak/array  rss/array  (CORES = {spectral.CORES})"
@@ -249,7 +254,10 @@ def advance_table(rss):
 def phase_table():
     import numpy as np
 
-    from chsolver import Grid, advance, ic_random, init_state, spectral, stepper
+    from chsolver import spectral, stepper
+    from chsolver.scenarios import ic_random
+    from chsolver.spectral import Grid
+    from chsolver.stepper import advance, init_state
 
     names = {name for _, timed in PHASES for name in timed}
     spent = dict.fromkeys(names, 0.0)
@@ -349,8 +357,10 @@ def check_figures(src):
 def kernels_table(peaks):
     import numpy as np
 
-    from chsolver import cli, kernel_matrices, parse_config, quadratic_form_check, random_mesh, spectral
+    from chsolver import cli, spectral
     from chsolver.cli import main as cli_main
+    from chsolver.config import parse_config
+    from chsolver.timestep import kernel_matrices, quadratic_form_check, random_mesh
 
     cores = spectral.CORES
     with tempfile.TemporaryDirectory() as tmp:
@@ -482,19 +492,12 @@ def kernels_timeline(run, cores):
 def io_table():
     import numpy as np
 
-    from chsolver import (
-        Grid,
-        StepRecord,
-        build_scenario,
-        parse_config,
-        read_records,
-        read_snapshot,
-        recordio,
-        stepper,
-        write_records,
-        write_snapshot,
-    )
+    from chsolver import recordio, stepper
     from chsolver.cli import main as cli_main
+    from chsolver.config import build_scenario, parse_config
+    from chsolver.recordio import read_records, read_snapshot, write_records, write_snapshot
+    from chsolver.spectral import Grid
+    from chsolver.stepper import StepRecord
     from chsolver.timestep import landing_tol
 
     with tempfile.TemporaryDirectory() as tmp:
