@@ -146,6 +146,10 @@ ROW_FLUSH_SECONDS = 1.0
 # while coarsening3d at n = 48 reads 0.576 and a step long enough to drive
 # eta to 1e-233 reads 1
 XI_WARN = 0.1
+# the warning's and CollapsedFieldError's remedies, given eps * n / length:
+# a larger n where the grid does not resolve the interface, else shorter steps
+REMEDIES = ("eps spans {:.3g} grid spacings; rerun at a larger n if that is too few to resolve the interface, "
+            "otherwise with shorter steps or smoother data")
 
 
 class CollapsedFieldError(ArithmeticError):
@@ -176,7 +180,7 @@ class _RunOutput:
         if rec.eta <= 0:
             raise CollapsedFieldError(
                 f"step {rec.n}: xi = {rec.xi!r} gives eta = {rec.eta!r} <= 0, so the written field "
-                "would vanish or change sign; rerun at a smaller n (or with shorter steps)"
+                "would vanish or change sign; " + REMEDIES.format(state.eps / state.grid.spacing)
             )
         for t, values in reached:
             self.out.mkdir(parents=True, exist_ok=True)
@@ -228,7 +232,7 @@ def _cmd_simulate(args) -> int:
     if output.xi_dev > XI_WARN:
         print(
             f"warning: max |1 - xi| {output.xi_dev:.3g} exceeds {XI_WARN:g}, so the written field is far from "
-            "the scheme's auxiliary field; rerun at a smaller n (or with shorter steps)",
+            "the scheme's auxiliary field; " + REMEDIES.format(state.eps / state.grid.spacing),
             file=sys.stderr,
         )
     return 0

@@ -74,16 +74,13 @@ class RecordWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def write_records(records, path) -> None:
-    with RecordWriter(path) as w:
-        w.write_block(records)
+    writer = RecordWriter(path)
+    try:
+        writer.write_block(records)
+    finally:
+        writer.close()
 
 
 def read_record_blocks(path):

@@ -95,9 +95,6 @@ class TimeMesh:
         steps.setflags(write=False)
         object.__setattr__(self, "steps", steps)
 
-    def __len__(self) -> int:
-        return self.steps.size
-
     @property
     def count(self) -> int:
         return self.steps.size

@@ -77,7 +77,7 @@ class TestAcceptance:
             state = init_state(phi0, eps)
             gamma0 = state.gamma
             prev_gamma = gamma0
-            for n in range(1, len(mesh) + 1):
+            for n in range(1, mesh.count + 1):
                 state, rec = advance(state, mesh.tau(n))
                 assert rec.gamma <= prev_gamma + 1e-13 * gamma0
                 residual = abs((prev_gamma - rec.gamma) - rec.dissipation)

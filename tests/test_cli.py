@@ -114,7 +114,12 @@ class TestSimulate:
         assert captured.err.startswith(
             "runtime error: CollapsedFieldError: step 1: xi = 12.104277988139017 gives eta = -122.3049896378687 <= 0"
         )
-        assert "smaller n" in captured.err
+        # eps = 0.3 spans 6.11 of the spacings 2 pi / 128: the grid resolves the
+        # interface, and the remedy is shorter steps or smoother data
+        assert captured.err.endswith(
+            "; eps spans 6.11 grid spacings; rerun at a larger n if that is too few to resolve the interface, "
+            "otherwise with shorter steps or smoother data\n"
+        )
         assert not out.exists()
 
     def test_an_underflowed_scalar_stops_the_run_and_keeps_its_prefix(self, tmp_path, capsys):
@@ -168,8 +173,18 @@ class TestSimulate:
         assert captured.out.splitlines()[0].endswith("max |1 - xi| 1")
         assert captured.err == (
             "warning: max |1 - xi| 1 exceeds 0.1, so the written field is far from the scheme's auxiliary field; "
-            "rerun at a smaller n (or with shorter steps)\n"
+            "eps spans 0.255 grid spacings; rerun at a larger n if that is too few to resolve the interface, "
+            "otherwise with shorter steps or smoother data\n"
         )
+
+    def test_an_unresolved_interface_warns_how_few_spacings_eps_spans(self, tmp_path, capsys):
+        # eps = 1e-30 is far below the spacing 2 pi / 16: xi leaves 1 at once,
+        # and the warning's count of spacings points to a larger n
+        cfg = write_cfg(tmp_path, "scenario = kissing_bubbles\nn = 16\neps = 1e-30\nhorizon = 0.01\n[output]\nsnapshots =\n")
+        assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].endswith("max |1 - xi| 1")
+        assert "; eps spans 2.55e-30 grid spacings; rerun at a larger n if that is too few" in captured.err
 
     @pytest.mark.parametrize("above", [False, True])
     def test_the_warning_bound_is_strict(self, tmp_path, capsys, monkeypatch, above):

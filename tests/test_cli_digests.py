@@ -1,9 +1,11 @@
 """Every CLI run of tools/cli_digests.py's config set, against the digests
 committed in cli_digests.txt.
 
-The tool runs in this process and prints one line per run: its exit code,
-output and a digest of the files it wrote.  A change that moves any of them
-rewrites the file,
+The tool runs once per session, in the fresh interpreter of
+test_reach.reach_run, which profiles it and sets spectral.CORES = 2 (so
+the kernels-split config forks on any host); neither changes an output
+byte.  It prints one line per run: its exit code, output and a digest of
+the files it wrote.  A change that moves any of them rewrites the file,
 
     python tools/cli_digests.py > tests/cli_digests.txt
 
@@ -12,13 +14,11 @@ floating-point bits of the python, numpy and scipy named in the file's first
 line; under other versions the test skips and names both.
 """
 
-import contextlib
 import importlib.util
-import io
-import sys
 from pathlib import Path
 
 import pytest
+from test_reach import reach_run
 
 TESTS = Path(__file__).resolve().parent
 COMMITTED = TESTS / "cli_digests.txt"
@@ -31,16 +31,12 @@ def load_tool():
     return tool
 
 
-def test_cli_outputs_match_the_committed_digests(monkeypatch):
+def test_cli_outputs_match_the_committed_digests():
     tool = load_tool()
     header, *expected = COMMITTED.read_text(encoding="utf-8").splitlines()
     if header != tool.versions():
         pytest.skip(f"digests written under {header[2:]}, running under {tool.versions()[2:]}")
-    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts src in front
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        tool.main([])
-    _, *actual = out.getvalue().splitlines()
+    _, *actual = reach_run()["digests"].splitlines()
     moved = sorted({line.split(" ", 1)[0] for line in set(expected) ^ set(actual)})
     assert not moved, f"CLI output moved for configs {moved}; see tools/cli_digests.py to rewrite {COMMITTED.name}"
     assert actual == expected

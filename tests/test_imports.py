@@ -99,13 +99,19 @@ def test_package_binds_only_the_quick_start_names():
     assert chsolver.__version__ == "0.1.0"
 
 
-def test_readme_quick_start_runs():
-    # the README's code on a 16^2 grid to t = 1e-3, with its checkpoint halfway
+def readme_quick_start() -> str:
+    """The README's quick-start code on a 16^2 grid to t = 1e-3, with its
+    checkpoint halfway."""
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
     for old, new in (("modes=128", "modes=16"), ("horizon=1.0, checkpoints=(0.5, 1.0)", "horizon=1e-3, checkpoints=(5e-4, 1e-3)")):
         assert code.count(old) == 1
         code = code.replace(old, new)
+    return code
+
+
+def test_readme_quick_start_runs():
+    code = readme_quick_start()
     assert "from chsolver import AdaptiveStep, Grid, ic_random, init_state, run_with_policy" in code
     namespace = {}
     with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -73,12 +73,13 @@ class TestRecords:
     def test_writer_streams_incrementally(self, tmp_path):
         path = tmp_path / "records.csv"
         records = sample_records(3)
-        with RecordWriter(path) as w:
-            w.write(records[0])
-            partial = path.read_text().splitlines()
-            assert len(partial) == 2
-            w.write(records[1])
-            w.write(records[2])
+        w = RecordWriter(path)
+        w.write(records[0])
+        partial = path.read_text().splitlines()
+        assert len(partial) == 2
+        w.write(records[1])
+        w.write(records[2])
+        w.close()
         assert read_records(path) == records
 
     def test_format_uses_17_digits(self, tmp_path):
@@ -439,9 +440,10 @@ class TestRowTemplates:
         want = per_value_rows([[r.n, *vals] for r, vals in zip(records, rows)], ints=1)
         assert record_text(records) == want
         path = tmp_path_factory.mktemp("records") / "records.csv"
-        with RecordWriter(path) as w:
-            w.write(records[0])
-            w.write_block(records[1:])
+        w = RecordWriter(path)
+        w.write(records[0])
+        w.write_block(records[1:])
+        w.close()
         assert path.read_text() == ",".join(RECORD_FIELDS) + "\n" + want
 
     @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 harness plumbing, and the health of each preset's first steps at its
 default size."""
 
+import functools
 from dataclasses import astuple, replace
 from unittest import mock
 
@@ -554,6 +555,17 @@ def periodic_steps(ratios, periods, horizon):
     return chained_steps(horizon / chained_steps(1.0, ratios).sum(), ratios)
 
 
+@functools.cache
+def edge_errors(steps: tuple) -> tuple:
+    """halving_errors of the convergence bubble replayed on steps, at levels
+    j = 1..3, computed once for the tests that share a mesh."""
+    errors, taus = halving_errors(bubble(modes=16, eps=0.2, horizon=0.05), steps, range(1, 4))
+    return tuple(errors), tuple(taus)
+
+
+SAWTOOTH = ((1.0 / CAP, CAP), 30)
+
+
 class TestOrderOnTheA1EdgeFamilies:
     """Second order on test_timestep's A1-edge families, replayed on the
     convergence bubble to t = 0.05 and refined by halving every step: 30
@@ -563,12 +575,23 @@ class TestOrderOnTheA1EdgeFamilies:
     levels are j = 1..3."""
 
     @pytest.mark.parametrize(
-        "ratios,periods", [([1.0 / CAP, CAP], 30), ([CAP**-4, CAP, CAP, CAP, CAP], 12)], ids=["sawtooth", "growth-drop"]
+        "ratios,periods", [SAWTOOTH, ((CAP**-4, CAP, CAP, CAP, CAP), 12)], ids=["sawtooth", "growth-drop"]
     )
     def test_h1_order(self, ratios, periods):
         steps = periodic_steps(ratios, periods, 0.05)
         mesh = TimeMesh(steps)  # its steps on the cap, within rounding
         assert mesh.satisfies_a1() and mesh.max_ratio > CAP * (1 - 1e-12)
-        errors, taus = halving_errors(bubble(modes=16, eps=0.2, horizon=0.05), steps, range(1, 4))
-        assert errors == sorted(errors, reverse=True)
+        errors, taus = edge_errors(tuple(steps))
+        assert list(errors) == sorted(errors, reverse=True)
         assert 1.7 <= order_of(errors[-2], errors[-1], taus[-2], taus[-1]) <= 2.3
+
+    def test_any_ratio_below_r_max_costs_no_accuracy(self):
+        # At equal max tau, the sawtooth (60 steps, every other one CAP times
+        # the one before) against a uniform mesh of its largest step (36 steps,
+        # to t = 0.0498).  The error ratios read 0.883, 0.833 and 0.811 at
+        # j = 1..3; the bounds leave 0.11 of margin either side.
+        steps = periodic_steps(*SAWTOOTH, 0.05)
+        uniform = np.full(round(0.05 / steps.max()), steps.max())
+        (saw, saw_taus), (flat, flat_taus) = edge_errors(tuple(steps)), edge_errors(tuple(uniform))
+        assert saw_taus == flat_taus
+        assert all(0.7 <= a / b <= 1.0 for a, b in zip(saw, flat))

@@ -205,7 +205,6 @@ class TestRootAndWeights:
 class TestTimeMesh:
     def test_times_and_indexing(self):
         mesh = TimeMesh([0.5, 1.0, 0.25])
-        assert len(mesh) == 3
         assert mesh.count == 3
         assert np.allclose(mesh.times, [0.0, 0.5, 1.5, 1.75])
         assert mesh.horizon == 1.75
