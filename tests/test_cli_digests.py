@@ -1,7 +1,7 @@
 """Every CLI run of tools/cli_digests.py's config set, against the digests
 committed in cli_digests.txt.
 
-The tool runs once per session, in the fresh interpreter of
+The tool runs once per pytest run, in the fresh interpreter of
 test_reach.reach_run, which profiles it and sets spectral.CORES = 2 (so
 the kernels-split config forks on any host); neither changes an output
 byte.  It prints one line per run: its exit code, output and a digest of

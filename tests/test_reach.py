@@ -30,8 +30,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import chsolver
 from chsolver.recordio import RECORD_FIELDS
 from test_benchmark_contract import tracer_targets
@@ -135,7 +133,7 @@ def defined() -> tuple[dict, set]:
 
 @functools.cache
 def reach_run() -> dict:
-    """PROBE's result, run once per session: the called code objects, the
+    """PROBE's result, run once per pytest run: the called code objects, the
     output of tools/cli_digests.py (which tests/test_cli_digests.py
     compares with the committed digests), the exit code of the threaded
     simulate, and the exit code and stderr of the malformed check."""
@@ -153,11 +151,6 @@ def reach_run() -> dict:
     return result
 
 
-@pytest.fixture
-def probe():
-    return reach_run()
-
-
 def unreached(called) -> set:
     functions, _ = defined()
     return {name for key, name in functions.items() if key not in called}
@@ -172,29 +165,29 @@ def test_the_syntax_walk_names_nested_defs_and_no_lambda():
     assert len(names) == len(functions)  # no two defs share a qualname
 
 
-def test_every_called_code_object_maps_to_a_def(probe):
+def test_every_called_code_object_maps_to_a_def():
     # a def's first line is read the way the interpreter reads it; lambdas,
     # comprehensions and module bodies are named <...>
     functions, classes = defined()
-    unmapped = {c for c in probe["called"] if not c[2].startswith("<")} - functions.keys() - classes
+    unmapped = {c for c in reach_run()["called"] if not c[2].startswith("<")} - functions.keys() - classes
     assert not unmapped
 
 
-def test_the_extra_runs_reach_their_code(probe):
-    assert probe["threads"] == 0
-    code, err = probe["malformed"]
+def test_the_extra_runs_reach_their_code():
+    assert reach_run()["threads"] == 0
+    code, err = reach_run()["malformed"]
     assert (code, err) == (2, f"runtime error: ValueError: line 2: expected {len(RECORD_FIELDS)} fields\n")
 
 
-def test_every_function_is_reached_or_allowlisted(probe):
-    extra = unreached(probe["called"]) - UNREACHED.keys()
+def test_every_function_is_reached_or_allowlisted():
+    extra = unreached(reach_run()["called"]) - UNREACHED.keys()
     assert not extra, f"no subcommand or the quick start calls {sorted(extra)}: delete them, or call them"
 
 
-def test_every_allowlisted_function_is_defined_and_unreached(probe):
+def test_every_allowlisted_function_is_defined_and_unreached():
     names = set(defined()[0].values())
     gone = UNREACHED.keys() - names
-    reached = (UNREACHED.keys() & names) - unreached(probe["called"])
+    reached = (UNREACHED.keys() & names) - unreached(reach_run()["called"])
     assert not gone, f"{sorted(gone)} no longer exist: remove them from UNREACHED"
     assert not reached, f"{sorted(reached)} are now reached: remove them from UNREACHED"
 
