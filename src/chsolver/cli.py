@@ -49,7 +49,7 @@ import sys
 import tempfile
 import time
 from bisect import bisect_left
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -162,16 +162,23 @@ class _RunOutput:
     record rows at most ROW_FLUSH_SECONDS after their step (all of them on
     close, also when the run fails).  Of the records it keeps only the
     unwritten rows and the last, and of the rest max |1 - xi|, for the
-    summary line.  The first step with eta <= 0 raises CollapsedFieldError
-    before any of its files is written.  The directory is made and
-    records.csv opened with the first file written, so a run that fails
-    before its first step completes leaves nothing behind."""
+    summary line.  A thinned run sums, in one float, the dissipation of
+    the steps it skips into the next row it writes, and into the last row
+    it appends on close, so each row's dissipation is gamma's drop since
+    the row before it and the file passes check; a row is replaced only
+    where that sum differs from its step's own dissipation, so an
+    unthinned run writes its records as they are.  The first step with
+    eta <= 0 raises CollapsedFieldError before any of its files is
+    written.  The directory is made and records.csv opened with the first
+    file written, so a run that fails before its first step completes
+    leaves nothing behind."""
 
     def __init__(self, out: Path, record_every: int):
         self.out, self.every = out, record_every
         self.writer = None
         self.pending = []
         self.last = None
+        self.drop = 0.0  # gamma's drop since the last kept row, the steps' dissipations summed
         self.xi_dev = 0.0
         self.due = time.monotonic() + ROW_FLUSH_SECONDS
         self.snapshots = 0
@@ -187,11 +194,19 @@ class _RunOutput:
             write_snapshot(state.grid, values, self.out / f"snap_{self.snapshots:03d}.bin", t)
             self.snapshots += 1
         self.xi_dev = max(self.xi_dev, abs(1.0 - rec.xi))
-        if rec.n % self.every == 0:
-            self.pending.append(rec)
         self.last = rec
+        self.drop += rec.dissipation
+        if rec.n % self.every == 0:
+            self._keep(rec)
         if time.monotonic() >= self.due:
             self._flush()
+
+    def _keep(self, rec) -> None:
+        """Append rec as a row whose dissipation is the sum since the last kept row."""
+        if self.drop != rec.dissipation:
+            rec = replace(rec, dissipation=self.drop)
+        self.pending.append(rec)
+        self.drop = 0.0
 
     def _flush(self) -> None:
         if self.writer is None:
@@ -207,7 +222,7 @@ class _RunOutput:
         if self.last is None:
             return
         if self.last.n % self.every:
-            self.pending.append(self.last)
+            self._keep(self.last)
         self._flush()
         self.writer.close()
 

@@ -29,13 +29,13 @@ class LandingError(ValueError):
 
 
 class StepPolicy:
-    """Proposes step sizes; ratio_cap is the largest step ratio the driver
-    lets a run take under the policy."""
+    """Proposes step sizes: each policy defines
+    next_step(n, prev_tau, prev_gamma, curr_gamma) -> float, the size it
+    proposes for step n after a step prev_tau that took gamma from
+    prev_gamma to curr_gamma.  ratio_cap is the largest step ratio the
+    driver lets a run take under the policy."""
 
     ratio_cap: float = a1_cap()
-
-    def next_step(self, n: int, prev_tau: float, prev_gamma: float, curr_gamma: float) -> float:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -39,22 +39,23 @@ transforms; smaller steps stay on the calling thread.  The passes are:
     soon as it is solved, so f_hat is freed before the irfftn;
   - the well energy, by quadrature of the irfftn's output.
 
-advance hands the given state's history over to the state it returns and
-recycles the oldest level's buffers for the new level: f is written into
-phi2's buffer, which the given state lets go of once f is transformed,
-and pb_hat into phi_bar_hat2's, each slab read before it is overwritten.
-A history array that is read-only (the level init_state makes of a
-caller's field, a snapshot a caller froze) or that both levels share (the
-initial level, at step 1) is never written; a new array is taken in its
-place.  scenarios.initial_state hands over its initial level writable, so
-step 2 recycles it.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
+advance hands the given state's history over to the state it returns,
+and one rule gives each substep the buffer it writes: _spare hands it the
+oldest level's array, f phi2's (which the given state lets go of once f
+is transformed) and pb_hat phi_bar_hat2's, each slab read before it is
+overwritten, unless that array is read-only (the level init_state makes
+of a caller's field, a snapshot a caller froze) or both levels share it
+(the initial level, at step 1); then it hands a new array of the same
+shape and dtype.  scenarios.initial_state hands over its initial level
+writable, so step 2 recycles it.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
 the output pb are full-size, besides the transform's own buffer and
 slab-sized temporaries (no |k|^2 table is kept), and relax scales pb in
 place into phi_n.  One step follows one path: advance contracts the
 ||grad mu||^2 its solve summed with gamma_update and relaxes with relax,
 and sums the energy as energy does.  linear_solve returns that solve's
-sums whole and, like energy, writes no array of the state it is given, so
-linear_solve, energy, gamma_update and relax compose to advance bit for bit.
+sums whole and hands the substeps new arrays, so, like energy, it writes no
+array of the state it is given; linear_solve, energy, gamma_update and
+relax compose to advance bit for bit.
 
 A step returns its scalars as a StepRecord.  RecordCheck checks a stream
 of them as a fold over its rows in Python floats, carrying only the
@@ -98,7 +99,10 @@ class NonfiniteFieldError(FloatingPointError):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Scalars emitted by one step; dissipation is tau * xi * ||grad mu||^2."""
+    """Scalars emitted by one step; dissipation is tau * xi * ||grad mu||^2,
+    gamma's drop over the step.  A thinned records.csv row carries instead
+    the sum of the dissipations since the row before it, gamma's drop since
+    that row (cli._RunOutput)."""
 
     n: int
     t: float
@@ -187,14 +191,15 @@ def _step_scalars(state: GsavState, tau_n: float) -> tuple[float, float, float]:
     return (r, *bdf_weights(tau_n, r))
 
 
-def _extrapolated_nonlinearity(state: GsavState, r: float, out: np.ndarray | None = None) -> np.ndarray:
+def _extrapolated_nonlinearity(state: GsavState, r: float, out: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of f(B phi^{n-1}), where
     B u = (1+r) u^{n-1} - r u^{n-2} = u^{n-1} + r (u^{n-1} - u^{n-2})
     for the step ratio r, and B u^0 = u^0.  B phi and f(B phi) are formed
-    slab by slab into the transform's input, out if given (which may be
-    phi2 itself: each slab of it is read before it is written), else a new
-    array; the dealiased cubic needs all of B phi at once, so there the
-    input holds B phi (u^0 itself on the first step)."""
+    slab by slab into out, a grid-shaped float array, as the transform's
+    input (out may be phi2 itself: each slab of it is read before it is
+    written); the dealiased cubic needs all of B phi at once, so there out
+    holds B phi, and on the first step, where B phi is u^0 itself, out is
+    not written."""
     grid, eps, u1, u2 = state.grid, state.eps, state.phi1, state.phi2
 
     def extrapolated(s, into=None):
@@ -209,29 +214,28 @@ def _extrapolated_nonlinearity(state: GsavState, r: float, out: np.ndarray | Non
     if state.dealias:
         u = u1
         if state.step_index:
-            u = np.empty(grid.shape) if out is None else out
+            u = out
             slab_map(lambda s: extrapolated(s, into=u[s]), u.shape)
         return dealiased_cubic(grid, u, eps)
-    f = np.empty(grid.shape) if out is None else out
-    slab_map(lambda s: cubic(extrapolated(s), eps, out=f[s]), f.shape)
-    return forward(f)
+    slab_map(lambda s: cubic(extrapolated(s), eps, out=out[s]), out.shape)
+    return forward(out)
 
 
 def _solve(
-    state: GsavState, b0: float, b1: float, f_hat: np.ndarray, out: np.ndarray | None = None
+    state: GsavState, b0: float, b1: float, f_hat: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
     """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2) for the BDF2 weights b0
     and b1: the half spectrum of the auxiliary field, the dissipation rate
     of substep 2 and the gradient part of the auxiliary field's energy,
     both summed slab by slab as each slab of pb_hat is solved, on the |k|^2
     rows built for that slab, and added in slab order (the float
-    parseval_sum gives).  pb_hat is out if given (which may be phi_bar_hat2
-    itself: each slab of it is read before it is written), else a new
-    array."""
+    parseval_sum gives).  pb_hat is out, an array shaped and typed as the
+    history's (which may be phi_bar_hat2 itself: each slab of it is read
+    before it is written)."""
     grid = state.grid
     c1, c2 = state.phi_bar_hat1, state.phi_bar_hat2
     zero = (0,) * grid.dim
-    pb_hat = np.empty_like(c1) if out is None else out
+    pb_hat = out
 
     def solve_slab(s):
         c1_s, k2_s, f_s = c1[s], grid.k_squared_rows(s), f_hat[s]
@@ -260,9 +264,10 @@ def _solve(
 
 def linear_solve(state: GsavState, tau_n: float) -> tuple[np.ndarray, float, float]:
     """(pb_hat, ||grad mu||^2, ||grad phi_bar||^2) of the implicit solve
-    (substep 1), as _solve sums them."""
+    (substep 1), as _solve sums them, into new arrays."""
     r, b0, b1 = _step_scalars(state, tau_n)
-    return _solve(state, b0, b1, _extrapolated_nonlinearity(state, r))
+    f_hat = _extrapolated_nonlinearity(state, r, np.empty(state.grid.shape))
+    return _solve(state, b0, b1, f_hat, np.empty_like(state.phi_bar_hat1))
 
 
 def gamma_update(gamma_prev: float, tau_n: float, grad_mu_sq: float, e_bar: float) -> float:
@@ -280,12 +285,13 @@ def relax(pb: np.ndarray, gamma_n: float, e_bar: float) -> tuple[float, float, n
     return xi, eta, pb
 
 
-def _spare(old: np.ndarray, other: np.ndarray) -> np.ndarray | None:
-    """old, whose buffer the new level may take, or None when it must not be
-    written: it is read-only, or it shares memory with the other level."""
+def _spare(old: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The buffer the new level writes in place of the oldest level old: old
+    itself, or a new C-order array of its shape and dtype where old must not
+    be written, being read-only or sharing memory with the other level."""
     if old.flags.writeable and not np.may_share_memory(old, other):
         return old
-    return None
+    return np.empty(old.shape, old.dtype)
 
 
 def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
@@ -306,7 +312,7 @@ def advance(state: GsavState, tau_n: float) -> tuple[GsavState, StepRecord]:
     pb = inverse(pb_hat, grid.shape)
     e_bar = 0.5 * grad + _well_energy(grid, pb, state.eps)  # energy(grid, pb, pb_hat, eps), bit for bit
     # a NaN or inf anywhere in the history reaches both through irfftn and Parseval
-    if not (np.isfinite(e_bar) and np.isfinite(gm)):
+    if not (isfinite(e_bar) and isfinite(gm)):
         raise NonfiniteFieldError(f"nonfinite field after step {n}")
     gamma_n = gamma_update(state.gamma, tau_n, gm, e_bar)
     xi, eta, phi_n = relax(pb, gamma_n, e_bar)
@@ -346,8 +352,10 @@ class RecordCheck:
     mass0, or where not given the first finite row's gamma and mass.
     Each rule and its message is the README's (records.csv): the clock,
     held to tol, tau, gamma, xi and eta positive, gamma non-increasing, the
-    identity gamma_{n-1} - gamma_n = dissipation, constant mass, and the
-    step ratio cap; a nonfinite row is reported alone and skipped.
+    identity gamma_prev - gamma = dissipation against the previous finite
+    row's gamma (a thinned row's dissipation spans its gap), constant
+    mass, and the step ratio cap; a nonfinite row is reported alone and
+    skipped.
     """
 
     def __init__(self, tol, gamma0=None, mass0=None, volume=None, ratio_cap=None):

@@ -12,6 +12,9 @@ the files it wrote.  A change that moves any of them rewrites the file,
 and the file's diff names the runs that moved.  The digests hold the
 floating-point bits of the python, numpy and scipy named in the file's first
 line; under other versions the test skips and names both.
+
+The same lines show that every records.csv simulate writes passes
+check --records, thinned ones included, under any versions.
 """
 
 import importlib.util
@@ -40,3 +43,17 @@ def test_cli_outputs_match_the_committed_digests():
     moved = sorted({line.split(" ", 1)[0] for line in set(expected) ^ set(actual)})
     assert not moved, f"CLI output moved for configs {moved}; see tools/cli_digests.py to rewrite {COMMITTED.name}"
     assert actual == expected
+
+
+def test_every_file_simulate_writes_passes_check():
+    # "<config> <command>: exit <code> files <sha256 or -> stdout ..."
+    runs = {}
+    for line in reach_run()["digests"].splitlines()[1:]:
+        config, rest = line.split(" ", 1)
+        command, result = rest.split(": ", 1)
+        _, code, _, files, _ = result.split(" ", 4)
+        runs[config, command] = code, files
+    wrote = [config for (config, command), (_, files) in runs.items() if command == "simulate" and files != "-"]
+    assert {"fixed-landing-thinned", "record_every"} <= set(wrote)  # the thinned runs
+    failed = [config for config in wrote if runs[config, "check --records <dir>/out/records.csv"][0] != "0"]
+    assert not failed, f"check --records rejects the records.csv simulate wrote for {failed}"

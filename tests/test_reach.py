@@ -45,7 +45,6 @@ ITEM_16 = "check does not read snapshots yet (ROADMAP item 16)"
 
 # module.qualname of every function no run reaches, and what keeps it
 UNREACHED = {
-    "policies.StepPolicy.next_step": "abstract: each policy overrides it",
     "recordio.RecordWriter.write": TRACED,
     "recordio.Snapshot.as_field": CALLED_BY_WORKLOADS,
     "recordio._parse_header": ITEM_16,

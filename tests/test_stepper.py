@@ -139,7 +139,7 @@ class TestSingleStep:
         grid = Grid(2, 2.0 * np.pi, 16)
         state = init_state(rough_field(grid, 2), 0.8)
         tau = 0.05
-        f_hat = _extrapolated_nonlinearity(state, 0.0)  # the first step's ratio
+        f_hat = _extrapolated_nonlinearity(state, 0.0, np.empty(grid.shape))  # the first step's ratio
         assert np.array_equal(f_hat, forward(cubic(state.phi1, 0.8)))
         c0 = state.phi_bar_hat1
         k2 = grid.k_squared_rows(slice(None))
