@@ -47,15 +47,15 @@ overwritten, unless that array is read-only (the level init_state makes
 of a caller's field, a snapshot a caller froze) or both levels share it
 (the initial level, at step 1); then it hands a new array of the same
 shape and dtype.  scenarios.initial_state hands over its initial level
-writable, so step 2 recycles it.  So at the irfftn only phi_bar_hat1, pb_hat, phi1 and
-the output pb are full-size, besides the transform's own buffer and
-slab-sized temporaries (no |k|^2 table is kept), and relax scales pb in
-place into phi_n.  One step follows one path: advance contracts the
-||grad mu||^2 its solve summed with gamma_update and relaxes with relax,
-and sums the energy as energy does.  linear_solve returns that solve's
-sums whole and hands the substeps new arrays, so, like energy, it writes no
-array of the state it is given; linear_solve, energy, gamma_update and
-relax compose to advance bit for bit.
+writable, so step 2 recycles it.  So at the irfftn only phi_bar_hat1,
+pb_hat, phi1 and the output pb are full-size, besides the transform's own
+buffer and slab-sized temporaries (no |k|^2 table is kept), and relax
+scales pb in place into phi_n.  One step follows one path: advance
+contracts the ||grad mu||^2 its solve summed with gamma_update and relaxes
+with relax, and sums the energy as energy does.  linear_solve returns that
+solve's sums whole and hands the substeps new arrays, so, like energy, it
+writes no array of the state it is given; linear_solve, energy,
+gamma_update and relax compose to advance bit for bit.
 
 A step returns its scalars as a StepRecord.  RecordCheck checks a stream
 of them as a fold over its rows in Python floats, carrying only the
