@@ -61,7 +61,7 @@ from .recordio import RecordWriter, read_record_blocks, write_snapshot
 from .policies import LandingError, landing_targets, run_with_policy
 from .scenarios import ConvergenceRow, initial_state, run_convergence
 from .stepper import RecordCheck, record_values
-from .timestep import KernelResiduals, _residuals, kernel_matrices, landing_tol, random_mesh
+from .timestep import KernelResiduals, kernel_matrices, kernel_residuals, landing_tol, random_mesh
 
 
 @functools.cache  # built once per process: parse_args keeps no state between calls
@@ -212,7 +212,7 @@ class _RunOutput:
         if self.writer is None:
             self.out.mkdir(parents=True, exist_ok=True)
             self.writer = RecordWriter(self.out / "records.csv")
-        self.writer.write_block(self.pending)
+        self.writer.write(self.pending)
         self.pending.clear()
         self.due = time.monotonic() + ROW_FLUSH_SECONDS
 
@@ -344,7 +344,7 @@ def _cmd_kernels(args) -> int:
             fh.write("n,offset,theta,p\n")
             write_rows(first, fh.write)
             # the residuals are computed while the children format
-            res = _residuals(mesh, theta, p)
+            res = kernel_residuals(mesh, theta, p)
             columns = [getattr(res, name) for name in RESIDUAL_COLUMNS]
             with open(out / "kernel_residuals.csv", "w", encoding="utf-8") as rh:
                 rh.write(",".join(("n", *RESIDUAL_COLUMNS)) + "\n")
@@ -400,13 +400,13 @@ def _cmd_check(args) -> int:
     else:
         for block in read_record_blocks(args.records):
             check.feed(*block)
-    problems, steps = check.result(), check.rows
-    if problems:
+    steps = f"{check.last_n} steps" + (f" in {check.rows} rows" if check.rows != check.last_n else "")
+    if problems := check.result():
         for p in problems:
             print(p, file=sys.stderr)
-        print(f"check failed: {len(problems)} violation(s) over {steps} steps", file=sys.stderr)
+        print(f"check failed: {len(problems)} violation(s) over {steps}", file=sys.stderr)
         return 1
-    print(f"check passed: {steps} steps, all guarantees hold")
+    print(f"check passed: {steps}, all guarantees hold")
     return 0
 
 

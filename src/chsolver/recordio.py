@@ -2,7 +2,8 @@
 
 Records: header ``n,t,tau,gamma,energy,xi,eta,mass,dissipation``, one row
 per step, floats printed with 17 significant digits so parsing them back
-is bit-exact.  ``read_record_blocks`` parses them without numpy, block by
+is bit-exact.  ``RecordWriter.write`` appends a block of records and
+flushes.  ``read_record_blocks`` parses them without numpy, block by
 block of whole lines, into the rows that ``stepper.RecordCheck`` folds
 over, so a reader holds one block of the file at a time.
 
@@ -63,10 +64,7 @@ class RecordWriter:
         self._fh.write(",".join(RECORD_FIELDS) + "\n")
         self._fh.flush()
 
-    def write(self, record: StepRecord) -> None:
-        self.write_block((record,))
-
-    def write_block(self, records) -> None:
+    def write(self, records) -> None:
         values = tuple(chain.from_iterable(map(_record_values, records)))
         self._fh.write(RECORD_ROW * (len(values) // len(RECORD_FIELDS)) % values)
         self._fh.flush()
@@ -78,7 +76,7 @@ class RecordWriter:
 def write_records(records, path) -> None:
     writer = RecordWriter(path)
     try:
-        writer.write_block(records)
+        writer.write(records)
     finally:
         writer.close()
 

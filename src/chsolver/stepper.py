@@ -363,6 +363,7 @@ class RecordCheck:
         self.ratio_cap = math.inf if ratio_cap is None else ratio_cap
         self.problems: list[str] = []
         self.rows = 0
+        self.last_n = 0  # the n of the last row fed: a thinned stream's step count
         self.anchors = None  # gamma scale, mass anchor and mass scale, set at the first finite row
         # the previous finite row's n, t, tau, gamma and whether its clock held
         self.prev = (0, 0.0, math.nan, math.nan if gamma0 is None else gamma0, True)
@@ -414,6 +415,7 @@ class RecordCheck:
                 report(f"step {n}: ratio {tau / prev_tau:.4f} exceeds cap {cap:.4f}")
             prev_n, prev_t, prev_tau, prev_gamma = n, t, tau, gamma
         self.rows += len(steps)
+        self.last_n = steps[-1] if len(steps) else self.last_n
         self.prev = prev_n, prev_t, prev_tau, prev_gamma, held
         self.anchors = anchors
 

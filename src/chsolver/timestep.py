@@ -18,9 +18,11 @@ complementary convolution (DCC) kernels are the rows of P = cumsum of Theta
 down each column, so that P B = 1 on the lower triangle.  Both matrices are
 built by one sweep over their columns with the two-term recurrences that B's
 bandwidth allows; they serve only for a-posteriori verification, and the
-stepper never uses them.  The positive-definiteness chain of Theta needs
-neither matrix: Theta w and Theta^T w are one forward and one back
-substitution through B each, so it is checked in O(n) time and memory.
+stepper never uses them.  kernel_residuals checks their identities on the
+two matrices as built, so ``chsolver kernels`` builds them once for both of
+its files.  The positive-definiteness chain of Theta needs neither matrix:
+Theta w and Theta^T w are one forward and one back substitution through B
+each, so it is checked in O(n) time and memory.
 """
 
 from __future__ import annotations
@@ -301,9 +303,9 @@ class KernelResiduals:
     telescoping: np.ndarray
 
 
-def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
+def kernel_residuals(mesh: TimeMesh, theta: np.ndarray, p: np.ndarray, values=None) -> KernelResiduals:
     """Evaluate the defining identities of the theta and p kernels on every
-    row 1..n.
+    row 1..n, for the n x n matrices (theta, p) = kernel_matrices(mesh, n).
 
     Per row: the largest deviation of Theta B from I and of P B from 1, the
     deviation of the row sum of P from t_n, the row maximum of P less
@@ -313,13 +315,10 @@ def kernel_residuals(mesh: TimeMesh, n: int, values=None) -> KernelResiduals:
     scaled to [0, 1] so that it neither overflows nor underflows at any
     horizon.
     """
+    n = len(theta)
+    if theta.shape != (n, n) or p.shape != (n, n):
+        raise ValueError(f"theta {theta.shape} and p {p.shape} must both be n x n")
     mesh._check_index(n)
-    return _residuals(mesh, *kernel_matrices(mesh, n), values)
-
-
-def _residuals(mesh: TimeMesh, theta: np.ndarray, p: np.ndarray, values=None) -> KernelResiduals:
-    # kernel_residuals on the matrices kernel_matrices(mesh, n) already built
-    n = theta.shape[0]
     u = (mesh.times[: n + 1] / mesh.times[n]) ** 2 if values is None else np.asarray(values, dtype=np.float64)
     if u.shape != (n + 1,):
         raise ValueError(f"need n+1 = {n + 1} sequence values, got {u.size}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chsolver
@@ -27,7 +27,7 @@ from chsolver.policies import FixedStep
 from chsolver.recordio import read_records, read_snapshot, write_records
 from chsolver.scenarios import initial_state, run_scenario
 from chsolver.stepper import StepRecord
-from chsolver.timestep import dcc_kernels, doc_kernels, kernel_matrices, random_mesh
+from chsolver.timestep import dcc_kernels, doc_kernels, kernel_matrices, landing_tol, random_mesh
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -393,7 +393,7 @@ class TestKernels:
 
     def test_a_nonfinite_residual_fails_and_names_its_row(self, tmp_path, capsys, monkeypatch):
         # every residual nan in every row; both files are still written
-        residuals = cli._residuals
+        residuals = cli.kernel_residuals
 
         def nan_residuals(*args):
             res = residuals(*args)
@@ -401,7 +401,7 @@ class TestKernels:
                 getattr(res, field.name)[:] = math.nan
             return res
 
-        monkeypatch.setattr(cli, "_residuals", nan_residuals)
+        monkeypatch.setattr(cli, "kernel_residuals", nan_residuals)
         cfg = write_cfg(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 12\n")
         out = tmp_path / "out"
         assert main(["kernels", cfg, "--outdir", str(out)]) == 1
@@ -416,7 +416,7 @@ class TestKernels:
     def test_a_later_nonfinite_residual_is_the_first_named(self, tmp_path, capsys, monkeypatch):
         # an inf in row 5 of one column and a nan in row 7 of another: the
         # worst is nan whatever the column order, and row 5 is named
-        residuals = cli._residuals
+        residuals = cli.kernel_residuals
 
         def spoiled_residuals(*args):
             res = residuals(*args)
@@ -424,7 +424,7 @@ class TestKernels:
             res.doc_orthogonality[6] = math.nan
             return res
 
-        monkeypatch.setattr(cli, "_residuals", spoiled_residuals)
+        monkeypatch.setattr(cli, "kernel_residuals", spoiled_residuals)
         cfg = write_cfg(tmp_path, "scenario = convergence\n[kernels]\nmax_n = 12\n")
         assert main(["kernels", cfg, "--outdir", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
@@ -674,7 +674,7 @@ class TestKernelsOnEveryCore:
         def failing_residuals(*args):
             raise ValueError("residuals failed")
 
-        monkeypatch.setattr(cli, "_residuals", failing_residuals)
+        monkeypatch.setattr(cli, "kernel_residuals", failing_residuals)
         with deadline():
             assert main(["kernels", split_cfg(tmp_path), "--outdir", str(tmp_path / "out")]) == 2
         err = capfd.readouterr().err
@@ -730,7 +730,7 @@ class TestKernelsOnEveryCore:
         for name, code, patch in [
             ("split", 0, ()),
             ("failing-part", 2, ("kernel_rows", failing_kernel_rows)),
-            ("failing-parent", 2, ("_residuals", failing_residuals)),
+            ("failing-parent", 2, ("kernel_residuals", failing_residuals)),
         ]:
             out = tmp_path / name
             with monkeypatch.context() as m, deadline():
@@ -804,6 +804,24 @@ class TestCheck:
         capsys.readouterr()
         assert main(["check", cfg]) == 0
         assert capsys.readouterr().out == f"check passed: {rows} steps, all guarantees hold\n"
+
+    def test_a_thinned_file_counts_its_steps_and_names_its_rows(self, tmp_path, capsys):
+        # rows 4 and 8 and the last, 10: the file holds 10 steps in 3 rows,
+        # and the rerun's 10 steps are 10 rows
+        cfg = write_cfg(tmp_path, EQUILIBRIUM_CFG + "record_every = 4\n")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--outdir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check", cfg, "--records", str(out / "records.csv")]) == 0
+        assert main(["check", cfg]) == 0
+        assert capsys.readouterr().out == (
+            "check passed: 10 steps in 3 rows, all guarantees hold\ncheck passed: 10 steps, all guarantees hold\n"
+        )
+        records = read_records(out / "records.csv")
+        records[1] = replace(records[1], mass=records[1].mass + 1.0)
+        write_records(records, tmp_path / "bad.csv")
+        assert main(["check", cfg, "--records", str(tmp_path / "bad.csv")]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == ["check failed: 1 violation(s) over 10 steps in 3 rows"]
 
     def test_off_node_snapshot_fails_with_and_without_records(self, tmp_path, capsys):
         run = "scenario = convergence\nn = 16\nhorizon = 0.02\n[output]\nsnapshots = "
@@ -982,6 +1000,87 @@ class TestCheck:
         assert "check passed" in capsys.readouterr().out
         # simulate still checks the preset times against the horizon
         assert main(["simulate", cfg, "--outdir", str(tmp_path / "out")]) == 1
+
+
+# a drawn config's nominal step count: at most this many steps, and a few
+# more where the driver lands on a snapshot and the ratio cap regrows the step
+STEP_BUDGET = 100
+STOP_RULES = ("CollapsedFieldError", "NonfiniteFieldError")
+
+
+def mostly(common, *rare):
+    """Values of the strategy common, or one time in four one of rare."""
+    return st.integers(0, 3).flatmap(lambda k: common if k else st.sampled_from(rare))
+
+
+@st.composite
+def simulate_configs(draw):
+    """The text of a simulate config: a 2d preset at n = 8 or 16, a short
+    horizon, a policy of each kind with at most STEP_BUDGET nominal steps,
+    up to three snapshot times on the step grid, within the landing
+    tolerance of it, off it or at its ends, and record_every.  Among the
+    draws are steps at or below the landing tolerance, a horizon whose
+    landing tolerance overflows the BDF2 weights (1e-310) and steps so
+    long that gamma underflows (at horizon 1e300)."""
+    scenario = draw(st.sampled_from(["convergence", "kissing_bubbles", "coarsening2d", "equilibrium"]))
+    horizon = draw(mostly(st.floats(1e-4, 0.2), 1e-310, 1e300))
+    tol, steps, seed = landing_tol(horizon), draw(st.integers(1, STEP_BUDGET)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["fixed", "random", "adaptive"]))
+    if kind == "fixed":
+        tau = draw(mostly(st.just(horizon / steps), tol, tol / 2))
+        policy = f"tau = {tau!r}\n"
+        nodes = [k * tau for k in range(steps + 1)]
+    elif kind == "random":
+        policy = f"count = {max(steps, 2)}\n"
+        nodes = random_mesh(horizon, max(steps, 2), seed).times.tolist()
+    else:
+        tau_min = draw(mostly(st.integers(steps, STEP_BUDGET).map(lambda k: horizon / k), tol, tol / 2))
+        policy = f"tau_min = {tau_min!r}\ntau_max = {horizon / steps!r}\nalpha = {draw(st.sampled_from([0.0, 0.01, 1.0]))}\n"
+        nodes = [0.0, horizon]
+    on_grid = st.sampled_from(nodes)
+    near_grid = st.tuples(on_grid, st.floats(-1.0, 1.0)).map(lambda pair: pair[0] + pair[1] * tol)
+    times = draw(st.lists(on_grid | near_grid | st.floats(0.0, horizon), max_size=3))
+    return (
+        f"scenario = {scenario}\nn = {draw(st.sampled_from([8, 16]))}\nhorizon = {horizon!r}\nseed = {seed}\n"
+        f"[policy]\nkind = {kind}\n{policy}[output]\nsnapshots = {', '.join(map(repr, sorted(times)))}\n"
+        f"record_every = {draw(st.sampled_from([1, 2, 3, 7]) | st.integers(1, 40))}\n"
+    )
+
+
+class TestEveryFileSimulateWritesPassesCheck:
+    """simulate on any drawn config ends in one of three ways: it fails
+    validation (exit 1) and leaves no output directory; it finishes (exit
+    0) at the horizon, and check --records passes its records.csv; or it
+    stops at a stop rule (exit 2), and check --records passes the prefix it
+    wrote, if any."""
+
+    @settings(max_examples=50, deadline=None)
+    @example(config="scenario = equilibrium\nn = 8\nhorizon = 0.01\n[policy]\ntau = 1e-14\n[output]\nsnapshots =\n")
+    @example(config="scenario = convergence\nn = 8\nhorizon = 1e-310\n[policy]\nkind = fixed\ntau = 1e-311\n")
+    @example(
+        config="scenario = convergence\nn = 8\nhorizon = 1e300\n[policy]\nkind = fixed\ntau = 1e299\n"
+        "[output]\nsnapshots = 0.0\nrecord_every = 3\n"
+    )
+    @example(
+        config="scenario = coarsening2d\nn = 16\nhorizon = 0.05\n[policy]\nkind = fixed\ntau = 0.01\n"
+        "[output]\nsnapshots = 0.0, 0.0301\nrecord_every = 4\n"
+    )
+    @given(config=simulate_configs())
+    def test_simulate_ends_in_one_of_three_ways(self, tmp_path_factory, config):
+        tmp = tmp_path_factory.mktemp("run")
+        cfg, out = write_cfg(tmp, config), tmp / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", cfg, "--outdir", str(out)])
+            checked = main(["check", cfg, "--records", str(out / "records.csv")]) if out.exists() else None
+        if code == 1:
+            assert not out.exists()
+            return
+        assert checked == 0, err.getvalue()
+        if code == 0:
+            assert read_records(out / "records.csv")[-1].t == parse_config(cfg).horizon
+        else:
+            assert code == 2 and err.getvalue().startswith(tuple(f"runtime error: {e}: " for e in STOP_RULES))
 
 
 class TestStepAndClockChecks:

@@ -44,6 +44,7 @@ def test_in_process_tables_time_every_name(tool, capsys):
             assert f"{dim}d N={n} (CORES = {cores})" in out
     assert "rows 1..85, written by the command" in out
     assert "rows 86..120, written by a forked process" in out
+    assert "kernel_residuals returned:" in out
     for label in ("write_snapshot", "read_snapshot", "read_record_blocks (100 rows)", "RecordCheck.feed (100 rows)"):
         assert label in out
     # every table restores what it sets or wraps

@@ -74,13 +74,24 @@ class TestRecords:
         path = tmp_path / "records.csv"
         records = sample_records(3)
         w = RecordWriter(path)
-        w.write(records[0])
+        w.write(records[:1])
         partial = path.read_text().splitlines()
         assert len(partial) == 2
-        w.write(records[1])
-        w.write(records[2])
+        w.write(records[1:])
         w.close()
         assert read_records(path) == records
+
+    @pytest.mark.parametrize("cuts", [(), (0,), (5,), (1, 1, 7), (0, 3, 11, 12)], ids=lambda c: "-".join(map(str, c)))
+    def test_blocks_write_the_bytes_of_one_block(self, tmp_path, cuts):
+        # empty blocks included: one writer fed the blocks writes what
+        # write_records writes for their concatenation
+        records = sample_records()
+        w = RecordWriter(tmp_path / "blocks.csv")
+        for a, b in pairwise([0, *cuts, len(records)]):
+            w.write(records[a:b])
+        w.close()
+        write_records(records, tmp_path / "whole.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_format_uses_17_digits(self, tmp_path):
         rec = sample_records(1)[0]
@@ -319,7 +330,9 @@ class TestRowFold:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(["check", str(cfg), "--records", str(path)])
         assert code == (1 if want else 0)
-        summary = [f"check failed: {len(want)} violation(s) over {len(records)} steps"] if want else []
+        # the count of steps is the last row's n, and dropped rows are named
+        steps = f"{records[-1].n} steps" + (f" in {len(records)} rows" if records[-1].n != len(records) else "")
+        summary = [f"check failed: {len(want)} violation(s) over {steps}"] if want else []
         assert err.getvalue().splitlines() == want + summary
 
     def test_anchors_skip_a_nonfinite_first_row(self):
@@ -441,8 +454,8 @@ class TestRowTemplates:
         assert record_text(records) == want
         path = tmp_path_factory.mktemp("records") / "records.csv"
         w = RecordWriter(path)
-        w.write(records[0])
-        w.write_block(records[1:])
+        w.write(records[:1])
+        w.write(records[1:])
         w.close()
         assert path.read_text() == ",".join(RECORD_FIELDS) + "\n" + want
 

@@ -86,7 +86,8 @@ def assert_residuals_hold(mesh, n, seed):
     """The bounds of TestKernels.test_residuals_are_tiny, for the default
     sequence (t_j / t_n)^2 and for standard normal values."""
     values = np.random.default_rng(seed).normal(size=n + 1)
-    for res in (kernel_residuals(mesh, n), kernel_residuals(mesh, n, values=values)):
+    matrices = kernel_matrices(mesh, n)
+    for res in (kernel_residuals(mesh, *matrices), kernel_residuals(mesh, *matrices, values=values)):
         assert res.doc_orthogonality.max() < 1e-13
         assert res.dcc_identity.max() < 1e-13
         assert res.dcc_sum.max() < 1e-13
@@ -318,7 +319,7 @@ class TestKernels:
     def test_residuals_are_tiny(self):
         mesh = random_mesh(1.0, 80, seed=16)
         rng = np.random.default_rng(16)
-        res = kernel_residuals(mesh, 80, values=list(rng.normal(size=81)))
+        res = kernel_residuals(mesh, *kernel_matrices(mesh, 80), values=list(rng.normal(size=81)))
         for column in (res.doc_orthogonality, res.dcc_identity, res.dcc_sum, res.telescoping):
             assert column.shape == (80,)
         assert res.doc_orthogonality.max() < 1e-13
@@ -329,7 +330,7 @@ class TestKernels:
 
     def test_residuals_default_sequence(self):
         mesh = random_mesh(1.0, 25, seed=17)
-        res = kernel_residuals(mesh, 25)
+        res = kernel_residuals(mesh, *kernel_matrices(mesh, 25))
         assert res.telescoping.max() < 1e-13
 
     @pytest.mark.parametrize("horizon", [1e-300, 1e300])
@@ -338,20 +339,20 @@ class TestKernels:
         # below about 1e-154
         mesh = random_mesh(horizon, 12, seed=17)
         with np.errstate(all="raise"):
-            res = kernel_residuals(mesh, 12)
+            res = kernel_residuals(mesh, *kernel_matrices(mesh, 12))
         assert res.telescoping.max() < 1e-16
 
     def test_residuals_length_check(self):
         mesh = random_mesh(1.0, 10, seed=18)
         with pytest.raises(ValueError, match="sequence values"):
-            kernel_residuals(mesh, 10, values=[0.0] * 5)
+            kernel_residuals(mesh, *kernel_matrices(mesh, 10), values=[0.0] * 5)
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda mesh: doc_kernels(mesh, 2),
             lambda mesh: dcc_kernels(mesh, 2),
-            lambda mesh: kernel_residuals(mesh, 2),
+            lambda mesh: kernel_residuals(mesh, *np.zeros((2, 2, 2))),
             lambda mesh: quadratic_form_check(mesh, [1.0, 1.0]),
         ],
         ids=["doc_kernels", "dcc_kernels", "kernel_residuals", "quadratic_form_check"],
@@ -368,11 +369,38 @@ class TestKernels:
         with pytest.raises(SingularKernelError):
             call(TimeMesh([1.0, 1.0]))
 
-    @pytest.mark.parametrize("func", [doc_kernels, dcc_kernels, kernel_residuals])
-    def test_overflowing_weight_detected(self, func):
-        # ratio 1e305: tau (1 + r) overflows to inf and b0 rounds to 0
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mesh: doc_kernels(mesh, 2),
+            lambda mesh: dcc_kernels(mesh, 2),
+            lambda mesh: kernel_residuals(mesh, *np.zeros((2, 2, 2))),
+        ],
+        ids=["doc_kernels", "dcc_kernels", "kernel_residuals"],
+    )
+    def test_overflowing_weight_detected(self, call):
+        # ratio 1e305: tau (1 + r) overflows to inf and b0 rounds to 0;
+        # kernel_residuals is handed zero matrices, since kernel_matrices
+        # would raise first
         with np.errstate(all="ignore"), pytest.raises(SingularKernelError):
-            func(TimeMesh([1e-5, 1e300]), 2)
+            call(TimeMesh([1e-5, 1e300]))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3, 2), (3, 2)), ((3, 3), (2, 2)), ((2, 2), (2, 3)), ((4,), (4, 4)), ((3, 3, 1), (3, 3))],
+        ids=["both-non-square", "p-smaller", "p-non-square", "theta-1d", "theta-3d"],
+    )
+    def test_residuals_reject_matrices_that_are_not_both_n_by_n(self, shapes):
+        mesh = random_mesh(1.0, 10, seed=19)
+        theta, p = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError) as err:
+            kernel_residuals(mesh, theta, p)
+        assert str(shapes[0]) in str(err.value) and str(shapes[1]) in str(err.value)
+
+    def test_residuals_reject_more_rows_than_steps(self):
+        mesh = random_mesh(1.0, 10, seed=19)
+        with pytest.raises(IndexError, match="step index 11 outside 1..10"):
+            kernel_residuals(mesh, *kernel_matrices(random_mesh(1.0, 11, seed=19), 11))
 
 
 class TestQuadraticForm:
@@ -450,7 +478,7 @@ class TestLoopReference:
         mesh = random_mesh(1.0, n, seed=21)
         if values == "random":
             values = np.random.default_rng(21).normal(size=n + 1)
-        res = kernel_residuals(mesh, n, values=values)
+        res = kernel_residuals(mesh, *kernel_matrices(mesh, n), values=values)
         for i in range(1, n + 1):
             row_values = None if values is None else values[: i + 1]
             doc, dcc, dsum, margin, tel = kernel_reference.residual_row(mesh, i, row_values)

@@ -59,9 +59,9 @@ raises.  Every median is over REPEATS timed runs after the warm-up below.
   which the benchmark's ``peak_rss_mb`` does not count.  Then the split
   pass's timeline at the host's CORES: the median ms from the pass's start
   at which each part's rows are written (the command's first, each forked
-  process's after it), ``_residuals`` returns and each ``os.waitpid`` on a
-  forked process returns, timed by wrapping ``cli.kernel_rows``,
-  ``cli._residuals`` and ``os.waitpid`` for the table only.  A wait that
+  process's after it), ``kernel_residuals`` returns and each ``os.waitpid``
+  on a forked process returns, timed by wrapping ``cli.kernel_rows``,
+  ``cli.kernel_residuals`` and ``os.waitpid`` for the table only.  A wait that
   returns at once, just after the residuals are written, means the forked
   processes finished first.  The quadratic form is checked on
   random_mesh(1, n, SEED) with standard normal weights, at n = MAX_N and
@@ -428,12 +428,12 @@ def kernels_table(peaks):
 def kernels_timeline(run, cores):
     """The split pass's timeline: over REPEATS passes run at CORES, the
     median ms from the pass's start at which each part's rows are written,
-    ``_residuals`` returns and each ``os.waitpid`` returns.  The ``cli``
-    names ``kernel_rows`` and ``_residuals`` and ``os.waitpid`` are wrapped
-    for the table only.  A part's writer, in a forked process or in the
-    command, puts its end time into a shared anonymous mapping, which the
-    forked processes inherit; perf_counter is one monotonic clock for all
-    of them."""
+    ``kernel_residuals`` returns and each ``os.waitpid`` returns.  The
+    ``cli`` names ``kernel_rows``, ``kernel_residuals`` and ``os.waitpid``
+    are wrapped for the table only.  A part's writer, in a forked process or
+    in the command, puts its end time into a shared anonymous mapping, which
+    the forked processes inherit; perf_counter is one monotonic clock for
+    all of them."""
     import mmap
     import struct
 
@@ -442,8 +442,8 @@ def kernels_timeline(run, cores):
     parts = cli._kernel_parts(MAX_N)  # at the host's CORES, as run passes them
     starts = [rows.start for rows in parts]
     ends = mmap.mmap(-1, 8 * len(parts))
-    returned, waits = [], []  # the times _residuals and each os.waitpid returned, this pass
-    originals = (cli.kernel_rows, cli._residuals, os.waitpid)
+    returned, waits = [], []  # the times kernel_residuals and each os.waitpid returned, this pass
+    originals = (cli.kernel_rows, cli.kernel_residuals, os.waitpid)
 
     def kernel_rows(theta, p):
         write_rows = originals[0](theta, p)
@@ -467,7 +467,7 @@ def kernels_timeline(run, cores):
             waits.append(time.perf_counter())
 
     rounds = []
-    cli.kernel_rows, cli._residuals, os.waitpid = kernel_rows, residuals, waitpid
+    cli.kernel_rows, cli.kernel_residuals, os.waitpid = kernel_rows, residuals, waitpid
     try:
         for _ in range(REPEATS):
             returned.clear()
@@ -478,12 +478,12 @@ def kernels_timeline(run, cores):
             times = [*struct.unpack_from(f"{len(parts)}d", ends), *returned, *waits, stop]
             rounds.append([1e3 * (t - start) for t in times])
     finally:
-        cli.kernel_rows, cli._residuals, os.waitpid = originals
+        cli.kernel_rows, cli.kernel_residuals, os.waitpid = originals
         ends.close()
     ms = iter(statistics.median(column) for column in zip(*rounds))
     labels = [f"part {k + 1}, rows {rows.start}..{rows.stop - 1}, written by "
               + ("the command" if k == 0 else "a forked process") for k, rows in enumerate(parts)]
-    labels += ["_residuals returned", *(f"waitpid on part {k} returned" for k in range(2, len(waits) + 2))]
+    labels += ["kernel_residuals returned", *(f"waitpid on part {k} returned" for k in range(2, len(waits) + 2))]
     print(f"kernels split timeline (CORES = {cores}; ms from the pass's start, medians of {REPEATS} passes):")
     for label in [*labels, "pass returned"]:
         print(f"  {label + ':':52s} {next(ms):7.1f}")
