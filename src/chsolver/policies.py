@@ -101,7 +101,8 @@ def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoint
     clamp, and LandingError names its first step no longer than tol (the
     driver would land at its end a step early), the first of them (in the
     given order) that is no node, or a horizon beyond the last node, both
-    within tol: landing off a node shifts every later one."""
+    within tol: landing off a node shifts every later one, and so does
+    landing twice at one node, on targets more than tol apart."""
     if not start < horizon < math.inf:
         raise ValueError(f"horizon {horizon} must be finite and beyond current time {start}")
     tol = landing_tol(horizon)
@@ -116,6 +117,11 @@ def landing_targets(policy: StepPolicy, start: float, horizon: float, checkpoint
                 raise LandingError(f"checkpoint {c!r} is not a node of the prescribed mesh")
         if horizon - policy.mesh.horizon > tol:
             raise LandingError(f"horizon {horizon!r} lies beyond the last mesh node {policy.mesh.horizon!r}")
+        first = {}  # the first target at each node
+        for c in [*sorted(inner), horizon]:
+            node = float(policy.mesh.times[np.abs(policy.mesh.times - c).argmin()])
+            if abs(node - c) <= tol and c - first.setdefault(node, c) > tol:
+                raise LandingError(f"{first[node]!r} and {c!r} both land at mesh node {node!r}, more than {tol!r} apart")
     return [*sorted(set(inner)), float(horizon)]
 
 

@@ -1,11 +1,10 @@
 """On-disk formats: step-record CSV and raw field snapshots.
 
 Records: header ``n,t,tau,gamma,energy,xi,eta,mass,dissipation``, one row
-per step, floats printed with 17 significant digits so parsing them back
-is bit-exact.  ``RecordWriter.write`` appends a block of records and
-flushes.  ``read_record_blocks`` parses them without numpy, block by
-block of whole lines, into the rows that ``stepper.RecordCheck`` folds
-over, so a reader holds one block of the file at a time.
+per step, appended a block at a time by ``RecordWriter.write``, with
+floats printed to 17 significant digits so parsing them back is
+bit-exact.  ``read_record_blocks`` parses them without numpy, block by
+block, into the rows ``stepper.RecordCheck`` folds over.
 
 Snapshots: one ASCII header line
 
@@ -50,10 +49,6 @@ SNAPSHOT_VERSION = "v1"
 
 class SnapshotFormatError(ValueError):
     """Snapshot bytes do not match the declared header."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 class RecordWriter:
@@ -157,7 +152,7 @@ def write_snapshot(grid: Grid, values: np.ndarray, path, time: float) -> None:
         raise ValueError(f"values of shape {values.shape} do not match grid {grid.shape}")
     header = (
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} dim={grid.dim} N={grid.modes} "
-        f"L={_fmt(grid.length)} t={_fmt(time)}\n"
+        f"L={float(grid.length):.17g} t={float(time):.17g}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

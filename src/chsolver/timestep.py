@@ -18,9 +18,8 @@ complementary convolution (DCC) kernels are the rows of P = cumsum of Theta
 down each column, so that P B = 1 on the lower triangle.  Both matrices are
 built by one sweep over their columns with the two-term recurrences that B's
 bandwidth allows; they serve only for a-posteriori verification, and the
-stepper never uses them.  kernel_residuals checks their identities on the
-two matrices as built, so ``chsolver kernels`` builds them once for both of
-its files.  The positive-definiteness chain of Theta needs neither matrix:
+stepper never uses them; kernel_residuals checks the identities of both
+as built.  The positive-definiteness chain of Theta needs neither matrix:
 Theta w and Theta^T w are one forward and one back substitution through B
 each, so it is checked in O(n) time and memory.
 """

@@ -1065,6 +1065,10 @@ class TestEveryFileSimulateWritesPassesCheck:
         config="scenario = coarsening2d\nn = 16\nhorizon = 0.05\n[policy]\nkind = fixed\ntau = 0.01\n"
         "[output]\nsnapshots = 0.0, 0.0301\nrecord_every = 4\n"
     )
+    @example(  # two snapshots at one node of a two-step mesh: the run asked for a third step
+        config="scenario = convergence\nn = 8\nhorizon = 0.125\n[policy]\nkind = random\ncount = 2\n"
+        "[output]\nsnapshots = 0.07860548653969696, 0.07860548653994695\n"
+    )
     @given(config=simulate_configs())
     def test_simulate_ends_in_one_of_three_ways(self, tmp_path_factory, config):
         tmp = tmp_path_factory.mktemp("run")

@@ -195,6 +195,36 @@ class TestDriver:
             run_with_policy(small_state(n=8), PrescribedMesh(mesh), mesh.horizon, checkpoints=(float(mesh.times[3]),))
         assert calls == []
 
+    @pytest.mark.parametrize("node", [5, 12], ids=["interior", "last"])
+    def test_prescribed_mesh_rejects_two_landings_at_one_node(self, monkeypatch, node):
+        # checkpoints 0.9 tol either side of a node, or one 1.8 tol short of a
+        # horizon 0.9 tol past the last node: each lies within tol of the node
+        # but more than tol from the other, so the run landed on both and
+        # asked the mesh for a step it does not have (MeshExhaustedError)
+        import chsolver.policies as policies
+
+        calls = []
+        monkeypatch.setattr(policies, "advance", lambda *args: calls.append(args))
+        mesh = random_mesh(0.05, 12, seed=3)
+        t, tol = float(mesh.times[node]), 1e-12 * mesh.horizon
+        horizon = mesh.horizon + 0.9 * tol if node == 12 else mesh.horizon
+        first, second = (t - 0.9 * tol, horizon) if node == 12 else (t - 0.9 * tol, t + 0.9 * tol)
+        with pytest.raises(LandingError, match=f"^{first!r} and {second!r} both land at mesh node {t!r}"):
+            run_with_policy(small_state(), PrescribedMesh(mesh), horizon, checkpoints=(second, first))
+        assert calls == []
+
+    def test_prescribed_mesh_lands_once_on_targets_within_tol_of_each_other(self):
+        # 0.4 tol either side of node 5, and a horizon short of the mesh's
+        # end whose nearest node is also the checkpoint's
+        mesh = random_mesh(0.05, 12, seed=3)
+        t, tol = float(mesh.times[5]), 1e-12 * mesh.horizon
+        marks = (t - 0.4 * tol, t + 0.4 * tol)
+        _, records = drive(small_state(), PrescribedMesh(mesh), mesh.horizon, checkpoints=marks)
+        assert len(records) == 12
+        horizon = float(mesh.times[9] + 0.25 * mesh.steps[9])
+        _, records = drive(small_state(), PrescribedMesh(mesh), horizon, checkpoints=(float(mesh.times[9]),))
+        assert [rec.t for rec in records[8:]] == [mesh.times[9], horizon]
+
     def test_prescribed_mesh_accepts_horizon_off_last_node_by_rounding(self):
         mesh = random_mesh(0.05, 12, seed=3)
         state, records = drive(small_state(), PrescribedMesh(mesh), mesh.horizon * (1.0 + 1e-13))
