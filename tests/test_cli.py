@@ -1035,7 +1035,8 @@ def simulate_configs(draw):
         nodes = random_mesh(horizon, max(steps, 2), seed).times.tolist()
     else:
         tau_min = draw(mostly(st.integers(steps, STEP_BUDGET).map(lambda k: horizon / k), tol, tol / 2))
-        policy = f"tau_min = {tau_min!r}\ntau_max = {horizon / steps!r}\nalpha = {draw(st.sampled_from([0.0, 0.01, 1.0]))}\n"
+        alpha = draw(st.sampled_from([0.0, 0.01, 1.0]))
+        policy = f"tau_min = {tau_min!r}\ntau_max = {horizon / steps!r}\nalpha = {alpha}\n"
         nodes = [0.0, horizon]
     on_grid = st.sampled_from(nodes)
     near_grid = st.tuples(on_grid, st.floats(-1.0, 1.0)).map(lambda pair: pair[0] + pair[1] * tol)
